@@ -13,34 +13,28 @@ import json
 import random
 import sys
 from dataclasses import dataclass
-from decimal import Decimal, getcontext
+from decimal import Context, Decimal
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence
 
 from .cf import eval_periodic
-from .field import FieldSpec, KElement, SurdElement, sign_of
+from .field import FieldSpec, KElement, SurdElement
 from .golden import (
     ExpansionConfig,
     ExpansionError,
     ExpansionResult,
     GoldenPreconditionError,
     MaxStepsError,
-    PairContext,
-    PairState,
-    choose_quotient,
+    SeedRejection,
+    classify_seed,
     covering_radius,
     expand_pair,
+    pair_steps,
 )
 from .intervals import PrecisionError
 from .parsing import ParseError, parse_element_list, parse_expansion, parse_k
-from .quartic import (
-    QuadraticPolyK,
-    SeedError,
-    diagnostics,
-    make_state,
-    step_state,
-    summarize,
-)
+from .quartic import QuadraticPolyK, SeedError, diagnostics, summarize
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -75,9 +69,7 @@ def decimal_str(value: KElement | SurdElement, digits: int) -> str:
         bits *= 2
         iv = value.embed(bits)
     mid = iv.mid
-    getcontext().prec = digits
-    dec = Decimal(mid.numerator) / Decimal(mid.denominator)
-    return str(dec)
+    return str(Context(prec=digits).divide(Decimal(mid.numerator), Decimal(mid.denominator)))
 
 
 def _poly_json(poly: tuple[KElement, KElement, KElement] | QuadraticPolyK) -> dict:
@@ -229,16 +221,8 @@ def _analyze_quotients(args: argparse.Namespace, cfg: SessionConfig):
             )
         return seed, branch, quotients[: n + 1]
     # Drive the pair expansion for n+1 quotients (no cycle needed).
-    ctx = PairContext.create(seed)
-    s = make_state(seed, branch)
-    sp = make_state(seed.sigma(), _branch(args.conj_branch))
-    quotients = []
-    for i in range(n + 1):
-        a, _ = choose_quotient(PairState(s, sp, i), ctx)
-        quotients.append(a)
-        s = step_state(s, a)
-        sp = step_state(sp, a.conj())
-    return seed, branch, quotients
+    steps = pair_steps(seed, branch, _branch(args.conj_branch))
+    return seed, branch, [a for a, _ in islice(steps, 1, n + 2)]
 
 
 def cmd_analyze(args: argparse.Namespace, cfg: SessionConfig) -> int:
@@ -338,31 +322,17 @@ def _random_k(rng: random.Random, spec: FieldSpec, bound: int) -> KElement:
 
 
 def _sample_seed(rng: random.Random, spec: FieldSpec, bound: int, counters: dict) -> QuadraticPolyK | None:
-    from .field import is_square_in_k
-
+    # A is drawn and tested before B and C: the corpus depends on this order.
     a = _random_k(rng, spec, bound)
     if a.is_zero:
-        counters["zero_lead"] += 1
+        counters[SeedRejection.ZERO_LEAD.value] += 1
         return None
     b = _random_k(rng, spec, bound)
     c = _random_k(rng, spec, bound)
     seed = QuadraticPolyK(a, b, c)
-    delta = seed.delta
-    if sign_of(delta) <= 0:
-        counters["delta_nonpositive"] += 1
-        return None
-    if is_square_in_k(delta) is not None:
-        counters["delta_square"] += 1
-        return None
-    sdelta = delta.conj()
-    if sign_of(sdelta) <= 0:
-        if sign_of(sdelta + 4) < 0:
-            counters["provably_nonperiodic"] += 1
-        else:
-            counters["sigma_delta_nonpositive"] += 1
-        return None
-    if is_square_in_k(sdelta) is not None:
-        counters["sigma_delta_square"] += 1
+    reason = classify_seed(seed)
+    if reason is not None:
+        counters[reason.value] += 1
         return None
     return seed
 
@@ -372,14 +342,7 @@ def run_corpus(count: int, bound: int, cfg: SessionConfig) -> dict:
         raise GoldenPreconditionError("corpus expansion requires D = 5")
     spec = cfg.spec
     rng = random.Random(cfg.seed)
-    counters: dict = {
-        "zero_lead": 0,
-        "delta_nonpositive": 0,
-        "delta_square": 0,
-        "sigma_delta_nonpositive": 0,
-        "sigma_delta_square": 0,
-        "provably_nonperiodic": 0,
-    }
+    counters = {reason.value: 0 for reason in SeedRejection}
     seeds: list[QuadraticPolyK] = []
     while len(seeds) < count:
         seed = _sample_seed(rng, spec, bound, counters)
@@ -444,13 +407,26 @@ def cmd_corpus(args: argparse.Namespace, cfg: SessionConfig) -> int:
     return EXIT_OK
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an int no smaller than `minimum`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports "invalid int value" for non-integers
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field-d", type=int, default=5, help="squarefree D of Q(sqrt(D))")
     common.add_argument("--precision", type=int, default=64, help="interval precision in bits")
     common.add_argument("--output", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--max-steps", type=int, default=10_000)
-    common.add_argument("--digits", type=int, default=30, help="decimal digits for display")
+    common.add_argument("--max-steps", type=_int_at_least(1), default=10_000)
+    common.add_argument("--digits", type=_int_at_least(1), default=30, help="decimal digits for display")
     common.add_argument("--seed", type=int, default=0, help="corpus randomness seed")
 
     parser = argparse.ArgumentParser(
@@ -477,31 +453,40 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--quotients", help="comma-separated explicit partial quotients")
     p_an.add_argument("--branch", choices=("+", "-"), default="+")
     p_an.add_argument("--conj-branch", choices=("+", "-"), default="+")
-    p_an.add_argument("-n", "--steps", type=int, default=20)
+    p_an.add_argument("-n", "--steps", type=_int_at_least(0), default=20)
 
     p_rad = sub.add_parser("radius", parents=[common], help="covering radius of v(O_K)")
     p_rad.add_argument("D", type=int)
 
     p_cor = sub.add_parser("corpus", parents=[common], help="random-seed expansion corpus")
-    p_cor.add_argument("--count", type=int, default=10)
+    p_cor.add_argument("--count", type=_int_at_least(1), default=10)
     p_cor.add_argument("--bound", type=int, default=3)
 
     return parser
 
 
-_VALUE_FLAGS = {
-    "--field-d", "--precision", "--output", "--max-steps", "--digits", "--seed",
-    "--branch", "--conj-branch", "--expansion", "--quotients", "-n", "--steps",
-    "--count", "--bound",
-}
+def _value_flags(parser: argparse.ArgumentParser) -> set[str]:
+    """Option strings, over all subcommands, that take a value."""
+    commands = next(
+        a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        opt for sub in commands.values() for action in sub._actions
+        if action.nargs != 0 for opt in action.option_strings
+    }
 
 
-def _prepare_argv(argv: Sequence[str]) -> list[str]:
+def _prepare_argv(argv: Sequence[str], parser: argparse.ArgumentParser) -> list[str]:
     """Reorder one subcommand's argv as [cmd, flags..., '--', positionals...]
-    so that element arguments with a leading '-' parse as positionals."""
+    so that element arguments with a leading '-' parse as positionals.
+
+    A value flag is joined to its value as flag=value, so that a value with
+    a leading '-' (say --quotients -1-1*w,2) is not taken for a flag.
+    """
     argv = list(argv)
     if not argv or argv[0].startswith("-"):
         return argv
+    value_flags = _value_flags(parser)
     cmd, rest = argv[0], argv[1:]
     flags: list[str] = []
     positionals: list[str] = []
@@ -511,14 +496,12 @@ def _prepare_argv(argv: Sequence[str]) -> list[str]:
         if tok == "--":
             positionals.extend(rest[i + 1 :])
             break
-        if tok in ("-h", "--help"):
+        if tok in ("-h", "--help") or (tok.startswith("--") and "=" in tok):
             flags.append(tok)
             i += 1
-        elif tok.startswith("--") and "=" in tok:
-            flags.append(tok)
-            i += 1
-        elif tok in _VALUE_FLAGS:
-            flags.extend(rest[i : i + 2])
+        elif tok in value_flags:
+            # A trailing flag with no value is left for argparse to report.
+            flags.append(f"{tok}={rest[i + 1]}" if i + 1 < len(rest) else tok)
             i += 2
         else:
             positionals.append(tok)
@@ -532,7 +515,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_prepare_argv(argv))
+    args = parser.parse_args(_prepare_argv(argv, parser))
     try:
         cfg = SessionConfig(
             d=args.field_d,

@@ -10,9 +10,13 @@ on exact quotient-state keys yields an ultimately periodic expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from enum import Enum
 from fractions import Fraction
+from itertools import count
 from math import floor as _floor
+from typing import Iterator
+
 from .cf import CFExpansion, eval_periodic
 from .field import (
     FieldSpec,
@@ -274,33 +278,99 @@ def choose_quotient(
     )
 
 
+class SeedRejection(Enum):
+    """Why a seed cannot drive the pair expansion, in corpus counter order.
+
+    ZERO_LEAD never comes from `classify_seed`: a QuadraticPolyK cannot
+    have A = 0, so samplers test the drawn leading coefficient themselves.
+    """
+
+    ZERO_LEAD = "zero_lead"
+    DELTA_NONPOSITIVE = "delta_nonpositive"
+    DELTA_SQUARE = "delta_square"
+    SIGMA_DELTA_NONPOSITIVE = "sigma_delta_nonpositive"
+    SIGMA_DELTA_SQUARE = "sigma_delta_square"
+    PROVABLY_NONPERIODIC = "provably_nonperiodic"
+
+
+def classify_seed(seed: QuadraticPolyK) -> SeedRejection | None:
+    """First failed requirement of the pair expansion on delta and
+    sigma(delta), or None when the seed is admissible.
+
+    sigma(delta) <= 0 splits at -4: below it no ultimately periodic
+    expansion over K exists at all (the even-period constraint fails).
+    """
+    delta = seed.delta
+    if sign_of(delta) <= 0:
+        return SeedRejection.DELTA_NONPOSITIVE
+    if is_square_in_k(delta) is not None:
+        return SeedRejection.DELTA_SQUARE
+    sdelta = delta.conj()
+    if sign_of(sdelta) <= 0:
+        if sign_of(sdelta + 4) < 0:
+            return SeedRejection.PROVABLY_NONPERIODIC
+        return SeedRejection.SIGMA_DELTA_NONPOSITIVE
+    if is_square_in_k(sdelta) is not None:
+        return SeedRejection.SIGMA_DELTA_SQUARE
+    return None
+
+
+_SIGMA_NONPOSITIVE_MSG = (
+    "sigma(discriminant) <= 0: the conjugates of the root are not all real, "
+    "so the pair expansion does not apply"
+)
+_REJECTION_MESSAGES = {
+    SeedRejection.DELTA_NONPOSITIVE: "discriminant must be positive",
+    SeedRejection.DELTA_SQUARE:
+        "discriminant is a square in K: the root is quadratic, not quartic",
+    SeedRejection.SIGMA_DELTA_NONPOSITIVE: _SIGMA_NONPOSITIVE_MSG,
+    SeedRejection.PROVABLY_NONPERIODIC: _SIGMA_NONPOSITIVE_MSG + (
+        "; moreover sigma(discriminant) < -4, so no ultimately periodic "
+        "expansion over K exists at all (the even-period constraint fails)"
+    ),
+    SeedRejection.SIGMA_DELTA_SQUARE: "sigma(discriminant) is a square in K",
+}
+
+
 def _check_preconditions(seed: QuadraticPolyK) -> None:
     if seed.spec.d != 5:
         raise GoldenPreconditionError(
             f"expansion requires K = Q(sqrt(5)): for D = {seed.spec.d} the covering "
             "radius of v(O_K) exceeds 1 and the rounding step has no guarantee"
         )
-    delta = seed.delta
-    if sign_of(delta) <= 0:
-        raise GoldenPreconditionError("discriminant must be positive")
-    if is_square_in_k(delta) is not None:
-        raise GoldenPreconditionError(
-            "discriminant is a square in K: the root is quadratic, not quartic"
-        )
-    sdelta = delta.conj()
-    if sign_of(sdelta) <= 0:
-        msg = (
-            "sigma(discriminant) <= 0: the conjugates of the root are not all real, "
-            "so the pair expansion does not apply"
-        )
-        if sign_of(sdelta + 4) < 0:
-            msg += (
-                "; moreover sigma(discriminant) < -4, so no ultimately periodic "
-                "expansion over K exists at all (the even-period constraint fails)"
-            )
-        raise GoldenPreconditionError(msg)
-    if is_square_in_k(sdelta) is not None:
-        raise GoldenPreconditionError("sigma(discriminant) is a square in K")
+    reason = classify_seed(seed)
+    if reason is not None:
+        raise GoldenPreconditionError(_REJECTION_MESSAGES[reason])
+
+
+def pair_steps(
+    seed: QuadraticPolyK,
+    branch: int,
+    conj_branch: int,
+    cfg: ExpansionConfig = ExpansionConfig(),
+) -> Iterator[tuple[KElement | None, PairState]]:
+    """The pair states of the expansion of (seed, branch, conj_branch).
+
+    Yields (a_{n-1}, state_n), with None in place of a_{-1}.  The quotient
+    a_n is chosen only when the caller asks for state n+1, so a caller that
+    stops at a repeated state pays for no candidate search there.
+    """
+    ctx = PairContext.create(seed)
+    s = make_state(seed, branch)
+    sp = make_state(seed.sigma(), conj_branch)
+    a = None
+    for n in count():
+        state = PairState(s, sp, n)
+        yield a, state
+        if n >= 1:
+            # Both complete quotients must stay above sqrt(10/9) in modulus.
+            if sign_of(s.value * s.value - LOWER_BOUND_SQ) <= 0:
+                raise ExpansionError("complete quotient modulus invariant violated")
+            if sign_of(sp.value * sp.value - LOWER_BOUND_SQ) <= 0:
+                raise ExpansionError("conjugate quotient modulus invariant violated")
+        a, _ = choose_quotient(state, ctx, cfg)
+        s = step_state(s, a)
+        sp = step_state(sp, a.conj())
 
 
 def expand_pair(
@@ -315,23 +385,20 @@ def expand_pair(
     round-trip verification flag.
     """
     _check_preconditions(seed)
-    ctx = PairContext.create(seed)
-    s = make_state(seed, branch)
-    sp = make_state(seed.sigma(), conj_branch)
     seen: dict[tuple, int] = {}
     keys: list[tuple] = []
     quotients: list[KElement] = []
-    n = 0
-    while n <= cfg.max_steps:
-        state = PairState(s, sp, n)
+    for a, state in pair_steps(seed, branch, conj_branch, cfg):
+        n = state.index
+        if a is not None:
+            quotients.append(a)
+        if n > cfg.max_steps:
+            break
         key = state.key
         if key in seen:
             m = seen[key]
-            expansion = CFExpansion(
-                ctx.spec, tuple(quotients[:m]), tuple(quotients[m:n])
-            )
             result = ExpansionResult(
-                expansion=expansion,
+                expansion=CFExpansion(seed.spec, tuple(quotients[:m]), tuple(quotients[m:n])),
                 keys=tuple(keys),
                 cycle_start=m,
                 verified=False,
@@ -339,29 +406,9 @@ def expand_pair(
                 branch=branch,
                 conj_branch=conj_branch,
             )
-            rt = verify_roundtrip(result, seed, branch)
-            return ExpansionResult(
-                expansion=expansion,
-                keys=tuple(keys),
-                cycle_start=m,
-                verified=bool(rt),
-                seed=seed,
-                branch=branch,
-                conj_branch=conj_branch,
-            )
+            return replace(result, verified=bool(verify_roundtrip(result, seed, branch)))
         seen[key] = n
         keys.append(key)
-        if n >= 1:
-            # Both complete quotients must stay above sqrt(10/9) in modulus.
-            if sign_of(s.value * s.value - LOWER_BOUND_SQ) <= 0:
-                raise ExpansionError("complete quotient modulus invariant violated")
-            if sign_of(sp.value * sp.value - LOWER_BOUND_SQ) <= 0:
-                raise ExpansionError("conjugate quotient modulus invariant violated")
-        a, _ = choose_quotient(state, ctx, cfg)
-        quotients.append(a)
-        s = step_state(s, a)
-        sp = step_state(sp, a.conj())
-        n += 1
     raise MaxStepsError(
         f"no state repetition within {cfg.max_steps} steps", quotients, keys
     )

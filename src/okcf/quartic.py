@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Sequence
 
 from .cf import QPairState, qpair_states
@@ -109,31 +110,15 @@ def make_state(poly: QuadraticPolyK, branch: int) -> QuotientState:
 def step_state(state: QuotientState, a: KElement) -> QuotientState:
     """State of 1/(xi - a): shift by a, then swap A and C.
 
-    The new branch is recovered from exact surd arithmetic so that the new
-    value equals 1/(old value - a).
+    With B' = 2*A*a + B and C' = f(a), the identity
+    1/(xi - a) = (-B' - branch*sqrt(delta)) / (2*C') gives the new branch
+    as -branch.
     """
     if not a.is_integral:
         raise ValueError(f"partial quotient {a} is not integral in O_K")
     poly = state.poly
-    shifted = poly.evaluate(a)
-    new_b = 2 * poly.A * a + poly.B
-    new_poly = QuadraticPolyK(shifted, new_b, poly.A)
-
-    diff = state.value - a
-    if diff.is_zero:
-        raise ZeroDivisionError("complete quotient equals the partial quotient")
-    target = diff.recip()
-    spec = poly.spec
-    inv2a = spec.one / (2 * new_poly.A)
-    if target.y == inv2a:
-        branch = 1
-    elif target.y == -inv2a:
-        branch = -1
-    else:
-        raise AssertionError("reciprocal does not match the shifted triple")
-    if target.x != -new_poly.B * inv2a:
-        raise AssertionError("reciprocal does not match the shifted triple")
-    return QuotientState(new_poly, branch)
+    new_poly = QuadraticPolyK(poly.evaluate(a), 2 * poly.A * a + poly.B, poly.A)
+    return QuotientState(new_poly, -state.branch)
 
 
 def triple_recursion(seed: QuadraticPolyK, qp: QPairState) -> QuadraticPolyK:
@@ -207,11 +192,11 @@ def weil_height_element(x: KElement, precision_bits: int = DEFAULT_BITS) -> Real
         return RealInterval.point(max(abs(x.a.numerator), x.a.denominator))
     # Primitive integer minimal polynomial a*t^2 + b*t + c from trace/norm.
     tr, nm = x.trace(), x.norm()
-    den = (tr.denominator * nm.denominator) // _gcd(tr.denominator, nm.denominator)
+    den = (tr.denominator * nm.denominator) // gcd(tr.denominator, nm.denominator)
     ia, ib, ic = den, -tr.numerator * (den // tr.denominator), nm.numerator * (
         den // nm.denominator
     )
-    content = _gcd(_gcd(abs(ia), abs(ib)), abs(ic))
+    content = gcd(ia, ib, ic)
     lead = abs(ia) // content
     h2 = (
         RealInterval.point(lead)
@@ -219,12 +204,6 @@ def weil_height_element(x: KElement, precision_bits: int = DEFAULT_BITS) -> Real
         * abs(x.embed(precision_bits, conjugate=True)).max_with(1)
     )
     return h2.sqrt(precision_bits)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def naive_height(state: QuotientState) -> int:
@@ -276,6 +255,9 @@ class TrajectoryRow:
     weil: RealInterval
     naive: int
     qs_abs: RealInterval
+    # |sigma(Q_n) * (xi' sigma(Q_n) - sigma(P_n))| for both real roots xi'
+    # of the conjugate polynomial; None when those roots are complex.
+    qs_sigma: tuple[RealInterval, RealInterval] | None
     q_ratio: RealInterval | None
 
 
@@ -329,12 +311,15 @@ def diagnostics(
         if sigma_real:
             s_s2 = _tight_abs(xi_p_plus * sqn - spn, bits)
             s_s3 = _tight_abs(xi_p_minus * sqn - spn, bits)
+            sq_abs = abs(sqn.embed(bits))
+            qs_sigma = (s_s2 * sq_abs, s_s3 * sq_abs)
         else:
             # Complex pair: |x'' + y''*sqrt(sdelta)|^2 = x''^2 - y''^2*sdelta in K.
             x2 = -spoly.B / (2 * spoly.A) * sqn - spn
             y2 = spec.one / (2 * spoly.A) * sqn
             mod_sq = x2 * x2 - y2 * y2 * sdelta
             s_s2 = s_s3 = _tight_abs(mod_sq, bits).sqrt(bits)
+            qs_sigma = None
         f1 = s_id.max_with(prev["id"]) * s_tau.max_with(prev["tau"])
         f2 = s_s2.max_with(prev["s2"]) * s_s3.max_with(prev["s3"])
         state_n = states[n]
@@ -355,6 +340,7 @@ def diagnostics(
                 weil=weil_height(state_n, bits),
                 naive=naive_height(state_n),
                 qs_abs=q_abs * s_id,
+                qs_sigma=qs_sigma,
                 q_ratio=ratio,
             )
         )
@@ -365,51 +351,30 @@ def diagnostics(
 
 def summarize(rows: Sequence[TrajectoryRow], seed: QuadraticPolyK, branch: int,
               quotients: Sequence[KElement], precision_bits: int = DEFAULT_BITS) -> TrajectorySummary:
-    states = run_trajectory(seed, branch, quotients)
-    max_a = max(float(abs(s.poly.A.embed(precision_bits)).hi) for s in states)
-    max_sa = max(
-        float(abs(s.poly.A.embed(precision_bits, conjugate=True)).hi) for s in states
-    )
-    sup_qs = max(float(r.qs_abs.hi) for r in rows)
-    sigma_sup = _sigma_side_sup(seed, quotients, precision_bits)
+    """Summary of the `diagnostics` rows of (seed, branch, quotients).
+
+    The maxima of |A_n| and |sigma(A_n)| run over xi_0 .. xi_N+1, where N
+    is the last row; A_N+1 = f_N(a_N) is the one value the rows lack.  The
+    sigma-side sup is the smaller of the two root choices' sups: the bound
+    only claims existence of a suitable root of the conjugate polynomial.
+    """
+    last = QuadraticPolyK(*rows[-1].triple).evaluate(quotients[len(rows) - 1])
+    leads = [r.triple[0] for r in rows] + [last]
+    max_a = max(float(abs(x.embed(precision_bits)).hi) for x in leads)
+    max_sa = max(float(abs(x.embed(precision_bits, conjugate=True)).hi) for x in leads)
+    sigma_sup = None
+    if rows[0].qs_sigma is not None:
+        sigma_sup = min(max(float(r.qs_sigma[i].hi) for r in rows) for i in (0, 1))
     return TrajectorySummary(
         steps=len(rows),
         max_abs_a=max_a,
         max_abs_sigma_a=max_sa,
-        sup_qs=sup_qs,
+        sup_qs=max(float(r.qs_abs.hi) for r in rows),
         sup_qs_sigma=sigma_sup,
         weil_min=min(float(r.weil.lo) for r in rows),
         weil_max=max(float(r.weil.hi) for r in rows),
         naive_max=max(r.naive for r in rows),
     )
-
-
-def _sigma_side_sup(
-    seed: QuadraticPolyK, quotients: Sequence[KElement], bits: int
-) -> float | None:
-    """Empirical sup of |sigma(Q_n) * (xi' sigma(Q_n) - sigma(P_n))|.
-
-    The smaller of the two root choices is reported: the bound only claims
-    existence of a suitable root of the conjugate polynomial.  None when
-    the conjugate roots are not real.
-    """
-    spec = seed.spec
-    spoly = seed.sigma()
-    if sign_of(spoly.delta) <= 0:
-        return None
-    inv2a = spec.one / (2 * spoly.A)
-    sups = []
-    for root in (
-        SurdElement(spec, spoly.delta, -spoly.B * inv2a, inv2a),
-        SurdElement(spec, spoly.delta, -spoly.B * inv2a, -inv2a),
-    ):
-        cur = 0.0
-        for qp in qpair_states(spec, quotients):
-            sqn, spn = qp.q_cur.conj(), qp.p_cur.conj()
-            iv = _tight_abs(root * sqn - spn, bits) * abs(sqn.embed(bits))
-            cur = max(cur, float(iv.hi))
-        sups.append(cur)
-    return min(sups)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import decimal
 import json
+
+import pytest
 
 from okcf.cli import main
 
@@ -54,6 +57,14 @@ class TestEval:
     def test_finite_expansion_rejected(self, capsys):
         code, _, err = run(capsys, "eval", "[1, 2]")
         assert code == 2
+
+    def test_digits_leave_global_decimal_context(self, capsys):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            code, out, _ = run(capsys, "eval", "[1; 2]", "--digits", "7")
+            assert code == 0
+            assert "decimal        1.414214\n" in out
+            assert decimal.getcontext().prec == 50
 
 
 class TestExpand:
@@ -129,6 +140,14 @@ class TestAnalyze:
         assert code == 0
         assert len(out.strip().splitlines()) == 5
 
+    def test_quotients_with_leading_minus(self, capsys):
+        head = ("analyze", "1", "-2", "-1-1*w", "-n", "2")
+        code_space, out_space, _ = run(capsys, *head, "--quotients", "-1-1*w,2,3")
+        code_eq, out_eq, _ = run(capsys, *head, "--quotients=-1-1*w,2,3")
+        assert code_space == code_eq == 0
+        assert out_space == out_eq
+        assert "5+12*w" in out_space
+
     def test_decreasing_s_for_classical(self, capsys):
         code, out, _ = run(
             capsys, "analyze", "--expansion", "[1; 2]", "-n", "8", "--output", "json"
@@ -176,3 +195,21 @@ class TestCorpus:
         code2, out2, _ = run(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["corpus", "--count", "0"],
+        ["eval", "[1; 2]", "--digits", "-5"],
+        ["eval", "[1; 2]", "--digits", "0"],
+        ["analyze", "1", "-2", "-1-1*w", "-n", "-1"],
+        ["expand", "1", "-2", "-1-1*w", "--max-steps", "0"],
+    ],
+)
+def test_numeric_flag_below_minimum_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "must be at least" in err
