@@ -496,7 +496,9 @@ def _prepare_argv(argv: Sequence[str], parser: argparse.ArgumentParser) -> list[
         if tok == "--":
             positionals.extend(rest[i + 1 :])
             break
-        if tok in ("-h", "--help") or (tok.startswith("--") and "=" in tok):
+        if tok in ("-h", "--help") or (
+            "=" in tok and (tok.startswith("--") or tok.partition("=")[0] in value_flags)
+        ):
             flags.append(tok)
             i += 1
         elif tok in value_flags:

@@ -5,8 +5,10 @@ Elements of K are stored on the integral basis {1, w} with
 w = (1 + sqrt(D))/2 when D = 1 (mod 4) and w = sqrt(D) otherwise, so that
 the ring of integers is exactly Z + Zw.  Elements of L are stored as
 x + y*sqrt(delta) with x, y, delta in K and sqrt(delta) the positive real
-root.  Signs of nonzero elements are decided by a symbolic zero test
-followed by adaptive interval refinement.
+root.  Signs are decided exactly by squaring: the sign of u + v*sqrt(d)
+with rational u, v of opposite signs is the sign of the larger of u^2 and
+v^2*d, and a surd over K reduces the same way to signs in K.  No interval
+is involved in a sign; `embed` serves enclosures and display only.
 """
 
 from __future__ import annotations
@@ -222,10 +224,9 @@ class KElement:
         return KElement(self.spec, self.a, -self.b)
 
     def norm(self) -> Fraction:
-        c = self.conj()
-        prod = self * c
-        assert prod.b == 0
-        return prod.a
+        # (a + b*w)(a + b*w') with w + w' = l and w*w' = -c, where w^2 = c + l*w.
+        a, b, spec = self.a, self.b, self.spec
+        return a * a + spec.omega_sq_lin * a * b - spec.omega_sq_const * b * b
 
     def trace(self) -> Fraction:
         return self.a * 2 + self.b * (1 if self.spec.omega_is_half else 0)
@@ -449,46 +450,79 @@ def _refine_to_quality(
         bits *= 2
 
 
+def _root_sign(x: int, y: int, d: int) -> int:
+    """Exact sign of x + y*sqrt(d) for integers x, y and a non-square d > 0."""
+    sx = (x > 0) - (x < 0)
+    sy = (y > 0) - (y < 0)
+    if sy == 0 or sx == sy:
+        return sx
+    if sx == 0:
+        return sy
+    # Opposite signs: the term with the larger square wins (x^2 = y^2*d is
+    # impossible for a non-square d).
+    return sx if x * x > y * y * d else sy
+
+
+def _k_sign(k: KElement) -> int:
+    a, b = k.a, k.b
+    if not b:
+        return (a > 0) - (a < 0)
+    an, ad = a.numerator, a.denominator
+    bn, bd = b.numerator, b.denominator
+    # Scale by the positive 2*ad*bd (or ad*bd) to clear denominators: with
+    # w = (1 + sqrt(d))/2, 2*(a + b*w) = (2a + b) + b*sqrt(d).
+    if k.spec.omega_is_half:
+        return _root_sign(2 * an * bd + bn * ad, bn * ad, k.spec.d)
+    return _root_sign(an * bd, bn * ad, k.spec.d)
+
+
+def surd_sign(x: KElement, y: KElement, delta: KElement) -> int:
+    """Exact sign of x + y*sqrt(delta) for x, y in K and delta > 0 in K.
+
+    When x and y have opposite signs the sign of x^2 - y^2*delta, an
+    element of K, says which term dominates; it is 0 only when delta is a
+    square in K and the value is a hidden zero.
+    """
+    sy = _k_sign(y)
+    sx = _k_sign(x)
+    if sy == 0 or sx == sy:
+        return sx
+    if sx == 0:
+        return sy
+    return sx * _k_sign(x * x - y * y * delta)
+
+
+def surd_sum_sign(
+    x: KElement, y1: KElement, delta1: KElement, y2: KElement, delta2: KElement
+) -> int:
+    """Exact sign of x + y1*sqrt(delta1) + y2*sqrt(delta2) over K.
+
+    With A = x + y1*sqrt(delta1) and B = y2*sqrt(delta2) of opposite signs,
+    A^2 - B^2 = (x^2 + y1^2*delta1 - y2^2*delta2) + 2*x*y1*sqrt(delta1) is
+    one surd over delta1, so one more squaring decides the sum.
+    """
+    sa = surd_sign(x, y1, delta1)
+    sb = _k_sign(y2)
+    if sb == 0 or sa == sb:
+        return sa
+    if sa == 0:
+        return sb
+    return sa * surd_sign(x * x + y1 * y1 * delta1 - y2 * y2 * delta2, 2 * x * y1, delta1)
+
+
 def surd_is_zero(u: SurdElement) -> bool:
-    if u.y.is_zero:
-        return u.x.is_zero
-    if u.x.is_zero:
-        return False
-    sx = sign_of(u.x)
-    sy = sign_of(u.y)
-    if sx == sy:
-        return False
-    return u.x * u.x == u.y * u.y * u.delta
+    return surd_sign(u.x, u.y, u.delta) == 0
 
 
 def sign_of(u: SurdElement | KElement | int | Fraction) -> int:
-    """Exact sign under the identity embedding.
-
-    Symbolic zero test first; nonzero values are resolved by evaluating at
-    64 bits and doubling the precision until the interval excludes zero.
-    """
+    """Exact sign under the identity embedding, decided by squaring."""
     if isinstance(u, (int, Fraction)):
         return (u > 0) - (u < 0)
     if isinstance(u, KElement):
-        if u.is_zero:
-            return 0
-        return _interval_sign(u.embed)
+        return _k_sign(u)
     if isinstance(u, SurdElement):
-        if surd_is_zero(u):
-            return 0
-        return _interval_sign(u.embed)
+        return surd_sign(u.x, u.y, u.delta)
     raise TypeError(f"sign_of does not support {type(u)!r}")
-
-
-def _interval_sign(embed: Callable[[int], RealInterval]) -> int:
-    bits = DEFAULT_BITS
-    while True:
-        s = embed(bits).sign
-        if s is not None:
-            return s
-        if bits >= MAX_BITS:
-            raise PrecisionError("sign refinement exceeded the precision cap")
-        bits *= 2
 
 
 def is_square_in_k(x: KElement) -> KElement | None:
@@ -533,7 +567,8 @@ def reals_equal(a: SurdElement | KElement, b: SurdElement | KElement) -> bool:
         return a == b
     if isinstance(a, KElement):
         a, b = b, a
-    assert isinstance(a, SurdElement)
+    if not isinstance(a, SurdElement):
+        raise AssertionError(f"reals_equal does not support {type(a)!r}")
     if isinstance(b, KElement):
         return a.y.is_zero and a.x == b
     if a.delta == b.delta:

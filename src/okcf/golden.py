@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import count
-from math import floor as _floor
+from math import floor as _floor, sqrt
 from typing import Iterator
 
 from .cf import CFExpansion, eval_periodic
@@ -26,8 +27,10 @@ from .field import (
     reals_equal,
     sign_of,
     surd_is_zero,
+    surd_sign,
+    surd_sum_sign,
 )
-from .intervals import DEFAULT_BITS, MAX_BITS, PrecisionError, RealInterval
+from .intervals import DEFAULT_BITS, RealInterval
 from .quartic import QuadraticPolyK, QuotientState, make_state, step_state
 
 RADIUS_SQ = Fraction(9, 10)
@@ -96,17 +99,15 @@ class RealPair:
             iv = iv + self.v.embed(bits)
         return iv
 
+    def _sign_minus(self, k: Fraction | int) -> int:
+        """Exact sign of self - k."""
+        u, v = self.u, self.v
+        if v is None:
+            return surd_sign(u.x - k, u.y, u.delta)
+        return surd_sum_sign(u.x + v.x - k, u.y, u.delta, v.y, v.delta)
+
     def sign(self) -> int:
-        if self.is_zero:
-            return 0
-        bits = DEFAULT_BITS
-        while True:
-            s = self.interval(bits).sign
-            if s is not None:
-                return s
-            if bits >= MAX_BITS:
-                raise PrecisionError("pair sign refinement exceeded the cap")
-            bits *= 2
+        return self._sign_minus(0)
 
     def _as_rational(self) -> Fraction | None:
         if self.v is None:
@@ -119,23 +120,66 @@ class RealPair:
                 return k.a
         return None
 
-    def floor(self) -> int:
+    def _floor_guess(self) -> int:
+        """floor of a float approximation, or of one enclosure when a float
+        overflows.  Only a starting point: `_floor_parts` checks it exactly."""
+        try:
+            approx = _surd_float(self.u)
+            if self.v is not None:
+                approx += _surd_float(self.v)
+            return _floor(approx)
+        except (OverflowError, ValueError):
+            return _floor(self.interval().lo)
+
+    @cached_property
+    def _floor_parts(self) -> tuple[int, bool]:
+        """(floor(self), whether self is that integer), decided by exact signs."""
         q = self._as_rational()
         if q is not None:
-            return q.numerator // q.denominator
-        # Any other shape is irrational, so refinement terminates.
-        bits = DEFAULT_BITS
-        while True:
-            iv = self.interval(bits)
-            f_lo, f_hi = _floor(iv.lo), _floor(iv.hi)
-            if f_lo == f_hi:
-                return f_lo
-            if bits >= MAX_BITS:
-                raise PrecisionError("floor refinement exceeded the cap")
-            bits *= 2
+            return q.numerator // q.denominator, q.denominator == 1
+        # Largest n with self >= n: gallop from the guess until the answer is
+        # bracketed by lo (self >= lo) and hi (self < hi), then bisect.  A
+        # good guess costs two signs.
+        signs: dict[int, int] = {}
+
+        def above(m: int) -> bool:
+            signs[m] = self._sign_minus(m)
+            return signs[m] >= 0
+
+        n = self._floor_guess()
+        step = 1
+        if above(n):
+            while above(n + step):
+                step *= 2
+            lo, hi = n + step // 2, n + step
+        else:
+            while not above(n - step):
+                step *= 2
+            lo, hi = n - step, n - step // 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if above(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo, signs[lo] == 0
+
+    def floor(self) -> int:
+        return self._floor_parts[0]
 
     def ceil(self) -> int:
-        return -((-self).floor())
+        n, exact = self._floor_parts
+        return n if exact else n + 1
+
+
+def _k_float(k: KElement) -> float:
+    spec = k.spec
+    w = (1 + sqrt(spec.d)) / 2 if spec.omega_is_half else sqrt(spec.d)
+    return float(k.a) + float(k.b) * w
+
+
+def _surd_float(u: SurdElement) -> float:
+    return _k_float(u.x) + _k_float(u.y) * sqrt(_k_float(u.delta))
 
 
 @dataclass(frozen=True)
@@ -203,8 +247,16 @@ class ExpansionConfig:
 class LatticeCoords:
     x: RealPair
     y: RealPair
-    x_interval: RealInterval
-    y_interval: RealInterval
+    precision_bits: int = DEFAULT_BITS
+
+    # Enclosures for display and tests; the rounding decisions never read them.
+    @cached_property
+    def x_interval(self) -> RealInterval:
+        return self.x.interval(self.precision_bits)
+
+    @cached_property
+    def y_interval(self) -> RealInterval:
+        return self.y.interval(self.precision_bits)
 
 
 @dataclass(frozen=True)
@@ -246,7 +298,7 @@ def lattice_coords(p: PairState, ctx: PairContext, precision_bits: int = DEFAULT
     inv = ctx.inv_sqrt5
     y = ctx.pair(xi * inv, -(xip * inv))
     x = ctx.pair(xi * (ctx.spec.one - inv * ctx.beta), xip * (inv * ctx.beta))
-    return LatticeCoords(x, y, x.interval(precision_bits), y.interval(precision_bits))
+    return LatticeCoords(x, y, precision_bits)
 
 
 def choose_quotient(

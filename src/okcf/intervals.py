@@ -3,8 +3,9 @@
 Endpoints are kept as exact `Fraction` values; constructors and the
 rounding helpers keep them dyadic (denominator a power of two), so every
 interval is an exact, machine-checkable enclosure of the real it stands
-for.  All decisions made from intervals (signs, floors) are refined until
-unambiguous or the global precision cap is hit.
+for.  Intervals serve enclosures and display only (heights, error terms,
+decimal output); signs and floors are decided exactly by squaring in
+`okcf.field` and never read an interval.
 """
 
 from __future__ import annotations
@@ -21,11 +22,13 @@ _ONE = Fraction(1)
 
 
 class PrecisionError(ArithmeticError):
-    """Adaptive refinement hit the precision cap without resolving its query.
+    """An enclosure did not reach its requested width within MAX_BITS.
 
-    Exact zeros are caught symbolically before any refinement loop starts,
-    so reaching the cap signals an internal inconsistency rather than a
-    recoverable numeric condition.
+    Only enclosures for display and reports refine (an embedding at a
+    requested precision, a relative enclosure of an error term, a decimal
+    rendering); no sign or floor decision can raise it, because those are
+    exact squarings.  Reaching the cap signals an internal inconsistency
+    rather than a recoverable numeric condition.
     """
 
 

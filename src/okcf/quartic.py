@@ -218,7 +218,8 @@ def naive_height(state: QuotientState) -> int:
     ]
     out = 0
     for c in coeffs:
-        assert c.is_rational and c.a.denominator == 1
+        if not (c.is_rational and c.a.denominator == 1):
+            raise AssertionError(f"f_n * sigma(f_n) has a non-integer coefficient {c}")
         out = max(out, abs(c.a.numerator))
     return out
 

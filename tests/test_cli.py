@@ -148,6 +148,13 @@ class TestAnalyze:
         assert out_space == out_eq
         assert "5+12*w" in out_space
 
+    def test_short_value_flag_with_equals(self, capsys):
+        head = ("analyze", "1", "-2", "-1-1*w")
+        code_space, out_space, _ = run(capsys, *head, "-n", "2")
+        code_eq, out_eq, _ = run(capsys, *head, "-n=2")
+        assert code_space == code_eq == 0
+        assert out_space == out_eq
+
     def test_decreasing_s_for_classical(self, capsys):
         code, out, _ = run(
             capsys, "analyze", "--expansion", "[1; 2]", "-n", "8", "--output", "json"

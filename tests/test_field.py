@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import isqrt
 
@@ -24,6 +25,42 @@ def high_precision(value_num: int, scale: int = 10**25) -> Fraction:
 
 
 PHI = (1 + high_precision(5)) / 2
+ORACLE_BITS = 512
+TIE = Fraction(1, 1 << 80)
+
+
+def oracle_sign(u: KElement | SurdElement) -> int:
+    """Sign of a nonzero value from a 512-bit enclosure."""
+    s = u.embed(ORACLE_BITS).sign
+    assert s is not None
+    return s
+
+
+def k_near_ties(spec: FieldSpec) -> list[KElement]:
+    """Nonzero elements of K within 2^-80 of zero.
+
+    sigma(w^n) = (-1/w)^n, so u - v*sqrt(5) with u^2 - 5v^2 = +-1 and
+    u ~ w^n; scaled by a few rationals of either sign.
+    """
+    return [
+        scale * (spec.omega**n).conj()
+        for n in range(120, 150, 3)
+        for scale in (1, -1, Fraction(3, 7), Fraction(-5, 2))
+    ]
+
+
+def surd_near_ties(spec: FieldSpec) -> list[SurdElement]:
+    """x + y*sqrt(2) within 2^-80 of zero: (1 - sqrt(2))^k = p - q*sqrt(2)
+    with (1 + sqrt(2))^k = p + q*sqrt(2), times units and rationals of K."""
+    out = []
+    p, q = 1, 0
+    for k in range(1, 80):
+        p, q = p + 2 * q, p + q
+        if k < 66:
+            continue
+        for unit in (spec.one, spec.omega, -(spec.omega**3), spec.omega.conj() / 3):
+            out.append(SurdElement(spec, spec.element(2), unit * p, unit * (-q)))
+    return out
 
 
 class TestKArithmetic:
@@ -44,6 +81,14 @@ class TestKArithmetic:
             k5.one / k5.zero
         with pytest.raises(ValueError):
             k5.one + FieldSpec(2).one
+
+    def test_norm_closed_form_randomized(self, k5, rng):
+        for spec in (k5, FieldSpec(2), FieldSpec(13)):
+            for _ in range(500):
+                x = random_k(rng, spec, bound=50, integral=False)
+                prod = x * x.conj()
+                assert prod.b == 0
+                assert x.norm() == prod.a
 
     def test_non_half_basis(self):
         k2 = FieldSpec(2)
@@ -235,6 +280,49 @@ class TestSign:
                 ivs = u.embed(p).sign
                 if ivs is not None:
                     assert ivs == s
+
+
+class TestExactSign:
+    def test_k_near_ties(self, k5):
+        for x in k_near_ties(k5):
+            iv = x.embed(ORACLE_BITS)
+            assert max(abs(iv.lo), abs(iv.hi)) < TIE
+            assert sign_of(x) == oracle_sign(x)
+            assert sign_of(-x) == -sign_of(x)
+
+    def test_k_randomized_against_oracle(self, k5):
+        rng = random.Random(5)
+        for spec in (k5, FieldSpec(2), FieldSpec(13)):
+            for _ in range(1000):
+                x = random_k(rng, spec, bound=10**6, integral=False, nonzero=True)
+                assert sign_of(x) == oracle_sign(x)
+
+    def test_surd_near_ties(self, k5):
+        for u in surd_near_ties(k5):
+            iv = u.embed(ORACLE_BITS)
+            assert max(abs(iv.lo), abs(iv.hi)) < TIE
+            assert sign_of(u) == oracle_sign(u)
+            assert sign_of(u.conj_sqrt()) == sign_of(u.x)
+
+    def test_surd_randomized_against_oracle(self, k5):
+        rng = random.Random(6)
+        beta = k5.omega
+        for delta in (k5.element(2), beta + 5, 6 - beta, k5.element(Fraction(7, 3), 1)):
+            for _ in range(300):
+                u = SurdElement(
+                    k5, delta,
+                    random_k(rng, k5, bound=1000, integral=False),
+                    random_k(rng, k5, bound=1000, integral=False, nonzero=True),
+                )
+                assert sign_of(u) == oracle_sign(u)
+
+    def test_square_delta(self, k5):
+        # delta = beta^2 is a square in K: x + y*sqrt(delta) = x + y*beta,
+        # including an exact zero that only the squaring reveals.
+        beta = k5.omega
+        for x, y in ((beta, -1), (beta + Fraction(1, 3), -1), (beta, -2), (-beta, 1)):
+            u = SurdElement(k5, beta * beta, x, k5.element(y))
+            assert sign_of(u) == sign_of(u.x + u.y * beta)
 
 
 class TestRealsEqual:

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from okcf.cf import CFExpansion, eval_periodic
-from okcf.field import FieldSpec, SurdElement, reals_equal, sign_of
+from okcf.field import FieldSpec, KElement, SurdElement, reals_equal, sign_of
 from okcf.golden import (
     CANDIDATE_ORDER,
     ExpansionConfig,
@@ -102,6 +104,93 @@ class TestRealPair:
         assert root2.floor() == 1 and root2.ceil() == 2
         neg = RealPair(SurdElement(k5, k5.element(2), k5.zero, -k5.one), None)
         assert neg.floor() == -2 and neg.ceil() == -1
+
+
+def pair_cases(k5, unlinked_seed) -> list[tuple[RealPair, int, int, int]]:
+    """(pair, sign, floor, ceil) over random, near-tie and exact inputs.
+
+    Irrational values take their answers from a 512-bit enclosure; exact
+    integers and zeros are written down.
+    """
+    rng = random.Random(11)
+    beta = k5.omega
+
+    def rand(bound: int = 1000) -> KElement:
+        return k5.element(
+            Fraction(rng.randint(-bound, bound), rng.randint(1, 9)),
+            Fraction(rng.randint(-bound, bound), rng.randint(1, 9)),
+        )
+
+    irrational: list[RealPair] = []
+    for d1, d2 in ((beta + 5, 6 - beta), (k5.element(2), k5.element(3))):
+        for _ in range(100):
+            irrational.append(RealPair(
+                SurdElement(k5, d1, rand(), rand()), SurdElement(k5, d2, rand(), rand())
+            ))
+            irrational.append(RealPair(SurdElement(k5, d1, rand(), rand()), None))
+    # sqrt(2) + sqrt(3) - r with r a dyadic within 2^-99 of sqrt(2) + sqrt(3),
+    # from below and above, shifted to near-integers: the cross-family
+    # squaring decides them.
+    scale = 1 << 100
+    below = Fraction(isqrt(2 * scale * scale) + isqrt(3 * scale * scale), scale)
+    for r in (below, below + Fraction(2, scale)):
+        for n in (-3, 0, 5):
+            irrational.append(RealPair(
+                SurdElement(k5, k5.element(2), k5.element(n - r), k5.one),
+                SurdElement(k5, k5.element(3), k5.zero, k5.one),
+            ))
+    # n + (1 - sqrt(2))^k with 80-bit coefficients: the float guess is off
+    # by far more than 1 here.
+    p, q = 1, 0
+    for k in range(1, 72):
+        p, q = p + 2 * q, p + q
+        if k >= 66:
+            irrational.append(RealPair(
+                SurdElement(k5, k5.element(2), k5.element(7 + p), k5.element(-q)), None
+            ))
+    cases = []
+    for pair in irrational:
+        iv = pair.interval(512)
+        assert iv.sign is not None and math.floor(iv.lo) == math.floor(iv.hi)
+        f = math.floor(iv.lo)
+        cases.append((pair, iv.sign, f, f + 1))
+
+    linked = QuadraticPolyK(k5.one, k5.zero, k5.element(-2))
+    xi = make_state(linked, +1).value
+    xip = make_state(linked.sigma(), +1).value
+    cases.append((PairContext.create(linked).pair(xi, -xip), 0, 0, 0))  # exactly zero
+    # delta = beta^2 is a square: 3 + beta - sqrt(beta^2) is exactly 3.
+    hidden = SurdElement(k5, beta * beta, 3 + beta, -k5.one)
+    cases.append((RealPair(hidden, None), 1, 3, 3))
+    cases.append((RealPair(-hidden, None), -1, -3, -3))
+    ul = PairContext.create(unlinked_seed)
+    zero_y = SurdElement(ul.spec, ul.delta, k5.element(Fraction(-7, 2)), k5.zero)
+    zero_y2 = SurdElement(ul.spec, ul.delta_prime, k5.element(1), k5.zero)
+    cases.append((RealPair(zero_y, zero_y2), -1, -3, -2))
+    return cases
+
+
+class TestExactPairDecisions:
+    def test_against_oracle(self, k5, unlinked_seed):
+        for pair, sign, floor, ceil in pair_cases(k5, unlinked_seed):
+            assert pair.sign() == sign
+            assert pair.floor() == floor
+            assert pair.ceil() == ceil
+            assert (-pair).floor() == -ceil
+
+    def test_no_embedding_needed(self, k5, unlinked_seed, monkeypatch):
+        cases = pair_cases(k5, unlinked_seed)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a decision built an enclosure")
+
+        monkeypatch.setattr(KElement, "embed", forbidden)
+        monkeypatch.setattr(SurdElement, "embed", forbidden)
+        for pair, sign, floor, ceil in cases:
+            assert pair.sign() == sign
+            assert (pair.floor(), pair.ceil()) == (floor, ceil)
+            if pair.v is None:
+                assert sign_of(pair.u) == sign
 
 
 class TestLatticeCoords:
