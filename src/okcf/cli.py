@@ -14,7 +14,6 @@ import random
 import sys
 from dataclasses import dataclass
 from decimal import Context, Decimal
-from fractions import Fraction
 from itertools import islice
 from typing import Sequence
 
@@ -32,7 +31,7 @@ from .golden import (
     expand_pair,
     pair_steps,
 )
-from .intervals import PrecisionError
+from .intervals import MAX_BITS, PrecisionError
 from .parsing import ParseError, parse_element_list, parse_expansion, parse_k
 from .quartic import QuadraticPolyK, SeedError, diagnostics, summarize
 
@@ -52,23 +51,22 @@ class SessionConfig:
     digits: int = 30
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        if self.precision_bits < 16:
-            raise ValueError("precision must be at least 16 bits")
-
     @property
     def spec(self) -> FieldSpec:
         return FieldSpec(self.d)
 
 
+# The most digits whose display bits, int(3.33*digits) + 16, stay within
+# MAX_BITS; more would ask `embed` for an enclosure it cannot reach.
+_MAX_DIGITS = int((MAX_BITS - 16) / 3.33)
+
+
 def decimal_str(value: KElement | SurdElement, digits: int) -> str:
-    """Display-only decimal rendering at `digits` significant digits."""
-    bits = max(64, int(digits * 3.33) + 16)
-    iv = value.embed(bits)
-    while iv.width > Fraction(1, 10 ** (digits + 2)) * max(1, abs(iv.lo)):
-        bits *= 2
-        iv = value.embed(bits)
-    mid = iv.mid
+    """Display-only decimal rendering at `digits` significant digits.
+
+    One embedding suffices: its width <= 2^(1-bits) * max(1, |lo|) is at
+    most 10^-(digits+2) * max(1, |lo|) for bits >= 3.33*digits + 15."""
+    mid = value.embed(max(64, int(digits * 3.33) + 16)).mid
     return str(Context(prec=digits).divide(Decimal(mid.numerator), Decimal(mid.denominator)))
 
 
@@ -169,7 +167,7 @@ def cmd_expand(args: argparse.Namespace, cfg: SessionConfig) -> int:
         seed,
         _branch(args.branch),
         _branch(args.conj_branch),
-        ExpansionConfig(max_steps=cfg.max_steps, precision_bits=cfg.precision_bits),
+        ExpansionConfig(max_steps=cfg.max_steps),
     )
     if cfg.output == "json":
         print(json.dumps(_expansion_json(result), indent=2))
@@ -349,7 +347,7 @@ def run_corpus(count: int, bound: int, cfg: SessionConfig) -> dict:
         if seed is not None:
             seeds.append(seed)
     runs = []
-    econfig = ExpansionConfig(max_steps=cfg.max_steps, precision_bits=cfg.precision_bits)
+    econfig = ExpansionConfig(max_steps=cfg.max_steps)
     for i, seed in enumerate(seeds):
         for conj in (1, -1):
             entry: dict = {
@@ -407,13 +405,16 @@ def cmd_corpus(args: argparse.Namespace, cfg: SessionConfig) -> int:
     return EXIT_OK
 
 
-def _int_at_least(minimum: int):
-    """argparse type: an int no smaller than `minimum`."""
+def _int_at_least(minimum: int, maximum: int | None = None):
+    """argparse type: an int no smaller than `minimum` (and no larger than
+    `maximum`, if given)."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse reports "invalid int value" for non-integers
@@ -423,10 +424,12 @@ def _int_at_least(minimum: int):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field-d", type=int, default=5, help="squarefree D of Q(sqrt(D))")
-    common.add_argument("--precision", type=int, default=64, help="interval precision in bits")
+    common.add_argument("--precision", type=_int_at_least(16), default=64,
+                        help="enclosure precision in bits for analyze and radius")
     common.add_argument("--output", choices=("text", "json", "csv"), default="text")
     common.add_argument("--max-steps", type=_int_at_least(1), default=10_000)
-    common.add_argument("--digits", type=_int_at_least(1), default=30, help="decimal digits for display")
+    common.add_argument("--digits", type=_int_at_least(1, _MAX_DIGITS), default=30,
+                        help="decimal digits for display")
     common.add_argument("--seed", type=int, default=0, help="corpus randomness seed")
 
     parser = argparse.ArgumentParser(

@@ -8,7 +8,9 @@ x + y*sqrt(delta) with x, y, delta in K and sqrt(delta) the positive real
 root.  Signs are decided exactly by squaring: the sign of u + v*sqrt(d)
 with rational u, v of opposite signs is the sign of the larger of u^2 and
 v^2*d, and a surd over K reduces the same way to signs in K.  No interval
-is involved in a sign; `embed` serves enclosures and display only.
+is involved in a sign, and the expansion path never embeds; `embed`
+serves display and report enclosures only, refined by the one routine
+`intervals.refine`.
 """
 
 from __future__ import annotations
@@ -19,14 +21,7 @@ from functools import cached_property
 from math import isqrt
 from typing import Callable
 
-from .intervals import (
-    DEFAULT_BITS,
-    MAX_BITS,
-    PrecisionError,
-    RealInterval,
-    sqrt_down,
-    sqrt_up,
-)
+from .intervals import DEFAULT_BITS, RealInterval, refine, sqrt_down, sqrt_up
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -440,14 +435,12 @@ class SurdElement:
 def _refine_to_quality(
     compute: Callable[[int], RealInterval], precision_bits: int
 ) -> RealInterval:
-    bits = max(precision_bits, DEFAULT_BITS)
-    while True:
-        iv = compute(bits).rounded(bits)
-        if iv.precision_bits >= precision_bits:
-            return iv
-        if bits >= MAX_BITS:
-            raise PrecisionError("embedding did not reach requested relative width")
-        bits *= 2
+    """Refine until width <= 2^(1-precision_bits) * max(1, |lo|)."""
+    return refine(
+        lambda bits: compute(bits).rounded(bits),
+        max(precision_bits, DEFAULT_BITS),
+        lambda iv: iv.precision_bits >= precision_bits,
+    )
 
 
 def _root_sign(x: int, y: int, d: int) -> int:

@@ -120,14 +120,18 @@ class RealPair:
                 return k.a
         return None
 
+    def __float__(self) -> float:
+        """A float approximation with no error bound; `interval` encloses."""
+        approx = _surd_float(self.u)
+        if self.v is not None:
+            approx += _surd_float(self.v)
+        return approx
+
     def _floor_guess(self) -> int:
         """floor of a float approximation, or of one enclosure when a float
         overflows.  Only a starting point: `_floor_parts` checks it exactly."""
         try:
-            approx = _surd_float(self.u)
-            if self.v is not None:
-                approx += _surd_float(self.v)
-            return _floor(approx)
+            return _floor(float(self))
         except (OverflowError, ValueError):
             return _floor(self.interval().lo)
 
@@ -234,9 +238,6 @@ class PairState:
 @dataclass(frozen=True)
 class ExpansionConfig:
     max_steps: int = 10_000
-    precision_bits: int = DEFAULT_BITS
-    # Candidate order is deliberately fixed for reproducibility.
-    candidate_order: tuple[tuple[str, str], ...] = CANDIDATE_ORDER
 
     def __post_init__(self) -> None:
         if self.max_steps < 1:
@@ -247,16 +248,15 @@ class ExpansionConfig:
 class LatticeCoords:
     x: RealPair
     y: RealPair
-    precision_bits: int = DEFAULT_BITS
 
     # Enclosures for display and tests; the rounding decisions never read them.
     @cached_property
     def x_interval(self) -> RealInterval:
-        return self.x.interval(self.precision_bits)
+        return self.x.interval()
 
     @cached_property
     def y_interval(self) -> RealInterval:
-        return self.y.interval(self.precision_bits)
+        return self.y.interval()
 
 
 @dataclass(frozen=True)
@@ -285,7 +285,7 @@ class ExpansionResult:
         return len(self.expansion.preperiod) + len(self.expansion.period)
 
 
-def lattice_coords(p: PairState, ctx: PairContext, precision_bits: int = DEFAULT_BITS) -> LatticeCoords:
+def lattice_coords(p: PairState, ctx: PairContext) -> LatticeCoords:
     """Exact solution of x + y*beta = xi_n, x - y/beta = xi'_n.
 
     Subtracting the equations gives y = (xi_n - xi'_n)/sqrt(5) since
@@ -298,22 +298,21 @@ def lattice_coords(p: PairState, ctx: PairContext, precision_bits: int = DEFAULT
     inv = ctx.inv_sqrt5
     y = ctx.pair(xi * inv, -(xip * inv))
     x = ctx.pair(xi * (ctx.spec.one - inv * ctx.beta), xip * (inv * ctx.beta))
-    return LatticeCoords(x, y, precision_bits)
+    return LatticeCoords(x, y)
 
 
-def choose_quotient(
-    p: PairState, ctx: PairContext, cfg: ExpansionConfig = ExpansionConfig()
-) -> tuple[KElement, RealInterval]:
+def choose_quotient(p: PairState, ctx: PairContext) -> tuple[KElement, RealPair]:
     """First corner candidate a = x + y*beta with
-    |xi_n - a|^2 + |xi'_n - sigma(a)|^2 < 9/10, decided exactly."""
-    coords = lattice_coords(p, ctx, cfg.precision_bits)
+    |xi_n - a|^2 + |xi'_n - sigma(a)|^2 < 9/10, decided exactly; returns a
+    and that exact squared distance."""
+    coords = lattice_coords(p, ctx)
     xf, xc = coords.x.floor(), coords.x.ceil()
     yf, yc = coords.y.floor(), coords.y.ceil()
     corners = {"floor": (xf, yf), "ceil": (xc, yc)}
     seen: set[tuple[int, int]] = set()
     xi = p.xi.value
     xip = p.xi_prime.value
-    for cx, cy in cfg.candidate_order:
+    for cx, cy in CANDIDATE_ORDER:
         x = corners[cx][0]
         y = corners[cy][1]
         if (x, y) in seen:
@@ -324,7 +323,7 @@ def choose_quotient(
         d2 = (xip - a.conj()) * (xip - a.conj())
         dist = ctx.pair(d1, d2)
         if dist.shift(-RADIUS_SQ).sign() < 0:
-            return a, dist.interval(cfg.precision_bits)
+            return a, dist
     raise NoCandidateError(
         f"no corner candidate within the circumradius bound at index {p.index}"
     )
@@ -396,17 +395,16 @@ def _check_preconditions(seed: QuadraticPolyK) -> None:
 
 
 def pair_steps(
-    seed: QuadraticPolyK,
-    branch: int,
-    conj_branch: int,
-    cfg: ExpansionConfig = ExpansionConfig(),
+    seed: QuadraticPolyK, branch: int, conj_branch: int
 ) -> Iterator[tuple[KElement | None, PairState]]:
     """The pair states of the expansion of (seed, branch, conj_branch).
 
     Yields (a_{n-1}, state_n), with None in place of a_{-1}.  The quotient
     a_n is chosen only when the caller asks for state n+1, so a caller that
-    stops at a repeated state pays for no candidate search there.
+    stops at a repeated state pays for no candidate search there.  The seed
+    is checked when the first state is asked for, before any state is built.
     """
+    _check_preconditions(seed)
     ctx = PairContext.create(seed)
     s = make_state(seed, branch)
     sp = make_state(seed.sigma(), conj_branch)
@@ -420,7 +418,7 @@ def pair_steps(
                 raise ExpansionError("complete quotient modulus invariant violated")
             if sign_of(sp.value * sp.value - LOWER_BOUND_SQ) <= 0:
                 raise ExpansionError("conjugate quotient modulus invariant violated")
-        a, _ = choose_quotient(state, ctx, cfg)
+        a, _ = choose_quotient(state, ctx)
         s = step_state(s, a)
         sp = step_state(sp, a.conj())
 
@@ -436,11 +434,10 @@ def expand_pair(
     Returns the pre-period and period, the visited state keys and the
     round-trip verification flag.
     """
-    _check_preconditions(seed)
     seen: dict[tuple, int] = {}
     keys: list[tuple] = []
     quotients: list[KElement] = []
-    for a, state in pair_steps(seed, branch, conj_branch, cfg):
+    for a, state in pair_steps(seed, branch, conj_branch):
         n = state.index
         if a is not None:
             quotients.append(a)

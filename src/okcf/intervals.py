@@ -5,7 +5,8 @@ rounding helpers keep them dyadic (denominator a power of two), so every
 interval is an exact, machine-checkable enclosure of the real it stands
 for.  Intervals serve enclosures and display only (heights, error terms,
 decimal output); signs and floors are decided exactly by squaring in
-`okcf.field` and never read an interval.
+`okcf.field`, and the expansion path builds no interval.  Every enclosure
+that must reach a requested width comes from the one routine `refine`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import Callable
 
 DEFAULT_BITS = 64
 MAX_BITS = 1 << 16
@@ -24,12 +26,25 @@ _ONE = Fraction(1)
 class PrecisionError(ArithmeticError):
     """An enclosure did not reach its requested width within MAX_BITS.
 
-    Only enclosures for display and reports refine (an embedding at a
-    requested precision, a relative enclosure of an error term, a decimal
-    rendering); no sign or floor decision can raise it, because those are
-    exact squarings.  Reaching the cap signals an internal inconsistency
-    rather than a recoverable numeric condition.
+    Raised only by `refine`, which serves display and report enclosures
+    (an embedding at a requested precision, a relative enclosure of an
+    error term); the expansion path and its sign and floor decisions never
+    refine, because those are exact squarings.  Reaching the cap signals an
+    internal inconsistency rather than a recoverable numeric condition.
     """
+
+
+def refine(compute: Callable[[int], RealInterval], bits: int,
+           accept: Callable[[RealInterval], bool]) -> RealInterval:
+    """The first `compute(bits)` that `accept` takes, doubling `bits` up to
+    MAX_BITS."""
+    while True:
+        iv = compute(bits)
+        if accept(iv):
+            return iv
+        if bits >= MAX_BITS:
+            raise PrecisionError(f"no enclosure reached the requested width by {bits} bits")
+        bits *= 2
 
 
 def round_down(x: Fraction, bits: int) -> Fraction:

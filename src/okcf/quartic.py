@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .cf import QPairState, qpair_states
 from .field import FieldSpec, KElement, SurdElement, is_square_in_k, sign_of
-from .intervals import DEFAULT_BITS, MAX_BITS, PrecisionError, RealInterval
+from .intervals import DEFAULT_BITS, RealInterval, refine
 
 
 class SeedError(ValueError):
@@ -232,16 +232,11 @@ def _tight_abs(value: KElement | SurdElement, rel_bits: int) -> RealInterval:
     refines until the enclosure is tight relative to the value itself.
     """
     tol = Fraction(1, 1 << (rel_bits - 1))
-    bits = rel_bits
-    while True:
-        iv = abs(value.embed(bits))
-        if iv.hi == 0:
-            return iv
-        if iv.lo > 0 and iv.width <= iv.lo * tol:
-            return iv
-        if bits >= MAX_BITS:
-            raise PrecisionError("relative enclosure exceeded the precision cap")
-        bits *= 2
+    return refine(
+        lambda bits: abs(value.embed(bits)),
+        rel_bits,
+        lambda iv: iv.hi == 0 or (iv.lo > 0 and iv.width <= iv.lo * tol),
+    )
 
 
 @dataclass(frozen=True)
@@ -259,7 +254,6 @@ class TrajectoryRow:
     # |sigma(Q_n) * (xi' sigma(Q_n) - sigma(P_n))| for both real roots xi'
     # of the conjugate polynomial; None when those roots are complex.
     qs_sigma: tuple[RealInterval, RealInterval] | None
-    q_ratio: RealInterval | None
 
 
 @dataclass(frozen=True)
@@ -303,7 +297,6 @@ def diagnostics(
     one = RealInterval.point(1)
     prev = {"id": one, "tau": one, "s2": one, "s3": one}
     rows: list[TrajectoryRow] = []
-    prev_q_abs: RealInterval | None = None
     for n, qp in enumerate(qpairs):
         pn, qn = qp.p_cur, qp.q_cur
         s_id = _tight_abs(xi * qn - pn, bits)
@@ -325,10 +318,6 @@ def diagnostics(
         f2 = s_s2.max_with(prev["s2"]) * s_s3.max_with(prev["s3"])
         state_n = states[n]
         q_abs = abs(qn.embed(bits))
-        ratio = None
-        if prev_q_abs is not None and prev_q_abs.lo > 0:
-            inv = RealInterval.of(1 / prev_q_abs.hi, 1 / prev_q_abs.lo)
-            ratio = q_abs * inv
         rows.append(
             TrajectoryRow(
                 index=n,
@@ -342,11 +331,9 @@ def diagnostics(
                 naive=naive_height(state_n),
                 qs_abs=q_abs * s_id,
                 qs_sigma=qs_sigma,
-                q_ratio=ratio,
             )
         )
         prev = {"id": s_id, "tau": s_tau, "s2": s_s2, "s3": s_s3}
-        prev_q_abs = q_abs
     return rows
 
 

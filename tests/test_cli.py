@@ -3,9 +3,12 @@ from __future__ import annotations
 import decimal
 import json
 
+from fractions import Fraction
+
 import pytest
 
-from okcf.cli import main
+from okcf.cli import decimal_str, main
+from okcf.field import KElement, SurdElement
 
 
 def run(capsys, *argv):
@@ -65,6 +68,60 @@ class TestEval:
             assert code == 0
             assert "decimal        1.414214\n" in out
             assert decimal.getcontext().prec == 50
+
+
+    def test_digits_at_display_cap(self, capsys):
+        code, out, _ = run(capsys, "eval", "[1; 2]", "--digits", "19675")
+        assert code == 0
+        assert "decimal        1.41421356237309504880" in out
+
+    def test_digits_above_display_cap_is_usage_error(self, capsys):
+        # 19676 digits would need more than MAX_BITS bits of enclosure.
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "[1; 2]", "--digits", "19676"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "must be at most 19675" in err
+
+
+class TestDecimalStr:
+    def test_one_embedding_meets_display_width(self, k5, monkeypatch):
+        # decimal_str embeds once; that embedding alone is already within
+        # 10^-(digits+2) * max(1, |lo|), so no wider search is needed.
+        beta = k5.omega
+        unit = beta ** 80  # its conjugate (1 - beta)^80 is tiny
+        tiny = unit.conj()
+        delta = k5.element(2)
+        big_surd = SurdElement(k5, delta, k5.element(10**40), k5.element(10**40, 3))
+        # (1 + sqrt(2))^-60 written as x + y*sqrt(2) with huge x, y.
+        p = SurdElement(k5, delta, k5.one, k5.one) ** 60
+        cancelling = SurdElement(k5, delta, p.x, -p.y)
+        values = [
+            k5.element(Fraction(1, 3)),
+            k5.element(10**60, -(10**59)),
+            unit, tiny, -tiny,
+            k5.element(Fraction(1, 10**45)),
+            big_surd, cancelling, -cancelling,
+            SurdElement(k5, beta + 5, k5.element(Fraction(-2, 7)), k5.element(1, -1)),
+        ]
+        calls = []
+        for cls in (KElement, SurdElement):
+            original = cls.embed
+
+            def recording(self, *args, _original=original, **kwargs):
+                iv = _original(self, *args, **kwargs)
+                calls.append((self, iv))
+                return iv
+
+            monkeypatch.setattr(cls, "embed", recording)
+        for value in values:
+            for digits in (1, 2, 7, 30, 64, 100, 333, 1000):
+                calls.clear()
+                decimal_str(value, digits)
+                own = [iv for owner, iv in calls if owner is value]
+                assert len(own) == 1
+                iv = own[0]
+                assert iv.width <= Fraction(1, 10 ** (digits + 2)) * max(1, abs(iv.lo))
 
 
 class TestExpand:
@@ -155,6 +212,16 @@ class TestAnalyze:
         assert code_space == code_eq == 0
         assert out_space == out_eq
 
+    def test_seed_mode_rejects_like_expand(self, capsys):
+        # delta = -4+8*w > 0 but sigma(delta) = 4-8*w < -4: the reason is
+        # about the seed, not a discriminant of the conjugate track.
+        expand_code, _, expand_err = run(capsys, "expand", "1", "0", "1-2*w")
+        code, out, err = run(capsys, "analyze", "1", "0", "1-2*w", "-n", "3")
+        assert expand_code == code == 3
+        assert err == expand_err
+        assert "sigma(discriminant) < -4" in err
+        assert out == ""
+
     def test_decreasing_s_for_classical(self, capsys):
         code, out, _ = run(
             capsys, "analyze", "--expansion", "[1; 2]", "-n", "8", "--output", "json"
@@ -220,3 +287,11 @@ def test_numeric_flag_below_minimum_is_usage_error(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "must be at least" in err
+
+
+def test_precision_below_minimum_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "[1; 2]", "--precision", "8"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "must be at least 16" in err

@@ -257,6 +257,23 @@ class TestChooseQuotient:
         a, _ = choose_quotient(ps, ctx)
         assert a == k5.element(1, 1)  # beta^2 = 1 + beta
 
+    def test_dist_is_exact_squared_distance(self, example_seed, unlinked_seed):
+        # choose_quotient hands back the exact RealPair it decided on, not an
+        # enclosure; the float carries rounding error (about 1e-16 here)
+        # that a 64-bit enclosure is far narrower than, hence the tolerance.
+        for seed in (example_seed, unlinked_seed):
+            ctx = PairContext.create(seed)
+            for conj_branch in (1, -1):
+                s, sp = make_state(seed, +1), make_state(seed.sigma(), conj_branch)
+                for n in range(6):
+                    a, dist = choose_quotient(PairState(s, sp, n), ctx)
+                    assert isinstance(dist, RealPair)
+                    assert dist.shift(-RADIUS_SQ).sign() < 0
+                    assert dist.sign() >= 0
+                    iv = dist.interval()
+                    assert iv.lo - 1e-12 <= float(dist) <= iv.hi + 1e-12
+                    s, sp = step_state(s, a), step_state(sp, a.conj())
+
 
 class TestExpandPair:
     def test_example_both_branches(self, k5, example_seed):
@@ -334,6 +351,24 @@ class TestExpandPair:
         with pytest.raises(MaxStepsError) as err:
             expand_pair(example_seed, +1, +1, ExpansionConfig(max_steps=1))
         assert len(err.value.quotients) >= 1
+
+    def test_no_embedding_on_expansion_path(self, example_seed, unlinked_seed, monkeypatch):
+        expected = {
+            (seed, conj_branch): expand_pair(seed, +1, conj_branch)
+            for seed in (example_seed, unlinked_seed)
+            for conj_branch in (1, -1)
+        }
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the expansion path built an enclosure")
+
+        monkeypatch.setattr(KElement, "embed", forbidden)
+        monkeypatch.setattr(SurdElement, "embed", forbidden)
+        for (seed, conj_branch), r in expected.items():
+            again = expand_pair(seed, +1, conj_branch)
+            assert again.expansion == r.expansion
+            assert again.keys == r.keys
+            assert again.verified and r.verified
 
 
 class TestRoundTrip:
