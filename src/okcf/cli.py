@@ -31,9 +31,9 @@ from .golden import (
     expand_pair,
     pair_steps,
 )
-from .intervals import MAX_BITS, PrecisionError
+from .intervals import MAX_BITS, PrecisionError, RealInterval
 from .parsing import ParseError, parse_element_list, parse_expansion, parse_k
-from .quartic import QuadraticPolyK, SeedError, diagnostics, summarize
+from .quartic import QuadraticPolyK, SeedError, TrajectoryRow, diagnostics, summarize
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -44,21 +44,22 @@ EXIT_INTERNAL = 5
 
 @dataclass
 class SessionConfig:
-    d: int = 5
-    precision_bits: int = 64
-    output: str = "text"
-    max_steps: int = 10_000
-    digits: int = 30
-    seed: int = 0
+    """The inputs of `run_corpus` besides its count and bound."""
 
-    @property
-    def spec(self) -> FieldSpec:
-        return FieldSpec(self.d)
+    d: int = 5
+    max_steps: int = 10_000
+    seed: int = 0
 
 
 # The most digits whose display bits, int(3.33*digits) + 16, stay within
 # MAX_BITS; more would ask `embed` for an enclosure it cannot reach.
 _MAX_DIGITS = int((MAX_BITS - 16) / 3.33)
+
+# The most bits whose nested enclosure requests stay within MAX_BITS. An
+# error term's relative enclosure (`quartic._tight_abs`) may ask `embed` for
+# 2p bits, that `embed` may refine to 4p and ask its components for as many,
+# and no request above MAX_BITS can be met: `effective_bits` caps there.
+_MAX_PRECISION = MAX_BITS // 4
 
 
 def decimal_str(value: KElement | SurdElement, digits: int) -> str:
@@ -78,8 +79,8 @@ def _poly_json(poly: tuple[KElement, KElement, KElement] | QuadraticPolyK) -> di
     return {"A": str(a), "B": str(b), "C": str(c)}
 
 
-def cmd_eval(args: argparse.Namespace, cfg: SessionConfig) -> int:
-    expansion = parse_expansion(args.expansion, cfg.spec)
+def cmd_eval(args: argparse.Namespace) -> int:
+    expansion = parse_expansion(args.expansion, FieldSpec(args.field_d))
     if not expansion.is_periodic:
         raise ParseError("expansion must have a nonempty period")
     res = eval_periodic(expansion)
@@ -98,11 +99,11 @@ def cmd_eval(args: argparse.Namespace, cfg: SessionConfig) -> int:
     if res.value is not None:
         payload["outcome"] = "value"
         payload["value"] = str(res.value)
-        payload["decimal"] = decimal_str(res.value, cfg.digits)
+        payload["decimal"] = decimal_str(res.value, args.digits)
     elif res.value_in_k is not None:
         payload["outcome"] = "value_in_k"
         payload["value"] = str(res.value_in_k)
-        payload["decimal"] = decimal_str(res.value_in_k, cfg.digits)
+        payload["decimal"] = decimal_str(res.value_in_k, args.digits)
     else:
         payload["outcome"] = "does_not_exist"
         payload["reason"] = res.failure.value
@@ -115,7 +116,7 @@ def cmd_eval(args: argparse.Namespace, cfg: SessionConfig) -> int:
     if res.linear_poly:
         payload["linear_poly"] = True
 
-    if cfg.output == "json":
+    if args.output == "json":
         print(json.dumps(payload, indent=2))
         return EXIT_OK
     print(f"expansion      {expansion}")
@@ -138,7 +139,8 @@ def cmd_eval(args: argparse.Namespace, cfg: SessionConfig) -> int:
     return EXIT_OK
 
 
-def _parse_seed(args: argparse.Namespace, spec: FieldSpec) -> QuadraticPolyK:
+def _parse_seed(args: argparse.Namespace) -> QuadraticPolyK:
+    spec = FieldSpec(args.field_d)
     a = parse_k(args.A, spec, require_integral=True)
     b = parse_k(args.B, spec, require_integral=True)
     c = parse_k(args.C, spec, require_integral=True)
@@ -161,15 +163,15 @@ def _expansion_json(r: ExpansionResult) -> dict:
     }
 
 
-def cmd_expand(args: argparse.Namespace, cfg: SessionConfig) -> int:
-    seed = _parse_seed(args, cfg.spec)
+def cmd_expand(args: argparse.Namespace) -> int:
+    seed = _parse_seed(args)
     result = expand_pair(
         seed,
         _branch(args.branch),
         _branch(args.conj_branch),
-        ExpansionConfig(max_steps=cfg.max_steps),
+        ExpansionConfig(max_steps=args.max_steps),
     )
-    if cfg.output == "json":
+    if args.output == "json":
         print(json.dumps(_expansion_json(result), indent=2))
         return EXIT_OK
     pre = ", ".join(str(a) for a in result.expansion.preperiod)
@@ -183,18 +185,10 @@ def cmd_expand(args: argparse.Namespace, cfg: SessionConfig) -> int:
     return EXIT_OK
 
 
-_CSV_COLUMNS = [
-    "n", "A_n", "B_n", "C_n", "P_n", "Q_n",
-    "s_n_lo", "s_n_hi", "f1_lo", "f1_hi", "f2_lo", "f2_hi",
-    "weil_lo", "weil_hi", "naive",
-]
-
-
-def _analyze_quotients(args: argparse.Namespace, cfg: SessionConfig):
-    spec = cfg.spec
+def _analyze_quotients(args: argparse.Namespace):
     n = args.steps
     if args.expansion:
-        expansion = parse_expansion(args.expansion, spec)
+        expansion = parse_expansion(args.expansion, FieldSpec(args.field_d))
         if not expansion.is_periodic:
             raise ParseError("expansion must have a nonempty period")
         res = eval_periodic(expansion)
@@ -207,12 +201,13 @@ def _analyze_quotients(args: argparse.Namespace, cfg: SessionConfig):
         # value.y = branch/(2A), so branch = 2A*y exactly.
         t = 2 * res.poly[0] * res.value.y
         branch = 1 if t == 1 else -1
-        quotients = expansion.prefix(n)
-        return seed, branch, quotients
-    seed = _parse_seed(args, spec)
+        return seed, branch, expansion.prefix(n)
+    if not (args.A and args.B and args.C):
+        raise ParseError("analyze requires either --expansion or A B C")
+    seed = _parse_seed(args)
     branch = _branch(args.branch)
     if args.quotients:
-        quotients = parse_element_list(args.quotients, spec, require_integral=True)
+        quotients = parse_element_list(args.quotients, seed.spec, require_integral=True)
         if len(quotients) < n + 1:
             raise ParseError(
                 f"need {n + 1} quotients for {n} steps, got {len(quotients)}"
@@ -223,45 +218,51 @@ def _analyze_quotients(args: argparse.Namespace, cfg: SessionConfig):
     return seed, branch, [a for a, _ in islice(steps, 1, n + 2)]
 
 
-def cmd_analyze(args: argparse.Namespace, cfg: SessionConfig) -> int:
-    seed, branch, quotients = _analyze_quotients(args, cfg)
-    rows = diagnostics(seed, branch, quotients, cfg.precision_bits)
-    summary = summarize(rows, seed, branch, quotients, cfg.precision_bits)
-    if cfg.output == "csv":
+def _endpoints(iv: RealInterval) -> list[float]:
+    return [float(iv.lo), float(iv.hi)]
+
+
+def _row_json(r: TrajectoryRow) -> dict:
+    return {
+        "n": r.index,
+        "A_n": str(r.triple[0]),
+        "B_n": str(r.triple[1]),
+        "C_n": str(r.triple[2]),
+        "P_n": str(r.p),
+        "Q_n": str(r.q),
+        "s_n": _endpoints(r.s_n),
+        "f1": _endpoints(r.f1),
+        "f2": _endpoints(r.f2),
+        "weil": _endpoints(r.weil),
+        "naive": r.naive,
+    }
+
+
+def _csv_record(row: dict) -> dict:
+    """A JSON row with each [lo, hi] pair split into <key>_lo, <key>_hi."""
+    record = {}
+    for key, value in row.items():
+        if isinstance(value, list):
+            record[f"{key}_lo"], record[f"{key}_hi"] = value
+        else:
+            record[key] = value
+    return record
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    seed, branch, quotients = _analyze_quotients(args)
+    rows = diagnostics(seed, branch, quotients, args.precision)
+    summary = summarize(rows, seed, branch, quotients, args.precision)
+    if args.output == "csv":
+        records = [_csv_record(_row_json(r)) for r in rows]
         writer = csv.writer(sys.stdout)
-        writer.writerow(_CSV_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.index, str(r.triple[0]), str(r.triple[1]), str(r.triple[2]),
-                    str(r.p), str(r.q),
-                    float(r.s_n.lo), float(r.s_n.hi),
-                    float(r.f1.lo), float(r.f1.hi),
-                    float(r.f2.lo), float(r.f2.hi),
-                    float(r.weil.lo), float(r.weil.hi),
-                    r.naive,
-                ]
-            )
+        writer.writerow(records[0])
+        writer.writerows(record.values() for record in records)
         return EXIT_OK
-    if cfg.output == "json":
+    if args.output == "json":
         payload = {
             "seed": _poly_json(seed),
-            "rows": [
-                {
-                    "n": r.index,
-                    "A_n": str(r.triple[0]),
-                    "B_n": str(r.triple[1]),
-                    "C_n": str(r.triple[2]),
-                    "P_n": str(r.p),
-                    "Q_n": str(r.q),
-                    "s_n": [float(r.s_n.lo), float(r.s_n.hi)],
-                    "f1": [float(r.f1.lo), float(r.f1.hi)],
-                    "f2": [float(r.f2.lo), float(r.f2.hi)],
-                    "weil": [float(r.weil.lo), float(r.weil.hi)],
-                    "naive": r.naive,
-                }
-                for r in rows
-            ],
+            "rows": [_row_json(r) for r in rows],
             "summary": {
                 "steps": summary.steps,
                 "max_abs_A": summary.max_abs_a,
@@ -296,15 +297,15 @@ def cmd_analyze(args: argparse.Namespace, cfg: SessionConfig) -> int:
     return EXIT_OK
 
 
-def cmd_radius(args: argparse.Namespace, cfg: SessionConfig) -> int:
-    cr = covering_radius(args.D, cfg.precision_bits)
-    if cfg.output == "json":
+def cmd_radius(args: argparse.Namespace) -> int:
+    cr = covering_radius(args.D, args.precision)
+    if args.output == "json":
         print(
             json.dumps(
                 {
                     "D": cr.d,
                     "r_squared": str(cr.r_squared),
-                    "r": [float(cr.interval.lo), float(cr.interval.hi)],
+                    "r": _endpoints(cr.interval),
                     "usable": cr.usable,
                 }
             )
@@ -338,7 +339,7 @@ def _sample_seed(rng: random.Random, spec: FieldSpec, bound: int, counters: dict
 def run_corpus(count: int, bound: int, cfg: SessionConfig) -> dict:
     if cfg.d != 5:
         raise GoldenPreconditionError("corpus expansion requires D = 5")
-    spec = cfg.spec
+    spec = FieldSpec(cfg.d)
     rng = random.Random(cfg.seed)
     counters = {reason.value: 0 for reason in SeedRejection}
     seeds: list[QuadraticPolyK] = []
@@ -385,9 +386,10 @@ def run_corpus(count: int, bound: int, cfg: SessionConfig) -> dict:
     return {"summary": summary, "runs": runs}
 
 
-def cmd_corpus(args: argparse.Namespace, cfg: SessionConfig) -> int:
+def cmd_corpus(args: argparse.Namespace) -> int:
+    cfg = SessionConfig(d=args.field_d, max_steps=args.max_steps, seed=args.seed)
     report = run_corpus(args.count, args.bound, cfg)
-    if cfg.output == "json":
+    if args.output == "json":
         print(json.dumps(report, indent=2))
         return EXIT_OK
     s = report["summary"]
@@ -424,7 +426,7 @@ def _int_at_least(minimum: int, maximum: int | None = None):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field-d", type=int, default=5, help="squarefree D of Q(sqrt(D))")
-    common.add_argument("--precision", type=_int_at_least(16), default=64,
+    common.add_argument("--precision", type=_int_at_least(16, _MAX_PRECISION), default=64,
                         help="enclosure precision in bits for analyze and radius")
     common.add_argument("--output", choices=("text", "json", "csv"), default="text")
     common.add_argument("--max-steps", type=_int_at_least(1), default=10_000)
@@ -440,6 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", parents=[common], help="evaluate a periodic expansion")
     p_eval.add_argument("expansion", help='e.g. "[1; 2]" or "[; 2, 4-2*w]"')
+    p_eval.set_defaults(run=cmd_eval)
 
     p_expand = sub.add_parser("expand", parents=[common], help="expand a quartic root over Q(sqrt(5))")
     p_expand.add_argument("A")
@@ -447,6 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("C")
     p_expand.add_argument("--branch", choices=("+", "-"), default="+")
     p_expand.add_argument("--conj-branch", choices=("+", "-"), default="+")
+    p_expand.set_defaults(run=cmd_expand)
 
     p_an = sub.add_parser("analyze", parents=[common], help="trajectory diagnostics table")
     p_an.add_argument("A", nargs="?")
@@ -457,13 +461,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--branch", choices=("+", "-"), default="+")
     p_an.add_argument("--conj-branch", choices=("+", "-"), default="+")
     p_an.add_argument("-n", "--steps", type=_int_at_least(0), default=20)
+    p_an.set_defaults(run=cmd_analyze)
 
     p_rad = sub.add_parser("radius", parents=[common], help="covering radius of v(O_K)")
     p_rad.add_argument("D", type=int)
+    p_rad.set_defaults(run=cmd_radius)
 
     p_cor = sub.add_parser("corpus", parents=[common], help="random-seed expansion corpus")
     p_cor.add_argument("--count", type=_int_at_least(1), default=10)
-    p_cor.add_argument("--bound", type=int, default=3)
+    p_cor.add_argument("--bound", type=_int_at_least(1), default=3)
+    p_cor.set_defaults(run=cmd_corpus)
 
     return parser
 
@@ -522,29 +529,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_prepare_argv(argv, parser))
     try:
-        cfg = SessionConfig(
-            d=args.field_d,
-            precision_bits=args.precision,
-            output=args.output,
-            max_steps=args.max_steps,
-            digits=args.digits,
-            seed=args.seed,
-        )
-        if args.command == "eval":
-            return cmd_eval(args, cfg)
-        if args.command == "expand":
-            if not (args.A and args.B and args.C):
-                raise ParseError("expand requires A B C coefficient arguments")
-            return cmd_expand(args, cfg)
-        if args.command == "analyze":
-            if not args.expansion and not (args.A and args.B and args.C):
-                raise ParseError("analyze requires either --expansion or A B C")
-            return cmd_analyze(args, cfg)
-        if args.command == "radius":
-            return cmd_radius(args, cfg)
-        if args.command == "corpus":
-            return cmd_corpus(args, cfg)
-        parser.error(f"unknown command {args.command}")
+        return args.run(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -557,7 +542,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ExpansionError, PrecisionError, AssertionError) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    return EXIT_OK
+    except Exception as exc:
+        # A fault nobody foresaw: name it, but print no traceback.
+        print(f"internal consistency failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

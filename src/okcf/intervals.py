@@ -1,10 +1,12 @@
 """Dyadic interval arithmetic used for real-embedding evaluation.
 
-Endpoints are kept as exact `Fraction` values; constructors and the
-rounding helpers keep them dyadic (denominator a power of two), so every
-interval is an exact, machine-checkable enclosure of the real it stands
-for.  Intervals serve enclosures and display only (heights, error terms,
-decimal output); signs and floors are decided exactly by squaring in
+An interval is its two endpoints and nothing more.  They are kept as
+exact `Fraction` values; constructors and the rounding helpers keep them
+dyadic (denominator a power of two), so every interval is an exact,
+machine-checkable enclosure of the real it stands for.  Its precision is
+derived from the endpoints when asked for, never stored.  Intervals
+serve enclosures and display only (heights, error terms, decimal
+output); signs and floors are decided exactly by squaring in
 `okcf.field`, and the expansion path builds no interval.  Every enclosure
 that must reach a requested width comes from the one routine `refine`.
 """
@@ -93,7 +95,6 @@ def effective_bits(lo: Fraction, hi: Fraction) -> int:
 class RealInterval:
     lo: Fraction
     hi: Fraction
-    precision_bits: int
 
     def __post_init__(self) -> None:
         if self.lo > self.hi:
@@ -101,12 +102,16 @@ class RealInterval:
 
     @classmethod
     def of(cls, lo: Fraction, hi: Fraction) -> RealInterval:
-        return cls(lo, hi, effective_bits(lo, hi))
+        return cls(lo, hi)
 
     @classmethod
     def point(cls, value: Fraction | int) -> RealInterval:
         q = Fraction(value)
-        return cls(q, q, MAX_BITS)
+        return cls(q, q)
+
+    @property
+    def precision_bits(self) -> int:
+        return effective_bits(self.lo, self.hi)
 
     @property
     def width(self) -> Fraction:

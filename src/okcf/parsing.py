@@ -25,11 +25,19 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+def _number(m: re.Match) -> Fraction:
+    """The rational that an `_NUMBER` match spells; `p/0` is a parse error."""
+    try:
+        return Fraction(re.sub(r"\s", "", m.group()))
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {m.group()!r}", m.start()) from None
+
+
 def parse_rational(text: str) -> Fraction:
     m = _NUMBER.fullmatch(text.strip())
     if not m:
         raise ParseError(f"bad rational {text!r}", 0)
-    return Fraction(re.sub(r"\s", "", m.group()))
+    return _number(m)
 
 
 def parse_k(text: str, spec: FieldSpec, require_integral: bool = False) -> KElement:
@@ -60,7 +68,7 @@ def parse_k(text: str, spec: FieldSpec, require_integral: bool = False) -> KElem
             raise ParseError("expected '+' or '-' between terms", pos)
         m = _NUMBER.match(text, pos)
         if m:
-            q = Fraction(re.sub(r"\s", "", m.group()))
+            q = _number(m)
             pos = m.end()
             skip_ws()
             if pos < n and text[pos] == "*":

@@ -152,15 +152,12 @@ def _embedding_magnitudes(
     sigma magnitudes hold the two real values when sigma(delta) > 0 and
     pair_modulus_sq is the exact |z|^2 in K when the pair is complex.
     """
-    spec = state.poly.spec
     v = state.value
     m_id = abs(v.embed(bits))
     m_tau = abs(v.conj_sqrt().embed(bits))
     spoly = state.poly.sigma()
-    sdelta = spoly.delta
-    if sign_of(sdelta) > 0:
-        inv2a = spec.one / (2 * spoly.A)
-        plus = SurdElement(spec, sdelta, -spoly.B * inv2a, inv2a)
+    if sign_of(spoly.delta) > 0:
+        plus = QuotientState(spoly, 1).value
         return m_id, m_tau, [abs(plus.embed(bits)), abs(plus.conj_sqrt().embed(bits))], None
     # Complex conjugate pair: |z|^2 = sigma(C)/sigma(A) exactly in K.
     return m_id, m_tau, [], spoly.C / spoly.A
@@ -286,12 +283,11 @@ def diagnostics(
     qpairs = qpair_states(spec, quotients)
     xi = states[0].value
     xi_tau = xi.conj_sqrt()
-    spoly = seed.sigma()
-    sdelta = spoly.delta
-    sigma_real = sign_of(sdelta) > 0
+    # x + y*sqrt(sigma(delta)) are the roots of the conjugate polynomial;
+    # when they are complex, only x and y are read.
+    xi_p_plus = QuotientState(seed.sigma(), 1).value
+    sigma_real = sign_of(xi_p_plus.delta) > 0
     if sigma_real:
-        inv2a = spec.one / (2 * spoly.A)
-        xi_p_plus = SurdElement(spec, sdelta, -spoly.B * inv2a, inv2a)
         xi_p_minus = xi_p_plus.conj_sqrt()
 
     one = RealInterval.point(1)
@@ -308,10 +304,11 @@ def diagnostics(
             sq_abs = abs(sqn.embed(bits))
             qs_sigma = (s_s2 * sq_abs, s_s3 * sq_abs)
         else:
-            # Complex pair: |x'' + y''*sqrt(sdelta)|^2 = x''^2 - y''^2*sdelta in K.
-            x2 = -spoly.B / (2 * spoly.A) * sqn - spn
-            y2 = spec.one / (2 * spoly.A) * sqn
-            mod_sq = x2 * x2 - y2 * y2 * sdelta
+            # Complex pair: |x'' + y''*sqrt(sigma(delta))|^2
+            # = x''^2 - y''^2*sigma(delta) in K.
+            x2 = xi_p_plus.x * sqn - spn
+            y2 = xi_p_plus.y * sqn
+            mod_sq = x2 * x2 - y2 * y2 * xi_p_plus.delta
             s_s2 = s_s3 = _tight_abs(mod_sq, bits).sqrt(bits)
             qs_sigma = None
         f1 = s_id.max_with(prev["id"]) * s_tau.max_with(prev["tau"])
@@ -450,8 +447,7 @@ def _root_in_window(seed: QuadraticPolyK, a0: KElement, a1: KElement) -> bool:
         if root is not None:
             roots = [(-spoly.B + root) / (2 * spoly.A), (-spoly.B - root) / (2 * spoly.A)]
         else:
-            inv2a = spec.one / (2 * spoly.A)
-            plus = SurdElement(spec, sdelta, -spoly.B * inv2a, inv2a)
+            plus = QuotientState(spoly, 1).value
             roots = [plus, plus.conj_sqrt()]
     for r in roots:
         if sign_of(r - lo) > 0 and sign_of(hi - r) > 0:

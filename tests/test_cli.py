@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import decimal
+import hashlib
 import json
+import shlex
 
 from fractions import Fraction
 
@@ -295,3 +297,98 @@ def test_precision_below_minimum_is_usage_error(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "must be at least 16" in err
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_corpus_bound_below_one_is_usage_error(capsys, bound):
+    # --bound 0 draws only zero leads and would never finish.
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", "--count", "1", "--bound", bound])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "must be at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "[;1/0]"],
+        ["expand", "1", "0", "20/0"],
+        ["analyze", "1", "-2", "-1-1*w", "-n", "1", "--quotients=1/0,2"],
+    ],
+)
+def test_zero_denominator_is_parse_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: zero denominator")
+
+
+def test_unforeseen_exception_is_internal_failure(capsys, monkeypatch):
+    def broken(expansion):
+        raise RuntimeError("broken evaluator")
+
+    monkeypatch.setattr("okcf.cli.eval_periodic", broken)
+    code, out, err = run(capsys, "eval", "[1; 2]")
+    assert code == 5
+    assert out == ""
+    assert err == "internal consistency failure: RuntimeError: broken evaluator\n"
+
+
+def test_precision_above_maximum_is_usage_error(capsys):
+    # At 16385 bits an error-term enclosure would ask `embed` for more than
+    # MAX_BITS, which no enclosure can reach.
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--expansion", "[; 2, 4-2*w]", "-n", "2", "--precision", "16385"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "must be at most 16384" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["radius", "5"],
+        ["analyze", "--expansion", "[; 2, 4-2*w]", "-n", "1"],
+    ],
+)
+def test_precision_at_maximum_succeeds(capsys, argv):
+    code, out, err = run(capsys, *argv, "--precision", "16384")
+    assert code == 0
+    assert err == ""
+    assert out
+
+
+# sha256 of stdout and the exit code of reference commands. Printed answers
+# are part of the CLI's contract: a refactor must keep them byte-identical.
+_PINNED_OUTPUTS = [
+    ("corpus --count 25 --bound 3 --seed 1 --output json", 0,
+     "9aa4ef28c2a7ba0e91368c0783624178d92b1fbf9650b633ebd310bbb9f09266"),
+    ("analyze --expansion '[; 2, 4-2*w]' -n 40 --output json", 0,
+     "53a3cd6070f65d8d0a059cc49c1fb1396a614b3799fcdd775373a3593ec57f43"),
+    ("analyze --expansion '[; 2, 4-2*w]' -n 40", 0,
+     "e5f200a77d798b4779d373705f45995e2b77beae8e439305c8e752c24d796396"),
+    ("analyze --expansion '[; 2, 4-2*w]' -n 40 --output csv --precision 128", 0,
+     "23866d1fd7b864269df80d3f90bb48aae95c745045dd81dd8e40a4b55c198082"),
+    ("analyze 1 -2 -1-1*w -n 10", 0,
+     "af827bdf1d205e59b62b8c2f9e768e9433b1425519709b1f8f1dbd2c9cf74985"),
+    ("expand 1 -2 -1-1*w --conj-branch=+ --output json", 0,
+     "fc78197ce6cf37ef02896e4d253edf132e944bb3d6c7bce8404dc68bc06fc785"),
+    ("expand 1 -2 -1-1*w --conj-branch=- --output json", 0,
+     "fc5d2f362679e92f98691aecaa81a284eae8b3c95ccc6b716063cc0e0306d280"),
+    ("eval '[; 2, 4-2*w]' --digits 40", 0,
+     "122a86cb9c58eaab3ba0008b0b6bf9490b733e452c83d840266888055bb208d1"),
+    ("eval '[; 2, 4-2*w]' --digits 1000", 0,
+     "c2a7f5093f2561578284dde11a0f76d42ed8212ae18de1ec27a1c5e8b7ca1211"),
+    ("radius 13 --output json", 0,
+     "0ab3467a58c156d87faf0d15eefca3f2de3054e38cb170261d99b3daa16926a8"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, code, digest", _PINNED_OUTPUTS, ids=[c for c, _, _ in _PINNED_OUTPUTS]
+)
+def test_reference_output_is_pinned(capsys, command, code, digest):
+    got_code, out, _ = run(capsys, *shlex.split(command))
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

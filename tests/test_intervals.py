@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
 
 from okcf.intervals import (
     MAX_BITS,
     RealInterval,
+    effective_bits,
     round_down,
     round_up,
     sqrt_down,
@@ -48,3 +50,14 @@ def test_point_and_sign():
     assert p.sign == 1
     assert RealInterval.point(0).sign == 0
     assert RealInterval.of(Fraction(-1), Fraction(1)).sign is None
+
+
+def test_interval_is_its_endpoints():
+    # Precision is derived from the endpoints when asked for, never stored.
+    assert [f.name for f in fields(RealInterval)] == ["lo", "hi"]
+    for lo, hi in [(Fraction(1), Fraction(2)), (Fraction(-5, 3), Fraction(7)),
+                   (Fraction(3), Fraction(3) + Fraction(1, 1 << 70))]:
+        iv = RealInterval.of(lo, hi)
+        assert iv == RealInterval(lo, hi)
+        assert iv.precision_bits == effective_bits(lo, hi)
+    assert RealInterval.of(Fraction(1), Fraction(1)).precision_bits == MAX_BITS

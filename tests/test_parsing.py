@@ -78,3 +78,14 @@ def test_expansion_round_trip(k5, rng):
         per = tuple(random_k(rng, k5) for _ in range(rng.randint(1, 4)))
         e = CFExpansion(k5, pre, per)
         assert parse_expansion(str(e), k5) == e
+
+
+def test_zero_denominator_is_parse_error(k5):
+    for text in ("1/0", " 3 / 0 "):
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_rational(text)
+    for text in ("1/0", "2+3/0*w", "0/0*w"):
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_k(text, k5)
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_expansion("[; 1/0]", k5)
