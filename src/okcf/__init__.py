@@ -18,6 +18,7 @@ from .cf import (
 )
 from .field import (
     FieldSpec,
+    InputRuleError,
     KElement,
     SurdElement,
     is_square_in_k,

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .field import FieldSpec, KElement, SurdElement, is_square_in_k, sign_of
+from .field import FieldSpec, InputRuleError, KElement, SurdElement, is_square_in_k, sign_of
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class CFExpansion:
             if entry.spec != self.spec:
                 raise ValueError("expansion entries must share one field spec")
             if not entry.is_integral:
-                raise ValueError(f"partial quotient {entry} is not integral in O_K")
+                raise InputRuleError(f"partial quotient {entry} is not integral in O_K")
 
     @property
     def is_periodic(self) -> bool:
@@ -127,7 +127,7 @@ def qpair_states(spec: FieldSpec, quotients: Iterable[KElement]) -> list[QPairSt
     states: list[QPairState] = []
     for i, a in enumerate(quotients):
         if i >= 1 and a.is_zero:
-            raise ValueError(f"zero partial quotient at index {i}")
+            raise InputRuleError(f"zero partial quotient at index {i}")
         if i == 0:
             p_cur, q_cur = a, spec.one
         else:
@@ -152,7 +152,7 @@ def cf_matrix(spec: FieldSpec, quotients: Sequence[KElement]) -> Mat2:
 def e_matrix(expansion: CFExpansion) -> Mat2:
     """M(pre) * M(period) * M(pre)^(-1); determinant (-1)^len(period)."""
     if not expansion.is_periodic:
-        raise ValueError("period must be nonempty")
+        raise InputRuleError("period must be nonempty")
     spec = expansion.spec
     pre = cf_matrix(spec, expansion.preperiod)
     per = cf_matrix(spec, expansion.period)

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Commands: eval, expand, analyze, radius, corpus.  Exit codes: 0 success,
-2 parse error, 3 precondition rejection, 4 max-steps exceeded, 5 internal
-consistency failure.
+1 standard output closed by its reader, 2 parse error, 3 precondition
+rejection, 4 max-steps exceeded, 5 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from itertools import islice
 from typing import Sequence
 
 from .cf import eval_periodic
-from .field import FieldSpec, KElement, SurdElement
+from .field import FieldSpec, InputRuleError, KElement, SurdElement
 from .golden import (
     ExpansionConfig,
     ExpansionError,
@@ -36,6 +37,7 @@ from .parsing import ParseError, parse_element_list, parse_expansion, parse_k
 from .quartic import QuadraticPolyK, SeedError, TrajectoryRow, diagnostics, summarize
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_MAX_STEPS = 4
@@ -529,11 +531,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_prepare_argv(argv, parser))
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed standard output (say, `| head`).  As the Python
+        # `signal` docs advise, point stdout at devnull so that the flush at
+        # interpreter exit cannot fail again, and print nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (SeedError, GoldenPreconditionError, ValueError) as exc:
+    except InputRuleError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except MaxStepsError as exc:

@@ -1,9 +1,16 @@
 """Exact arithmetic in a real quadratic field K = Q(sqrt(D)) and in
 quadratic extensions L = K(sqrt(delta)).
 
-Elements of K are stored on the integral basis {1, w} with
+Elements of K are written on the integral basis {1, w} with
 w = (1 + sqrt(D))/2 when D = 1 (mod 4) and w = sqrt(D) otherwise, so that
-the ring of integers is exactly Z + Zw.  Elements of L are stored as
+the ring of integers is exactly Z + Zw.  A `KElement` stores the integers
+(p, q, den) of (p + q*w)/den, with den > 0 and gcd(p, q, den) = 1: integer
+coordinates over one common denominator, the usual layout of number-field
+elements (Cohen, GTM 138, section 4.2).  The triple is unique, so equality
+compares integers; sums and products of integral elements (den = 1) take
+no gcd, and any other result is normalised by one gcd.  Elements are
+immutable (`__slots__`, and setting an attribute raises); the rational
+coordinates `a` and `b` are derived.  Elements of L are stored as
 x + y*sqrt(delta) with x, y, delta in K and sqrt(delta) the positive real
 root.  Signs are decided exactly by squaring: the sign of u + v*sqrt(d)
 with rational u, v of opposite signs is the sign of the larger of u^2 and
@@ -18,13 +25,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt
+from math import gcd, isqrt, lcm, sqrt
 from typing import Callable
 
 from .intervals import DEFAULT_BITS, RealInterval, refine, sqrt_down, sqrt_up
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+
+class InputRuleError(ValueError):
+    """An input breaks one of the library's own rules for valid input, such
+    as a non-integral or zero partial quotient or a non-squarefree d.  The
+    CLI reports these, and only these, as rejections."""
 
 
 def is_squarefree(n: int) -> bool:
@@ -59,25 +71,27 @@ class FieldSpec:
 
     def __post_init__(self) -> None:
         if self.d <= 1 or not is_squarefree(self.d):
-            raise ValueError(f"d must be a squarefree integer > 1, got {self.d}")
+            raise InputRuleError(f"d must be a squarefree integer > 1, got {self.d}")
 
     @property
     def omega_is_half(self) -> bool:
         return self.d % 4 == 1
 
     @cached_property
-    def omega_sq_const(self) -> Fraction:
+    def omega_sq_const(self) -> int:
         # w^2 = c + l*w with (c, l) = ((d-1)/4, 1) or (d, 0)
-        if self.omega_is_half:
-            return Fraction((self.d - 1) // 4)
-        return Fraction(self.d)
+        return (self.d - 1) // 4 if self.omega_is_half else self.d
 
     @cached_property
-    def omega_sq_lin(self) -> Fraction:
-        return _ONE if self.omega_is_half else _ZERO
+    def omega_sq_lin(self) -> int:
+        return 1 if self.omega_is_half else 0
+
+    @cached_property
+    def omega_float(self) -> float:
+        return (1 + sqrt(self.d)) / 2 if self.omega_is_half else sqrt(self.d)
 
     def element(self, a: Fraction | int, b: Fraction | int = 0) -> KElement:
-        return KElement(self, Fraction(a), Fraction(b))
+        return KElement(self, a, b)
 
     @cached_property
     def zero(self) -> KElement:
@@ -102,85 +116,140 @@ class FieldSpec:
         return f"Q(sqrt({self.d}))"
 
 
-@dataclass(frozen=True, eq=False)
 class KElement:
-    """a + b*w in K = Q(sqrt(d))."""
+    """(p + q*w)/den in K = Q(sqrt(d)), immutable.
+
+    p, q and den are integers with den > 0 and gcd(p, q, den) = 1, so each
+    element has exactly one triple.  `a` and `b`, the rational coordinates
+    on {1, w}, are derived.  Build elements with `FieldSpec.element`.
+    """
+
+    __slots__ = ("spec", "p", "q", "den")
 
     spec: FieldSpec
-    a: Fraction
-    b: Fraction
+    p: int
+    q: int
+    den: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.a, Fraction):
-            object.__setattr__(self, "a", Fraction(self.a))
-        if not isinstance(self.b, Fraction):
-            object.__setattr__(self, "b", Fraction(self.b))
+    def __new__(cls, spec: FieldSpec, a: Fraction | int, b: Fraction | int = 0) -> KElement:
+        if type(a) is int and type(b) is int:
+            return _make(spec, a, b, 1)
+        a, b = Fraction(a), Fraction(b)
+        # Over the lcm of the two denominators the triple is already in
+        # lowest terms: a prime dividing den divides one denominator fully.
+        den = lcm(a.denominator, b.denominator)
+        return _make(
+            spec, a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"KElement is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"KElement is immutable; cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return _make, (self.spec, self.p, self.q, self.den)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.den)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, KElement):
-            if other.spec == self.spec:
-                return self.a == other.a and self.b == other.b
-            return self.b == 0 and other.b == 0 and self.a == other.a
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+            if other.spec is not self.spec and other.spec != self.spec and (self.q or other.q):
+                return False
+            # Lowest terms make the triple unique, so equal values have equal triples.
+            return self.p == other.p and self.q == other.q and self.den == other.den
+        if isinstance(other, int):
+            return not self.q and self.den == 1 and self.p == other
+        if isinstance(other, Fraction):
+            return not self.q and self.p == other.numerator and self.den == other.denominator
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self.b == 0:
+        # The values of the Fraction-backed class: hash(Fraction(n, 1)) is
+        # hash(n), so an integral element needs no Fraction.
+        if self.den == 1:
+            return hash(self.p) if not self.q else hash((self.spec.d, self.p, self.q))
+        if not self.q:
             return hash(self.a)
         return hash((self.spec.d, self.a, self.b))
 
     def _coerce(self, other: object) -> KElement | None:
         if isinstance(other, KElement):
-            if other.spec != self.spec:
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise ValueError("mismatched field specs")
             return other
-        if isinstance(other, (int, Fraction)):
-            return KElement(self.spec, Fraction(other), _ZERO)
+        if isinstance(other, int):
+            return _make(self.spec, other, 0, 1)
+        if isinstance(other, Fraction):
+            return _make(self.spec, other.numerator, 0, other.denominator)
         return None
 
     @property
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self.p and not self.q
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return not self.q
 
     @property
     def is_integral(self) -> bool:
-        return self.a.denominator == 1 and self.b.denominator == 1
+        return self.den == 1
 
     def __add__(self, other: object) -> KElement:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return KElement(self.spec, self.a + o.a, self.b + o.b)
+        if other.__class__ is KElement and other.spec is self.spec:
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+        d1, d2 = self.den, o.den
+        if d1 == d2:
+            return _reduced(self.spec, self.p + o.p, self.q + o.q, d1)
+        return _reduced(self.spec, self.p * d2 + o.p * d1, self.q * d2 + o.q * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> KElement:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return KElement(self.spec, self.a - o.a, self.b - o.b)
+        if other.__class__ is KElement and other.spec is self.spec:
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+        d1, d2 = self.den, o.den
+        if d1 == d2:
+            return _reduced(self.spec, self.p - o.p, self.q - o.q, d1)
+        return _reduced(self.spec, self.p * d2 - o.p * d1, self.q * d2 - o.q * d1, d1 * d2)
 
     def __rsub__(self, other: object) -> KElement:
         return (-self) + other
 
     def __neg__(self) -> KElement:
-        return KElement(self.spec, -self.a, -self.b)
+        return _make(self.spec, -self.p, -self.q, self.den)
 
     def __mul__(self, other: object) -> KElement:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        bb = self.b * o.b
+        if other.__class__ is KElement and other.spec is self.spec:
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
         spec = self.spec
-        return KElement(
+        p1, q1, p2, q2 = self.p, self.q, o.p, o.q
+        qq = q1 * q2
+        return _reduced(
             spec,
-            self.a * o.a + bb * spec.omega_sq_const,
-            self.a * o.b + self.b * o.a + bb * spec.omega_sq_lin,
+            p1 * p2 + spec.omega_sq_const * qq,
+            p1 * q2 + q1 * p2 + spec.omega_sq_lin * qq,
+            self.den * o.den,
         )
 
     __rmul__ = __mul__
@@ -189,10 +258,21 @@ class KElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = o.norm()
-        if n == 0:
+        spec = self.spec
+        c, l = spec.omega_sq_const, spec.omega_sq_lin
+        p2, q2 = o.p, o.q
+        # 1/o = o.den * conj(p2 + q2*w) / n with n = (p2 + q2*w)*conj(...).
+        n = p2 * p2 + l * p2 * q2 - c * q2 * q2
+        if not n:
             raise ZeroDivisionError("division by zero in K")
-        return self * o.conj() * KElement(self.spec, 1 / n, _ZERO)
+        cp, cq = p2 + l * q2, -q2
+        p1, q1 = self.p, self.q
+        qq = q1 * cq
+        p = (p1 * cp + c * qq) * o.den
+        q = (p1 * cq + q1 * cp + l * qq) * o.den
+        if n < 0:
+            p, q, n = -p, -q, -n
+        return _reduced(spec, p, q, self.den * n)
 
     def __rtruediv__(self, other: object) -> KElement:
         o = self._coerce(other)
@@ -214,22 +294,22 @@ class KElement:
 
     def conj(self) -> KElement:
         """Galois conjugate: w -> 1 - w when d = 1 (mod 4), else w -> -w."""
-        if self.spec.omega_is_half:
-            return KElement(self.spec, self.a + self.b, -self.b)
-        return KElement(self.spec, self.a, -self.b)
+        p, q = self.p, self.q
+        return _make(self.spec, p + self.spec.omega_sq_lin * q, -q, self.den)
 
     def norm(self) -> Fraction:
-        # (a + b*w)(a + b*w') with w + w' = l and w*w' = -c, where w^2 = c + l*w.
-        a, b, spec = self.a, self.b, self.spec
-        return a * a + spec.omega_sq_lin * a * b - spec.omega_sq_const * b * b
+        # (p + q*w)(p + q*w') with w + w' = l and w*w' = -c, where w^2 = c + l*w.
+        p, q, spec = self.p, self.q, self.spec
+        return Fraction(p * p + spec.omega_sq_lin * p * q - spec.omega_sq_const * q * q,
+                        self.den * self.den)
 
     def trace(self) -> Fraction:
-        return self.a * 2 + self.b * (1 if self.spec.omega_is_half else 0)
+        return Fraction(2 * self.p + self.spec.omega_sq_lin * self.q, self.den)
 
     def sqrt_d_coords(self) -> tuple[Fraction, Fraction]:
         """(u, v) with value = u + v*sqrt(d)."""
         if self.spec.omega_is_half:
-            return self.a + self.b / 2, self.b / 2
+            return Fraction(2 * self.p + self.q, 2 * self.den), Fraction(self.q, 2 * self.den)
         return self.a, self.b
 
     def embed(self, precision_bits: int = DEFAULT_BITS, conjugate: bool = False) -> RealInterval:
@@ -249,15 +329,18 @@ class KElement:
         return _refine_to_quality(compute, precision_bits)
 
     def __float__(self) -> float:
-        return float(self.embed(64))
+        """A float approximation with no error bound; `embed` encloses.
+        Each int quotient is correctly rounded, as Fraction's float is."""
+        return self.p / self.den + self.q / self.den * self.spec.omega_float
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        w_part = f"{abs(self.b)}*w"
-        if self.a == 0:
-            return w_part if self.b > 0 else f"-{w_part}"
-        return f"{self.a}{'+' if self.b > 0 else '-'}{w_part}"
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        w_part = f"{abs(b)}*w"
+        if a == 0:
+            return w_part if b > 0 else f"-{w_part}"
+        return f"{a}{'+' if b > 0 else '-'}{w_part}"
 
     def __repr__(self) -> str:
         return f"KElement(D={self.spec.d}, {self})"
@@ -432,6 +515,40 @@ class SurdElement:
         return f"SurdElement({self})"
 
 
+_new = object.__new__
+_set_spec = KElement.spec.__set__
+_set_p = KElement.p.__set__
+_set_q = KElement.q.__set__
+_set_den = KElement.den.__set__
+
+
+def _make(spec: FieldSpec, p: int, q: int, den: int) -> KElement:
+    """The element (p + q*w)/den from a triple already in lowest terms with
+    den > 0; no check is made."""
+    k = _new(KElement)
+    _set_spec(k, spec)
+    _set_p(k, p)
+    _set_q(k, q)
+    _set_den(k, den)
+    return k
+
+
+def _reduced(spec: FieldSpec, p: int, q: int, den: int) -> KElement:
+    """The element (p + q*w)/den for any integers with den > 0.  An integral
+    triple (den = 1) is already in lowest terms and skips the gcd."""
+    if den != 1:
+        g = gcd(p, q, den)
+        if g != 1:
+            p, q, den = p // g, q // g, den // g
+    # `_make` inlined: every sum, product and quotient ends here.
+    k = _new(KElement)
+    _set_spec(k, spec)
+    _set_p(k, p)
+    _set_q(k, q)
+    _set_den(k, den)
+    return k
+
+
 def _refine_to_quality(
     compute: Callable[[int], RealInterval], precision_bits: int
 ) -> RealInterval:
@@ -457,16 +574,14 @@ def _root_sign(x: int, y: int, d: int) -> int:
 
 
 def _k_sign(k: KElement) -> int:
-    a, b = k.a, k.b
-    if not b:
-        return (a > 0) - (a < 0)
-    an, ad = a.numerator, a.denominator
-    bn, bd = b.numerator, b.denominator
-    # Scale by the positive 2*ad*bd (or ad*bd) to clear denominators: with
-    # w = (1 + sqrt(d))/2, 2*(a + b*w) = (2a + b) + b*sqrt(d).
-    if k.spec.omega_is_half:
-        return _root_sign(2 * an * bd + bn * ad, bn * ad, k.spec.d)
-    return _root_sign(an * bd, bn * ad, k.spec.d)
+    # den > 0 leaves the sign to p + q*w; with w = (1 + sqrt(d))/2,
+    # 2*(p + q*w) = (2p + q) + q*sqrt(d).
+    p, q = k.p, k.q
+    if not q:
+        return (p > 0) - (p < 0)
+    if k.spec.omega_sq_lin:
+        return _root_sign(2 * p + q, q, k.spec.d)
+    return _root_sign(p, q, k.spec.d)
 
 
 def surd_sign(x: KElement, y: KElement, delta: KElement) -> int:

@@ -21,6 +21,7 @@ from typing import Iterator
 from .cf import CFExpansion, eval_periodic
 from .field import (
     FieldSpec,
+    InputRuleError,
     KElement,
     SurdElement,
     is_square_in_k,
@@ -58,7 +59,7 @@ class MaxStepsError(ExpansionError):
         self.keys = keys
 
 
-class GoldenPreconditionError(ValueError):
+class GoldenPreconditionError(InputRuleError):
     pass
 
 
@@ -176,14 +177,8 @@ class RealPair:
         return n if exact else n + 1
 
 
-def _k_float(k: KElement) -> float:
-    spec = k.spec
-    w = (1 + sqrt(spec.d)) / 2 if spec.omega_is_half else sqrt(spec.d)
-    return float(k.a) + float(k.b) * w
-
-
 def _surd_float(u: SurdElement) -> float:
-    return _k_float(u.x) + _k_float(u.y) * sqrt(_k_float(u.delta))
+    return float(u.x) + float(u.y) * sqrt(float(u.delta))
 
 
 @dataclass(frozen=True)
@@ -241,7 +236,7 @@ class ExpansionConfig:
 
     def __post_init__(self) -> None:
         if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+            raise InputRuleError("max_steps must be >= 1")
 
 
 @dataclass(frozen=True)

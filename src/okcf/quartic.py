@@ -12,11 +12,11 @@ from math import gcd
 from typing import Sequence
 
 from .cf import QPairState, qpair_states
-from .field import FieldSpec, KElement, SurdElement, is_square_in_k, sign_of
+from .field import FieldSpec, InputRuleError, KElement, SurdElement, is_square_in_k, sign_of
 from .intervals import DEFAULT_BITS, RealInterval, refine
 
 
-class SeedError(ValueError):
+class SeedError(InputRuleError):
     """The quadratic seed cannot drive a quartic trajectory."""
 
 
@@ -69,7 +69,7 @@ class QuotientState:
 
     def __post_init__(self) -> None:
         if self.branch not in (1, -1):
-            raise ValueError("branch must be +1 or -1")
+            raise InputRuleError("branch must be +1 or -1")
 
     @property
     def key(self) -> tuple[KElement, KElement, int]:
@@ -115,7 +115,7 @@ def step_state(state: QuotientState, a: KElement) -> QuotientState:
     as -branch.
     """
     if not a.is_integral:
-        raise ValueError(f"partial quotient {a} is not integral in O_K")
+        raise InputRuleError(f"partial quotient {a} is not integral in O_K")
     poly = state.poly
     new_poly = QuadraticPolyK(poly.evaluate(a), 2 * poly.A * a + poly.B, poly.A)
     return QuotientState(new_poly, -state.branch)
@@ -186,7 +186,7 @@ def weil_height_element(x: KElement, precision_bits: int = DEFAULT_BITS) -> Real
     if x.is_zero:
         return RealInterval.point(1)
     if x.is_rational:
-        return RealInterval.point(max(abs(x.a.numerator), x.a.denominator))
+        return RealInterval.point(max(abs(x.p), x.den))
     # Primitive integer minimal polynomial a*t^2 + b*t + c from trace/norm.
     tr, nm = x.trace(), x.norm()
     den = (tr.denominator * nm.denominator) // gcd(tr.denominator, nm.denominator)
@@ -215,9 +215,9 @@ def naive_height(state: QuotientState) -> int:
     ]
     out = 0
     for c in coeffs:
-        if not (c.is_rational and c.a.denominator == 1):
+        if not (c.is_rational and c.is_integral):
             raise AssertionError(f"f_n * sigma(f_n) has a non-integer coefficient {c}")
-        out = max(out, abs(c.a.numerator))
+        out = max(out, abs(c.p))
     return out
 
 

@@ -3,9 +3,13 @@ from __future__ import annotations
 import decimal
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -333,6 +337,66 @@ def test_unforeseen_exception_is_internal_failure(capsys, monkeypatch):
     assert code == 5
     assert out == ""
     assert err == "internal consistency failure: RuntimeError: broken evaluator\n"
+
+
+@pytest.mark.parametrize(
+    "error",
+    [ValueError("mismatched field specs"), ValueError("interval endpoints out of order")],
+    ids=["specs", "interval"],
+)
+def test_internal_value_error_is_not_a_rejection(capsys, monkeypatch, error):
+    # Exit 3 is for the library's own rejections; any other ValueError is a
+    # fault of the program.
+    def broken(expansion):
+        raise error
+
+    monkeypatch.setattr("okcf.cli.eval_periodic", broken)
+    code, out, err = run(capsys, "eval", "[1; 2]")
+    assert code == 5
+    assert out == ""
+    assert err == f"internal consistency failure: ValueError: {error}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["analyze", "--expansion", "[; 2, 0, w]", "-n", "3"], "zero partial quotient at index 1"),
+        (["analyze", "1", "-2", "-1-1*w", "-n", "2", "--quotients=1,0,2"],
+         "zero partial quotient at index 1"),
+        (["eval", "[1; 2]", "--field-d", "4"], "d must be a squarefree integer > 1, got 4"),
+    ],
+)
+def test_input_rule_is_a_rejection(capsys, argv, reason):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"rejected: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Small enough to sit in the stdout buffer until main's final flush.
+        ["eval", "[1; 2]"],
+        # Larger than the buffer: print itself hits the closed pipe.
+        ["analyze", "--expansion", "[; 2, 4-2*w]", "-n", "20", "--output", "json"],
+    ],
+)
+def test_closed_stdout_exits_1_silently(argv):
+    # As in `okcf ... | head -1`: the reader is gone before the output is
+    # written.  The process reports nothing and exits 1, not 5.
+    src = Path(__file__).resolve().parents[1] / "src"
+    paths = [str(src), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from okcf.cli import main; sys.exit(main())", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_precision_above_maximum_is_usage_error(capsys):

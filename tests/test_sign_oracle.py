@@ -1,0 +1,130 @@
+"""The exact signs of `okcf.field` against an independent oracle: the value
+evaluated with mpmath at 300 digits, from the rational coordinates alone."""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from math import isqrt
+
+import pytest
+
+mpmath = pytest.importorskip("mpmath")
+
+from conftest import random_k  # noqa: E402
+from okcf.field import (  # noqa: E402
+    FieldSpec,
+    KElement,
+    SurdElement,
+    sign_of,
+    surd_sign,
+    surd_sum_sign,
+)
+from test_field import k_near_ties, surd_near_ties  # noqa: E402
+
+DIGITS = 300
+# Far below any value tested here (the closest ties are about 2^-200) and
+# far above the 300-digit rounding error.
+DECISIVE = mpmath.mpf(10) ** -(DIGITS - 40)
+
+
+def mp_k(x: KElement):
+    d = x.spec.d
+    w = (1 + mpmath.sqrt(d)) / 2 if d % 4 == 1 else mpmath.sqrt(d)
+    a, b = x.a, x.b
+    return mpmath.mpf(a.numerator) / a.denominator + mpmath.mpf(b.numerator) / b.denominator * w
+
+
+def mp_sign(value) -> int:
+    assert abs(value) > DECISIVE, "the oracle cannot decide a value this close to 0"
+    return 1 if value > 0 else -1
+
+
+def surd_oracle(x: KElement, y: KElement, delta: KElement) -> int:
+    return mp_sign(mp_k(x) + mp_k(y) * mpmath.sqrt(mp_k(delta)))
+
+
+def sum_oracle(x, y1, delta1, y2, delta2) -> int:
+    return mp_sign(
+        mp_k(x) + mp_k(y1) * mpmath.sqrt(mp_k(delta1)) + mp_k(y2) * mpmath.sqrt(mp_k(delta2))
+    )
+
+
+@pytest.fixture(autouse=True)
+def precision():
+    with mpmath.workdps(DIGITS):
+        yield
+
+
+def positive_deltas(spec: FieldSpec) -> list[KElement]:
+    w = spec.omega
+    return [spec.element(2), spec.element(3), w + 5, 6 - w, spec.element(Fraction(7, 3), 1)]
+
+
+def mp_k_sign(x: KElement) -> int:
+    return mp_sign(mp_k(x))
+
+
+def test_k_signs_random():
+    rng = random.Random(11)
+    for d in (5, 2, 13):
+        spec = FieldSpec(d)
+        for _ in range(300):
+            x = random_k(rng, spec, bound=rng.choice((5, 10**6, 10**30)),
+                         integral=rng.random() < 0.5, nonzero=True)
+            assert sign_of(x) == mp_k_sign(x)
+
+
+def test_k_near_ties(k5):
+    for spec in (k5, FieldSpec(2), FieldSpec(13)):
+        for x in k_near_ties(spec):
+            assert sign_of(x) == mp_k_sign(x)
+            assert sign_of(-x) == -mp_k_sign(x)
+
+
+def test_surd_signs_random(k5):
+    rng = random.Random(12)
+    for delta in positive_deltas(k5):
+        for _ in range(150):
+            x = random_k(rng, k5, bound=1000, integral=False)
+            y = random_k(rng, k5, bound=1000, integral=False, nonzero=True)
+            assert surd_sign(x, y, delta) == surd_oracle(x, y, delta)
+            assert sign_of(SurdElement(k5, delta, x, y)) == surd_oracle(x, y, delta)
+
+
+def test_surd_near_ties(k5):
+    for u in surd_near_ties(k5):
+        expected = surd_oracle(u.x, u.y, u.delta)
+        assert surd_sign(u.x, u.y, u.delta) == expected
+        assert sign_of(u) == expected
+
+
+def test_surd_sum_signs_random(k5):
+    rng = random.Random(13)
+    deltas = positive_deltas(k5)
+    for _ in range(300):
+        delta1, delta2 = rng.sample(deltas, 2)
+        x = random_k(rng, k5, bound=1000, integral=False)
+        y1 = random_k(rng, k5, bound=1000, integral=False)
+        y2 = random_k(rng, k5, bound=1000, integral=False, nonzero=True)
+        assert surd_sum_sign(x, y1, delta1, y2, delta2) == sum_oracle(x, y1, delta1, y2, delta2)
+
+
+def test_surd_sum_near_ties(k5):
+    # sqrt(2) + sqrt(3) - r for dyadics r within 2^-199 of it, from below and
+    # above, plus Pell near-ties of sqrt(2) offset by a multiple of sqrt(3).
+    scale = 1 << 200
+    s2, s3 = isqrt(2 * scale * scale), isqrt(3 * scale * scale)
+    two, three = k5.element(2), k5.element(3)
+    cases = []
+    for r in (s2 + s3 - 1, s2 + s3, s2 + s3 + 1, s2 + s3 + 2):
+        cases.append((k5.element(Fraction(-r, scale)), k5.one, two, k5.one, three))
+    for u in surd_near_ties(k5):
+        # x + y*sqrt(2) within 2^-80 of 0, plus a smaller c*sqrt(3) of
+        # either sign.
+        for c in (Fraction(1, 1 << 90), Fraction(-1, 1 << 90)):
+            cases.append((u.x, u.y, two, k5.element(c), three))
+    for x, y1, d1, y2, d2 in cases:
+        expected = sum_oracle(x, y1, d1, y2, d2)
+        assert surd_sum_sign(x, y1, d1, y2, d2) == expected
+        assert surd_sum_sign(-x, -y1, d1, -y2, d2) == -expected
