@@ -540,13 +540,7 @@ def _reduced(spec: FieldSpec, p: int, q: int, den: int) -> KElement:
         g = gcd(p, q, den)
         if g != 1:
             p, q, den = p // g, q // g, den // g
-    # `_make` inlined: every sum, product and quotient ends here.
-    k = _new(KElement)
-    _set_spec(k, spec)
-    _set_p(k, p)
-    _set_q(k, q)
-    _set_den(k, den)
-    return k
+    return _make(spec, p, q, den)
 
 
 def _refine_to_quality(

@@ -4,6 +4,8 @@ and not, over D = 5, 2 and 13, must give the same value, string and hash."""
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -129,3 +131,10 @@ def test_immutable_without_dict():
     with pytest.raises(AttributeError):
         del x.p
     assert (x.p, x.q, x.den) == (1, 6, 2)
+
+
+def test_pickle_and_copy_round_trip():
+    # Setting attributes raises, so copying must rebuild from the triple.
+    x = SPECS[13].element(Fraction(-5, 6), Fraction(7, 4))
+    for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert y == x and hash(y) == hash(x) and str(y) == str(x)
