@@ -66,12 +66,6 @@ class Mat2:
     def identity(spec: FieldSpec) -> Mat2:
         return Mat2(spec.one, spec.zero, spec.zero, spec.one)
 
-    @staticmethod
-    def quotient(a: KElement) -> Mat2:
-        """The matrix [[a, 1], [1, 0]] attached to one partial quotient."""
-        spec = a.spec
-        return Mat2(a, spec.one, spec.one, spec.zero)
-
     def __mul__(self, other: Mat2) -> Mat2:
         return Mat2(
             self.e11 * other.e11 + self.e12 * other.e21,
@@ -114,11 +108,7 @@ class QPairState:
 
 def continuant(spec: FieldSpec, ts: Sequence[KElement]) -> KElement:
     """K_n(t_1, ..., t_n) with K_{-1} = 0 and K_0 = 1."""
-    prev = spec.zero
-    cur = spec.one
-    for t in ts:
-        prev, cur = cur, t * cur + prev
-    return cur
+    return cf_matrix(spec, ts).e11
 
 
 def qpair_states(spec: FieldSpec, quotients: Iterable[KElement]) -> list[QPairState]:
@@ -126,8 +116,6 @@ def qpair_states(spec: FieldSpec, quotients: Iterable[KElement]) -> list[QPairSt
     q_prev, q_cur = spec.zero, None
     states: list[QPairState] = []
     for i, a in enumerate(quotients):
-        if i >= 1 and a.is_zero:
-            raise InputRuleError(f"zero partial quotient at index {i}")
         if i == 0:
             p_cur, q_cur = a, spec.one
         else:
@@ -143,10 +131,12 @@ def convergents(expansion: CFExpansion, n: int) -> list[QPairState]:
 
 
 def cf_matrix(spec: FieldSpec, quotients: Sequence[KElement]) -> Mat2:
-    m = Mat2.identity(spec)
+    """The product of the quotient matrices [[a, 1], [1, 0]], which is
+    [[P_n, P_(n-1)], [Q_n, Q_(n-1)]]: the convergent recurrence builds it."""
+    p, p_prev, q, q_prev = spec.one, spec.zero, spec.zero, spec.one
     for a in quotients:
-        m = m * Mat2.quotient(a)
-    return m
+        p, p_prev, q, q_prev = a * p + p_prev, p, a * q + q_prev, q
+    return Mat2(p, p_prev, q, q_prev)
 
 
 def e_matrix(expansion: CFExpansion) -> Mat2:
@@ -258,12 +248,14 @@ def eval_periodic(expansion: CFExpansion) -> PeriodicEvalResult:
                 gamma = gamma.conj_sqrt()
             value = gamma
 
-    k = len(expansion.period)
-    for j in range(k):
-        window = [expansion.period[(j + i) % k] for i in range(k)]
-        m = cf_matrix(spec, window)
+    # Window j is the period rotated to start at a_j; window j+1 is
+    # Q(a_j)^(-1) * (window j) * Q(a_j), with Q(a)^(-1) = [[0, 1], [1, -a]].
+    m = cf_matrix(spec, expansion.period)
+    for j, a in enumerate(expansion.period):
         if m.e21.is_zero and sign_of(m.e22 * m.e22 - 1) > 0:
             return fail(EvalFailure.INEQ_WINDOW, window=j, linear_poly=linear)
+        r = m.e11 - a * m.e21
+        m = Mat2(a * m.e21 + m.e22, m.e21, a * r + m.e12 - a * m.e22, r)
 
     return PeriodicEvalResult(
         e, poly, disc, value=value, value_in_k=value_in_k, linear_poly=linear

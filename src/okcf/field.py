@@ -35,7 +35,7 @@ _ZERO = Fraction(0)
 
 class InputRuleError(ValueError):
     """An input breaks one of the library's own rules for valid input, such
-    as a non-integral or zero partial quotient or a non-squarefree d.  The
+    as a non-integral partial quotient or a non-squarefree d.  The
     CLI reports these, and only these, as rejections."""
 
 
@@ -103,13 +103,6 @@ class FieldSpec:
 
     @cached_property
     def omega(self) -> KElement:
-        return self.element(0, 1)
-
-    @cached_property
-    def sqrt_d(self) -> KElement:
-        """The element whose real value is sqrt(d)."""
-        if self.omega_is_half:
-            return self.element(-1, 2)
         return self.element(0, 1)
 
     def __str__(self) -> str:
@@ -413,10 +406,6 @@ class SurdElement:
     def is_zero(self) -> bool:
         # sqrt(delta) is irrational over K, so the representation is unique.
         return self.x.is_zero and self.y.is_zero
-
-    @property
-    def is_k_element(self) -> bool:
-        return self.y.is_zero
 
     def __add__(self, other: object) -> SurdElement:
         o = self._coerce(other)

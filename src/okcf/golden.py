@@ -450,7 +450,7 @@ def expand_pair(
                 branch=branch,
                 conj_branch=conj_branch,
             )
-            return replace(result, verified=bool(verify_roundtrip(result, seed, branch)))
+            return replace(result, verified=bool(verify_roundtrip(result)))
         seen[key] = n
         keys.append(key)
     raise MaxStepsError(
@@ -458,40 +458,33 @@ def expand_pair(
     )
 
 
-def verify_roundtrip(r: ExpansionResult, seed: QuadraticPolyK, branch: int) -> RoundTrip:
-    """Evaluate the expansion and its sigma image back to the seed pair."""
-    details = []
-    xi = make_state(seed, branch).value
-    res = eval_periodic(r.expansion)
-    if res.value is not None:
-        forward = reals_equal(res.value, xi)
-    elif res.value_in_k is not None:
-        forward = False
-        details.append("expansion evaluates into K, not to the quartic root")
-    else:
-        forward = False
-        details.append(f"expansion has no value: {res.failure.value}")
-    if not forward and not details:
-        details.append("expansion value differs from the seed root")
+# Per side of the round trip: its name, the tail of its "evaluates into K"
+# text and the root it must evaluate to.
+_ROUNDTRIP_SIDES = (
+    ("expansion", ", not to the quartic root", "the seed root"),
+    ("sigma expansion", "", "the chosen conjugate root"),
+)
 
-    xip = make_state(seed.sigma(), r.conj_branch).value
-    sres = eval_periodic(r.expansion.sigma())
-    if sres.value is not None:
-        sigma_ok = reals_equal(sres.value, xip)
-    elif sres.value_in_k is not None:
-        sigma_ok = False
-        details.append("sigma expansion evaluates into K")
-    else:
-        sigma_ok = False
-        details.append(f"sigma expansion has no value: {sres.failure.value}")
-    if not sigma_ok and len(details) == 0:
-        details.append("sigma expansion value differs from the chosen conjugate root")
-    return RoundTrip(
-        ok=forward and sigma_ok,
-        forward_ok=forward,
-        sigma_ok=sigma_ok,
-        detail="; ".join(details),
+
+def verify_roundtrip(r: ExpansionResult) -> RoundTrip:
+    """Evaluate the expansion and its sigma image back to the seed pair."""
+    sides = (
+        (r.expansion, make_state(r.seed, r.branch)),
+        (r.expansion.sigma(), make_state(r.seed.sigma(), r.conj_branch)),
     )
+    details = []
+    oks = []
+    for (expansion, state), (name, into_k, root) in zip(sides, _ROUNDTRIP_SIDES):
+        res = eval_periodic(expansion)
+        ok = res.value is not None and reals_equal(res.value, state.value)
+        if res.value_in_k is not None:
+            details.append(f"{name} evaluates into K{into_k}")
+        elif res.value is None:
+            details.append(f"{name} has no value: {res.failure.value}")
+        elif not ok and not details:
+            details.append(f"{name} value differs from {root}")
+        oks.append(ok)
+    return RoundTrip(all(oks), *oks, detail="; ".join(details))
 
 
 @dataclass(frozen=True)

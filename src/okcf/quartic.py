@@ -334,8 +334,8 @@ def diagnostics(
     return rows
 
 
-def summarize(rows: Sequence[TrajectoryRow], seed: QuadraticPolyK, branch: int,
-              quotients: Sequence[KElement], precision_bits: int = DEFAULT_BITS) -> TrajectorySummary:
+def summarize(rows: Sequence[TrajectoryRow], quotients: Sequence[KElement],
+              precision_bits: int = DEFAULT_BITS) -> TrajectorySummary:
     """Summary of the `diagnostics` rows of (seed, branch, quotients).
 
     The maxima of |A_n| and |sigma(A_n)| run over xi_0 .. xi_N+1, where N

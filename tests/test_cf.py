@@ -87,9 +87,20 @@ class TestConvergents:
             for st in qpair_states(k5, qs):
                 assert st.determinant_ok()
 
-    def test_zero_quotient_rejected(self, k5):
-        with pytest.raises(ValueError):
-            qpair_states(k5, [k5.one, k5.zero])
+    def test_zero_quotients_match_cf_matrix(self, k5, rng):
+        # Zeros are valid anywhere: [.., a, 0, b, ..] = [.., a+b, ..].
+        words = [[k5.one, k5.zero]]
+        for _ in range(100):
+            qs = [random_k(rng, k5, 3) for _ in range(rng.randint(1, 8))]
+            for i in rng.sample(range(len(qs)), rng.randint(1, len(qs))):
+                qs[i] = k5.zero
+            words.append(qs)
+        for qs in words:
+            for n, st in enumerate(qpair_states(k5, qs)):
+                m = cf_matrix(k5, qs[: n + 1])
+                assert (st.p_cur, st.p_prev, st.q_cur, st.q_prev) == (
+                    m.e11, m.e12, m.e21, m.e22,
+                )
 
     def test_period_unrolling(self, k5):
         e = parse_expansion("[1; 2]", k5)
@@ -228,6 +239,35 @@ class TestEvalPeriodic:
             if m.e21.is_zero and sign_of(m.e22 * m.e22 - 1) > 0:
                 hits.append((j, m.e22))
         assert hits and hits[0][0] == 0 and hits[0][1] == beta
+
+    def test_window_is_first_exhaustive_hit(self, k5, rng):
+        # Oracle: each cyclic window's product from scratch, longhand.
+        def first_hit(period):
+            k = len(period)
+            for j in range(k):
+                m = mat_oracle(k5, [period[(j + i) % k] for i in range(k)])
+                if m[1][0].is_zero and sign_of(m[1][1] * m[1][1] - 1) > 0:
+                    return j
+            return None
+
+        beta = k5.omega
+        base = (k5.one, beta, k5.one - beta)
+        cases = [CFExpansion(k5, (), base[j:] + base[:j]) for j in range(3)]
+        for _ in range(400):
+            pre = tuple(random_k(rng, k5, 1) for _ in range(rng.randint(0, 2)))
+            per = tuple(random_k(rng, k5, 1) for _ in range(rng.randint(1, 6)))
+            cases.append(CFExpansion(k5, pre, per))
+        late_hits = 0
+        for e in cases:
+            res = eval_periodic(e)
+            if res.failure in (None, EvalFailure.INEQ_WINDOW):
+                hit = first_hit(e.period)
+                assert res.window == hit
+                assert (res.failure is EvalFailure.INEQ_WINDOW) == (hit is not None)
+                late_hits += hit is not None and hit >= 1
+            else:
+                assert res.window is None
+        assert late_hits >= 5
 
     def test_infinite_limit(self, k5):
         res = eval_periodic(parse_expansion("[; 1, 0]", k5))

@@ -360,9 +360,6 @@ def test_internal_value_error_is_not_a_rejection(capsys, monkeypatch, error):
 @pytest.mark.parametrize(
     "argv, reason",
     [
-        (["analyze", "--expansion", "[; 2, 0, w]", "-n", "3"], "zero partial quotient at index 1"),
-        (["analyze", "1", "-2", "-1-1*w", "-n", "2", "--quotients=1,0,2"],
-         "zero partial quotient at index 1"),
         (["eval", "[1; 2]", "--field-d", "4"], "d must be a squarefree integer > 1, got 4"),
     ],
 )
@@ -371,6 +368,26 @@ def test_input_rule_is_a_rejection(capsys, argv, reason):
     assert code == 3
     assert out == ""
     assert err == f"rejected: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--expansion", "[; 2, 0, w]", "-n", "3"],
+        ["analyze", "1", "-2", "-1-1*w", "-n", "2", "--quotients=1,0,2"],
+    ],
+    ids=["expansion", "quotients"],
+)
+def test_zero_quotient_is_accepted(capsys, argv):
+    # `eval` gives [; 2, 0, w] a value, so `analyze` takes zeros as well.
+    code, out, err = run(capsys, *argv, "--output", "json")
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    assert len(rows) == int(argv[argv.index("-n") + 1]) + 1
+    if "--expansion" in argv:
+        code, evaluated, _ = run(capsys, "eval", argv[2], "--output", "json")
+        assert code == 0
+        assert json.loads(out)["seed"] == json.loads(evaluated)["poly"]
 
 
 @pytest.mark.parametrize(

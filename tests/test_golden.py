@@ -26,6 +26,7 @@ from okcf.golden import (
     lattice_coords,
     verify_roundtrip,
 )
+from okcf.parsing import parse_expansion
 from okcf.quartic import QuadraticPolyK, make_state, run_trajectory, step_state
 
 
@@ -396,9 +397,38 @@ class TestRoundTrip:
             expansion=tampered, keys=r.keys, cycle_start=0, verified=False,
             seed=example_seed, branch=1, conj_branch=1,
         )
-        rt = verify_roundtrip(bad, example_seed, +1)
+        rt = verify_roundtrip(bad)
         assert not rt
         assert rt.detail
+
+    @pytest.mark.parametrize(
+        "period, conj_branch, forward_ok, detail",
+        [
+            ("[; 2, 4-2*w]", +1, True, ""),
+            ("[; 2, 4-2*w]", -1, True,
+             "sigma expansion value differs from the chosen conjugate root"),
+            ("[; 3, 4-2*w]", +1, False, "expansion value differs from the seed root"),
+            ("[; 0, 0]", +1, False,
+             "expansion has no value: identity_multiple; "
+             "sigma expansion has no value: identity_multiple"),
+            ("[; 0, 1]", +1, False,
+             "expansion evaluates into K, not to the quartic root; "
+             "sigma expansion evaluates into K"),
+        ],
+        ids=["verified", "conj-flipped", "tampered", "identity", "into-K"],
+    )
+    def test_roundtrip_detail_strings(self, k5, example_seed, period, conj_branch,
+                                      forward_ok, detail):
+        # A side's "value differs" text is added only when no earlier side
+        # left a detail, so the tampered period reports one text, not two.
+        r = ExpansionResult(
+            expansion=parse_expansion(period, k5), keys=(), cycle_start=0,
+            verified=False, seed=example_seed, branch=1, conj_branch=conj_branch,
+        )
+        rt = verify_roundtrip(r)
+        assert rt.detail == detail
+        assert rt.forward_ok is forward_ok
+        assert rt.ok is (detail == "")
 
     def test_candidate_order_constant(self):
         assert CANDIDATE_ORDER == (
