@@ -17,7 +17,12 @@ with rational u, v of opposite signs is the sign of the larger of u^2 and
 v^2*d, and a surd over K reduces the same way to signs in K.  No interval
 is involved in a sign, and the expansion path never embeds; `embed`
 serves display and report enclosures only, refined by the one routine
-`intervals.refine`.
+`intervals.refine`.  Enclosures are computed on integer mantissas and
+exposed as `Fraction` endpoints: an embedding is found as the dyadic
+triple (lo_m, hi_m, e) of `intervals.Dyadic`, from one `isqrt` of
+d * 4^bits and two floor divisions of the element's own integers, and is
+turned into a `RealInterval` once, unless the caller asks `embed` for the
+triple itself (`dyadic=True`) to compute on further.
 """
 
 from __future__ import annotations
@@ -28,7 +33,18 @@ from functools import cached_property
 from math import gcd, isqrt, lcm, sqrt
 from typing import Callable
 
-from .intervals import DEFAULT_BITS, RealInterval, refine, sqrt_down, sqrt_up
+from .intervals import (
+    DEFAULT_BITS,
+    Dyadic,
+    RealInterval,
+    dyadic_add,
+    dyadic_bits,
+    dyadic_interval,
+    dyadic_mul,
+    dyadic_rounded,
+    dyadic_sqrt,
+    refine,
+)
 
 _ZERO = Fraction(0)
 
@@ -305,21 +321,35 @@ class KElement:
             return Fraction(2 * self.p + self.q, 2 * self.den), Fraction(self.q, 2 * self.den)
         return self.a, self.b
 
-    def embed(self, precision_bits: int = DEFAULT_BITS, conjugate: bool = False) -> RealInterval:
-        """Enclosing interval of the chosen real embedding."""
-        x = self.conj() if conjugate else self
-        u, v = x.sqrt_d_coords()
-        if v == 0:
-            return RealInterval.point(u).rounded(max(precision_bits, 1))
-        d = Fraction(self.spec.d)
+    def embed(
+        self, precision_bits: int = DEFAULT_BITS, conjugate: bool = False, *, dyadic: bool = False
+    ) -> RealInterval | Dyadic:
+        """Enclosing interval of the chosen real embedding; with `dyadic`,
+        the `intervals.Dyadic` triple it is made from."""
+        # The embedding is (u + v*sqrt(d))/den; the conjugate only flips v.
+        if self.spec.omega_is_half:
+            u, v, den = 2 * self.p + self.q, self.q, 2 * self.den
+        else:
+            u, v, den = self.p, self.q, self.den
+        if conjugate:
+            v = -v
+        if v:
+            d = self.spec.d
 
-        def compute(bits: int) -> RealInterval:
-            s_lo, s_hi = sqrt_down(d, bits), sqrt_up(d, bits)
-            if v > 0:
-                return RealInterval.of(u + v * s_lo, u + v * s_hi)
-            return RealInterval.of(u + v * s_hi, u + v * s_lo)
+            def compute(bits: int) -> Dyadic:
+                # sqrt(d) lies in (r, r + 1) / 2^bits: d is not a square.
+                r = isqrt(d << 2 * bits)
+                lo = (u << bits) + v * r
+                hi = lo + v
+                if v < 0:
+                    lo, hi = hi, lo
+                return lo // den, -(-hi // den), bits
 
-        return _refine_to_quality(compute, precision_bits)
+            m = _refine_to_quality(compute, precision_bits)
+        else:
+            bits = max(precision_bits, 1)
+            m = (u << bits) // den, -(-(u << bits) // den), bits
+        return m if dyadic else dyadic_interval(m)
 
     def __float__(self) -> float:
         """A float approximation with no error bound; `embed` encloses.
@@ -480,19 +510,26 @@ class SurdElement:
     def recip(self) -> SurdElement:
         return self._coerce(1) / self
 
-    def embed(self, precision_bits: int = DEFAULT_BITS) -> RealInterval:
-        if self.y.is_zero:
-            return self.x.embed(precision_bits)
+    def embed(
+        self, precision_bits: int = DEFAULT_BITS, *, dyadic: bool = False
+    ) -> RealInterval | Dyadic:
+        """Enclosing interval of the value; with `dyadic`, the
+        `intervals.Dyadic` triple it is made from."""
+        x, y, delta = self.x, self.y, self.delta
+        if y.is_zero:
+            return x.embed(precision_bits, dyadic=dyadic)
         if surd_is_zero(self):
-            return RealInterval.point(0)
+            m = 0, 0, 0
+        else:
 
-        def compute(bits: int) -> RealInterval:
-            xi = self.x.embed(bits)
-            yi = self.y.embed(bits)
-            di = self.delta.embed(bits)
-            return xi + yi * di.sqrt(bits)
+            def compute(bits: int) -> Dyadic:
+                root = dyadic_sqrt(delta.embed(bits, dyadic=True), bits)
+                value = dyadic_add(x.embed(bits, dyadic=True),
+                                   dyadic_mul(y.embed(bits, dyadic=True), root))
+                return dyadic_rounded(value, bits)
 
-        return _refine_to_quality(compute, precision_bits)
+            m = _refine_to_quality(compute, precision_bits)
+        return m if dyadic else dyadic_interval(m)
 
     def __float__(self) -> float:
         return float(self.embed(64))
@@ -532,14 +569,13 @@ def _reduced(spec: FieldSpec, p: int, q: int, den: int) -> KElement:
     return _make(spec, p, q, den)
 
 
-def _refine_to_quality(
-    compute: Callable[[int], RealInterval], precision_bits: int
-) -> RealInterval:
-    """Refine until width <= 2^(1-precision_bits) * max(1, |lo|)."""
+def _refine_to_quality(compute: Callable[[int], Dyadic], precision_bits: int) -> Dyadic:
+    """Refine until width <= 2^(1-precision_bits) * max(1, |lo|); `compute`
+    returns its enclosure rounded outward to the bits it is given."""
     return refine(
-        lambda bits: compute(bits).rounded(bits),
+        compute,
         max(precision_bits, DEFAULT_BITS),
-        lambda iv: iv.precision_bits >= precision_bits,
+        lambda m: dyadic_bits(m) >= precision_bits,
     )
 
 

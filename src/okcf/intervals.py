@@ -1,8 +1,17 @@
 """Dyadic interval arithmetic used for real-embedding evaluation.
 
-An interval is its two endpoints and nothing more.  They are kept as
-exact `Fraction` values; constructors and the rounding helpers keep them
-dyadic (denominator a power of two), so every interval is an exact,
+Enclosures are computed on integer mantissas and exposed as `Fraction`
+endpoints.  The producers (the embeddings of `okcf.field`, the error-term
+and height enclosures of `okcf.quartic`) work on a `Dyadic` triple
+(lo_m, hi_m, e), the interval [lo_m/2^e, hi_m/2^e], with the helpers
+below: outward rounding and square roots are floor and ceil shifts of a
+mantissa, and the precision test is a `bit_length`, so no `Fraction` is
+built until `dyadic_interval` makes the public `RealInterval` once, at
+the return.  Every endpoint keeps its exact value.
+
+A `RealInterval` is its two endpoints and nothing more.  They are kept
+as exact `Fraction` values; constructors and the rounding helpers keep
+them dyadic (denominator a power of two), so every interval is an exact,
 machine-checkable enclosure of the real it stands for.  Its precision is
 derived from the endpoints when asked for, never stored.  Intervals
 serve enclosures and display only (heights, error terms, decimal
@@ -16,13 +25,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Callable
+from typing import Callable, TypeVar
 
 DEFAULT_BITS = 64
 MAX_BITS = 1 << 16
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# (lo_m, hi_m, e): the interval [lo_m / 2^e, hi_m / 2^e].
+Dyadic = tuple[int, int, int]
+_T = TypeVar("_T")
 
 
 class PrecisionError(ArithmeticError):
@@ -36,8 +49,7 @@ class PrecisionError(ArithmeticError):
     """
 
 
-def refine(compute: Callable[[int], RealInterval], bits: int,
-           accept: Callable[[RealInterval], bool]) -> RealInterval:
+def refine(compute: Callable[[int], _T], bits: int, accept: Callable[[_T], bool]) -> _T:
     """The first `compute(bits)` that `accept` takes, doubling `bits` up to
     MAX_BITS."""
     while True:
@@ -89,6 +101,94 @@ def effective_bits(lo: Fraction, hi: Fraction) -> int:
         return 1
     p = (ratio.numerator // ratio.denominator).bit_length() - 1
     return min(p, MAX_BITS)
+
+
+def _floor_shift(m: int, k: int) -> int:
+    """floor(m * 2^k)."""
+    return m << k if k >= 0 else m >> -k
+
+
+def _ceil_shift(m: int, k: int) -> int:
+    """ceil(m * 2^k)."""
+    return m << k if k >= 0 else -(-m >> -k)
+
+
+def dyadic_bits(m: Dyadic) -> int:
+    """`effective_bits` of the interval `m`."""
+    lo, hi, e = m
+    width = hi - lo
+    if not width:
+        return MAX_BITS
+    # floor(2 * max(1, |lo|) / width), with both sides scaled by 2^e
+    ratio = (max(1 << e, abs(lo)) << 1) // width
+    if ratio < 2:
+        return 1
+    return min(ratio.bit_length() - 1, MAX_BITS)
+
+
+def dyadic_rounded(m: Dyadic, bits: int) -> Dyadic:
+    """`RealInterval.rounded`: outward to `bits` fractional bits."""
+    lo, hi, e = m
+    return _floor_shift(lo, bits - e), _ceil_shift(hi, bits - e), bits
+
+
+def _aligned(a: Dyadic, b: Dyadic) -> tuple[int, int, int, int, int]:
+    """The endpoints of `a` and `b` over their larger exponent."""
+    alo, ahi, ae = a
+    blo, bhi, be = b
+    if ae < be:
+        return alo << (be - ae), ahi << (be - ae), blo, bhi, be
+    return alo, ahi, blo << (ae - be), bhi << (ae - be), ae
+
+
+def dyadic_add(a: Dyadic, b: Dyadic) -> Dyadic:
+    alo, ahi, blo, bhi, e = _aligned(a, b)
+    return alo + blo, ahi + bhi, e
+
+
+def dyadic_mul(a: Dyadic, b: Dyadic) -> Dyadic:
+    alo, ahi, ae = a
+    blo, bhi, be = b
+    products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+    return min(products), max(products), ae + be
+
+
+def dyadic_abs(m: Dyadic) -> Dyadic:
+    lo, hi, e = m
+    if lo >= 0:
+        return m
+    if hi <= 0:
+        return -hi, -lo, e
+    return 0, max(-lo, hi), e
+
+
+def dyadic_max(a: Dyadic, b: Dyadic) -> Dyadic:
+    """`RealInterval.max_with`."""
+    alo, ahi, blo, bhi, e = _aligned(a, b)
+    return max(alo, blo), max(ahi, bhi), e
+
+
+def dyadic_sqrt(m: Dyadic, bits: int) -> Dyadic:
+    """`RealInterval.sqrt`: root bounds with `bits` fractional bits."""
+    lo, hi, e = m
+    # A lower endpoint slightly below 0 is rounding noise for a value
+    # known to be nonnegative; clamp before taking the root.
+    if lo < 0:
+        lo = 0
+    if hi < 0:
+        raise ValueError("interval entirely negative under sqrt")
+    n = _ceil_shift(hi, 2 * bits - e)
+    r = isqrt(n)
+    if r * r < n:
+        r += 1
+    return isqrt(_floor_shift(lo, 2 * bits - e)), r, bits
+
+
+def dyadic_interval(m: Dyadic) -> RealInterval:
+    """The `RealInterval` with the endpoints of `m`."""
+    lo, hi, e = m
+    scale = 1 << e
+    return RealInterval(Fraction(lo, scale), Fraction(hi, scale))
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,27 @@ naive heights, trajectory diagnostics and the periodicity predicates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from typing import Sequence
 
 from .cf import QPairState, qpair_states
 from .field import FieldSpec, InputRuleError, KElement, SurdElement, is_square_in_k, sign_of
-from .intervals import DEFAULT_BITS, RealInterval, refine
+from .intervals import (
+    DEFAULT_BITS,
+    Dyadic,
+    RealInterval,
+    dyadic_abs,
+    dyadic_interval,
+    dyadic_max,
+    dyadic_mul,
+    dyadic_sqrt,
+    refine,
+)
+
+
+# The point interval [1, 1].
+_ONE: Dyadic = (1, 1, 0)
 
 
 class SeedError(InputRuleError):
@@ -143,42 +156,42 @@ def run_trajectory(
     return states
 
 
-def _embedding_magnitudes(
-    state: QuotientState, bits: int
-) -> tuple[RealInterval, RealInterval, list[RealInterval], KElement | None]:
-    """|phi(xi)| for the embeddings {id, tau1} and the sigma pair.
+def _weil4_m(state: QuotientState, precision_bits: int) -> Dyadic:
+    """`weil_height4` as a dyadic triple.
 
-    Returns (|xi|, |tau1(xi)|, sigma_magnitudes, pair_modulus_sq) where
-    sigma magnitudes hold the two real values when sigma(delta) > 0 and
-    pair_modulus_sq is the exact |z|^2 in K when the pair is complex.
+    The embeddings are id and tau1 (sqrt(delta) -> -sqrt(delta)) of xi and
+    the two roots of the conjugate polynomial.  When those roots are a
+    complex pair z, conj(z), their two factors are one max(1, |z|^2), with
+    |z|^2 = sigma(C)/sigma(A) exactly in K.
     """
-    v = state.value
-    m_id = abs(v.embed(bits))
-    m_tau = abs(v.conj_sqrt().embed(bits))
-    spoly = state.poly.sigma()
-    if sign_of(spoly.delta) > 0:
-        plus = QuotientState(spoly, 1).value
-        return m_id, m_tau, [abs(plus.embed(bits)), abs(plus.conj_sqrt().embed(bits))], None
-    # Complex conjugate pair: |z|^2 = sigma(C)/sigma(A) exactly in K.
-    return m_id, m_tau, [], spoly.C / spoly.A
+    poly, v = state.poly, state.value
+    surds = [v, v.conj_sqrt()]
+    sigma_delta = poly.delta.conj()
+    if sign_of(sigma_delta) > 0:
+        # The roots (-sigma(B) +- sqrt(sigma(delta)))/(2*sigma(A)) of the
+        # conjugate polynomial, from v = (-B + branch*sqrt(delta))/(2A).
+        plus = SurdElement(v.spec, sigma_delta, v.x.conj(), state.branch * v.y.conj())
+        surds += [plus, plus.conj_sqrt()]
+        pair_modulus = []
+    else:
+        pair_modulus = [(poly.C / poly.A).conj().embed(precision_bits, dyadic=True)]
+    magnitudes = [dyadic_abs(z.embed(precision_bits, dyadic=True)) for z in surds]
+    # A is integral, so its norm is an integer.
+    lead = abs(poly.A.norm().numerator)
+    acc = (lead, lead, 0)
+    for m in magnitudes + pair_modulus:
+        acc = dyadic_mul(acc, dyadic_max(m, _ONE))
+    return acc
 
 
 def weil_height4(state: QuotientState, precision_bits: int = DEFAULT_BITS) -> RealInterval:
     """Interval for H(xi)^4 = |A * sigma(A)| * prod max(1, |phi(xi)|)."""
-    lead = abs(state.poly.A.norm())
-    m_id, m_tau, sigma_pair, modulus_sq = _embedding_magnitudes(state, precision_bits)
-    acc = RealInterval.point(lead)
-    acc = acc * m_id.max_with(1) * m_tau.max_with(1)
-    if modulus_sq is None:
-        for m in sigma_pair:
-            acc = acc * m.max_with(1)
-    else:
-        acc = acc * modulus_sq.embed(precision_bits).max_with(1)
-    return acc
+    return dyadic_interval(_weil4_m(state, precision_bits))
 
 
 def weil_height(state: QuotientState, precision_bits: int = DEFAULT_BITS) -> RealInterval:
-    return weil_height4(state, precision_bits).root4(precision_bits)
+    root2 = dyadic_sqrt(_weil4_m(state, precision_bits), precision_bits)
+    return dyadic_interval(dyadic_sqrt(root2, precision_bits))
 
 
 def weil_height_element(x: KElement, precision_bits: int = DEFAULT_BITS) -> RealInterval:
@@ -228,11 +241,16 @@ def _tight_abs(value: KElement | SurdElement, rel_bits: int) -> RealInterval:
     vacuous for the exponentially small approximation errors S_n; this
     refines until the enclosure is tight relative to the value itself.
     """
-    tol = Fraction(1, 1 << (rel_bits - 1))
+    return dyadic_interval(_tight_abs_m(value, rel_bits))
+
+
+def _tight_abs_m(value: KElement | SurdElement, rel_bits: int) -> Dyadic:
+    """`_tight_abs` as a dyadic triple."""
+    shift = rel_bits - 1
     return refine(
-        lambda bits: abs(value.embed(bits)),
+        lambda bits: dyadic_abs(value.embed(bits, dyadic=True)),
         rel_bits,
-        lambda iv: iv.hi == 0 or (iv.lo > 0 and iv.width <= iv.lo * tol),
+        lambda m: m[1] == 0 or (m[0] > 0 and (m[1] - m[0]) << shift <= m[0]),
     )
 
 
@@ -290,43 +308,45 @@ def diagnostics(
     if sigma_real:
         xi_p_minus = xi_p_plus.conj_sqrt()
 
-    one = RealInterval.point(1)
-    prev = {"id": one, "tau": one, "s2": one, "s3": one}
+    prev = {"id": _ONE, "tau": _ONE, "s2": _ONE, "s3": _ONE}
     rows: list[TrajectoryRow] = []
     for n, qp in enumerate(qpairs):
         pn, qn = qp.p_cur, qp.q_cur
-        s_id = _tight_abs(xi * qn - pn, bits)
-        s_tau = _tight_abs(xi_tau * qn - pn, bits)
+        s_id = _tight_abs_m(xi * qn - pn, bits)
+        s_tau = _tight_abs_m(xi_tau * qn - pn, bits)
         sqn, spn = qn.conj(), pn.conj()
         if sigma_real:
-            s_s2 = _tight_abs(xi_p_plus * sqn - spn, bits)
-            s_s3 = _tight_abs(xi_p_minus * sqn - spn, bits)
-            sq_abs = abs(sqn.embed(bits))
-            qs_sigma = (s_s2 * sq_abs, s_s3 * sq_abs)
+            s_s2 = _tight_abs_m(xi_p_plus * sqn - spn, bits)
+            s_s3 = _tight_abs_m(xi_p_minus * sqn - spn, bits)
+            sq_abs = dyadic_abs(sqn.embed(bits, dyadic=True))
+            qs_sigma = (
+                dyadic_interval(dyadic_mul(s_s2, sq_abs)),
+                dyadic_interval(dyadic_mul(s_s3, sq_abs)),
+            )
         else:
             # Complex pair: |x'' + y''*sqrt(sigma(delta))|^2
             # = x''^2 - y''^2*sigma(delta) in K.
             x2 = xi_p_plus.x * sqn - spn
             y2 = xi_p_plus.y * sqn
             mod_sq = x2 * x2 - y2 * y2 * xi_p_plus.delta
-            s_s2 = s_s3 = _tight_abs(mod_sq, bits).sqrt(bits)
+            s_s2 = s_s3 = dyadic_sqrt(_tight_abs_m(mod_sq, bits), bits)
             qs_sigma = None
-        f1 = s_id.max_with(prev["id"]) * s_tau.max_with(prev["tau"])
-        f2 = s_s2.max_with(prev["s2"]) * s_s3.max_with(prev["s3"])
+        f1 = dyadic_mul(dyadic_max(s_id, prev["id"]), dyadic_max(s_tau, prev["tau"]))
+        f2 = dyadic_mul(dyadic_max(s_s2, prev["s2"]), dyadic_max(s_s3, prev["s3"]))
         state_n = states[n]
-        q_abs = abs(qn.embed(bits))
+        q_abs = dyadic_abs(qn.embed(bits, dyadic=True))
         rows.append(
             TrajectoryRow(
                 index=n,
                 triple=(state_n.poly.A, state_n.poly.B, state_n.poly.C),
                 p=pn,
                 q=qn,
-                s_n=s_id,
-                f1=f1,
-                f2=f2,
+                s_n=dyadic_interval(s_id),
+                f1=dyadic_interval(f1),
+                f2=dyadic_interval(f2),
                 weil=weil_height(state_n, bits),
                 naive=naive_height(state_n),
-                qs_abs=q_abs * s_id,
+                qs_abs=dyadic_interval(dyadic_mul(q_abs, s_id)),
                 qs_sigma=qs_sigma,
             )
         )

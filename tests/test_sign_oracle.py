@@ -1,5 +1,6 @@
-"""The exact signs of `okcf.field` against an independent oracle: the value
-evaluated with mpmath at 300 digits, from the rational coordinates alone."""
+"""The exact signs of `okcf.field` and the exact floors and ceilings of
+`okcf.golden.RealPair` against an independent oracle: the value evaluated
+with mpmath at 300 digits, from the rational coordinates alone."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import pytest
 mpmath = pytest.importorskip("mpmath")
 
 from conftest import random_k  # noqa: E402
+from okcf import golden  # noqa: E402
 from okcf.field import (  # noqa: E402
     FieldSpec,
     KElement,
@@ -20,7 +22,10 @@ from okcf.field import (  # noqa: E402
     surd_sign,
     surd_sum_sign,
 )
+from okcf.golden import RealPair, classify_seed, expand_pair, lattice_coords  # noqa: E402
+from okcf.quartic import QuadraticPolyK  # noqa: E402
 from test_field import k_near_ties, surd_near_ties  # noqa: E402
+from test_golden import pair_cases  # noqa: E402
 
 DIGITS = 300
 # Far below any value tested here (the closest ties are about 2^-200) and
@@ -128,3 +133,71 @@ def test_surd_sum_near_ties(k5):
         expected = sum_oracle(x, y1, d1, y2, d2)
         assert surd_sum_sign(x, y1, d1, y2, d2) == expected
         assert surd_sum_sign(-x, -y1, d1, -y2, d2) == -expected
+
+
+# -- RealPair.floor and ceil ---------------------------------------------
+
+# A corpus-style pool: admissible seeds with coefficients a + b*w,
+# |a|, |b| <= 3, each expanded on both conjugate branches.
+POOL_SEEDS = 150
+POOL_RNG_SEED = 20240611
+
+
+def mp_surd(u: SurdElement):
+    return mp_k(u.x) + mp_k(u.y) * mpmath.sqrt(mp_k(u.delta))
+
+
+def mp_pair(pair: RealPair):
+    value = mp_surd(pair.u)
+    return value if pair.v is None else value + mp_surd(pair.v)
+
+
+def oracle_floor_ceil(pair: RealPair) -> tuple[int, int]:
+    value = mp_pair(pair)
+    n = int(mpmath.nint(value))
+    if abs(value - n) <= DECISIVE:
+        # Every value here is algebraic of degree <= 8 with small
+        # coefficients; one that is not an integer lies far farther than
+        # 10^-260 from each integer, so this one is the integer n.
+        return n, n
+    n = int(mpmath.floor(value))
+    return n, n + 1
+
+
+def pool_seeds(k5: FieldSpec) -> list[QuadraticPolyK]:
+    rng = random.Random(POOL_RNG_SEED)
+    seeds: list[QuadraticPolyK] = []
+    while len(seeds) < POOL_SEEDS:
+        a, b, c = (k5.element(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(3))
+        if a.is_zero:
+            continue
+        seed = QuadraticPolyK(a, b, c)
+        if seed not in seeds and classify_seed(seed) is None:
+            seeds.append(seed)
+    return seeds
+
+
+def test_floor_ceil_on_every_corpus_step(k5, monkeypatch):
+    steps = []
+    choose = golden.choose_quotient
+
+    def recording(p, ctx):
+        steps.append(lattice_coords(p, ctx))
+        return choose(p, ctx)
+
+    monkeypatch.setattr(golden, "choose_quotient", recording)
+    for seed in pool_seeds(k5):
+        for conj in (1, -1):
+            expand_pair(seed, 1, conj)
+    assert len(steps) > 1000
+    for coords in steps:
+        for pair in (coords.x, coords.y):
+            assert (pair.floor(), pair.ceil()) == oracle_floor_ceil(pair)
+
+
+def test_floor_ceil_near_integers(k5):
+    # Random pairs, the dyadic near-integers of sqrt(2) + sqrt(3), the Pell
+    # near-integers n + (1 - sqrt(2))^k and the exact cases of the pair tests.
+    unlinked = QuadraticPolyK(k5.one, k5.omega, -k5.one)
+    for pair, _, floor, ceil in pair_cases(k5, unlinked):
+        assert (pair.floor(), pair.ceil()) == (floor, ceil) == oracle_floor_ceil(pair)
