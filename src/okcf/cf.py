@@ -140,13 +140,21 @@ def cf_matrix(spec: FieldSpec, quotients: Sequence[KElement]) -> Mat2:
 
 
 def e_matrix(expansion: CFExpansion) -> Mat2:
-    """M(pre) * M(period) * M(pre)^(-1); determinant (-1)^len(period)."""
+    """M(pre) * M(period) * M(pre)^(-1); determinant (-1)^len(period).
+
+    M(pre) has determinant (-1)^len(pre), so its inverse is that sign times
+    its adjugate, with no division.
+    """
     if not expansion.is_periodic:
         raise InputRuleError("period must be nonempty")
     spec = expansion.spec
     pre = cf_matrix(spec, expansion.preperiod)
     per = cf_matrix(spec, expansion.period)
-    return pre * per * pre.inverse()
+    if len(expansion.preperiod) % 2:
+        inv = Mat2(-pre.e22, pre.e12, pre.e21, -pre.e11)
+    else:
+        inv = Mat2(pre.e22, -pre.e12, -pre.e21, pre.e11)
+    return pre * per * inv
 
 
 def associated_poly(e: Mat2) -> tuple[KElement, KElement, KElement]:

@@ -458,14 +458,20 @@ class SurdElement:
         return SurdElement(self.spec, self.delta, -self.x, -self.y)
 
     def __mul__(self, other: object) -> SurdElement:
+        """The product in K(sqrt(delta)): 5 K products in general, 2 for a
+        K, int or Fraction factor (it scales x and y) and 4 for a square,
+        (x*x + y*y*delta) + 2xy*sqrt(delta)."""
+        x, y = self.x, self.y
+        if isinstance(other, (KElement, int, Fraction)):
+            return SurdElement(self.spec, self.delta, x * other, y * other)
+        if other is self:
+            xy = x * y
+            return SurdElement(self.spec, self.delta, x * x + y * y * self.delta, xy + xy)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return SurdElement(
-            self.spec,
-            self.delta,
-            self.x * o.x + self.y * o.y * self.delta,
-            self.x * o.y + self.y * o.x,
+            self.spec, self.delta, x * o.x + y * o.y * self.delta, x * o.y + y * o.x
         )
 
     __rmul__ = __mul__

@@ -32,7 +32,7 @@ from .field import (
     surd_sum_sign,
 )
 from .intervals import DEFAULT_BITS, RealInterval
-from .quartic import QuadraticPolyK, QuotientState, make_state, step_state
+from .quartic import QuadraticPolyK, QuotientState, step_state
 
 RADIUS_SQ = Fraction(9, 10)
 LOWER_BOUND_SQ = Fraction(10, 9)
@@ -314,9 +314,9 @@ def choose_quotient(p: PairState, ctx: PairContext) -> tuple[KElement, RealPair]
             continue
         seen.add((x, y))
         a = ctx.spec.element(x, y)
-        d1 = (xi - a) * (xi - a)
-        d2 = (xip - a.conj()) * (xip - a.conj())
-        dist = ctx.pair(d1, d2)
+        e1 = xi - a
+        e2 = xip - a.conj()
+        dist = ctx.pair(e1 * e1, e2 * e2)
         if dist.shift(-RADIUS_SQ).sign() < 0:
             return a, dist
     raise NoCandidateError(
@@ -401,8 +401,10 @@ def pair_steps(
     """
     _check_preconditions(seed)
     ctx = PairContext.create(seed)
-    s = make_state(seed, branch)
-    sp = make_state(seed.sigma(), conj_branch)
+    # The checks above admitted delta and sigma(delta); make_state would
+    # decide their signs and squareness again.
+    s = QuotientState(seed, branch)
+    sp = QuotientState(seed.sigma(), conj_branch)
     a = None
     for n in count():
         state = PairState(s, sp, n)
@@ -468,9 +470,10 @@ _ROUNDTRIP_SIDES = (
 
 def verify_roundtrip(r: ExpansionResult) -> RoundTrip:
     """Evaluate the expansion and its sigma image back to the seed pair."""
+    # expand_pair admitted r.seed, so its states need no second check.
     sides = (
-        (r.expansion, make_state(r.seed, r.branch)),
-        (r.expansion.sigma(), make_state(r.seed.sigma(), r.conj_branch)),
+        (r.expansion, QuotientState(r.seed, r.branch)),
+        (r.expansion.sigma(), QuotientState(r.seed.sigma(), r.conj_branch)),
     )
     details = []
     oks = []

@@ -125,24 +125,35 @@ def step_state(state: QuotientState, a: KElement) -> QuotientState:
 
     With B' = 2*A*a + B and C' = f(a), the identity
     1/(xi - a) = (-B' - branch*sqrt(delta)) / (2*C') gives the new branch
-    as -branch.
+    as -branch.  With t = A*a + B, f(a) = t*a + C and B' = A*a + t: two
+    K products.
     """
     if not a.is_integral:
         raise InputRuleError(f"partial quotient {a} is not integral in O_K")
     poly = state.poly
-    new_poly = QuadraticPolyK(poly.evaluate(a), 2 * poly.A * a + poly.B, poly.A)
+    aa = poly.A * a
+    t = aa + poly.B
+    new_poly = QuadraticPolyK(t * a + poly.C, aa + t, poly.A)
     return QuotientState(new_poly, -state.branch)
 
 
 def triple_recursion(seed: QuadraticPolyK, qp: QPairState) -> QuadraticPolyK:
-    """(A_{n+1}, B_{n+1}, C_{n+1}) from the convergent pair at index n."""
+    """(A_{n+1}, B_{n+1}, C_{n+1}) from the convergent pair at index n.
+
+    A_{n+1} = f(P_n, Q_n), C_{n+1} = f(P_{n-1}, Q_{n-1}) and B_{n+1} is the
+    polar form of the binary quadratic form f(x, y) = A*x^2 + B*x*y + C*y^2.
+    With u = A*P_n + B*Q_n and c = C*Q_n, A_{n+1} = u*P_n + c*Q_n and
+    B_{n+1} = (u + A*P_n)*P_{n-1} + (B*P_n + 2c)*Q_{n-1}: 13 K products.
+    """
     pn, pm = qp.p_cur, qp.p_prev
     qn, qm = qp.q_cur, qp.q_prev
-    a_next = seed.A * pn * pn + seed.B * pn * qn + seed.C * qn * qn
-    b_next = (
-        2 * seed.A * pn * pm + seed.B * (pn * qm + pm * qn) + 2 * seed.C * qn * qm
-    )
-    c_next = seed.A * pm * pm + seed.B * pm * qm + seed.C * qm * qm
+    A, B, C = seed.A, seed.B, seed.C
+    ap = A * pn
+    u = ap + B * qn
+    c = C * qn
+    a_next = u * pn + c * qn
+    b_next = (u + ap) * pm + (B * pn + c + c) * qm
+    c_next = (A * pm + B * qm) * pm + C * qm * qm
     return QuadraticPolyK(a_next, b_next, c_next)
 
 
@@ -217,20 +228,24 @@ def weil_height_element(x: KElement, precision_bits: int = DEFAULT_BITS) -> Real
 
 
 def naive_height(state: QuotientState) -> int:
-    """Max |coefficient| of the degree-4 integer polynomial f_n * sigma(f_n)."""
-    p, s = state.poly, state.poly.sigma()
+    """Max |coefficient| of the degree-4 integer polynomial f_n * sigma(f_n).
+
+    Its coefficients are N(A), Tr(A*sigma(B)), Tr(A*sigma(C)) + N(B),
+    Tr(B*sigma(C)) and N(C): 3 K products.
+    """
+    A, B, C = state.poly.A, state.poly.B, state.poly.C
     coeffs = [
-        p.A * s.A,
-        p.A * s.B + p.B * s.A,
-        p.A * s.C + p.C * s.A + p.B * s.B,
-        p.B * s.C + p.C * s.B,
-        p.C * s.C,
+        A.norm(),
+        (A * B.conj()).trace(),
+        (A * C.conj()).trace() + B.norm(),
+        (B * C.conj()).trace(),
+        C.norm(),
     ]
     out = 0
     for c in coeffs:
-        if not (c.is_rational and c.is_integral):
+        if c.denominator != 1:
             raise AssertionError(f"f_n * sigma(f_n) has a non-integer coefficient {c}")
-        out = max(out, abs(c.p))
+        out = max(out, abs(c.numerator))
     return out
 
 

@@ -1,7 +1,9 @@
 """`eval_periodic` values against an independent oracle: the convergents
 P_n/Q_n of the expansion, built from its quotients alone with exact
 integers in Z[w] and evaluated with mpmath at w = (1 + sqrt(5))/2 and, for
-the sigma image, at w = (1 - sqrt(5))/2."""
+the sigma image, at w = (1 - sqrt(5))/2.  The same convergents of pair
+expansions are checked against the seed's own roots, and sympy pins the
+seed root's quartic and its naive height."""
 
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from okcf.cf import CFExpansion, eval_periodic  # noqa: E402
 from okcf.field import FieldSpec, KElement  # noqa: E402
 from okcf.golden import classify_seed, expand_pair  # noqa: E402
 from okcf.parsing import parse_expansion  # noqa: E402
-from okcf.quartic import QuadraticPolyK  # noqa: E402
+from okcf.quartic import QuadraticPolyK, make_state, naive_height  # noqa: E402
 
 K5 = FieldSpec(5)
 DIGITS = 30
@@ -129,3 +131,70 @@ def test_pair_expansions():
             r = expand_pair(seed, 1, conj)
             assert assert_sides_agree(r.expansion) == 2
             results += 1
+
+
+# -- The expansion against its own seed, outside okcf.cf ------------------
+
+
+def seed_root(seed: QuadraticPolyK, sign: int, branch: int):
+    """(-B + branch*sqrt(B^2 - 4AC))/(2A) with A, B, C evaluated at
+    w = (1 + sign*sqrt(5))/2: a root of the seed (sign 1) or of its sigma
+    image (sign -1), from the seed's integers alone."""
+    w = (1 + sign * mpmath.sqrt(5)) / 2
+    a, b, c = (zw_value(zw(k), w) for k in (seed.A, seed.B, seed.C))
+    return (-b + branch * mpmath.sqrt(b * b - 4 * a * c)) / (2 * a)
+
+
+def corpus_style_seeds(count: int, rng_seed: int) -> list[QuadraticPolyK]:
+    """Admissible seeds with coefficients a + b*w, |a|, |b| <= 3."""
+    rng = random.Random(rng_seed)
+    seeds: list[QuadraticPolyK] = []
+    while len(seeds) < count:
+        a, b, c = (K5.element(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(3))
+        if a.is_zero:
+            continue
+        seed = QuadraticPolyK(a, b, c)
+        if seed not in seeds and classify_seed(seed) is None:
+            seeds.append(seed)
+    return seeds
+
+
+def test_pair_expansions_converge_to_seed_roots():
+    """The convergents of each expansion approach the seed's root on the
+    chosen branch, and their sigma images the chosen root of the sigma
+    seed; neither side goes through eval_periodic."""
+    for seed in corpus_style_seeds(30, 20240719):
+        for conj in (1, -1):
+            r = expand_pair(seed, 1, conj)
+            with mpmath.workdps(DIGITS + 30):
+                for sign, branch in ((1, 1), (-1, conj)):
+                    root = seed_root(seed, sign, branch)
+                    limit = convergent_limit(r.expansion, sign)
+                    assert abs(limit - root) <= mpmath.mpf(10) ** -DIGITS * max(1, abs(root)), (
+                        f"{seed} side {sign}: root {mpmath.nstr(root, 40)}, "
+                        f"convergents of {r.expansion} {mpmath.nstr(limit, 40)}"
+                    )
+
+
+def test_seed_quartics_with_sympy():
+    """f * sigma(f), multiplied out by sympy, is proportional to sympy's
+    minimal polynomial of the seed root, and its largest coefficient is
+    the package's naive height; on the README example it is that root's
+    minimal polynomial t^4 - 4t^3 + t^2 + 6t + 1."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    beta = K5.omega
+    readme = QuadraticPolyK(K5.one, K5.element(-2), -(beta * beta))
+    w = (1 + sympy.sqrt(5)) / 2
+    readme_min = sympy.minimal_polynomial(1 + sympy.sqrt(w**2 + 1), t)
+    assert readme_min == t**4 - 4 * t**3 + t**2 + 6 * t + 1
+    for seed in [readme, *corpus_style_seeds(5, 20240720)]:
+        coeffs = [(k.p + k.q * w, k.p + k.q * (1 - w)) for k in (seed.A, seed.B, seed.C)]
+        (a, sa), (b, sb), (c, sc) = coeffs
+        product = sympy.Poly(sympy.expand((a * t**2 + b * t + c) * (sa * t**2 + sb * t + sc)), t)
+        assert all(x.is_Integer for x in product.all_coeffs())
+        root = (-b + sympy.sqrt(b * b - 4 * a * c)) / (2 * a)
+        minimal = sympy.Poly(sympy.minimal_polynomial(root, t), t)
+        assert product * minimal.LC() == minimal * product.LC()
+        assert naive_height(make_state(seed, 1)) == max(abs(x) for x in product.all_coeffs())
+    assert naive_height(make_state(readme, 1)) == 6
