@@ -120,8 +120,8 @@ def test_surd_scalar_and_square_products(spec):
         assert s ** 2 == square
         for k in (random_k(rng, spec, 9, integral), rng.randint(-9, 9),
                   Fraction(rng.randint(-9, 9), rng.randint(1, 9))):
-            as_surd = SurdElement(spec, delta, spec.element(k) if not isinstance(k, KElement)
-                                  else k, spec.zero)
+            kx = k if isinstance(k, KElement) else spec.element(k)
+            as_surd = SurdElement(spec, delta, kx, spec.zero)
             want = longhand_product(s, as_surd)
             assert s * k == want == k * s == s * as_surd
 
