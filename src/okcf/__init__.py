@@ -40,6 +40,7 @@ from .golden import (
     covering_radius,
     expand_pair,
     lattice_coords,
+    squared_distance,
     verify_roundtrip,
 )
 from .intervals import DEFAULT_BITS, MAX_BITS, PrecisionError, RealInterval

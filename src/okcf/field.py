@@ -14,10 +14,14 @@ coordinates `a` and `b` are derived.  Elements of L are stored as
 x + y*sqrt(delta) with x, y, delta in K and sqrt(delta) the positive real
 root.  Signs are decided exactly by squaring: the sign of u + v*sqrt(d)
 with rational u, v of opposite signs is the sign of the larger of u^2 and
-v^2*d, and a surd over K reduces the same way to signs in K.  No interval
+v^2*d, and a surd over K reduces the same way to signs in K.  These exact
+signs are the fallback of the pair expansion, whose certified float
+filter (`okcf.golden`) decides most of its questions first.  No interval
 is involved in a sign, and the expansion path never embeds; `embed`
 serves display and report enclosures only, refined by the one routine
-`intervals.refine`.  Enclosures are computed on integer mantissas and
+`intervals.refine`.  A surd's `embed` asks whether the value is exactly 0
+(a square delta can hide a zero) only when an enclosure contains 0, and
+at most once per call.  Enclosures are computed on integer mantissas and
 exposed as `Fraction` endpoints: an embedding is found as the dyadic
 triple (lo_m, hi_m, e) of `intervals.Dyadic`, from one `isqrt` of
 d * 4^bits and two floor divisions of the element's own integers, and is
@@ -524,17 +528,24 @@ class SurdElement:
         x, y, delta = self.x, self.y, self.delta
         if y.is_zero:
             return x.embed(precision_bits, dyadic=dyadic)
-        if surd_is_zero(self):
-            m = 0, 0, 0
-        else:
+        # Whether the value is exactly 0 (delta a square in K), decided only
+        # when an enclosure contains 0, and at most once.
+        is_zero: bool | None = None
 
-            def compute(bits: int) -> Dyadic:
-                root = dyadic_sqrt(delta.embed(bits, dyadic=True), bits)
-                value = dyadic_add(x.embed(bits, dyadic=True),
-                                   dyadic_mul(y.embed(bits, dyadic=True), root))
-                return dyadic_rounded(value, bits)
+        def compute(bits: int) -> Dyadic:
+            nonlocal is_zero
+            root = dyadic_sqrt(delta.embed(bits, dyadic=True), bits)
+            value = dyadic_add(x.embed(bits, dyadic=True),
+                               dyadic_mul(y.embed(bits, dyadic=True), root))
+            m = dyadic_rounded(value, bits)
+            if m[0] <= 0 <= m[1]:
+                if is_zero is None:
+                    is_zero = surd_is_zero(self)
+                if is_zero:
+                    return 0, 0, 0
+            return m
 
-            m = _refine_to_quality(compute, precision_bits)
+        m = _refine_to_quality(compute, precision_bits)
         return m if dyadic else dyadic_interval(m)
 
     def __float__(self) -> float:

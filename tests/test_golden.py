@@ -24,6 +24,7 @@ from okcf.golden import (
     covering_radius,
     expand_pair,
     lattice_coords,
+    squared_distance,
     verify_roundtrip,
 )
 from okcf.parsing import parse_expansion
@@ -239,7 +240,8 @@ class TestChooseQuotient:
     def test_example_first_quotient(self, k5, example_seed):
         ctx = PairContext.create(example_seed)
         ps = PairState(make_state(example_seed, +1), make_state(example_seed.sigma(), +1), 0)
-        a, dist = choose_quotient(ps, ctx)
+        a = choose_quotient(ps, ctx)
+        dist = squared_distance(ps, ctx, a)
         assert a == 2
         assert float(dist) < 0.9
 
@@ -247,27 +249,30 @@ class TestChooseQuotient:
         ctx = PairContext.create(example_seed)
         s = make_state(example_seed, +1)
         sp = make_state(example_seed.sigma(), +1)
-        a0, _ = choose_quotient(PairState(s, sp, 0), ctx)
+        a0 = choose_quotient(PairState(s, sp, 0), ctx)
         s, sp = step_state(s, a0), step_state(sp, a0.conj())
-        a1, _ = choose_quotient(PairState(s, sp, 1), ctx)
+        a1 = choose_quotient(PairState(s, sp, 1), ctx)
         assert a1 == k5.element(4, -2)
 
     def test_alternative_branch_takes_beta_squared(self, k5, example_seed):
         ctx = PairContext.create(example_seed)
         ps = PairState(make_state(example_seed, +1), make_state(example_seed.sigma(), -1), 0)
-        a, _ = choose_quotient(ps, ctx)
+        a = choose_quotient(ps, ctx)
         assert a == k5.element(1, 1)  # beta^2 = 1 + beta
 
     def test_dist_is_exact_squared_distance(self, example_seed, unlinked_seed):
-        # choose_quotient hands back the exact RealPair it decided on, not an
-        # enclosure; the float carries rounding error (about 1e-16 here)
-        # that a 64-bit enclosure is far narrower than, hence the tolerance.
+        # squared_distance hands back the exact RealPair of the chosen
+        # corner, not an enclosure; the float carries rounding error (about
+        # 1e-16 here) that a 64-bit enclosure is far narrower than, hence
+        # the tolerance.
         for seed in (example_seed, unlinked_seed):
             ctx = PairContext.create(seed)
             for conj_branch in (1, -1):
                 s, sp = make_state(seed, +1), make_state(seed.sigma(), conj_branch)
                 for n in range(6):
-                    a, dist = choose_quotient(PairState(s, sp, n), ctx)
+                    p = PairState(s, sp, n)
+                    a = choose_quotient(p, ctx)
+                    dist = squared_distance(p, ctx, a)
                     assert isinstance(dist, RealPair)
                     assert dist.shift(-RADIUS_SQ).sign() < 0
                     assert dist.sign() >= 0
