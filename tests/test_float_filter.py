@@ -233,8 +233,8 @@ def test_forced_exact_path_gives_the_same_expansions(pool_run, monkeypatch):
         assert exact.keys == r.keys
         assert exact.cycle_start == r.cycle_start
         assert exact.verified == r.verified
-    # The fast path: at most 2% of the floors and of the candidate tests
-    # reach the exact path.
+    # The fast path: at most 2% of the floors, of the candidate tests and
+    # of the modulus checks reach the exact path.
     for kind in ("floor", "candidate", "modulus"):
         decisions, undecided = counts[kind]
         assert decisions > 1000
