@@ -256,6 +256,16 @@ class PairState:
         """Exact value-level key of the pair, used for cycle detection."""
         return (*self.xi.canonical_key, *self.xi_prime.canonical_key)
 
+    def enclosures(self, ctx: PairContext) -> PairEnclosures | None:
+        """Float enclosures of xi, xi' and the lattice coordinates x, y, or
+        None when the filter abstains.  Built once per state: they depend
+        on ctx only through sqrt(delta) and sqrt(sigma(delta)), which every
+        state of one expansion shares."""
+        cache = self.__dict__
+        if "_enclosures" not in cache:
+            cache["_enclosures"] = _pair_enclosures(self, ctx)
+        return cache["_enclosures"]
+
 
 @dataclass(frozen=True)
 class ExpansionConfig:
@@ -320,15 +330,21 @@ class ExpansionResult:
 # bound is itself rounded, so a decision doubles it, and it compares
 # strictly against a representable threshold, which rounding v -+ 2e
 # cannot cross.  The filter abstains (the enclosure is None, or the
-# decision helper returns None) on an OverflowError, on a divisor or
-# radicand whose enclosure reaches 0 and when floats are not binary64.
-# An inf or NaN fails every comparison a decision makes, so the filter
-# abstains on non-finite values too.
+# decision helper returns None) on an OverflowError, on a radicand whose
+# enclosure reaches 0, on a divisor whose enclosure reaches half its
+# value or that is not finite, and when floats are not binary64.  Float
+# operations overflow to inf without raising, but a result that is inf or
+# NaN carries an inf or NaN bound, and those fail every comparison a
+# decision makes; division by an infinite divisor is the one operation
+# that would turn such a value finite again, hence its own check.
 
 Enclosure = tuple[float, float]
+# (xi, xi', x, y)
+PairEnclosures = tuple[Enclosure, Enclosure, Enclosure, Enclosure]
 
 _U = 2.0**-53
 _ETA = 2.0**-1022
+_INF = float("inf")
 _BINARY64 = (
     sys.float_info.radix == 2
     and sys.float_info.mant_dig == 53
@@ -373,8 +389,11 @@ def _div(a: Enclosure, b: Enclosure) -> Enclosure:
     av, ae = a
     bv, be = b
     m = abs(bv)
-    if not be < m:
-        raise _Abstain("divisor enclosure reaches 0")
+    # be < m/2 keeps m - be above m/2, so a few ulps of rounding in be move
+    # m - be, and the bound below, by a few ulps only: the doubled bound of
+    # a decision covers that.  Near be = m they would not.
+    if not 2 * be < m < _INF:
+        raise _Abstain("divisor enclosure reaches half its value, or inf")
     v = av / bv
     # |a/b - av/bv| <= (ae + |av/bv|*be) / (|bv| - be)
     return v, (ae + abs(v) * be) / (m - be) + _U * abs(v) + _ETA
@@ -412,9 +431,7 @@ def _xi_enclosure(s: QuotientState, root: Enclosure) -> Enclosure | None:
         return None
 
 
-def _pair_enclosures(
-    p: PairState, ctx: PairContext
-) -> tuple[Enclosure, Enclosure, Enclosure, Enclosure] | None:
+def _pair_enclosures(p: PairState, ctx: PairContext) -> PairEnclosures | None:
     """Enclosures of xi, xi', and the lattice coordinates
     y = (xi - xi')/sqrt(5) and x = xi - y*w; None when the filter abstains."""
     roots = ctx.float_roots
@@ -499,7 +516,7 @@ def choose_quotient(p: PairState, ctx: PairContext) -> KElement:
     The float filter answers each floor and each distance test that its
     enclosure decides; the exact squarings answer the rest.
     """
-    enc = _pair_enclosures(p, ctx)
+    enc = p.enclosures(ctx)
     xs = _float_floor(None if enc is None else enc[2])
     ys = _float_floor(None if enc is None else enc[3])
     if xs is None or ys is None:
@@ -526,12 +543,11 @@ def choose_quotient(p: PairState, ctx: PairContext) -> KElement:
     )
 
 
-def _modulus_ok(s: QuotientState, root: Enclosure | None, ctx: PairContext) -> bool:
-    """Whether xi^2 > 10/9 for the value xi of s."""
-    z = None if root is None else _xi_enclosure(s, root)
-    if z is not None:
-        z = _mul(z, z)
-    below = _float_below(z, _LOWER_SQ_BELOW, _LOWER_SQ_ABOVE)
+def _modulus_ok(s: QuotientState, z: Enclosure | None, ctx: PairContext) -> bool:
+    """Whether xi^2 > 10/9 for the value xi of s, given an enclosure z of
+    xi or None."""
+    z2 = None if z is None else _mul(z, z)
+    below = _float_below(z2, _LOWER_SQ_BELOW, _LOWER_SQ_ABOVE)
     if below is None:
         return sign_of(s.value * s.value - ctx.lower_bound_sq) > 0
     return not below
@@ -618,16 +634,16 @@ def pair_steps(
     # decide their signs and squareness again.
     s = QuotientState(seed, branch)
     sp = QuotientState(seed.sigma(), conj_branch)
-    root, root_prime = ctx.float_roots or (None, None)
     a = None
     for n in count():
         state = PairState(s, sp, n)
         yield a, state
         if n >= 1:
             # Both complete quotients must stay above sqrt(10/9) in modulus.
-            if not _modulus_ok(s, root, ctx):
+            enc = state.enclosures(ctx) or (None, None)
+            if not _modulus_ok(s, enc[0], ctx):
                 raise ExpansionError("complete quotient modulus invariant violated")
-            if not _modulus_ok(sp, root_prime, ctx):
+            if not _modulus_ok(sp, enc[1], ctx):
                 raise ExpansionError("conjugate quotient modulus invariant violated")
         a = choose_quotient(state, ctx)
         s = step_state(s, a)

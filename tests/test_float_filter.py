@@ -154,13 +154,17 @@ def crafted_seeds(k5) -> dict[str, QuadraticPolyK]:
     -B + sqrt(delta) (delta = B^2 + 4), near-units F_(k+1) + 2^146 - F_k*w
     whose float enclosures reach 0 although their floats are not 0, as a
     leading coefficient and inside delta, and coefficients too large for a
-    float."""
+    float.  "huge_lead" is admissible with A = 2^1023, a float whose double
+    2A overflows to inf without raising, B = 2^1023 - 3^380 and
+    delta = B^2 mod 2^1025, a float that is not a square in K."""
     big = k5.element(3 << 199, (1 << 200) + 12345)
     fib = [0, 1]
     while fib[-1].bit_length() < 200:
         fib.append(fib[-1] + fib[-2])
     k = len(fib) - 2 if len(fib) % 2 else len(fib) - 3  # even k: F_(k+1) > F_k*w
     near_unit = k5.element(fib[k + 1] + (1 << 146), -fib[k])
+    b = (1 << 1023) - 3**380
+    r = b * b % (1 << 1025)
     return {
         "cancel": QuadraticPolyK(k5.one, big, -k5.one),
         "cancel_neg": QuadraticPolyK(k5.one, -big, -k5.one),
@@ -168,6 +172,9 @@ def crafted_seeds(k5) -> dict[str, QuadraticPolyK]:
         "tiny_lead": QuadraticPolyK(near_unit, big, -k5.one),
         "tiny_delta": QuadraticPolyK(k5.one, k5.zero, -near_unit),
         "overflow": QuadraticPolyK(k5.one, k5.element(1 << 1100, 1), -k5.one),
+        "huge_lead": QuadraticPolyK(
+            k5.element(1 << 1023), k5.element(b), k5.element((b * b - r) >> 1025)
+        ),
     }
 
 
@@ -196,6 +203,15 @@ def test_enclosures_hold_on_crafted_states(mp, k5):
     assert 0 < golden._k_enclosure(delta)[0] < golden._k_enclosure(delta)[1]
     assert PairContext.create(seeds["tiny_delta"]).float_roots is None
     assert PairContext.create(seeds["overflow"]).float_roots is None
+    # A divisor that overflows to inf: finite/inf = 0 would enclose xi
+    # (about -1/2) as 0, and choose 0 where the exact path chooses -1.
+    huge = seeds["huge_lead"]
+    assert golden.classify_seed(huge) is None
+    assert 0 < huge.delta.p < 2**1023 and huge.delta.q == 0
+    for p, ctx in both_branches(huge):
+        assert check_state(mp, p, ctx) == 2
+        assert golden._pair_enclosures(p, ctx) is None
+        assert golden.choose_quotient(p, ctx) == -1
 
 
 def test_helpers_abstain_when_the_enclosure_touches_a_threshold():
