@@ -50,8 +50,6 @@ from .intervals import (
     refine,
 )
 
-_ZERO = Fraction(0)
-
 
 class InputRuleError(ValueError):
     """An input breaks one of the library's own rules for valid input, such
@@ -670,38 +668,51 @@ def sign_of(u: SurdElement | KElement | int | Fraction) -> int:
 
 
 def is_square_in_k(x: KElement) -> KElement | None:
-    """A root y in K with y^2 = x, or None.  The nonnegative root is returned."""
+    """A root y in K with y^2 = x, or None.  The nonnegative root is returned.
+
+    Write x = (u + v*sqrt(d))/m with integers u, v, m.  A root y makes
+    z = m*y a root of U + V*sqrt(d) = m*u + m*v*sqrt(d), an algebraic
+    integer, so 2z = S + T*sqrt(d) with integers S, T.  Squaring gives
+    S^2 + d*T^2 = 4U and S*T = 2V, and U^2 - d*V^2 = N(z)^2 must be a
+    square n^2, with S^2 - d*T^2 = 4*N(z) = +-4n: so S^2 = 2(U +- n).  The
+    norm test comes first and rejects most non-squares with one isqrt.
+    """
     spec = x.spec
     if x.is_zero:
         return spec.zero
-    u, v = x.sqrt_d_coords()
-    d = Fraction(spec.d)
-    candidates: list[tuple[Fraction, Fraction]] = []
-    if v == 0:
-        r = rational_sqrt(u)
-        if r is not None:
-            candidates.append((r, _ZERO))
-        r = rational_sqrt(u / d)
-        if r is not None:
-            candidates.append((_ZERO, r))
+    d = spec.d
+    if spec.omega_is_half:
+        u, v, m = 2 * x.p + x.q, x.q, 2 * x.den
     else:
-        # (s + t*sqrt(d))^2 = x forces s^2 = (u +- sqrt(u^2 - v^2 d))/2,
-        # t = v/(2s); the inner radical is the rational norm of x.
-        n = rational_sqrt(u * u - v * v * d)
-        if n is None:
-            return None
-        for w in (u + n, u - n):
-            s = rational_sqrt(w / 2)
-            if s is None or s == 0:
+        u, v, m = x.p, x.q, x.den
+    norm = u * u - d * v * v
+    if norm < 0:
+        return None
+    n = isqrt(norm)
+    if n * n != norm:
+        return None
+    big_u, n = m * u, m * n
+    two_v = 2 * m * v
+    for s2 in (2 * (big_u + n), 2 * (big_u - n)):
+        s = isqrt(s2) if s2 >= 0 else -1
+        if s * s != s2:
+            continue
+        if s:
+            t, rem = divmod(two_v, s)
+            if rem or s * s + d * t * t != 4 * big_u:
                 continue
-            candidates.append((s, v / (2 * s)))
-    for s, t in candidates:
-        if spec.omega_is_half:
-            root = spec.element(s - t, 2 * t)
         else:
-            root = spec.element(s, t)
-        if root * root == x:
-            return root if sign_of(root) >= 0 else -root
+            # z = T*sqrt(d)/2: V = 0 and d*T^2 = 4U.
+            t2, rem = divmod(4 * big_u, d)
+            t = isqrt(t2) if t2 >= 0 else -1
+            if two_v or rem or t * t != t2:
+                continue
+        if _root_sign(s, t, d) < 0:
+            s, t = -s, -t
+        # y = (S + T*sqrt(d))/(2m), with sqrt(d) = 2w - 1 when w is a half.
+        if spec.omega_is_half:
+            return _reduced(spec, s - t, 2 * t, 2 * m)
+        return _reduced(spec, s, t, 2 * m)
     return None
 
 

@@ -7,11 +7,20 @@ candidates whose squared distance to the pair is below 9/10 (the
 circumradius bound of the fundamental cell of v(O_K)).  Cycle detection
 on exact quotient-state keys yields an ultimately periodic expansion.
 
-Every decision of a step (the two lattice floors, each corner's distance
-test and the two modulus checks) is exact.  A certified float filter
-answers it from binary64 enclosures when their error bound proves the
-answer, and exact squaring answers the rest; on the corpus pool the exact
-path sees under 1% of the decisions.
+Every decision of a step (the two lattice floors and each corner's
+distance test) is exact.  A certified float filter answers it from
+binary64 enclosures when their error bound proves the answer, and exact
+squaring answers the rest; on the corpus pool the exact path sees under 1%
+of the decisions.  The modulus invariant xi_n^2 > 10/9 follows from the
+previous step's distance test and is asserted by the tests, not checked.
+
+The round trip reads only the quotients and the seed.  The expansion
+evaluates to the seed root only if E = M(pre)*M(period)*M(pre)^(-1) is
+proportional to the seed polynomial, and then the root `eval_periodic`
+selects is decided by the signs of E21, A and tr(E); the sigma side takes
+the conjugates of the same entries.  Any other case is evaluated in full
+by `eval_periodic` and compared with `reals_equal`, which also writes
+every failure text.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from itertools import count
 from math import floor as _floor, sqrt
 from typing import Iterator
 
-from .cf import CFExpansion, eval_periodic
+from .cf import CFExpansion, e_matrix, eval_periodic
 from .field import (
     FieldSpec,
     InputRuleError,
@@ -42,6 +51,8 @@ from .intervals import DEFAULT_BITS, RealInterval
 from .quartic import QuadraticPolyK, QuotientState, step_state
 
 RADIUS_SQ = Fraction(9, 10)
+# Every complete quotient after the first has xi_n^2 > 10/9: the distance
+# test proves it (see `pair_steps`), and the tests assert it on every step.
 LOWER_BOUND_SQ = Fraction(10, 9)
 
 CANDIDATE_ORDER = (("floor", "floor"), ("floor", "ceil"), ("ceil", "floor"), ("ceil", "ceil"))
@@ -196,14 +207,17 @@ class PairContext:
     spec: FieldSpec
     delta: KElement
     delta_prime: KElement
-    link: KElement | None
 
     @staticmethod
     def create(seed: QuadraticPolyK) -> PairContext:
-        spec = seed.spec
         delta = seed.delta
-        delta_prime = delta.conj()
-        return PairContext(spec, delta, delta_prime, is_square_in_k(delta * delta_prime))
+        return PairContext(seed.spec, delta, delta.conj())
+
+    @cached_property
+    def link(self) -> KElement | None:
+        """sqrt(delta * delta_prime) when it lies in K, else None.  Only
+        the exact path's `pair` reads it."""
+        return is_square_in_k(self.delta * self.delta_prime)
 
     def pair(self, a: SurdElement, b: SurdElement) -> RealPair:
         """The real a + b with a over delta and b over delta_prime."""
@@ -227,10 +241,6 @@ class PairContext:
     @cached_property
     def neg_radius_sq(self) -> KElement:
         return self.spec.element(-RADIUS_SQ)
-
-    @cached_property
-    def lower_bound_sq(self) -> KElement:
-        return self.spec.element(LOWER_BOUND_SQ)
 
     @cached_property
     def float_roots(self) -> tuple[Enclosure, Enclosure] | None:
@@ -352,7 +362,8 @@ _BINARY64 = (
     and sys.float_info.min_exp == -1021
 )
 # Strict thresholds 2^-50 either side of 9/10 and 10/9, and the floor range
-# |n| < 2^52; all are exact floats.
+# |n| < 2^52; all are exact floats.  The expansion decides only against
+# 9/10; the 10/9 pair serves the tests of the modulus invariant.
 _MARGIN = 2.0**-50
 _RADIUS_SQ_BELOW, _RADIUS_SQ_ABOVE = 0.9 - _MARGIN, 0.9 + _MARGIN
 _LOWER_SQ_BELOW, _LOWER_SQ_ABOVE = 10 / 9 - _MARGIN, 10 / 9 + _MARGIN
@@ -543,16 +554,6 @@ def choose_quotient(p: PairState, ctx: PairContext) -> KElement:
     )
 
 
-def _modulus_ok(s: QuotientState, z: Enclosure | None, ctx: PairContext) -> bool:
-    """Whether xi^2 > 10/9 for the value xi of s, given an enclosure z of
-    xi or None."""
-    z2 = None if z is None else _mul(z, z)
-    below = _float_below(z2, _LOWER_SQ_BELOW, _LOWER_SQ_ABOVE)
-    if below is None:
-        return sign_of(s.value * s.value - ctx.lower_bound_sq) > 0
-    return not below
-
-
 class SeedRejection(Enum):
     """Why a seed cannot drive the pair expansion, in corpus counter order.
 
@@ -627,6 +628,10 @@ def pair_steps(
     a_n is chosen only when the caller asks for state n+1, so a caller that
     stops at a repeated state pays for no candidate search there.  The seed
     is checked when the first state is asked for, before any state is built.
+
+    No state after the first needs a modulus check: xi_(n+1) = 1/(xi_n - a_n)
+    and |xi_n - a_n|^2 < 9/10, because the distance test bounds each of its
+    two summands, so xi_(n+1)^2 > 10/9, and the same holds for xi'_(n+1).
     """
     _check_preconditions(seed)
     ctx = PairContext.create(seed)
@@ -638,13 +643,6 @@ def pair_steps(
     for n in count():
         state = PairState(s, sp, n)
         yield a, state
-        if n >= 1:
-            # Both complete quotients must stay above sqrt(10/9) in modulus.
-            enc = state.enclosures(ctx) or (None, None)
-            if not _modulus_ok(s, enc[0], ctx):
-                raise ExpansionError("complete quotient modulus invariant violated")
-            if not _modulus_ok(sp, enc[1], ctx):
-                raise ExpansionError("conjugate quotient modulus invariant violated")
         a = choose_quotient(state, ctx)
         s = step_state(s, a)
         sp = step_state(sp, a.conj())
@@ -699,6 +697,67 @@ _ROUNDTRIP_SIDES = (
 
 
 def verify_roundtrip(r: ExpansionResult) -> RoundTrip:
+    """Whether the expansion and its sigma image evaluate back to the seed
+    pair: decided from E = e_matrix(expansion) and the seed when E is
+    proportional to it, and by evaluating both sides otherwise."""
+    if _proportional_roundtrip(r):
+        return RoundTrip(True, True, True)
+    return _evaluated_roundtrip(r)
+
+
+def _selected_branch(a: KElement, e21: KElement, trace: KElement) -> int:
+    """The branch of the seed root that `eval_periodic` selects for a
+    matrix E = lambda*(seed), given A, E21 = lambda*A and tr(E); 0 when the
+    selection cannot be decided this way.
+
+    The root of E's associated polynomial with the positive square root of
+    its discriminant lambda^2*delta is the seed root on branch sign(lambda),
+    and there z = E21*x + E22 = (t + |lambda|*sqrt(delta))/2 is the larger
+    eigenvalue of E.  The selection keeps that root when |z| > 1 and takes
+    the other when |z| < 1.  With the smaller eigenvalue z' = det(E)/z and
+    det(E) = +-1, |z| > 1 exactly when t = z + z' > 0: for det = 1 the two
+    share a sign and z > 1 > z' > 0 or 0 > z > -1 > z'; for det = -1,
+    z > 0 > z' and t = z - 1/z.
+    """
+    return sign_of(e21) * sign_of(a) * sign_of(trace)
+
+
+def _proportional_roundtrip(r: ExpansionResult) -> bool:
+    """Whether both sides of the round trip hold, decided from the
+    quotients and the seed alone; False leaves the decision, and every
+    detail text, to `_evaluated_roundtrip`.
+
+    For an admissible seed (A, B, C), the minimal polynomial of its root
+    over K is the seed itself, so the expansion can evaluate to that root
+    only if E's associated polynomial is lambda*(A, B, C) with lambda != 0.
+    Its discriminant lambda^2*delta is then not a square in K, which leaves
+    one decision of `eval_periodic`, the root selection:
+      - the identity-multiple, double-root, linear and K-root branches
+        need a zero E21 or a square discriminant;
+      - |z| = 1 needs z = E21*x + E22 in K, and x is not in K;
+      - no window has M21 = 0: every window is conjugate to E, and an
+        upper triangular window would give E eigenvalues in K, and so a
+        square discriminant.
+    sigma is a ring automorphism of K and e_matrix has no division, so the
+    sigma image's E is the entrywise conjugate of E, proportional to the
+    conjugate seed, whose discriminant sigma(delta) admission also made
+    positive and not a square.
+    """
+    seed = r.seed
+    if classify_seed(seed) is not None:
+        return False
+    e = e_matrix(r.expansion)
+    a, e21 = seed.A, e.e21
+    if e21.is_zero or e21 * seed.B != (e.e22 - e.e11) * a or e21 * seed.C != -(e.e12 * a):
+        return False
+    trace = e.e11 + e.e22
+    return (
+        _selected_branch(a, e21, trace) == r.branch
+        and _selected_branch(a.conj(), e21.conj(), trace.conj()) == r.conj_branch
+    )
+
+
+def _evaluated_roundtrip(r: ExpansionResult) -> RoundTrip:
     """Evaluate the expansion and its sigma image back to the seed pair."""
     # expand_pair admitted r.seed, so its states need no second check.
     sides = (

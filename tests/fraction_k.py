@@ -1,5 +1,6 @@
 """A frozen, Fraction-backed copy of K = Q(sqrt(d)) arithmetic, kept only
-as a differential reference for `okcf.field.KElement`.
+as a differential reference for `okcf.field.KElement`, and of the square
+test `okcf.field.is_square_in_k` on Fraction coordinates.
 
 It stores a + b*w with Fraction coordinates on the integral basis {1, w},
 w = (1 + sqrt(d))/2 when d = 1 (mod 4) and w = sqrt(d) otherwise, exactly
@@ -10,6 +11,7 @@ from d alone.  Do not optimise it; its value is that it stays simple.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -149,3 +151,60 @@ class RefK:
         if self.a == 0:
             return w_part if self.b > 0 else f"-{w_part}"
         return f"{self.a}{'+' if self.b > 0 else '-'}{w_part}"
+
+
+def _rational_sqrt(q: Fraction) -> Fraction | None:
+    if q < 0:
+        return None
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+def _sign(s: Fraction, t: Fraction, d: int) -> int:
+    """Exact sign of s + t*sqrt(d) for rationals s, t and a non-square d."""
+    ss, st = (s > 0) - (s < 0), (t > 0) - (t < 0)
+    if st == 0 or ss == st:
+        return ss
+    if ss == 0:
+        return st
+    return ss if s * s > t * t * d else st
+
+
+def ref_is_square(x: RefK) -> RefK | None:
+    """The nonnegative root y in K with y^2 = x, or None: the package's
+    `is_square_in_k` as it was on Fraction coordinates, kept as the
+    reference for its integer version."""
+    d = x.d
+    if x.is_zero:
+        return RefK(d, Fraction(0), Fraction(0))
+    # x = u + v*sqrt(d)
+    if d % 4 == 1:
+        u, v = x.a + x.b / 2, x.b / 2
+    else:
+        u, v = x.a, x.b
+    candidates: list[tuple[Fraction, Fraction]] = []
+    if v == 0:
+        r = _rational_sqrt(u)
+        if r is not None:
+            candidates.append((r, Fraction(0)))
+        r = _rational_sqrt(u / d)
+        if r is not None:
+            candidates.append((Fraction(0), r))
+    else:
+        # (s + t*sqrt(d))^2 = x forces s^2 = (u +- sqrt(u^2 - v^2 d))/2,
+        # t = v/(2s); the inner radical is the rational norm of x.
+        n = _rational_sqrt(u * u - v * v * d)
+        if n is None:
+            return None
+        for w in (u + n, u - n):
+            s = _rational_sqrt(w / 2)
+            if s is None or s == 0:
+                continue
+            candidates.append((s, v / (2 * s)))
+    for s, t in candidates:
+        root = RefK(d, s - t, 2 * t) if d % 4 == 1 else RefK(d, s, t)
+        if root * root == x:
+            return root if _sign(s, t, d) >= 0 else -root
+    return None

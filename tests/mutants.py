@@ -1,0 +1,174 @@
+"""A catalogue of planted faults that the named tests must catch.
+
+    python tests/mutants.py
+
+Each entry is (name, file under src/, exact old text, new text, tests).
+The script first checks every anchor: an old text that occurs zero times
+or more than once in its file is an error in the catalogue, and the
+script exits 2 before running anything.  It then copies src/, tests/ and
+pyproject.toml to a temporary directory, runs the union of the entries'
+tests there once unmutated (they must pass, or the script exits 2), and
+for each entry applies its one edit to a fresh copy and runs its tests.
+A mutant counts as killed only if those tests fail (pytest exit code 1)
+or time out.  The script prints one line per mutant and killed/total,
+and exits 1 if any mutant survives.  It needs only the standard library
+and pytest (plus what the named tests import); pytest does not collect
+it.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+ROUNDTRIP_TESTS = ("tests/test_roundtrip.py",)
+
+CATALOGUE = (
+    Mutant(
+        "eval_periodic keeps the other root",
+        "okcf/cf.py",
+        "            if t < 0:\n                gamma = gamma.conj_sqrt()",
+        "            if t > 0:\n                gamma = gamma.conj_sqrt()",
+        ("tests/test_cf.py", "tests/test_golden.py::TestRoundTrip"),
+    ),
+    Mutant(
+        "pair_steps expands the other conjugate branch",
+        "okcf/golden.py",
+        "    sp = QuotientState(seed.sigma(), conj_branch)",
+        "    sp = QuotientState(seed.sigma(), -conj_branch)",
+        ("tests/test_golden.py",),
+    ),
+    Mutant(
+        "round trip drops the cross product of B",
+        "okcf/golden.py",
+        "e21 * seed.B != (e.e22 - e.e11) * a or ",
+        "",
+        ROUNDTRIP_TESTS,
+    ),
+    Mutant(
+        "round trip drops the cross product of C",
+        "okcf/golden.py",
+        " or e21 * seed.C != -(e.e12 * a)",
+        "",
+        ROUNDTRIP_TESTS,
+    ),
+    Mutant(
+        "round trip flips sign(lambda)",
+        "okcf/golden.py",
+        "    return sign_of(e21) * sign_of(a) * sign_of(trace)",
+        "    return -sign_of(e21) * sign_of(a) * sign_of(trace)",
+        ROUNDTRIP_TESTS,
+    ),
+    Mutant(
+        "round trip drops the sigma side's root selection",
+        "okcf/golden.py",
+        "\n        and _selected_branch(a.conj(), e21.conj(), trace.conj()) == r.conj_branch",
+        "",
+        ROUNDTRIP_TESTS,
+    ),
+    Mutant(
+        "round trip admits any seed",
+        "okcf/golden.py",
+        "    if classify_seed(seed) is not None:\n        return False\n    e = e_matrix",
+        "    e = e_matrix",
+        ROUNDTRIP_TESTS,
+    ),
+    Mutant(
+        "float filter decides with a zero error bound",
+        "okcf/golden.py",
+        "    if v + 2 * e < below:\n        return True\n    if v - 2 * e > above:",
+        "    if v < below:\n        return True\n    if v > above:",
+        ("tests/test_float_filter.py",),
+    ),
+    Mutant(
+        "distance test against 1 instead of 9/10",
+        "okcf/golden.py",
+        "_RADIUS_SQ_BELOW, _RADIUS_SQ_ABOVE = 0.9 - _MARGIN, 0.9 + _MARGIN",
+        "_RADIUS_SQ_BELOW, _RADIUS_SQ_ABOVE = 1.0 - _MARGIN, 1.0 + _MARGIN",
+        ("tests/test_golden.py", "tests/test_acceptance.py"),
+    ),
+    Mutant(
+        "is_square_in_k returns the negative root",
+        "okcf/field.py",
+        "        if _root_sign(s, t, d) < 0:\n            s, t = -s, -t\n",
+        "",
+        ("tests/test_field.py", "tests/test_field_reference.py"),
+    ),
+)
+
+
+def check_anchors(catalogue: tuple[Mutant, ...]) -> list[str]:
+    """One message per entry whose old text is not found exactly once."""
+    errors = []
+    for m in catalogue:
+        n = (ROOT / "src" / m.file).read_text(encoding="utf-8").count(m.old)
+        if n != 1:
+            errors.append(f"{m.name}: anchor occurs {n} times in src/{m.file}")
+    return errors
+
+
+def fresh_copy(parent: Path) -> Path:
+    work = Path(tempfile.mkdtemp(dir=parent))
+    shutil.copytree(ROOT / "src", work / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "tests", work / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
+    return work
+
+
+def run_tests(work: Path, tests: tuple[str, ...]) -> int | None:
+    """pytest's exit code on the copy in `work`, or None on a timeout."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    try:
+        return subprocess.run(cmd, cwd=work, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def main() -> int:
+    errors = check_anchors(CATALOGUE)
+    if errors:
+        print("catalogue error:\n  " + "\n  ".join(errors))
+        return 2
+    with tempfile.TemporaryDirectory() as parent:
+        tmp = Path(parent)
+        union = tuple(dict.fromkeys(t for m in CATALOGUE for t in m.tests))
+        code = run_tests(fresh_copy(tmp), union)
+        if code != 0:
+            print(f"the unmutated tests do not pass (pytest exit {code}); nothing to measure")
+            return 2
+        killed = 0
+        for m in CATALOGUE:
+            work = fresh_copy(tmp)
+            path = work / "src" / m.file
+            path.write_text(path.read_text(encoding="utf-8").replace(m.old, m.new),
+                            encoding="utf-8")
+            start = time.perf_counter()
+            code = run_tests(work, m.tests)
+            verdict = {1: "killed", None: "killed (timeout)"}.get(code, f"SURVIVED (exit {code})")
+            killed += verdict.startswith("killed")
+            print(f"{verdict:<22} {time.perf_counter() - start:6.1f}s  {m.name}")
+            shutil.rmtree(work)
+    print(f"killed {killed}/{len(CATALOGUE)}")
+    return 0 if killed == len(CATALOGUE) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,6 +1,7 @@
 """Differential test of `KElement` against the frozen Fraction-backed
 reference in `fraction_k.py`: every operation on random operands, integral
-and not, over D = 5, 2 and 13, must give the same value, string and hash."""
+and not, over D = 5, 2 and 13, must give the same value, string and hash,
+and `is_square_in_k` must find the root the Fraction version finds."""
 
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from fraction_k import RefK  # noqa: E402
-from okcf.field import FieldSpec, KElement  # noqa: E402
+from fraction_k import RefK, ref_is_square  # noqa: E402
+from okcf.field import FieldSpec, KElement, is_square_in_k  # noqa: E402
 
 SPECS = {d: FieldSpec(d) for d in (5, 2, 13)}
 
@@ -113,6 +114,30 @@ def test_equality_across_fields(d1, d2, a, b):
     assert (x == y) == (RefK(d1, a, 0) == RefK(d2, a, b))
     if x == y:
         assert hash(x) == hash(y)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(SPECS)), coordinate, coordinate, st.booleans(),
+       st.sampled_from(("square", "negated", "scaled", "raw")), st.integers(2, 13))
+def test_is_square_in_k_matches_fraction_reference(d, a, b, rational, kind, k):
+    # Squares, their negatives, squares times 2..13 (times d among them,
+    # which is a square exactly when the root is rational) and raw elements.
+    if rational:
+        b = 0
+    y, ry = SPECS[d].element(a, b), RefK(d, a, b)
+    x, rx = {
+        "square": (y * y, ry * ry),
+        "negated": (-(y * y), -(ry * ry)),
+        "scaled": (y * y * k, ry * ry * k),
+        "raw": (y, ry),
+    }[kind]
+    root, ref_root = is_square_in_k(x), ref_is_square(rx)
+    if ref_root is None:
+        assert root is None
+    else:
+        agree(root, ref_root)
+    if kind == "square":
+        assert ref_root is not None
 
 
 def test_mismatched_specs_raise():

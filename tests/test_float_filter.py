@@ -27,11 +27,10 @@ DIGITS = 100
 def pool_run(k5):
     """Expand the sign-oracle pool on both conjugate branches with the
     filter on, recording every (state, context) that chose a quotient and
-    how many floors, candidate tests and modulus checks the filter left
-    undecided."""
+    how many floors and candidate tests the filter left undecided."""
     states: list[tuple[PairState, PairContext]] = []
     # kind -> [decisions, undecided]
-    counts = {"floor": [0, 0], "candidate": [0, 0], "modulus": [0, 0]}
+    counts = {"floor": [0, 0], "candidate": [0, 0]}
     choose, float_floor, float_below = (
         golden.choose_quotient, golden._float_floor, golden._float_below
     )
@@ -48,9 +47,8 @@ def pool_run(k5):
 
     def counted_below(z, below, above):
         answer = float_below(z, below, above)
-        kind = "candidate" if below == golden._RADIUS_SQ_BELOW else "modulus"
-        counts[kind][0] += 1
-        counts[kind][1] += answer is None
+        counts["candidate"][0] += 1
+        counts["candidate"][1] += answer is None
         return answer
 
     with pytest.MonkeyPatch.context() as mp:
@@ -249,9 +247,9 @@ def test_forced_exact_path_gives_the_same_expansions(pool_run, monkeypatch):
         assert exact.keys == r.keys
         assert exact.cycle_start == r.cycle_start
         assert exact.verified == r.verified
-    # The fast path: at most 2% of the floors, of the candidate tests and
-    # of the modulus checks reach the exact path.
-    for kind in ("floor", "candidate", "modulus"):
+    # The fast path: at most 2% of the floors and of the candidate tests
+    # reach the exact path.
+    for kind in ("floor", "candidate"):
         decisions, undecided = counts[kind]
         assert decisions > 1000
         assert undecided <= 0.02 * decisions, (kind, counts[kind])
