@@ -112,16 +112,12 @@ def continuant(spec: FieldSpec, ts: Sequence[KElement]) -> KElement:
 
 
 def qpair_states(spec: FieldSpec, quotients: Iterable[KElement]) -> list[QPairState]:
-    p_prev, p_cur = spec.one, None
-    q_prev, q_cur = spec.zero, None
+    """One state per quotient, by `cf_matrix`'s recurrence from the identity."""
+    p, p_prev, q, q_prev = spec.one, spec.zero, spec.zero, spec.one
     states: list[QPairState] = []
     for i, a in enumerate(quotients):
-        if i == 0:
-            p_cur, q_cur = a, spec.one
-        else:
-            p_prev, p_cur = p_cur, a * p_cur + p_prev
-            q_prev, q_cur = q_cur, a * q_cur + q_prev
-        states.append(QPairState(p_cur, p_prev, q_cur, q_prev, i))
+        p, p_prev, q, q_prev = a * p + p_prev, p, a * q + q_prev, q
+        states.append(QPairState(p, p_prev, q, q_prev, i))
     return states
 
 
@@ -195,6 +191,17 @@ def eval_periodic(expansion: CFExpansion) -> PeriodicEvalResult:
     selected root has |E21*x + E22| = 1, some cyclic window of the period
     has M21 = 0 with |M22| > 1, or every root of the associated polynomial
     is the point at infinity.
+
+    With E21 != 0 and D = tr(E)^2 - 4*det(E) > 0, two identities spare
+    work.  Root selection: at x = (-B + sqrt(D))/(2*E21),
+    z = E21*x + E22 = (t + sqrt(D))/2, t = tr(E), is E's larger
+    eigenvalue; the other is z' = det(E)/z, and det(E) = +-1.  For det = 1,
+    |t| > 2 and z, z' share a sign: z > 1 when t > 2, -1 < z < 0 when
+    t < -2.  For det = -1, z > 0 and t = z - 1/z.  So sign(z^2 - 1) is
+    sign(t), and t = 0 needs D = 4, a square.  Windows: each is conjugate
+    to E (window 0 by M(pre), window j+1 to window j by Q(a_j)), so one
+    with M21 = 0 has E's eigenvalues on its diagonal, and D is a square
+    in K.
     """
     spec = expansion.spec
     e = e_matrix(expansion)
@@ -221,40 +228,26 @@ def eval_periodic(expansion: CFExpansion) -> PeriodicEvalResult:
         gamma_k = -cb / (2 * ca)
         return PeriodicEvalResult(e, poly, disc, value_in_k=gamma_k, double_root=True)
 
-    value: SurdElement | None = None
-    value_in_k: KElement | None = None
-    linear = False
-    if ca.is_zero:
+    linear = ca.is_zero
+    if linear:
         # Degenerate quadratic: one finite root, the other at infinity.
-        linear = True
-        gamma_k = -cc / cb
         t = sign_of(e.e22 * e.e22 - 1)
         if t == 0:
             return fail(EvalFailure.UNIT_MODULUS, linear_poly=True)
         if t < 0:
             return fail(EvalFailure.INFINITE_LIMIT, linear_poly=True)
-        value_in_k = gamma_k
+        value_in_k = -cc / cb
     else:
+        # sign(z^2 - 1) = sign(tr E), and a surd root has no window to scan.
+        t = sign_of(e.e11 + e.e22)
         root = is_square_in_k(disc)
-        if root is not None:
-            gamma_k = (-cb + root) / (2 * ca)
-            z = ca * gamma_k + e.e22
-            t = sign_of(z * z - 1)
-            if t == 0:
-                return fail(EvalFailure.UNIT_MODULUS)
-            if t < 0:
-                gamma_k = (-cb - root) / (2 * ca)
-            value_in_k = gamma_k
-        else:
+        if root is None:
             inv2a = spec.one / (2 * ca)
-            gamma = SurdElement(spec, disc, -cb * inv2a, inv2a)
-            z = ca * gamma + e.e22
-            t = sign_of(z * z - 1)
-            if t == 0:
-                return fail(EvalFailure.UNIT_MODULUS)
-            if t < 0:
-                gamma = gamma.conj_sqrt()
-            value = gamma
+            gamma = SurdElement(spec, disc, -cb * inv2a, inv2a if t > 0 else -inv2a)
+            return PeriodicEvalResult(e, poly, disc, value=gamma)
+        if t == 0:
+            return fail(EvalFailure.UNIT_MODULUS)
+        value_in_k = (-cb + t * root) / (2 * ca)
 
     # Window j is the period rotated to start at a_j; window j+1 is
     # Q(a_j)^(-1) * (window j) * Q(a_j), with Q(a)^(-1) = [[0, 1], [1, -a]].
@@ -265,6 +258,4 @@ def eval_periodic(expansion: CFExpansion) -> PeriodicEvalResult:
         r = m.e11 - a * m.e21
         m = Mat2(a * m.e21 + m.e22, m.e21, a * r + m.e12 - a * m.e22, r)
 
-    return PeriodicEvalResult(
-        e, poly, disc, value=value, value_in_k=value_in_k, linear_poly=linear
-    )
+    return PeriodicEvalResult(e, poly, disc, value_in_k=value_in_k, linear_poly=linear)

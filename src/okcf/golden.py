@@ -266,16 +266,6 @@ class PairState:
         """Exact value-level key of the pair, used for cycle detection."""
         return (*self.xi.canonical_key, *self.xi_prime.canonical_key)
 
-    def enclosures(self, ctx: PairContext) -> PairEnclosures | None:
-        """Float enclosures of xi, xi' and the lattice coordinates x, y, or
-        None when the filter abstains.  Built once per state: they depend
-        on ctx only through sqrt(delta) and sqrt(sigma(delta)), which every
-        state of one expansion shares."""
-        cache = self.__dict__
-        if "_enclosures" not in cache:
-            cache["_enclosures"] = _pair_enclosures(self, ctx)
-        return cache["_enclosures"]
-
 
 @dataclass(frozen=True)
 class ExpansionConfig:
@@ -527,7 +517,7 @@ def choose_quotient(p: PairState, ctx: PairContext) -> KElement:
     The float filter answers each floor and each distance test that its
     enclosure decides; the exact squarings answer the rest.
     """
-    enc = p.enclosures(ctx)
+    enc = _pair_enclosures(p, ctx)
     xs = _float_floor(None if enc is None else enc[2])
     ys = _float_floor(None if enc is None else enc[3])
     if xs is None or ys is None:
@@ -712,12 +702,8 @@ def _selected_branch(a: KElement, e21: KElement, trace: KElement) -> int:
 
     The root of E's associated polynomial with the positive square root of
     its discriminant lambda^2*delta is the seed root on branch sign(lambda),
-    and there z = E21*x + E22 = (t + |lambda|*sqrt(delta))/2 is the larger
-    eigenvalue of E.  The selection keeps that root when |z| > 1 and takes
-    the other when |z| < 1.  With the smaller eigenvalue z' = det(E)/z and
-    det(E) = +-1, |z| > 1 exactly when t = z + z' > 0: for det = 1 the two
-    share a sign and z > 1 > z' > 0 or 0 > z > -1 > z'; for det = -1,
-    z > 0 > z' and t = z - 1/z.
+    and `eval_periodic` keeps it exactly when tr(E) > 0 (its docstring
+    proves the rule).
     """
     return sign_of(e21) * sign_of(a) * sign_of(trace)
 
@@ -730,14 +716,11 @@ def _proportional_roundtrip(r: ExpansionResult) -> bool:
     For an admissible seed (A, B, C), the minimal polynomial of its root
     over K is the seed itself, so the expansion can evaluate to that root
     only if E's associated polynomial is lambda*(A, B, C) with lambda != 0.
-    Its discriminant lambda^2*delta is then not a square in K, which leaves
-    one decision of `eval_periodic`, the root selection:
-      - the identity-multiple, double-root, linear and K-root branches
-        need a zero E21 or a square discriminant;
-      - |z| = 1 needs z = E21*x + E22 in K, and x is not in K;
-      - no window has M21 = 0: every window is conjugate to E, and an
-        upper triangular window would give E eigenvalues in K, and so a
-        square discriminant.
+    Its discriminant lambda^2*delta is then not a square in K, so
+    `eval_periodic` takes its surd branch, whose one decision is the root
+    selection by sign(tr E); its docstring proves the rule, and that the
+    branch needs no window scan.  The identity-multiple, double-root,
+    linear and K-root branches need a zero E21 or a square discriminant.
     sigma is a ring automorphism of K and e_matrix has no division, so the
     sigma image's E is the entrywise conjugate of E, proportional to the
     conjugate seed, whose discriminant sigma(delta) admission also made

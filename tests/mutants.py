@@ -39,14 +39,36 @@ class Mutant(NamedTuple):
 
 
 ROUNDTRIP_TESTS = ("tests/test_roundtrip.py",)
+TRACE_TEST = "tests/test_identities.py::test_trace_rule_matches_the_squared_rule"
 
 CATALOGUE = (
     Mutant(
         "eval_periodic keeps the other root",
         "okcf/cf.py",
-        "            if t < 0:\n                gamma = gamma.conj_sqrt()",
-        "            if t > 0:\n                gamma = gamma.conj_sqrt()",
-        ("tests/test_cf.py", "tests/test_golden.py::TestRoundTrip"),
+        "inv2a if t > 0 else -inv2a",
+        "inv2a if t < 0 else -inv2a",
+        (TRACE_TEST,),
+    ),
+    Mutant(
+        "eval_periodic flips the sign of the K root",
+        "okcf/cf.py",
+        "value_in_k = (-cb + t * root) / (2 * ca)",
+        "value_in_k = (-cb - t * root) / (2 * ca)",
+        (TRACE_TEST,),
+    ),
+    Mutant(
+        "eval_periodic skips the window scan on every branch",
+        "okcf/cf.py",
+        "        if m.e21.is_zero and sign_of(m.e22 * m.e22 - 1) > 0:\n",
+        "        if False:\n",
+        (TRACE_TEST,),
+    ),
+    Mutant(
+        "step_state halves the derived leading coefficient",
+        "okcf/quartic.py",
+        "A=t * a + poly.C,",
+        "A=(t * a + poly.C) / 2,",
+        ("tests/test_identities.py::test_derived_polynomials_pass_the_public_checks",),
     ),
     Mutant(
         "pair_steps expands the other conjugate branch",
