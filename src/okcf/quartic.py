@@ -62,8 +62,7 @@ class QuadraticPolyK:
         return self.B * self.B - 4 * self.A * self.C
 
     def sigma(self) -> QuadraticPolyK:
-        # sigma is a ring automorphism of K: it keeps integrality and A != 0.
-        return _unchecked(QuadraticPolyK, A=self.A.conj(), B=self.B.conj(), C=self.C.conj())
+        return QuadraticPolyK(self.A.conj(), self.B.conj(), self.C.conj())
 
     def evaluate(self, t: KElement) -> KElement:
         return (self.A * t + self.B) * t + self.C
@@ -110,13 +109,6 @@ class QuotientState:
         )
 
 
-def _unchecked(cls: type, **fields: object):
-    """`cls(**fields)` without `__post_init__`, for results proved valid."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 def make_state(poly: QuadraticPolyK, branch: int) -> QuotientState:
     if sign_of(poly.delta) <= 0:
         raise SeedError(f"discriminant {poly.delta} is not positive")
@@ -135,17 +127,14 @@ def step_state(state: QuotientState, a: KElement) -> QuotientState:
     1/(xi - a) = (-B' - branch*sqrt(delta)) / (2*C') gives the new branch
     as -branch.  With t = A*a + B, f(a) = t*a + C and B' = A*a + t: two
     K products.
-
-    For delta not a square in K, as `make_state` admits, the result is
-    valid unchecked: f(a) != 0, since f has no root in K.
     """
     if not a.is_integral:
         raise InputRuleError(f"partial quotient {a} is not integral in O_K")
     poly = state.poly
     aa = poly.A * a
     t = aa + poly.B
-    new_poly = _unchecked(QuadraticPolyK, A=t * a + poly.C, B=aa + t, C=poly.A)
-    return _unchecked(QuotientState, poly=new_poly, branch=-state.branch)
+    new_poly = QuadraticPolyK(t * a + poly.C, aa + t, poly.A)
+    return QuotientState(new_poly, -state.branch)
 
 
 def triple_recursion(seed: QuadraticPolyK, qp: QPairState) -> QuadraticPolyK:
@@ -155,9 +144,6 @@ def triple_recursion(seed: QuadraticPolyK, qp: QPairState) -> QuadraticPolyK:
     polar form of the binary quadratic form f(x, y) = A*x^2 + B*x*y + C*y^2.
     With u = A*P_n + B*Q_n and c = C*Q_n, A_{n+1} = u*P_n + c*Q_n and
     B_{n+1} = (u + A*P_n)*P_{n-1} + (B*P_n + 2c)*Q_{n-1}: 13 K products.
-
-    For delta not a square in K the result is valid unchecked:
-    A_{n+1} = Q_n^2*f(P_n/Q_n), or A*P_n^2 when Q_n = 0, is nonzero.
     """
     pn, pm = qp.p_cur, qp.p_prev
     qn, qm = qp.q_cur, qp.q_prev
@@ -168,7 +154,7 @@ def triple_recursion(seed: QuadraticPolyK, qp: QPairState) -> QuadraticPolyK:
     a_next = u * pn + c * qn
     b_next = (u + ap) * pm + (B * pn + c + c) * qm
     c_next = (A * pm + B * qm) * pm + C * qm * qm
-    return _unchecked(QuadraticPolyK, A=a_next, B=b_next, C=c_next)
+    return QuadraticPolyK(a_next, b_next, c_next)
 
 
 def run_trajectory(

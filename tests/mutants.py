@@ -64,13 +64,6 @@ CATALOGUE = (
         (TRACE_TEST,),
     ),
     Mutant(
-        "step_state halves the derived leading coefficient",
-        "okcf/quartic.py",
-        "A=t * a + poly.C,",
-        "A=(t * a + poly.C) / 2,",
-        ("tests/test_identities.py::test_derived_polynomials_pass_the_public_checks",),
-    ),
-    Mutant(
         "pair_steps expands the other conjugate branch",
         "okcf/golden.py",
         "    sp = QuotientState(seed.sigma(), conj_branch)",

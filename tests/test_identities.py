@@ -5,9 +5,11 @@ time, each paid once here.
   windows only for a root in K.  The reference below makes both decisions
   without the identities: sign(z^2 - 1) at z = E21*x + E22, then every
   window of the period, whatever the root.
-- `step_state`, `triple_recursion` and `QuadraticPolyK.sigma` build their
-  results without `__post_init__`; on admitted seeds the public
-  constructors accept every one of them.
+- `step_state`, `triple_recursion` and `QuadraticPolyK.sigma` never trip
+  the constructors' checks on admitted seeds: integral inputs give
+  integral results, and a derived leading coefficient is nonzero because
+  the seed has no root in K.  On a seed with a square discriminant the
+  check still fires.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from okcf.quartic import (
     SeedError,
     make_state,
     run_trajectory,
+    step_state,
     triple_recursion,
 )
 
@@ -91,6 +94,17 @@ def test_trace_rule_matches_the_squared_rule(d, rng):
     assert kinds["k ineq_window"] >= 1
 
 
+def test_a_root_in_k_still_trips_the_check(k5):
+    # (x - 1)(x - 2) has the root 1 in K: stepping onto it, or reaching
+    # the convergent P/Q = 1, leaves a zero leading coefficient.
+    seed = QuadraticPolyK(k5.element(1), k5.element(-3), k5.element(2))
+    with pytest.raises(SeedError, match="leading coefficient must be nonzero"):
+        step_state(QuotientState(seed, 1), k5.one)
+    (qp,) = qpair_states(k5, [k5.one])
+    with pytest.raises(SeedError, match="leading coefficient must be nonzero"):
+        triple_recursion(seed, qp)
+
+
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
@@ -114,20 +128,12 @@ def admitted_runs(draw):
     return seed, branch, quotients
 
 
-def accepted(poly: QuadraticPolyK) -> QuadraticPolyK:
-    """The same coefficients through the checking constructor."""
-    checked = QuadraticPolyK(poly.A, poly.B, poly.C)
-    assert checked == poly
-    return checked
-
-
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(admitted_runs())
 def test_derived_polynomials_pass_the_public_checks(run):
     seed, branch, quotients = run
-    states = run_trajectory(seed, branch, quotients)
-    for s in states:
-        QuotientState(accepted(s.poly), s.branch)
-        accepted(s.poly.sigma())
+    for s in run_trajectory(seed, branch, quotients):
+        assert s.branch in (1, -1)
+        s.poly.sigma()
     for qp in qpair_states(seed.spec, quotients):
-        accepted(triple_recursion(seed, qp))
+        triple_recursion(seed, qp)
