@@ -477,6 +477,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The one parser `main` reads, built once at import and never changed:
+# argparse keeps what it parses in a fresh namespace per call.
+_PARSER = build_parser()
+
+
 def _value_flags(parser: argparse.ArgumentParser) -> set[str]:
     """Option strings, over all subcommands, that take a value."""
     commands = next(
@@ -526,10 +531,9 @@ def _prepare_argv(argv: Sequence[str], parser: argparse.ArgumentParser) -> list[
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_prepare_argv(argv, parser))
+    args = _PARSER.parse_args(_prepare_argv(argv, _PARSER))
     try:
         code = args.run(args)
         sys.stdout.flush()

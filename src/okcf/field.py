@@ -26,7 +26,10 @@ exposed as `Fraction` endpoints: an embedding is found as the dyadic
 triple (lo_m, hi_m, e) of `intervals.Dyadic`, from one `isqrt` of
 d * 4^bits and two floor divisions of the element's own integers, and is
 turned into a `RealInterval` once, unless the caller asks `embed` for the
-triple itself (`dyadic=True`) to compute on further.
+triple itself (`dyadic=True`) to compute on further.  Those roots, and a
+surd's enclosures of sqrt(delta), are kept per call in a private
+`_RootTable`, which `quartic.diagnostics` shares among all its
+embeddings.
 """
 
 from __future__ import annotations
@@ -328,29 +331,7 @@ class KElement:
     ) -> RealInterval | Dyadic:
         """Enclosing interval of the chosen real embedding; with `dyadic`,
         the `intervals.Dyadic` triple it is made from."""
-        # The embedding is (u + v*sqrt(d))/den; the conjugate only flips v.
-        if self.spec.omega_is_half:
-            u, v, den = 2 * self.p + self.q, self.q, 2 * self.den
-        else:
-            u, v, den = self.p, self.q, self.den
-        if conjugate:
-            v = -v
-        if v:
-            d = self.spec.d
-
-            def compute(bits: int) -> Dyadic:
-                # sqrt(d) lies in (r, r + 1) / 2^bits: d is not a square.
-                r = isqrt(d << 2 * bits)
-                lo = (u << bits) + v * r
-                hi = lo + v
-                if v < 0:
-                    lo, hi = hi, lo
-                return lo // den, -(-hi // den), bits
-
-            m = _refine_to_quality(compute, precision_bits)
-        else:
-            bits = max(precision_bits, 1)
-            m = (u << bits) // den, -(-(u << bits) // den), bits
+        m = _k_embed(self, precision_bits, _RootTable(), conjugate)
         return m if dyadic else dyadic_interval(m)
 
     def __float__(self) -> float:
@@ -523,27 +504,7 @@ class SurdElement:
     ) -> RealInterval | Dyadic:
         """Enclosing interval of the value; with `dyadic`, the
         `intervals.Dyadic` triple it is made from."""
-        x, y, delta = self.x, self.y, self.delta
-        if y.is_zero:
-            return x.embed(precision_bits, dyadic=dyadic)
-        # Whether the value is exactly 0 (delta a square in K), decided only
-        # when an enclosure contains 0, and at most once.
-        is_zero: bool | None = None
-
-        def compute(bits: int) -> Dyadic:
-            nonlocal is_zero
-            root = dyadic_sqrt(delta.embed(bits, dyadic=True), bits)
-            value = dyadic_add(x.embed(bits, dyadic=True),
-                               dyadic_mul(y.embed(bits, dyadic=True), root))
-            m = dyadic_rounded(value, bits)
-            if m[0] <= 0 <= m[1]:
-                if is_zero is None:
-                    is_zero = surd_is_zero(self)
-                if is_zero:
-                    return 0, 0, 0
-            return m
-
-        m = _refine_to_quality(compute, precision_bits)
+        m = _surd_embed(self, precision_bits, _RootTable())
         return m if dyadic else dyadic_interval(m)
 
     def __float__(self) -> float:
@@ -582,6 +543,81 @@ def _reduced(spec: FieldSpec, p: int, q: int, den: int) -> KElement:
         if g != 1:
             p, q, den = p // g, q // g, den // g
     return _make(spec, p, q, den)
+
+
+class _RootTable:
+    """Square roots that the embeddings of one `quartic.diagnostics` call
+    share, all in one field: `isqrt(d << 2*bits)` per refinement level, and
+    the dyadic enclosure of sqrt(delta) per discriminant and level, keyed by
+    delta's triple (p, q, den) and the level.  Each entry is the function of
+    its key that an embedding would compute without the table, so reading
+    it changes no endpoint.  The public `embed` methods use a fresh table
+    per call, and no table outlives the call that made it."""
+
+    __slots__ = ("isqrt_d", "sqrt_delta")
+
+    def __init__(self) -> None:
+        self.isqrt_d: dict[int, int] = {}
+        self.sqrt_delta: dict[tuple[int, int, int, int], Dyadic] = {}
+
+
+def _k_embed(k: KElement, precision_bits: int, roots: _RootTable,
+             conjugate: bool = False) -> Dyadic:
+    """`KElement.embed` as a dyadic triple, with the roots of `roots`."""
+    # The embedding is (u + v*sqrt(d))/den; the conjugate only flips v.
+    if k.spec.omega_is_half:
+        u, v, den = 2 * k.p + k.q, k.q, 2 * k.den
+    else:
+        u, v, den = k.p, k.q, k.den
+    if conjugate:
+        v = -v
+    if not v:
+        bits = max(precision_bits, 1)
+        return (u << bits) // den, -(-(u << bits) // den), bits
+    d = k.spec.d
+    isqrt_d = roots.isqrt_d
+
+    def compute(bits: int) -> Dyadic:
+        # sqrt(d) lies in (r, r + 1) / 2^bits: d is not a square.
+        r = isqrt_d.get(bits)
+        if r is None:
+            r = isqrt_d[bits] = isqrt(d << 2 * bits)
+        lo = (u << bits) + v * r
+        hi = lo + v
+        if v < 0:
+            lo, hi = hi, lo
+        return lo // den, -(-hi // den), bits
+
+    return _refine_to_quality(compute, precision_bits)
+
+
+def _surd_embed(z: SurdElement, precision_bits: int, roots: _RootTable) -> Dyadic:
+    """`SurdElement.embed` as a dyadic triple, with the roots of `roots`."""
+    x, y, delta = z.x, z.y, z.delta
+    if y.is_zero:
+        return _k_embed(x, precision_bits, roots)
+    sqrt_delta = roots.sqrt_delta
+    # Whether the value is exactly 0 (delta a square in K), decided only
+    # when an enclosure contains 0, and at most once.
+    is_zero: bool | None = None
+
+    def compute(bits: int) -> Dyadic:
+        nonlocal is_zero
+        key = (delta.p, delta.q, delta.den, bits)
+        root = sqrt_delta.get(key)
+        if root is None:
+            root = sqrt_delta[key] = dyadic_sqrt(_k_embed(delta, bits, roots), bits)
+        value = dyadic_add(_k_embed(x, bits, roots),
+                           dyadic_mul(_k_embed(y, bits, roots), root))
+        m = dyadic_rounded(value, bits)
+        if m[0] <= 0 <= m[1]:
+            if is_zero is None:
+                is_zero = surd_is_zero(z)
+            if is_zero:
+                return 0, 0, 0
+        return m
+
+    return _refine_to_quality(compute, precision_bits)
 
 
 def _refine_to_quality(compute: Callable[[int], Dyadic], precision_bits: int) -> Dyadic:

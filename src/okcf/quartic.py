@@ -11,7 +11,17 @@ from math import gcd
 from typing import Sequence
 
 from .cf import QPairState, qpair_states
-from .field import FieldSpec, InputRuleError, KElement, SurdElement, is_square_in_k, sign_of
+from .field import (
+    FieldSpec,
+    InputRuleError,
+    KElement,
+    SurdElement,
+    _k_embed,
+    _RootTable,
+    _surd_embed,
+    is_square_in_k,
+    sign_of,
+)
 from .intervals import (
     DEFAULT_BITS,
     Dyadic,
@@ -167,8 +177,8 @@ def run_trajectory(
     return states
 
 
-def _weil4_m(state: QuotientState, precision_bits: int) -> Dyadic:
-    """`weil_height4` as a dyadic triple.
+def _weil4_m(state: QuotientState, precision_bits: int, roots: _RootTable) -> Dyadic:
+    """`weil_height4` as a dyadic triple, with the roots of `roots`.
 
     The embeddings are id and tau1 (sqrt(delta) -> -sqrt(delta)) of xi and
     the two roots of the conjugate polynomial.  When those roots are a
@@ -185,8 +195,8 @@ def _weil4_m(state: QuotientState, precision_bits: int) -> Dyadic:
         surds += [plus, plus.conj_sqrt()]
         pair_modulus = []
     else:
-        pair_modulus = [(poly.C / poly.A).conj().embed(precision_bits, dyadic=True)]
-    magnitudes = [dyadic_abs(z.embed(precision_bits, dyadic=True)) for z in surds]
+        pair_modulus = [_k_embed((poly.C / poly.A).conj(), precision_bits, roots)]
+    magnitudes = [dyadic_abs(_surd_embed(z, precision_bits, roots)) for z in surds]
     # A is integral, so its norm is an integer.
     lead = abs(poly.A.norm().numerator)
     acc = (lead, lead, 0)
@@ -197,11 +207,15 @@ def _weil4_m(state: QuotientState, precision_bits: int) -> Dyadic:
 
 def weil_height4(state: QuotientState, precision_bits: int = DEFAULT_BITS) -> RealInterval:
     """Interval for H(xi)^4 = |A * sigma(A)| * prod max(1, |phi(xi)|)."""
-    return dyadic_interval(_weil4_m(state, precision_bits))
+    return dyadic_interval(_weil4_m(state, precision_bits, _RootTable()))
 
 
 def weil_height(state: QuotientState, precision_bits: int = DEFAULT_BITS) -> RealInterval:
-    root2 = dyadic_sqrt(_weil4_m(state, precision_bits), precision_bits)
+    return _weil_height(state, precision_bits, _RootTable())
+
+
+def _weil_height(state: QuotientState, precision_bits: int, roots: _RootTable) -> RealInterval:
+    root2 = dyadic_sqrt(_weil4_m(state, precision_bits, roots), precision_bits)
     return dyadic_interval(dyadic_sqrt(root2, precision_bits))
 
 
@@ -256,14 +270,15 @@ def _tight_abs(value: KElement | SurdElement, rel_bits: int) -> RealInterval:
     vacuous for the exponentially small approximation errors S_n; this
     refines until the enclosure is tight relative to the value itself.
     """
-    return dyadic_interval(_tight_abs_m(value, rel_bits))
+    return dyadic_interval(_tight_abs_m(value, rel_bits, _RootTable()))
 
 
-def _tight_abs_m(value: KElement | SurdElement, rel_bits: int) -> Dyadic:
-    """`_tight_abs` as a dyadic triple."""
+def _tight_abs_m(value: KElement | SurdElement, rel_bits: int, roots: _RootTable) -> Dyadic:
+    """`_tight_abs` as a dyadic triple, with the roots of `roots`."""
     shift = rel_bits - 1
+    embed = _surd_embed if isinstance(value, SurdElement) else _k_embed
     return refine(
-        lambda bits: dyadic_abs(value.embed(bits, dyadic=True)),
+        lambda bits: dyadic_abs(embed(value, bits, roots)),
         rel_bits,
         lambda m: m[1] == 0 or (m[0] > 0 and (m[1] - m[0]) << shift <= m[0]),
     )
@@ -308,9 +323,12 @@ def diagnostics(
 
     Row n carries the triple of xi_n, the convergent pair (P_n, Q_n), the
     approximation error S_n = xi*Q_n - P_n, the two embedding-pair products
-    F_1(n), F_2(n) (with S_{-1} = -1), and the heights of xi_n.
+    F_1(n), F_2(n) (with S_{-1} = -1), and the heights of xi_n.  Every
+    embedding reads its roots from one table: every enclosure is a surd
+    over delta or sigma(delta), or an element of K.
     """
     bits = precision_bits
+    roots = _RootTable()
     spec = seed.spec
     states = run_trajectory(seed, branch, quotients)
     qpairs = qpair_states(spec, quotients)
@@ -327,13 +345,13 @@ def diagnostics(
     rows: list[TrajectoryRow] = []
     for n, qp in enumerate(qpairs):
         pn, qn = qp.p_cur, qp.q_cur
-        s_id = _tight_abs_m(xi * qn - pn, bits)
-        s_tau = _tight_abs_m(xi_tau * qn - pn, bits)
+        s_id = _tight_abs_m(xi * qn - pn, bits, roots)
+        s_tau = _tight_abs_m(xi_tau * qn - pn, bits, roots)
         sqn, spn = qn.conj(), pn.conj()
         if sigma_real:
-            s_s2 = _tight_abs_m(xi_p_plus * sqn - spn, bits)
-            s_s3 = _tight_abs_m(xi_p_minus * sqn - spn, bits)
-            sq_abs = dyadic_abs(sqn.embed(bits, dyadic=True))
+            s_s2 = _tight_abs_m(xi_p_plus * sqn - spn, bits, roots)
+            s_s3 = _tight_abs_m(xi_p_minus * sqn - spn, bits, roots)
+            sq_abs = dyadic_abs(_k_embed(sqn, bits, roots))
             qs_sigma = (
                 dyadic_interval(dyadic_mul(s_s2, sq_abs)),
                 dyadic_interval(dyadic_mul(s_s3, sq_abs)),
@@ -344,12 +362,12 @@ def diagnostics(
             x2 = xi_p_plus.x * sqn - spn
             y2 = xi_p_plus.y * sqn
             mod_sq = x2 * x2 - y2 * y2 * xi_p_plus.delta
-            s_s2 = s_s3 = dyadic_sqrt(_tight_abs_m(mod_sq, bits), bits)
+            s_s2 = s_s3 = dyadic_sqrt(_tight_abs_m(mod_sq, bits, roots), bits)
             qs_sigma = None
         f1 = dyadic_mul(dyadic_max(s_id, prev["id"]), dyadic_max(s_tau, prev["tau"]))
         f2 = dyadic_mul(dyadic_max(s_s2, prev["s2"]), dyadic_max(s_s3, prev["s3"]))
         state_n = states[n]
-        q_abs = dyadic_abs(qn.embed(bits, dyadic=True))
+        q_abs = dyadic_abs(_k_embed(qn, bits, roots))
         rows.append(
             TrajectoryRow(
                 index=n,
@@ -359,7 +377,7 @@ def diagnostics(
                 s_n=dyadic_interval(s_id),
                 f1=dyadic_interval(f1),
                 f2=dyadic_interval(f2),
-                weil=weil_height(state_n, bits),
+                weil=_weil_height(state_n, bits, roots),
                 naive=naive_height(state_n),
                 qs_abs=dyadic_interval(dyadic_mul(q_abs, s_id)),
                 qs_sigma=qs_sigma,

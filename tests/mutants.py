@@ -40,6 +40,7 @@ class Mutant(NamedTuple):
 
 ROUNDTRIP_TESTS = ("tests/test_roundtrip.py",)
 TRACE_TEST = "tests/test_identities.py::test_trace_rule_matches_the_squared_rule"
+ROOT_TABLE_TEST = "tests/test_root_table.py"
 
 CATALOGUE = (
     Mutant(
@@ -125,6 +126,20 @@ CATALOGUE = (
         "        if _root_sign(s, t, d) < 0:\n            s, t = -s, -t\n",
         "",
         ("tests/test_field.py", "tests/test_field_reference.py"),
+    ),
+    Mutant(
+        "root table keys sqrt(delta) by bits only",
+        "okcf/field.py",
+        "        key = (delta.p, delta.q, delta.den, bits)\n",
+        "        key = bits\n",
+        (ROOT_TABLE_TEST,),
+    ),
+    Mutant(
+        "root table reuses isqrt(d << 2*bits) across levels",
+        "okcf/field.py",
+        "        r = isqrt_d.get(bits)\n",
+        "        r = next(iter(isqrt_d.values()), None)\n",
+        (ROOT_TABLE_TEST,),
     ),
 )
 

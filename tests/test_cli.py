@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import decimal
 import hashlib
 import json
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from okcf import cli
 from okcf.cli import decimal_str, main
 from okcf.field import KElement, SurdElement
 
@@ -303,6 +305,45 @@ def test_precision_below_minimum_is_usage_error(capsys):
     assert "usage:" in err and "must be at least 16" in err
 
 
+def parser_state(parser: argparse.ArgumentParser) -> list:
+    """Help text, defaults and action objects of the parser and of each
+    subcommand's parser."""
+    commands = next(
+        a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return [(p.format_help(), dict(p._defaults), list(p._actions))
+            for p in (parser, *commands.values())]
+
+
+def test_main_leaves_the_parser_unchanged(capsys):
+    parser = cli._PARSER
+    before = parser_state(parser)
+    outcomes = []
+    for argv in (
+        ["eval", "[1; 2]"],
+        ["eval", "[;1/0]"],
+        ["eval", "[1; 2]", "--precision", "8"],
+        ["--help"],
+        ["analyze", "--help"],
+    ):
+        try:
+            outcomes.append(main(argv))
+        except SystemExit as exc:
+            outcomes.append(("exit", exc.code))
+    capsys.readouterr()
+    # A success, a ParseError, an argparse usage error and two --help.
+    assert outcomes == [0, 2, ("exit", 2), ("exit", 0), ("exit", 0)]
+    assert cli._PARSER is parser
+    after = parser_state(parser)
+    assert len(after) == len(before)
+    for (help_before, defaults_before, actions_before), (help_after, defaults_after,
+                                                         actions_after) in zip(before, after):
+        assert help_after == help_before
+        assert defaults_after == defaults_before
+        assert len(actions_after) == len(actions_before)
+        assert all(a is b for a, b in zip(actions_after, actions_before))
+
+
 @pytest.mark.parametrize("bound", ["0", "-1"])
 def test_corpus_bound_below_one_is_usage_error(capsys, bound):
     # --bound 0 draws only zero leads and would never finish.
@@ -451,6 +492,10 @@ _PINNED_OUTPUTS = [
      "e5f200a77d798b4779d373705f45995e2b77beae8e439305c8e752c24d796396"),
     ("analyze --expansion '[; 2, 4-2*w]' -n 40 --output csv --precision 128", 0,
      "23866d1fd7b864269df80d3f90bb48aae95c745045dd81dd8e40a4b55c198082"),
+    ("analyze --expansion '[; 2, 4-2*w]' -n 1 --precision 16384 --output json", 0,
+     "5fc33da2c012c5de5766ae6dc3f6bab6d56b2498a59b0ab6591fc7d1931cb16e"),
+    ("analyze --expansion '[; 2, 4-2*w]' -n 8 --precision 4096 --output json", 0,
+     "6582d6e939f1bd5656b8d186efa589e443bbf82ff10186f969cc64c358117ca5"),
     ("analyze 1 -2 -1-1*w -n 10", 0,
      "af827bdf1d205e59b62b8c2f9e768e9433b1425519709b1f8f1dbd2c9cf74985"),
     ("expand 1 -2 -1-1*w --conj-branch=+ --output json", 0,
