@@ -324,8 +324,8 @@ def diagnostics(
     Row n carries the triple of xi_n, the convergent pair (P_n, Q_n), the
     approximation error S_n = xi*Q_n - P_n, the two embedding-pair products
     F_1(n), F_2(n) (with S_{-1} = -1), and the heights of xi_n.  Every
-    embedding reads its roots from one table: every enclosure is a surd
-    over delta or sigma(delta), or an element of K.
+    enclosure is an element of K or a surd over delta or sigma(delta), so
+    all of them share one root table.
     """
     bits = precision_bits
     roots = _RootTable()
