@@ -32,7 +32,7 @@ from .golden import (
     expand_pair,
     pair_steps,
 )
-from .intervals import MAX_BITS, PrecisionError, RealInterval
+from .intervals import MAX_BITS, PrecisionError, dyadic_floats, dyadic_mid_float
 from .parsing import ParseError, parse_element_list, parse_expansion, parse_k
 from .quartic import QuadraticPolyK, SeedError, TrajectoryRow, diagnostics, summarize
 
@@ -220,10 +220,6 @@ def _analyze_quotients(args: argparse.Namespace):
     return seed, branch, [a for a, _ in islice(steps, 1, n + 2)]
 
 
-def _endpoints(iv: RealInterval) -> list[float]:
-    return [float(iv.lo), float(iv.hi)]
-
-
 def _row_json(r: TrajectoryRow) -> dict:
     return {
         "n": r.index,
@@ -232,10 +228,10 @@ def _row_json(r: TrajectoryRow) -> dict:
         "C_n": str(r.triple[2]),
         "P_n": str(r.p),
         "Q_n": str(r.q),
-        "s_n": _endpoints(r.s_n),
-        "f1": _endpoints(r.f1),
-        "f2": _endpoints(r.f2),
-        "weil": _endpoints(r.weil),
+        "s_n": dyadic_floats(r.s_m),
+        "f1": dyadic_floats(r.f1_m),
+        "f2": dyadic_floats(r.f2_m),
+        "weil": dyadic_floats(r.weil_m),
         "naive": r.naive,
     }
 
@@ -282,8 +278,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"{'n':>4}  {'A_n':>14}  {'s_n':>12}  {'f1':>12}  {'f2':>12}  {'H':>10}  {'naive':>7}")
     for r in rows:
         print(
-            f"{r.index:>4}  {str(r.triple[0]):>14}  {float(r.s_n):>12.5g}  "
-            f"{float(r.f1):>12.5g}  {float(r.f2):>12.5g}  {float(r.weil):>10.5g}  {r.naive:>7}"
+            f"{r.index:>4}  {str(r.triple[0]):>14}  {dyadic_mid_float(r.s_m):>12.5g}  "
+            f"{dyadic_mid_float(r.f1_m):>12.5g}  {dyadic_mid_float(r.f2_m):>12.5g}  "
+            f"{dyadic_mid_float(r.weil_m):>10.5g}  {r.naive:>7}"
         )
     sigma_side = (
         f"{summary.sup_qs_sigma:.6g}" if summary.sup_qs_sigma is not None else "n/a"
@@ -307,7 +304,7 @@ def cmd_radius(args: argparse.Namespace) -> int:
                 {
                     "D": cr.d,
                     "r_squared": str(cr.r_squared),
-                    "r": _endpoints(cr.interval),
+                    "r": [float(cr.interval.lo), float(cr.interval.hi)],
                     "usable": cr.usable,
                 }
             )

@@ -21,15 +21,15 @@ is involved in a sign, and the expansion path never embeds; `embed`
 serves display and report enclosures only, refined by the one routine
 `intervals.refine`.  A surd's `embed` asks whether the value is exactly 0
 (a square delta can hide a zero) only when an enclosure contains 0, and
-at most once per call.  Enclosures are computed on integer mantissas and
-exposed as `Fraction` endpoints: an embedding is found as the dyadic
-triple (lo_m, hi_m, e) of `intervals.Dyadic`, from one `isqrt` of
-d * 4^bits and two floor divisions of the element's own integers, and is
-turned into a `RealInterval` once, unless the caller asks `embed` for the
-triple itself (`dyadic=True`) to compute on further.  Those roots, and a
-surd's enclosures of sqrt(delta), are kept per call in a private
-`_RootTable`, which `quartic.diagnostics` shares among all its
-embeddings.
+at most once per call.  Enclosures are computed on integer mantissas: an
+embedding is found as the dyadic triple (lo_m, hi_m, e) of
+`intervals.Dyadic`, from one `isqrt` of d * 4^bits and two floor
+divisions of the element's own integers.  `embed` returns it as a
+`RealInterval` with `Fraction` endpoints, or as the triple itself
+(`dyadic=True`) to compute on further; `quartic.diagnostics` and
+`summarize` never leave the triples.  Those roots, and a surd's
+enclosures of sqrt(delta), are kept per call in a private `_RootTable`,
+which each of those two calls shares among all its embeddings.
 """
 
 from __future__ import annotations
@@ -340,7 +340,8 @@ class KElement:
         return self.p / self.den + self.q / self.den * self.spec.omega_float
 
     def __str__(self) -> str:
-        a, b = self.a, self.b
+        # An int prints as the Fraction of the same value does.
+        a, b = (self.p, self.q) if self.den == 1 else (self.a, self.b)
         if b == 0:
             return str(a)
         w_part = f"{abs(b)}*w"
@@ -546,13 +547,13 @@ def _reduced(spec: FieldSpec, p: int, q: int, den: int) -> KElement:
 
 
 class _RootTable:
-    """Square roots that the embeddings of one `quartic.diagnostics` call
-    share, all in one field: `isqrt(d << 2*bits)` per refinement level, and
-    the dyadic enclosure of sqrt(delta) per discriminant and level, keyed by
-    delta's triple (p, q, den) and the level.  Each entry is the function of
-    its key that an embedding would compute without the table, so reading
-    it changes no endpoint.  The public `embed` methods use a fresh table
-    per call, and no table outlives the call that made it."""
+    """Square roots that the embeddings of one `quartic.diagnostics` or
+    `summarize` call share, all in one field: `isqrt(d << 2*bits)` per
+    level, and the dyadic enclosure of sqrt(delta) per discriminant and
+    level, keyed by delta's triple (p, q, den) and the level.  Each entry is
+    the function of its key that an embedding would compute without the
+    table, so reading it changes no endpoint.  The public `embed` methods
+    use a fresh table per call, and no table outlives the call that made it."""
 
     __slots__ = ("isqrt_d", "sqrt_delta")
 

@@ -1,13 +1,14 @@
 """Dyadic interval arithmetic used for real-embedding evaluation.
 
-Enclosures are computed on integer mantissas and exposed as `Fraction`
-endpoints.  The producers (the embeddings of `okcf.field`, the error-term
-and height enclosures of `okcf.quartic`) work on a `Dyadic` triple
-(lo_m, hi_m, e), the interval [lo_m/2^e, hi_m/2^e], with the helpers
-below: outward rounding and square roots are floor and ceil shifts of a
-mantissa, and the precision test is a `bit_length`, so no `Fraction` is
-built until `dyadic_interval` makes the public `RealInterval` once, at
-the return.  Every endpoint keeps its exact value.
+Enclosures are computed on integer mantissas.  The producers (the
+embeddings of `okcf.field`, the error-term and height enclosures of
+`okcf.quartic`) work on a `Dyadic` triple (lo_m, hi_m, e), the interval
+[lo_m/2^e, hi_m/2^e], with the helpers below: outward rounding and
+square roots are floor and ceil shifts of a mantissa, and the precision
+test is a `bit_length`.  A `Fraction` is built only for a caller that
+asks for a `RealInterval` (`dyadic_interval`); display divides its
+floats from the triple (`dyadic_floats`, `dyadic_mid_float`).  Every
+endpoint keeps its exact value.
 
 A `RealInterval` is its two endpoints and nothing more.  They are kept
 as exact `Fraction` values; constructors and the rounding helpers keep
@@ -189,6 +190,19 @@ def dyadic_interval(m: Dyadic) -> RealInterval:
     lo, hi, e = m
     scale = 1 << e
     return RealInterval(Fraction(lo, scale), Fraction(hi, scale))
+
+
+def dyadic_floats(m: Dyadic) -> list[float]:
+    """The endpoint floats of `dyadic_interval(m)`, by correctly rounded int division."""
+    lo, hi, e = m
+    scale = 1 << e
+    return [lo / scale, hi / scale]
+
+
+def dyadic_mid_float(m: Dyadic) -> float:
+    """`float(dyadic_interval(m))`, the float of its midpoint."""
+    lo, hi, e = m
+    return (lo + hi) / (2 << e)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .intervals import (
     Dyadic,
     RealInterval,
     dyadic_abs,
+    dyadic_floats,
     dyadic_interval,
     dyadic_max,
     dyadic_mul,
@@ -211,12 +212,12 @@ def weil_height4(state: QuotientState, precision_bits: int = DEFAULT_BITS) -> Re
 
 
 def weil_height(state: QuotientState, precision_bits: int = DEFAULT_BITS) -> RealInterval:
-    return _weil_height(state, precision_bits, _RootTable())
+    return dyadic_interval(_weil_height(state, precision_bits, _RootTable()))
 
 
-def _weil_height(state: QuotientState, precision_bits: int, roots: _RootTable) -> RealInterval:
+def _weil_height(state: QuotientState, precision_bits: int, roots: _RootTable) -> Dyadic:
     root2 = dyadic_sqrt(_weil4_m(state, precision_bits, roots), precision_bits)
-    return dyadic_interval(dyadic_sqrt(root2, precision_bits))
+    return dyadic_sqrt(root2, precision_bits)
 
 
 def weil_height_element(x: KElement, precision_bits: int = DEFAULT_BITS) -> RealInterval:
@@ -245,22 +246,23 @@ def naive_height(state: QuotientState) -> int:
     """Max |coefficient| of the degree-4 integer polynomial f_n * sigma(f_n).
 
     Its coefficients are N(A), Tr(A*sigma(B)), Tr(A*sigma(C)) + N(B),
-    Tr(B*sigma(C)) and N(C): 3 K products.
+    Tr(B*sigma(C)) and N(C): with w^2 = c + l*w and x = p + q*w for the
+    integral A, B and C, N(x) = p^2 + l*p*q - c*q^2 and
+    Tr(x1*sigma(x2)) = 2*p1*p2 + l*(p1*q2 + q1*p2) - 2*c*q1*q2.
     """
-    A, B, C = state.poly.A, state.poly.B, state.poly.C
-    coeffs = [
-        A.norm(),
-        (A * B.conj()).trace(),
-        (A * C.conj()).trace() + B.norm(),
-        (B * C.conj()).trace(),
-        C.norm(),
-    ]
-    out = 0
-    for c in coeffs:
-        if c.denominator != 1:
-            raise AssertionError(f"f_n * sigma(f_n) has a non-integer coefficient {c}")
-        out = max(out, abs(c.numerator))
-    return out
+    poly = state.poly
+    c, l = poly.spec.omega_sq_const, poly.spec.omega_sq_lin
+    (pa, qa), (pb, qb), (pc, qc) = ((x.p, x.q) for x in (poly.A, poly.B, poly.C))
+
+    def norm(p: int, q: int) -> int:
+        return p * p + l * p * q - c * q * q
+
+    def tr(p1: int, q1: int, p2: int, q2: int) -> int:
+        return 2 * p1 * p2 + l * (p1 * q2 + q1 * p2) - 2 * c * q1 * q2
+
+    coeffs = (norm(pa, qa), tr(pa, qa, pb, qb), tr(pa, qa, pc, qc) + norm(pb, qb),
+              tr(pb, qb, pc, qc), norm(pc, qc))
+    return max(map(abs, coeffs))
 
 
 def _tight_abs(value: KElement | SurdElement, rel_bits: int) -> RealInterval:
@@ -286,19 +288,31 @@ def _tight_abs_m(value: KElement | SurdElement, rel_bits: int, roots: _RootTable
 
 @dataclass(frozen=True)
 class TrajectoryRow:
+    """One `diagnostics` row.  It keeps its enclosures as `Dyadic` triples
+    (the `_m` fields); `s_n`, `f1`, `f2`, `weil`, `qs_abs` and `qs_sigma`
+    are `RealInterval` views of them, built when read."""
+
     index: int
     triple: tuple[KElement, KElement, KElement]
     p: KElement
     q: KElement
-    s_n: RealInterval
-    f1: RealInterval
-    f2: RealInterval
-    weil: RealInterval
+    s_m: Dyadic
+    f1_m: Dyadic
+    f2_m: Dyadic
+    weil_m: Dyadic
     naive: int
-    qs_abs: RealInterval
+    qs_abs_m: Dyadic
     # |sigma(Q_n) * (xi' sigma(Q_n) - sigma(P_n))| for both real roots xi'
     # of the conjugate polynomial; None when those roots are complex.
-    qs_sigma: tuple[RealInterval, RealInterval] | None
+    qs_sigma_m: tuple[Dyadic, Dyadic] | None
+
+    s_n = property(lambda self: dyadic_interval(self.s_m))
+    f1 = property(lambda self: dyadic_interval(self.f1_m))
+    f2 = property(lambda self: dyadic_interval(self.f2_m))
+    weil = property(lambda self: dyadic_interval(self.weil_m))
+    qs_abs = property(lambda self: dyadic_interval(self.qs_abs_m))
+    qs_sigma = property(lambda self: None if self.qs_sigma_m is None
+                        else tuple(map(dyadic_interval, self.qs_sigma_m)))
 
 
 @dataclass(frozen=True)
@@ -352,10 +366,7 @@ def diagnostics(
             s_s2 = _tight_abs_m(xi_p_plus * sqn - spn, bits, roots)
             s_s3 = _tight_abs_m(xi_p_minus * sqn - spn, bits, roots)
             sq_abs = dyadic_abs(_k_embed(sqn, bits, roots))
-            qs_sigma = (
-                dyadic_interval(dyadic_mul(s_s2, sq_abs)),
-                dyadic_interval(dyadic_mul(s_s3, sq_abs)),
-            )
+            qs_sigma = (dyadic_mul(s_s2, sq_abs), dyadic_mul(s_s3, sq_abs))
         else:
             # Complex pair: |x'' + y''*sqrt(sigma(delta))|^2
             # = x''^2 - y''^2*sigma(delta) in K.
@@ -374,13 +385,13 @@ def diagnostics(
                 triple=(state_n.poly.A, state_n.poly.B, state_n.poly.C),
                 p=pn,
                 q=qn,
-                s_n=dyadic_interval(s_id),
-                f1=dyadic_interval(f1),
-                f2=dyadic_interval(f2),
-                weil=_weil_height(state_n, bits, roots),
+                s_m=s_id,
+                f1_m=f1,
+                f2_m=f2,
+                weil_m=_weil_height(state_n, bits, roots),
                 naive=naive_height(state_n),
-                qs_abs=dyadic_interval(dyadic_mul(q_abs, s_id)),
-                qs_sigma=qs_sigma,
+                qs_abs_m=dyadic_mul(q_abs, s_id),
+                qs_sigma_m=qs_sigma,
             )
         )
         prev = {"id": s_id, "tau": s_tau, "s2": s_s2, "s3": s_s3}
@@ -398,19 +409,22 @@ def summarize(rows: Sequence[TrajectoryRow], quotients: Sequence[KElement],
     """
     last = QuadraticPolyK(*rows[-1].triple).evaluate(quotients[len(rows) - 1])
     leads = [r.triple[0] for r in rows] + [last]
-    max_a = max(float(abs(x.embed(precision_bits)).hi) for x in leads)
-    max_sa = max(float(abs(x.embed(precision_bits, conjugate=True)).hi) for x in leads)
+    roots = _RootTable()
+    max_a, max_sa = (
+        max(dyadic_floats(dyadic_abs(_k_embed(x, precision_bits, roots, conj)))[1] for x in leads)
+        for conj in (False, True)
+    )
     sigma_sup = None
-    if rows[0].qs_sigma is not None:
-        sigma_sup = min(max(float(r.qs_sigma[i].hi) for r in rows) for i in (0, 1))
+    if rows[0].qs_sigma_m is not None:
+        sigma_sup = min(max(dyadic_floats(r.qs_sigma_m[i])[1] for r in rows) for i in (0, 1))
     return TrajectorySummary(
         steps=len(rows),
         max_abs_a=max_a,
         max_abs_sigma_a=max_sa,
-        sup_qs=max(float(r.qs_abs.hi) for r in rows),
+        sup_qs=max(dyadic_floats(r.qs_abs_m)[1] for r in rows),
         sup_qs_sigma=sigma_sup,
-        weil_min=min(float(r.weil.lo) for r in rows),
-        weil_max=max(float(r.weil.hi) for r in rows),
+        weil_min=min(dyadic_floats(r.weil_m)[0] for r in rows),
+        weil_max=max(dyadic_floats(r.weil_m)[1] for r in rows),
         naive_max=max(r.naive for r in rows),
     )
 

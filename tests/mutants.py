@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 ROUNDTRIP_TESTS = ("tests/test_roundtrip.py",)
 TRACE_TEST = "tests/test_identities.py::test_trace_rule_matches_the_squared_rule"
 ROOT_TABLE_TEST = "tests/test_root_table.py"
+ROW_VIEWS_TEST = "tests/test_quartic.py::TestRowViews"
 
 CATALOGUE = (
     Mutant(
@@ -102,7 +103,8 @@ CATALOGUE = (
     Mutant(
         "round trip admits any seed",
         "okcf/golden.py",
-        "    if classify_seed(seed) is not None:\n        return False\n    e = e_matrix",
+        "    if r.admitted is not seed and classify_seed(seed) is not None:\n"
+        "        return False\n    e = e_matrix",
         "    e = e_matrix",
         ROUNDTRIP_TESTS,
     ),
@@ -140,6 +142,27 @@ CATALOGUE = (
         "        r = isqrt_d.get(bits)\n",
         "        r = next(iter(isqrt_d.values()), None)\n",
         (ROOT_TABLE_TEST,),
+    ),
+    Mutant(
+        "naive_height turns the trace term -2*c*q1*q2 to +",
+        "okcf/quartic.py",
+        "l * (p1 * q2 + q1 * p2) - 2 * c * q1 * q2",
+        "l * (p1 * q2 + q1 * p2) + 2 * c * q1 * q2",
+        ("tests/test_quartic_formulas.py",),
+    ),
+    Mutant(
+        "summarize takes max|sigma(A_n)| from the identity embedding",
+        "okcf/quartic.py",
+        "        for conj in (False, True)\n",
+        "        for conj in (False, False)\n",
+        (ROW_VIEWS_TEST,),
+    ),
+    Mutant(
+        "KElement.__str__ drops the sign of q on an integral element",
+        "okcf/field.py",
+        "(self.p, self.q) if self.den == 1",
+        "(self.p, abs(self.q)) if self.den == 1",
+        ("tests/test_field_reference.py",),
     ),
 )
 

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import random
 from dataclasses import fields
 from fractions import Fraction
+
+import pytest
 
 from okcf.intervals import (
     MAX_BITS,
     RealInterval,
+    dyadic_floats,
+    dyadic_interval,
+    dyadic_mid_float,
     effective_bits,
     round_down,
     round_up,
@@ -61,3 +67,62 @@ def test_interval_is_its_endpoints():
         assert iv == RealInterval(lo, hi)
         assert iv.precision_bits == effective_bits(lo, hi)
     assert RealInterval.of(Fraction(1), Fraction(1)).precision_bits == MAX_BITS
+
+
+
+def converted(convert):
+    """`convert()` as a repr, so that -0.0 differs from 0.0, or the text
+    of the OverflowError it raises."""
+    try:
+        return repr(convert())
+    except OverflowError as exc:
+        return f"OverflowError: {exc}"
+
+
+def assert_floats_match_the_fractions(m):
+    iv = dyadic_interval(m)
+    via_fractions = converted(lambda: [float(iv.lo), float(iv.hi)])
+    assert converted(lambda: dyadic_floats(m)) == via_fractions, m
+    assert converted(lambda: dyadic_mid_float(m)) == converted(lambda: float(iv)), m
+
+
+def float_cases(rng):
+    """Triples with signed mantissas up to 4000 bits and exponents up to
+    20000, then endpoints placed around the binary64 limits: the smallest
+    normal 2^-1022, subnormals down to 2^-1074, values that round to 0,
+    and values near 2^1024, where a float overflows."""
+    for _ in range(3000):
+        bits = rng.randint(0, 4000)
+        lo = rng.getrandbits(bits) * rng.choice((1, -1))
+        yield lo, lo + rng.getrandbits(rng.randint(0, bits)), rng.randint(0, 20000)
+    for bits in (1, 2, 53, 54, 64, 1000, 4000):
+        for power in (-1078, -1076, -1075, -1074, -1073, -1060, -1023, -1022, 1022, 1023):
+            top = 1 << (bits - 1)
+            for m in (top, top + 1, top | rng.getrandbits(bits - 1), (top << 1) - 1):
+                e = bits - 1 - power
+                if e < 0:
+                    m, e = m << -e, 0
+                yield m, m, e
+                yield -m, m, e
+
+
+def test_floats_from_the_triple_match_the_fraction_endpoints():
+    rng = random.Random(1414)
+    seen = {"zero": 0, "subnormal": 0, "normal": 0, "overflow": 0}
+    for m in float_cases(rng):
+        assert_floats_match_the_fractions(m)
+        try:
+            endpoints = dyadic_floats(m)
+        except OverflowError:
+            seen["overflow"] += 1
+            continue
+        for x in endpoints:
+            seen["zero" if x == 0 else "subnormal" if abs(x) < 2.0 ** -1022 else "normal"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_an_overflowing_endpoint_raises_the_same_error_both_ways():
+    for m in [(1 << 1024, 1 << 1024, 0), (-(1 << 4000), 0, 10), (0, (1 << 4000) - 1, 2976)]:
+        assert_floats_match_the_fractions(m)
+        with pytest.raises(OverflowError, match="too large for a float"):
+            dyadic_floats(m)

@@ -8,6 +8,7 @@ import pytest
 
 from okcf.cf import qpair_states
 from okcf.field import FieldSpec, SurdElement, reals_equal, sign_of
+from okcf.intervals import RealInterval, dyadic_interval
 from okcf.quartic import (
     QuadraticPolyK,
     SeedError,
@@ -18,6 +19,7 @@ from okcf.quartic import (
     periodicity_preconditions,
     run_trajectory,
     step_state,
+    summarize,
     triple_recursion,
     weil_height,
     weil_height4,
@@ -330,3 +332,50 @@ class TestPreconditions:
         )
         # sigma(2*beta) = 2 - 2*beta < 0: test not applicable
         assert rep.interval_test is None
+
+
+class TestRowViews:
+    """A `diagnostics` row keeps its enclosures as `Dyadic` triples; its
+    interval attributes are views of them, and `summarize` reads from the
+    triples the floats that the views' `Fraction` endpoints give."""
+
+    SEEDS = {
+        # x^2 - 2x - w^2: sigma(delta) = 12 - 4w > 0.
+        "real sigma(delta)": lambda k: QuadraticPolyK(k.one, k.element(-2), -(k.omega * k.omega)),
+        # x^2 + 2 - 3w: sigma(delta) = 4 - 12w < 0.
+        "complex sigma(delta)": lambda k: QuadraticPolyK(k.one, k.zero, k.element(2, -3)),
+    }
+
+    @pytest.mark.parametrize("bits", [64, 300])
+    @pytest.mark.parametrize("name", list(SEEDS))
+    def test_views_are_the_stored_triples(self, k5, name, bits):
+        seed = self.SEEDS[name](k5)
+        rng = random.Random(bits)
+        quots = [random_k(rng, k5, bound=3) for _ in range(12)]
+        rows = diagnostics(seed, 1, quots, bits)
+        states = run_trajectory(seed, 1, quots)
+        real = sign_of(seed.delta.conj()) > 0
+        for n, r in enumerate(rows):
+            views = [(r.s_n, r.s_m), (r.f1, r.f1_m), (r.f2, r.f2_m), (r.weil, r.weil_m),
+                     (r.qs_abs, r.qs_abs_m)]
+            if real:
+                views += list(zip(r.qs_sigma, r.qs_sigma_m))
+            else:
+                assert r.qs_sigma is None and r.qs_sigma_m is None
+            for view, m in views:
+                assert isinstance(view, RealInterval) and view == dyadic_interval(m)
+            assert r.weil == weil_height(states[n], bits)
+
+        summary = summarize(rows, quots, bits)
+        leads = [s.poly.A for s in states]
+        assert summary.max_abs_a == max(float(abs(x.embed(bits)).hi) for x in leads)
+        assert summary.max_abs_sigma_a == max(
+            float(abs(x.embed(bits, conjugate=True)).hi) for x in leads
+        )
+        assert summary.max_abs_a != summary.max_abs_sigma_a
+        assert summary.sup_qs == max(float(r.qs_abs.hi) for r in rows)
+        assert summary.sup_qs_sigma == (
+            min(max(float(r.qs_sigma[i].hi) for r in rows) for i in (0, 1)) if real else None
+        )
+        assert summary.weil_min == min(float(r.weil.lo) for r in rows)
+        assert summary.weil_max == max(float(r.weil.hi) for r in rows)
