@@ -26,7 +26,7 @@ every failure text.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -311,8 +311,6 @@ class ExpansionResult:
     seed: QuadraticPolyK
     branch: int
     conj_branch: int
-    # The seed object `pair_steps` admitted; the round trip classifies any other.
-    admitted: QuadraticPolyK | None = field(default=None, repr=False, compare=False)
 
     @property
     def steps(self) -> int:
@@ -671,7 +669,6 @@ def expand_pair(
                 seed=seed,
                 branch=branch,
                 conj_branch=conj_branch,
-                admitted=seed,
             )
             return replace(result, verified=bool(verify_roundtrip(result)))
         seen[key] = n
@@ -730,7 +727,7 @@ def _proportional_roundtrip(r: ExpansionResult) -> bool:
     positive and not a square.
     """
     seed = r.seed
-    if r.admitted is not seed and classify_seed(seed) is not None:
+    if classify_seed(seed) is not None:
         return False
     e = e_matrix(r.expansion)
     a, e21 = seed.A, e.e21
