@@ -98,14 +98,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "poly": _poly_json(res.poly),
         "discriminant": str(res.discriminant),
     }
-    if res.value is not None:
-        payload["outcome"] = "value"
-        payload["value"] = str(res.value)
-        payload["decimal"] = decimal_str(res.value, args.digits)
-    elif res.value_in_k is not None:
-        payload["outcome"] = "value_in_k"
-        payload["value"] = str(res.value_in_k)
-        payload["decimal"] = decimal_str(res.value_in_k, args.digits)
+    in_k = res.value is None
+    value = res.value_in_k if in_k else res.value
+    if value is not None:
+        payload["outcome"] = "value_in_k" if in_k else "value"
+        payload["value"] = str(value)
+        payload["decimal"] = decimal_str(value, args.digits)
     else:
         payload["outcome"] = "does_not_exist"
         payload["reason"] = res.failure.value
@@ -125,11 +123,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     print(f"E(P)           {res.e}")
     print(f"f(P)           ({res.poly[0]})*x^2 + ({res.poly[1]})*x + ({res.poly[2]})")
     print(f"discriminant   {res.discriminant}")
-    if res.value is not None:
-        print(f"value          {res.value}")
-        print(f"decimal        {payload['decimal']}")
-    elif res.value_in_k is not None:
-        print(f"value (in K)   {res.value_in_k}")
+    if value is not None:
+        print(f"{'value (in K)' if in_k else 'value':<15}{value}")
         print(f"decimal        {payload['decimal']}")
     else:
         reason = res.failure.value

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, total_ordering
 from math import gcd, isqrt, lcm, sqrt
 from typing import Callable
 
@@ -130,6 +130,7 @@ class FieldSpec:
         return f"Q(sqrt({self.d}))"
 
 
+@total_ordering
 class KElement:
     """(p + q*w)/den in K = Q(sqrt(d)), immutable.
 
@@ -320,12 +321,6 @@ class KElement:
     def trace(self) -> Fraction:
         return Fraction(2 * self.p + self.spec.omega_sq_lin * self.q, self.den)
 
-    def sqrt_d_coords(self) -> tuple[Fraction, Fraction]:
-        """(u, v) with value = u + v*sqrt(d)."""
-        if self.spec.omega_is_half:
-            return Fraction(2 * self.p + self.q, 2 * self.den), Fraction(self.q, 2 * self.den)
-        return self.a, self.b
-
     def embed(
         self, precision_bits: int = DEFAULT_BITS, conjugate: bool = False, *, dyadic: bool = False
     ) -> RealInterval | Dyadic:
@@ -352,29 +347,12 @@ class KElement:
     def __repr__(self) -> str:
         return f"KElement(D={self.spec.d}, {self})"
 
+    # `total_ordering` derives <=, > and >= from this and `__eq__`.
     def __lt__(self, other: object) -> bool:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return sign_of(self - o) < 0
-
-    def __le__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return sign_of(self - o) <= 0
-
-    def __gt__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return sign_of(self - o) > 0
-
-    def __ge__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return sign_of(self - o) >= 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -562,14 +540,19 @@ class _RootTable:
         self.sqrt_delta: dict[tuple[int, int, int, int], Dyadic] = {}
 
 
+def _sqrt_d_form(k: KElement) -> tuple[int, int, int]:
+    """The integers (u, v, m) with k = (u + v*sqrt(d))/m and m > 0; with
+    w = (1 + sqrt(d))/2, 2*(p + q*w) = (2p + q) + q*sqrt(d)."""
+    if k.spec.omega_is_half:
+        return 2 * k.p + k.q, k.q, 2 * k.den
+    return k.p, k.q, k.den
+
+
 def _k_embed(k: KElement, precision_bits: int, roots: _RootTable,
              conjugate: bool = False) -> Dyadic:
     """`KElement.embed` as a dyadic triple, with the roots of `roots`."""
     # The embedding is (u + v*sqrt(d))/den; the conjugate only flips v.
-    if k.spec.omega_is_half:
-        u, v, den = 2 * k.p + k.q, k.q, 2 * k.den
-    else:
-        u, v, den = k.p, k.q, k.den
+    u, v, den = _sqrt_d_form(k)
     if conjugate:
         v = -v
     if not v:
@@ -645,14 +628,10 @@ def _root_sign(x: int, y: int, d: int) -> int:
 
 
 def _k_sign(k: KElement) -> int:
-    # den > 0 leaves the sign to p + q*w; with w = (1 + sqrt(d))/2,
-    # 2*(p + q*w) = (2p + q) + q*sqrt(d).
-    p, q = k.p, k.q
-    if not q:
-        return (p > 0) - (p < 0)
-    if k.spec.omega_sq_lin:
-        return _root_sign(2 * p + q, q, k.spec.d)
-    return _root_sign(p, q, k.spec.d)
+    if not k.q:
+        return (k.p > 0) - (k.p < 0)
+    u, v, _ = _sqrt_d_form(k)
+    return _root_sign(u, v, k.spec.d)
 
 
 def surd_sign(x: KElement, y: KElement, delta: KElement) -> int:
@@ -718,10 +697,7 @@ def is_square_in_k(x: KElement) -> KElement | None:
     if x.is_zero:
         return spec.zero
     d = spec.d
-    if spec.omega_is_half:
-        u, v, m = 2 * x.p + x.q, x.q, 2 * x.den
-    else:
-        u, v, m = x.p, x.q, x.den
+    u, v, m = _sqrt_d_form(x)
     norm = u * u - d * v * v
     if norm < 0:
         return None

@@ -43,7 +43,6 @@ from .field import (
     is_square_in_k,
     reals_equal,
     sign_of,
-    surd_is_zero,
     surd_sign,
     surd_sum_sign,
 )
@@ -92,9 +91,7 @@ class RealPair:
 
     @property
     def is_zero(self) -> bool:
-        if self.v is None:
-            return surd_is_zero(self.u)
-        return self.u.y.is_zero and self.v.y.is_zero and (self.u.x + self.v.x).is_zero
+        return self.sign() == 0
 
     def __neg__(self) -> RealPair:
         return RealPair(-self.u, None if self.v is None else -self.v)
@@ -128,17 +125,6 @@ class RealPair:
     def sign(self) -> int:
         return self._sign_minus(0)
 
-    def _as_rational(self) -> Fraction | None:
-        if self.v is None:
-            if self.u.y.is_zero and self.u.x.is_rational:
-                return self.u.x.a
-            return None
-        if self.u.y.is_zero and self.v.y.is_zero:
-            k = self.u.x + self.v.x
-            if k.is_rational:
-                return k.a
-        return None
-
     def __float__(self) -> float:
         """A float approximation with no error bound; `interval` encloses."""
         approx = _surd_float(self.u)
@@ -157,9 +143,6 @@ class RealPair:
     @cached_property
     def _floor_parts(self) -> tuple[int, bool]:
         """(floor(self), whether self is that integer), decided by exact signs."""
-        q = self._as_rational()
-        if q is not None:
-            return q.numerator // q.denominator, q.denominator == 1
         # Largest n with self >= n: gallop from the guess until the answer is
         # bracketed by lo (self >= lo) and hi (self < hi), then bisect.  A
         # good guess costs two signs.
@@ -525,13 +508,9 @@ def choose_quotient(p: PairState, ctx: PairContext) -> KElement:
         xs = xs or (coords.x.floor(), coords.x.ceil())
         ys = ys or (coords.y.floor(), coords.y.ceil())
     corners = {"floor": (xs[0], ys[0]), "ceil": (xs[1], ys[1])}
-    seen: set[tuple[int, int]] = set()
     for cx, cy in CANDIDATE_ORDER:
         x = corners[cx][0]
         y = corners[cy][1]
-        if (x, y) in seen:
-            continue
-        seen.add((x, y))
         a = ctx.spec.element(x, y)
         z = None if enc is None else _corner_distance(enc[0], enc[1], x, y)
         inside = _float_below(z, _RADIUS_SQ_BELOW, _RADIUS_SQ_ABOVE)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .field import FieldSpec, KElement, SurdElement
 
-_NUMBER = re.compile(r"\d+(?:\s*/\s*\d+)?")
+_NUMBER = re.compile(r"(\d+)(?:\s*/\s*(\d+))?")
 
 
 class ParseError(ValueError):
@@ -28,7 +28,7 @@ class ParseError(ValueError):
 def _number(m: re.Match) -> Fraction:
     """The rational that an `_NUMBER` match spells; `p/0` is a parse error."""
     try:
-        return Fraction(re.sub(r"\s", "", m.group()))
+        return Fraction(int(m[1]), int(m[2] or 1))
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {m.group()!r}", m.start()) from None
 

@@ -503,19 +503,16 @@ def _root_in_window(seed: QuadraticPolyK, a0: KElement, a1: KElement) -> bool:
     lo = a0.conj()
     hi = lo + spec.one / a1.conj()
     sdelta = spoly.delta
-    s = sign_of(sdelta)
-    if s < 0:
+    if sign_of(sdelta) < 0:
         return False
     roots: list[SurdElement | KElement]
-    if s == 0:
-        roots = [-spoly.B / (2 * spoly.A)]
+    # A zero sdelta is a square too: its root 0 gives the double root twice.
+    root = is_square_in_k(sdelta)
+    if root is not None:
+        roots = [(-spoly.B + root) / (2 * spoly.A), (-spoly.B - root) / (2 * spoly.A)]
     else:
-        root = is_square_in_k(sdelta)
-        if root is not None:
-            roots = [(-spoly.B + root) / (2 * spoly.A), (-spoly.B - root) / (2 * spoly.A)]
-        else:
-            plus = QuotientState(spoly, 1).value
-            roots = [plus, plus.conj_sqrt()]
+        plus = QuotientState(spoly, 1).value
+        roots = [plus, plus.conj_sqrt()]
     for r in roots:
         if sign_of(r - lo) > 0 and sign_of(hi - r) > 0:
             return True

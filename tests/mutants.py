@@ -163,6 +163,27 @@ CATALOGUE = (
         "(self.p, abs(self.q)) if self.den == 1",
         ("tests/test_field_reference.py",),
     ),
+    Mutant(
+        "the sqrt(d) form drops the 2 of a half-integral basis",
+        "okcf/field.py",
+        "return 2 * k.p + k.q, k.q, 2 * k.den",
+        "return 2 * k.p + k.q, k.q, k.den",
+        ("tests/test_field.py", "tests/test_field_reference.py"),
+    ),
+    Mutant(
+        "KElement.__lt__ holds for equal elements",
+        "okcf/field.py",
+        "        return sign_of(self - o) < 0\n",
+        "        return sign_of(self - o) <= 0\n",
+        ("tests/test_field.py::TestOrdering",),
+    ),
+    Mutant(
+        "start-window test takes the greater K root twice",
+        "okcf/quartic.py",
+        "(-spoly.B - root) / (2 * spoly.A)",
+        "(-spoly.B + root) / (2 * spoly.A)",
+        ("tests/test_quartic.py::TestPreconditions",),
+    ),
 )
 
 

@@ -508,6 +508,17 @@ _PINNED_OUTPUTS = [
      "c2a7f5093f2561578284dde11a0f76d42ed8212ae18de1ec27a1c5e8b7ca1211"),
     ("radius 13 --output json", 0,
      "0ab3467a58c156d87faf0d15eefca3f2de3054e38cb170261d99b3daa16926a8"),
+    # A value in K, a double root, a negative discriminant and a window.
+    ("eval '[; 1]'", 0,
+     "b04f25f3d92d8fc6fe464069bd69e2fbdad25c31d3310efd9cc7fd293be865b1"),
+    ("eval '[; 1]' --output json", 0,
+     "e6f1d49322f297ebb524a470a8e2500065cf54904e3de923c69345cd42aa8eeb"),
+    ("eval '[; 2, -2]' --output json", 0,
+     "20f38bbca75cce230cbdb6884eb5734b78881bbd3463f8587e5c0258fe0051f4"),
+    ("eval '[; 1, -1]'", 0,
+     "bf6cbed8ae49ad4c67b777044c970991819361c716e5310136364a75ae75c3d0"),
+    ("eval '[; -2-1*w, -1-1*w, 2-1*w]'", 0,
+     "f871c0e34570cfbf4a7a2990cbad45077a69fb57a78f69ae0c91c66298786ace"),
 ]
 
 

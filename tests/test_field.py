@@ -342,3 +342,39 @@ class TestRealsEqual:
     def test_k_values(self, k5):
         a = SurdElement(k5, k5.element(2), k5.omega, k5.zero)
         assert reals_equal(a, k5.omega)
+
+
+class TestOrdering:
+    """`<`, `<=`, `>` and `>=` on K agree with the exact sign of the
+    difference, for K, int and Fraction operands on either side."""
+
+    @pytest.mark.parametrize("d", [5, 2, 13])
+    def test_matches_sign_of_difference(self, d, rng):
+        spec = FieldSpec(d)
+        for _ in range(150):
+            a = random_k(rng, spec, integral=False)
+            others = [
+                random_k(rng, spec, integral=False),
+                a,
+                spec.element(a.a, a.b),
+                rng.randint(-8, 8),
+                Fraction(rng.randint(-8, 8), rng.randint(1, 4)),
+            ]
+            for b in others:
+                s = sign_of(a - b)
+                assert (a < b, a <= b, a > b, a >= b) == (s < 0, s <= 0, s > 0, s >= 0)
+                assert (b < a, b <= a, b > a, b >= a) == (s > 0, s >= 0, s < 0, s <= 0)
+
+    def test_rational_ties_are_equal(self, k5):
+        half = k5.element(Fraction(1, 2))
+        for other in (Fraction(1, 2), k5.element(Fraction(2, 4))):
+            assert half <= other and half >= other
+            assert not (half < other or half > other)
+
+    def test_other_types_raise(self, k5):
+        for compare in (
+            lambda k: k < "x", lambda k: k <= "x", lambda k: k > "x", lambda k: k >= "x",
+            lambda k: "x" < k, lambda k: 1.5 < k,
+        ):
+            with pytest.raises(TypeError):
+                compare(k5.omega)

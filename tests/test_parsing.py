@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -89,3 +90,44 @@ def test_zero_denominator_is_parse_error(k5):
             parse_k(text, k5)
     with pytest.raises(ParseError, match="zero denominator"):
         parse_expansion("[; 1/0]", k5)
+
+
+def _reference_number(text: str) -> Fraction:
+    """A numeral read as one string, whitespace removed, by `Fraction`."""
+    return Fraction(re.sub(r"\s", "", text))
+
+
+# Spaces around '/', leading zeros, and Unicode decimal digits (Arabic-Indic,
+# fullwidth, Devanagari), which both `\d` and `int` accept.
+NUMERALS = ["7", "3/4", "3 / 4", "3\t/\u20034", "0007", "007/0012", "0/5", "000",
+            "\u0661\u0662", "\uff13/\uff14", "\u0967\u0966 / \u0966\u0966\u096a", "12/\u0668"]
+
+
+@pytest.mark.parametrize("text", NUMERALS)
+def test_numbers_read_from_their_digit_groups(k5, text):
+    value = _reference_number(text)
+    assert parse_rational(f" {text} ") == value
+    assert parse_k(text, k5) == k5.element(value)
+    assert parse_k(f"1 - {text}*w", k5) == k5.element(1, -value)
+
+
+def test_zero_denominator_text_and_position(k5):
+    with pytest.raises(ParseError) as err:
+        parse_k("2+3 / 0*w", k5)
+    assert err.value.position == 2
+    assert str(err.value) == "zero denominator in '3 / 0' (at position 2)"
+    with pytest.raises(ParseError) as err:
+        parse_rational(" 0012/000 ")
+    assert err.value.position == 0
+    assert str(err.value) == "zero denominator in '0012/000' (at position 0)"
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "1/" + "2" * 5000, "3" * 4400 + "/" + "5" * 4500])
+def test_overlong_numeral_raises_as_fraction_does(k5, text):
+    with pytest.raises(ValueError) as expected:
+        _reference_number(text)
+    for parse in (parse_rational, lambda t: parse_k(t, k5)):
+        with pytest.raises(ValueError) as err:
+            parse(text)
+        assert type(err.value) is type(expected.value)
+        assert str(err.value) == str(expected.value)

@@ -333,6 +333,39 @@ class TestPreconditions:
         # sigma(2*beta) = 2 - 2*beta < 0: test not applicable
         assert rep.interval_test is None
 
+    def test_window_of_a_double_root(self, k5):
+        # (x - beta)^2: delta = 0, and the conjugate double root is
+        # sigma(beta) = 1 - beta ~ -0.618.
+        seed = QuadraticPolyK(k5.one, -2 * k5.omega, k5.omega * k5.omega)
+        assert seed.delta.is_zero
+        inside = periodicity_preconditions(seed, a0=k5.element(-1), a1=k5.element(2))
+        assert inside.sigma_delta_sign == 0 and inside.interval_test is True
+        # (-1, -1 + 1/3) ends below the root.
+        outside = periodicity_preconditions(seed, a0=k5.element(-1), a1=k5.element(3))
+        assert outside.interval_test is False
+
+    def test_window_with_negative_sigma_delta(self, k5):
+        # sigma(delta) = 4 - 4*beta < 0: the conjugate roots are not real,
+        # so no window holds one, whatever sigma(a1) > 0 allows.
+        seed = QuadraticPolyK(k5.one, k5.zero, -k5.omega)
+        for a0 in (k5.element(-3), k5.zero, k5.element(2)):
+            rep = periodicity_preconditions(seed, a0=a0, a1=k5.one)
+            assert rep.sigma_delta_sign < 0 and rep.interval_test is False
+
+    def test_window_holding_only_the_lesser_k_root(self, k5):
+        # (x - beta)(x - 2*beta): sigma(delta) = (1 - beta)^2 is a square in
+        # K, and the conjugate roots are 1 - beta ~ -0.618 and
+        # 2 - 2*beta ~ -1.236.  (-2, -1) holds only (-B - root)/(2A).
+        beta = k5.omega
+        seed = QuadraticPolyK(k5.one, -3 * beta, 2 * beta * beta)
+        rep = periodicity_preconditions(seed, a0=k5.element(-2), a1=k5.one)
+        assert rep.sigma_delta_sign > 0 and rep.interval_test is True
+        # (-1, 0) holds only the other root, and (-3, -2) neither.
+        rep = periodicity_preconditions(seed, a0=k5.element(-1), a1=k5.one)
+        assert rep.interval_test is True
+        rep = periodicity_preconditions(seed, a0=k5.element(-3), a1=k5.one)
+        assert rep.interval_test is False
+
 
 class TestRowViews:
     """A `diagnostics` row keeps its enclosures as `Dyadic` triples; its
