@@ -94,6 +94,14 @@ class TestRealPair:
         assert not pair.is_zero
         assert pair.sign() == (1 if float(xi) > float(xip) else -1)
 
+    def test_hand_built_linked_pair_is_zero_by_value(self, k5):
+        # sqrt(2) - sqrt(8)/2 = 0 across two families that `pair` would fold.
+        u = SurdElement(k5, k5.element(2), k5.zero, k5.one)
+        v = SurdElement(k5, k5.element(8), k5.zero, k5.element(Fraction(-1, 2)))
+        pair = RealPair(u, v)
+        assert pair.sign() == 0 and pair.is_zero
+        assert not RealPair(u, -v).is_zero
+
     def test_floor_exact_rational(self, k5):
         u = SurdElement(k5, k5.element(2), k5.element(Fraction(7, 2)), k5.zero)
         pair = RealPair(u, None)
