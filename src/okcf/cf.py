@@ -7,9 +7,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .field import FieldSpec, InputRuleError, KElement, SurdElement, is_square_in_k, sign_of
+from .field import _int_mul, _make
 
 
 @dataclass(frozen=True)
@@ -107,18 +108,31 @@ class QPairState:
 
 
 def continuant(spec: FieldSpec, ts: Sequence[KElement]) -> KElement:
-    """K_n(t_1, ..., t_n) with K_{-1} = 0 and K_0 = 1."""
+    """K_n(t_1, ..., t_n) of integral t_i, with K_{-1} = 0 and K_0 = 1."""
     return cf_matrix(spec, ts).e11
 
 
-def qpair_states(spec: FieldSpec, quotients: Iterable[KElement]) -> list[QPairState]:
-    """One state per quotient, by `cf_matrix`'s recurrence from the identity."""
+def _convergents(spec: FieldSpec, quotients: Iterable[KElement]) -> Iterator[tuple]:
+    """(P_n, P_(n-1), Q_n, Q_(n-1)) after each integral quotient a_n, from
+    (1, 0, 0, 1) by P_n = a_n*P_(n-1) + P_(n-2) and the same for Q: two
+    products on integer pairs, and two elements built, per quotient."""
+    c, l = spec.omega_sq_const, spec.omega_sq_lin
     p, p_prev, q, q_prev = spec.one, spec.zero, spec.zero, spec.one
-    states: list[QPairState] = []
-    for i, a in enumerate(quotients):
-        p, p_prev, q, q_prev = a * p + p_prev, p, a * q + q_prev, q
-        states.append(QPairState(p, p_prev, q, q_prev, i))
-    return states
+    for a in quotients:
+        if a.spec is not spec and a.spec != spec:
+            raise ValueError("mismatched field specs")
+        if not a.is_integral:
+            raise InputRuleError(f"partial quotient {a} is not integral in O_K")
+        x, y = _int_mul(c, l, a.p, a.q, p.p, p.q)
+        u, v = _int_mul(c, l, a.p, a.q, q.p, q.q)
+        p, p_prev = _make(spec, x + p_prev.p, y + p_prev.q, 1), p
+        q, q_prev = _make(spec, u + q_prev.p, v + q_prev.q, 1), q
+        yield p, p_prev, q, q_prev
+
+
+def qpair_states(spec: FieldSpec, quotients: Iterable[KElement]) -> list[QPairState]:
+    """One state per integral quotient, by the convergent recurrence."""
+    return [QPairState(*t, i) for i, t in enumerate(_convergents(spec, quotients))]
 
 
 def convergents(expansion: CFExpansion, n: int) -> list[QPairState]:
@@ -127,12 +141,12 @@ def convergents(expansion: CFExpansion, n: int) -> list[QPairState]:
 
 
 def cf_matrix(spec: FieldSpec, quotients: Sequence[KElement]) -> Mat2:
-    """The product of the quotient matrices [[a, 1], [1, 0]], which is
-    [[P_n, P_(n-1)], [Q_n, Q_(n-1)]]: the convergent recurrence builds it."""
-    p, p_prev, q, q_prev = spec.one, spec.zero, spec.zero, spec.one
-    for a in quotients:
-        p, p_prev, q, q_prev = a * p + p_prev, p, a * q + q_prev, q
-    return Mat2(p, p_prev, q, q_prev)
+    """[[P_n, P_(n-1)], [Q_n, Q_(n-1)]], the product of the quotient matrices
+    [[a, 1], [1, 0]] of integral quotients: the identity for none."""
+    last = (spec.one, spec.zero, spec.zero, spec.one)
+    for last in _convergents(spec, quotients):
+        pass
+    return Mat2(*last)
 
 
 def e_matrix(expansion: CFExpansion) -> Mat2:

@@ -8,7 +8,9 @@ the ring of integers is exactly Z + Zw.  A `KElement` stores the integers
 coordinates over one common denominator, the usual layout of number-field
 elements (Cohen, GTM 138, section 4.2).  The triple is unique, so equality
 compares integers; sums and products of integral elements (den = 1) take
-no gcd, and any other result is normalised by one gcd.  Elements are
+no gcd, and any other result is normalised by one gcd.  The integral
+loops of `quartic` and `cf` multiply on integer pairs by the same rule,
+`_int_mul`, and build elements only for their results.  Elements are
 immutable (`__slots__`, and setting an attribute raises); the rational
 coordinates `a` and `b` are derived.  Elements of L are stored as
 x + y*sqrt(delta) with x, y, delta in K and sqrt(delta) the positive real
@@ -258,14 +260,8 @@ class KElement:
             if o is None:
                 return NotImplemented
         spec = self.spec
-        p1, q1, p2, q2 = self.p, self.q, o.p, o.q
-        qq = q1 * q2
-        return _reduced(
-            spec,
-            p1 * p2 + spec.omega_sq_const * qq,
-            p1 * q2 + q1 * p2 + spec.omega_sq_lin * qq,
-            self.den * o.den,
-        )
+        p, q = _int_mul(spec.omega_sq_const, spec.omega_sq_lin, self.p, self.q, o.p, o.q)
+        return _reduced(spec, p, q, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -280,14 +276,10 @@ class KElement:
         n = p2 * p2 + l * p2 * q2 - c * q2 * q2
         if not n:
             raise ZeroDivisionError("division by zero in K")
-        cp, cq = p2 + l * q2, -q2
-        p1, q1 = self.p, self.q
-        qq = q1 * cq
-        p = (p1 * cp + c * qq) * o.den
-        q = (p1 * cq + q1 * cp + l * qq) * o.den
+        p, q = _int_mul(c, l, self.p, self.q, p2 + l * q2, -q2)
         if n < 0:
             p, q, n = -p, -q, -n
-        return _reduced(spec, p, q, self.den * n)
+        return _reduced(spec, p * o.den, q * o.den, self.den * n)
 
     def __rtruediv__(self, other: object) -> KElement:
         o = self._coerce(other)
@@ -501,6 +493,12 @@ _set_spec = KElement.spec.__set__
 _set_p = KElement.p.__set__
 _set_q = KElement.q.__set__
 _set_den = KElement.den.__set__
+
+
+def _int_mul(c: int, l: int, p1: int, q1: int, p2: int, q2: int) -> tuple[int, int]:
+    """(p, q) of the product (p1 + q1*w)*(p2 + q2*w), with w^2 = c + l*w."""
+    qq = q1 * q2
+    return p1 * p2 + c * qq, p1 * q2 + q1 * p2 + l * qq
 
 
 def _make(spec: FieldSpec, p: int, q: int, den: int) -> KElement:

@@ -17,6 +17,8 @@ from .field import (
     KElement,
     SurdElement,
     _k_embed,
+    _int_mul,
+    _make,
     _RootTable,
     _surd_embed,
     is_square_in_k,
@@ -51,7 +53,7 @@ class SquareDiscriminantError(SeedError):
 
 @dataclass(frozen=True)
 class QuadraticPolyK:
-    """A*x^2 + B*x + C with coefficients integral in O_K and A != 0."""
+    """A*x^2 + B*x + C with coefficients integral in one O_K and A != 0."""
 
     A: KElement
     B: KElement
@@ -63,6 +65,8 @@ class QuadraticPolyK:
         for coeff in (self.A, self.B, self.C):
             if not coeff.is_integral:
                 raise SeedError(f"coefficient {coeff} is not integral in O_K")
+            if coeff.spec is not self.A.spec and coeff.spec != self.A.spec:
+                raise ValueError("mismatched field specs")
 
     @property
     def spec(self) -> FieldSpec:
@@ -137,14 +141,20 @@ def step_state(state: QuotientState, a: KElement) -> QuotientState:
     With B' = 2*A*a + B and C' = f(a), the identity
     1/(xi - a) = (-B' - branch*sqrt(delta)) / (2*C') gives the new branch
     as -branch.  With t = A*a + B, f(a) = t*a + C and B' = A*a + t: two
-    K products.
+    products on the integer pairs of p + q*w, and one element per result.
     """
     if not a.is_integral:
         raise InputRuleError(f"partial quotient {a} is not integral in O_K")
     poly = state.poly
-    aa = poly.A * a
-    t = aa + poly.B
-    new_poly = QuadraticPolyK(t * a + poly.C, aa + t, poly.A)
+    A, B, C, spec = poly.A, poly.B, poly.C, poly.A.spec
+    if a.spec is not spec and a.spec != spec:
+        raise ValueError("mismatched field specs")
+    c, l = spec.omega_sq_const, spec.omega_sq_lin
+    aa_p, aa_q = _int_mul(c, l, A.p, A.q, a.p, a.q)
+    t_p, t_q = aa_p + B.p, aa_q + B.q
+    f_p, f_q = _int_mul(c, l, t_p, t_q, a.p, a.q)
+    fa = _make(spec, f_p + C.p, f_q + C.q, 1)
+    new_poly = QuadraticPolyK(fa, _make(spec, aa_p + t_p, aa_q + t_q, 1), A)
     return QuotientState(new_poly, -state.branch)
 
 
@@ -154,18 +164,36 @@ def triple_recursion(seed: QuadraticPolyK, qp: QPairState) -> QuadraticPolyK:
     A_{n+1} = f(P_n, Q_n), C_{n+1} = f(P_{n-1}, Q_{n-1}) and B_{n+1} is the
     polar form of the binary quadratic form f(x, y) = A*x^2 + B*x*y + C*y^2.
     With u = A*P_n + B*Q_n and c = C*Q_n, A_{n+1} = u*P_n + c*Q_n and
-    B_{n+1} = (u + A*P_n)*P_{n-1} + (B*P_n + 2c)*Q_{n-1}: 13 K products.
+    B_{n+1} = (u + A*P_n)*P_{n-1} + (B*P_n + 2c)*Q_{n-1}: 13 products, on
+    the pairs (x_p, x_q) of x = x_p + x_q*w, and one element per result.
     """
-    pn, pm = qp.p_cur, qp.p_prev
-    qn, qm = qp.q_cur, qp.q_prev
-    A, B, C = seed.A, seed.B, seed.C
-    ap = A * pn
-    u = ap + B * qn
-    c = C * qn
-    a_next = u * pn + c * qn
-    b_next = (u + ap) * pm + (B * pn + c + c) * qm
-    c_next = (A * pm + B * qm) * pm + C * qm * qm
-    return QuadraticPolyK(a_next, b_next, c_next)
+    spec = seed.spec
+    for x in (qp.p_cur, qp.p_prev, qp.q_cur, qp.q_prev):
+        if x.spec is not spec and x.spec != spec:
+            raise ValueError("mismatched field specs")
+        if not x.is_integral:
+            raise InputRuleError(f"convergent {x} is not integral in O_K")
+    c, l = spec.omega_sq_const, spec.omega_sq_lin
+    pn_p, pn_q, pm_p, pm_q = qp.p_cur.p, qp.p_cur.q, qp.p_prev.p, qp.p_prev.q
+    qn_p, qn_q, qm_p, qm_q = qp.q_cur.p, qp.q_cur.q, qp.q_prev.p, qp.q_prev.q
+    a_p, a_q, b_p, b_q = seed.A.p, seed.A.q, seed.B.p, seed.B.q
+    c_p, c_q = _int_mul(c, l, seed.C.p, seed.C.q, qn_p, qn_q)
+    ap_p, ap_q = _int_mul(c, l, a_p, a_q, pn_p, pn_q)
+    u_p, u_q = _int_mul(c, l, b_p, b_q, qn_p, qn_q)
+    u_p, u_q = u_p + ap_p, u_q + ap_q
+    x_p, x_q = _int_mul(c, l, u_p, u_q, pn_p, pn_q)
+    y_p, y_q = _int_mul(c, l, c_p, c_q, qn_p, qn_q)
+    a_next = _make(spec, x_p + y_p, x_q + y_q, 1)
+    x_p, x_q = _int_mul(c, l, u_p + ap_p, u_q + ap_q, pm_p, pm_q)
+    y_p, y_q = _int_mul(c, l, b_p, b_q, pn_p, pn_q)
+    y_p, y_q = _int_mul(c, l, y_p + 2 * c_p, y_q + 2 * c_q, qm_p, qm_q)
+    b_next = _make(spec, x_p + y_p, x_q + y_q, 1)
+    x_p, x_q = _int_mul(c, l, a_p, a_q, pm_p, pm_q)
+    y_p, y_q = _int_mul(c, l, b_p, b_q, qm_p, qm_q)
+    x_p, x_q = _int_mul(c, l, x_p + y_p, x_q + y_q, pm_p, pm_q)
+    y_p, y_q = _int_mul(c, l, seed.C.p, seed.C.q, qm_p, qm_q)
+    y_p, y_q = _int_mul(c, l, y_p, y_q, qm_p, qm_q)
+    return QuadraticPolyK(a_next, b_next, _make(spec, x_p + y_p, x_q + y_q, 1))
 
 
 def run_trajectory(

@@ -42,6 +42,7 @@ ROUNDTRIP_TESTS = ("tests/test_roundtrip.py",)
 TRACE_TEST = "tests/test_identities.py::test_trace_rule_matches_the_squared_rule"
 ROOT_TABLE_TEST = "tests/test_root_table.py"
 ROW_VIEWS_TEST = "tests/test_quartic.py::TestRowViews"
+INTEGRAL_RECURRENCE_TEST = "tests/test_cf.py::TestIntegralRecurrence"
 
 CATALOGUE = (
     Mutant(
@@ -176,6 +177,28 @@ CATALOGUE = (
         "        return sign_of(self - o) < 0\n",
         "        return sign_of(self - o) <= 0\n",
         ("tests/test_field.py::TestOrdering",),
+    ),
+    Mutant(
+        "the integer-pair product drops its l*q1*q2 term",
+        "okcf/field.py",
+        "    return p1 * p2 + c * qq, p1 * q2 + q1 * p2 + l * qq\n",
+        "    return p1 * p2 + c * qq, p1 * q2 + q1 * p2\n",
+        (INTEGRAL_RECURRENCE_TEST, "tests/test_field_reference.py"),
+    ),
+    Mutant(
+        "triple_recursion's B_(n+1) form swaps the coordinates of P_n",
+        "okcf/quartic.py",
+        "y_p, y_q = _int_mul(c, l, b_p, b_q, pn_p, pn_q)",
+        "y_p, y_q = _int_mul(c, l, b_p, b_q, pn_q, pn_p)",
+        ("tests/test_quartic_formulas.py::test_step_and_triple_match_longhand",),
+    ),
+    Mutant(
+        "_reduced skips its gcd normalisation",
+        "okcf/field.py",
+        "    if den != 1:\n        g = gcd(p, q, den)\n"
+        "        if g != 1:\n            p, q, den = p // g, q // g, den // g\n",
+        "",
+        ("tests/test_field_reference.py::test_matches_fraction_reference",),
     ),
     Mutant(
         "start-window test takes the greater K root twice",

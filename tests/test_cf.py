@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from fractions import Fraction
 
 import pytest
 
@@ -15,9 +16,10 @@ from okcf.cf import (
     eval_periodic,
     qpair_states,
 )
-from okcf.field import sign_of
+from okcf.field import FieldSpec, InputRuleError, sign_of
 from okcf.parsing import parse_expansion
 from conftest import random_k
+from fraction_k import RefK
 
 
 def mat_oracle(spec, quotients):
@@ -117,6 +119,41 @@ class TestConvergents:
             n = len(qs) - 1
             assert sts[-1].p_cur == continuant(k5, qs)
             assert sts[-1].q_cur == continuant(k5, qs[1:])
+
+
+class TestIntegralRecurrence:
+    """`qpair_states` and `cf_matrix` share one recurrence on integer pairs,
+    so it is checked on both kinds of integral basis: D = 2 (w^2 = 2) and
+    D = 13 (w^2 = 3 + w), against the matrix product on the frozen
+    Fraction-backed `RefK`."""
+
+    @pytest.mark.parametrize("d", (2, 13))
+    def test_matches_fraction_reference(self, d, rng):
+        spec = FieldSpec(d)
+        one, zero = RefK(d, 1, 0), RefK(d, 0, 0)
+        for _ in range(60):
+            qs = [random_k(rng, spec, rng.choice((3, 40, 2**40)))
+                  for _ in range(rng.randint(1, 10))]
+            rows = ((one, zero), (zero, one))
+            for a, st in zip(qs, qpair_states(spec, qs), strict=True):
+                r = RefK(d, a.a, a.b)
+                # [[x, y]] * [[a, 1], [1, 0]] = [[x*a + y, x]]
+                rows = tuple((x * r + y, x) for x, y in rows)
+                got = (st.p_cur, st.p_prev, st.q_cur, st.q_prev)
+                assert [(g.a, g.b) for g in got] == [(x.a, x.b) for row in rows for x in row]
+            m = cf_matrix(spec, qs)
+            got = (m.e11, m.e12, m.e21, m.e22)
+            assert [(g.a, g.b) for g in got] == [(x.a, x.b) for row in rows for x in row]
+
+    @pytest.mark.parametrize("call", (qpair_states, cf_matrix, continuant))
+    def test_non_integral_quotient_rejected(self, k5, call):
+        with pytest.raises(InputRuleError, match="partial quotient 1/2 is not integral in O_K"):
+            call(k5, [k5.one, k5.element(Fraction(1, 2)), k5.one])
+
+    @pytest.mark.parametrize("call", (qpair_states, cf_matrix, continuant))
+    def test_quotient_of_another_field_rejected(self, k5, call):
+        with pytest.raises(ValueError, match="mismatched field specs"):
+            call(k5, [k5.one, FieldSpec(2).omega])
 
 
 class TestMatrices:

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from okcf.cf import qpair_states
-from okcf.field import FieldSpec, SurdElement, reals_equal, sign_of
+from okcf.cf import QPairState, qpair_states
+from okcf.field import FieldSpec, InputRuleError, SurdElement, reals_equal, sign_of
 from okcf.intervals import RealInterval, dyadic_interval
 from okcf.quartic import (
     QuadraticPolyK,
@@ -137,6 +137,21 @@ class TestTripleRecursion:
         assert t.A == s.A * a0 * a0 + s.B * a0 + s.C
         assert t.B == 2 * s.A * a0 + s.B
         assert t.C == s.A
+
+    def test_inputs_outside_o_k_rejected(self, k5, example_seed):
+        # The products run on integer pairs, so a hand-built pair that is
+        # not integral, or not in the seed's field, must be refused.
+        half = k5.element(Fraction(1, 2))
+        qp = QPairState(k5.one, k5.zero, half, k5.one, 0)
+        with pytest.raises(InputRuleError, match="convergent 1/2 is not integral in O_K"):
+            triple_recursion(example_seed, qp)
+        qp = QPairState(k5.one, k5.zero, FieldSpec(2).one, k5.one, 0)
+        with pytest.raises(ValueError, match="mismatched field specs"):
+            triple_recursion(example_seed, qp)
+        with pytest.raises(ValueError, match="mismatched field specs"):
+            step_state(make_state(example_seed, 1), FieldSpec(2).omega)
+        with pytest.raises(ValueError, match="mismatched field specs"):
+            QuadraticPolyK(k5.one, FieldSpec(2).omega, k5.one)
 
     def test_conservation_randomized(self, k5, rng):
         for _ in range(40):
