@@ -67,14 +67,6 @@ class Mat2:
     def identity(spec: FieldSpec) -> Mat2:
         return Mat2(spec.one, spec.zero, spec.zero, spec.one)
 
-    def __mul__(self, other: Mat2) -> Mat2:
-        return Mat2(
-            self.e11 * other.e11 + self.e12 * other.e21,
-            self.e11 * other.e12 + self.e12 * other.e22,
-            self.e21 * other.e11 + self.e22 * other.e21,
-            self.e21 * other.e12 + self.e22 * other.e22,
-        )
-
     def det(self) -> KElement:
         return self.e11 * self.e22 - self.e12 * self.e21
 
@@ -152,19 +144,18 @@ def cf_matrix(spec: FieldSpec, quotients: Sequence[KElement]) -> Mat2:
 def e_matrix(expansion: CFExpansion) -> Mat2:
     """M(pre) * M(period) * M(pre)^(-1); determinant (-1)^len(period).
 
-    M(pre) has determinant (-1)^len(pre), so its inverse is that sign times
-    its adjugate, with no division.
+    One pass of the recurrence gives M(pre) * M(period); each pre-period
+    quotient is then undone, last first, on the right by
+    Q(a)^(-1) = [[0, 1], [1, -a]], which maps a row (x, y) to (y, x - a*y).
     """
     if not expansion.is_periodic:
         raise InputRuleError("period must be nonempty")
-    spec = expansion.spec
-    pre = cf_matrix(spec, expansion.preperiod)
-    per = cf_matrix(spec, expansion.period)
-    if len(expansion.preperiod) % 2:
-        inv = Mat2(-pre.e22, pre.e12, pre.e21, -pre.e11)
-    else:
-        inv = Mat2(pre.e22, -pre.e12, -pre.e21, pre.e11)
-    return pre * per * inv
+    m = cf_matrix(expansion.spec, expansion.preperiod + expansion.period)
+    e11, e12, e21, e22 = m.e11, m.e12, m.e21, m.e22
+    for a in reversed(expansion.preperiod):
+        e11, e12 = e12, e11 - a * e12
+        e21, e22 = e22, e21 - a * e22
+    return Mat2(e11, e12, e21, e22)
 
 
 def associated_poly(e: Mat2) -> tuple[KElement, KElement, KElement]:

@@ -25,10 +25,13 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-def _number(m: re.Match) -> Fraction:
-    """The rational that an `_NUMBER` match spells; `p/0` is a parse error."""
+def _number(m: re.Match) -> int | Fraction:
+    """The rational that an `_NUMBER` match spells, an `int` when it has no
+    `/`; `p/0` is a parse error."""
+    if m[2] is None:
+        return int(m[1])
     try:
-        return Fraction(int(m[1]), int(m[2] or 1))
+        return Fraction(int(m[1]), int(m[2]))
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {m.group()!r}", m.start()) from None
 
@@ -37,7 +40,7 @@ def parse_rational(text: str) -> Fraction:
     m = _NUMBER.fullmatch(text.strip())
     if not m:
         raise ParseError(f"bad rational {text!r}", 0)
-    return _number(m)
+    return Fraction(_number(m))
 
 
 def parse_k(text: str, spec: FieldSpec, require_integral: bool = False) -> KElement:
@@ -49,8 +52,7 @@ def parse_k(text: str, spec: FieldSpec, require_integral: bool = False) -> KElem
         while pos < n and text[pos].isspace():
             pos += 1
 
-    a = Fraction(0)
-    b = Fraction(0)
+    a = b = 0
     first = True
     skip_ws()
     if pos == n:

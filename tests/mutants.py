@@ -43,6 +43,7 @@ TRACE_TEST = "tests/test_identities.py::test_trace_rule_matches_the_squared_rule
 ROOT_TABLE_TEST = "tests/test_root_table.py"
 ROW_VIEWS_TEST = "tests/test_quartic.py::TestRowViews"
 INTEGRAL_RECURRENCE_TEST = "tests/test_cf.py::TestIntegralRecurrence"
+E_MATRIX_REFERENCE_TEST = "tests/test_cf.py::TestEMatrix::test_matches_fraction_reference"
 
 CATALOGUE = (
     Mutant(
@@ -206,6 +207,48 @@ CATALOGUE = (
         "(-spoly.B - root) / (2 * spoly.A)",
         "(-spoly.B + root) / (2 * spoly.A)",
         ("tests/test_quartic.py::TestPreconditions",),
+    ),
+    Mutant(
+        "e_matrix undoes a pre-period quotient with +a",
+        "okcf/cf.py",
+        "        e11, e12 = e12, e11 - a * e12\n",
+        "        e11, e12 = e12, e11 + a * e12\n",
+        (E_MATRIX_REFERENCE_TEST,),
+    ),
+    Mutant(
+        "e_matrix undoes the pre-period first to last",
+        "okcf/cf.py",
+        "    for a in reversed(expansion.preperiod):\n",
+        "    for a in expansion.preperiod:\n",
+        (E_MATRIX_REFERENCE_TEST,),
+    ),
+    Mutant(
+        "KElement.norm drops its l*p*q term",
+        "okcf/field.py",
+        "p * p + spec.omega_sq_lin * p * q - spec.omega_sq_const * q * q",
+        "p * p - spec.omega_sq_const * q * q",
+        ("tests/test_field.py::TestKArithmetic", "tests/test_field_reference.py"),
+    ),
+    Mutant(
+        "_root_sign lets the smaller square win",
+        "okcf/field.py",
+        "    return sx if x * x > y * y * d else sy\n",
+        "    return sy if x * x > y * y * d else sx\n",
+        ("tests/test_field.py::TestExactSign",),
+    ),
+    Mutant(
+        "RealPair.ceil ignores exactness",
+        "okcf/golden.py",
+        "        return n if exact else n + 1\n",
+        "        return n + 1\n",
+        ("tests/test_golden.py::TestRealPair",),
+    ),
+    Mutant(
+        "_div accepts an infinite divisor",
+        "okcf/golden.py",
+        "    if not 2 * be < m < _INF:\n",
+        "    if not 2 * be < m:\n",
+        ("tests/test_float_filter.py::test_enclosures_hold_on_crafted_states",),
     ),
 )
 

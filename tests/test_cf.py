@@ -208,6 +208,44 @@ class TestEMatrix:
             e = e_matrix(CFExpansion(k5, pre, per))
             assert e.det() == (-1) ** len(per)
 
+    @pytest.mark.parametrize("d", (2, 5, 13))
+    def test_matches_fraction_reference(self, d, rng):
+        # Oracle: M(pre) * M(period) * M(pre)^(-1) longhand on the frozen
+        # Fraction-backed RefK, the inverse by dividing the adjugate by the
+        # determinant.  The determinant alone would not tell a sign-flipped
+        # or reordered undo of the pre-period.
+        spec = FieldSpec(d)
+        one, zero = RefK(d, 1, 0), RefK(d, 0, 0)
+
+        def mul(x, y):
+            return tuple(
+                tuple(x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2))
+                for i in range(2)
+            )
+
+        def word(qs):
+            m = ((one, zero), (zero, one))
+            for a in qs:
+                m = mul(m, ((RefK(d, a.a, a.b), one), (one, zero)))
+            return m
+
+        def inverse(m):
+            (x, y), (z, t) = m
+            det = x * t - y * z
+            return ((t / det, -y / det), (-z / det, x / det))
+
+        def quotient():
+            return spec.zero if rng.random() < 0.25 else random_k(rng, spec, 4)
+
+        for n_pre in range(5):
+            for _ in range(30):
+                pre = tuple(quotient() for _ in range(n_pre))
+                per = tuple(quotient() for _ in range(rng.randint(1, 4)))
+                e = e_matrix(CFExpansion(spec, pre, per))
+                ref = mul(mul(word(pre), word(per)), inverse(word(pre)))
+                got = (e.e11, e.e12, e.e21, e.e22)
+                assert [(g.a, g.b) for g in got] == [(x.a, x.b) for row in ref for x in row]
+
     def test_requires_period(self, k5):
         with pytest.raises(ValueError):
             e_matrix(CFExpansion(k5, (k5.one,), ()))

@@ -519,6 +519,13 @@ _PINNED_OUTPUTS = [
      "bf6cbed8ae49ad4c67b777044c970991819361c716e5310136364a75ae75c3d0"),
     ("eval '[; -2-1*w, -1-1*w, 2-1*w]'", 0,
      "f871c0e34570cfbf4a7a2990cbad45077a69fb57a78f69ae0c91c66298786ace"),
+    # Pre-periods: one quotient, three, and three with a zero among them.
+    ("eval '[1; 2]' --output json", 0,
+     "e0cfe35ee78be882ab1f26ca743ba9678656ccf5bcd5b6537c09293d1e2409df"),
+    ("eval '[1+1*w, -2, w; 2, 4-2*w]' --output json", 0,
+     "652db3031b6fbbb61ef5bb56d57420b7cc0e3803f899394bc8dd423bc99c29b3"),
+    ("eval '[2, 0, -1; 1, w]'", 0,
+     "9a6aab43c8d0647de07d3afcee116f9c22b469cbd7673469374ceaa11a66c31c"),
 ]
 
 

@@ -13,6 +13,8 @@ from conftest import random_k
 def test_rational():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("  7 ") == 7
+    # Integer literals are read as ints inside parse_k, never here.
+    assert type(parse_rational("7")) is Fraction
     with pytest.raises(ParseError):
         parse_rational("x")
 
