@@ -418,15 +418,20 @@ def _int_at_least(minimum: int, maximum: int | None = None):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field-d", type=int, default=5, help="squarefree D of Q(sqrt(D))")
-    common.add_argument("--precision", type=_int_at_least(16, _MAX_PRECISION), default=64,
-                        help="enclosure precision in bits for analyze and radius")
-    common.add_argument("--output", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--max-steps", type=_int_at_least(1), default=10_000)
-    common.add_argument("--digits", type=_int_at_least(1, _MAX_DIGITS), default=30,
-                        help="decimal digits for display")
-    common.add_argument("--seed", type=int, default=0, help="corpus randomness seed")
+    def flags(*outputs: str) -> argparse.ArgumentParser:
+        """The flags every subcommand takes; only `analyze` has a CSV table."""
+        common = argparse.ArgumentParser(add_help=False)
+        common.add_argument("--field-d", type=int, default=5, help="squarefree D of Q(sqrt(D))")
+        common.add_argument("--precision", type=_int_at_least(16, _MAX_PRECISION), default=64,
+                            help="enclosure precision in bits for analyze and radius")
+        common.add_argument("--output", choices=("text", "json", *outputs), default="text")
+        common.add_argument("--max-steps", type=_int_at_least(1), default=10_000)
+        common.add_argument("--digits", type=_int_at_least(1, _MAX_DIGITS), default=30,
+                            help="decimal digits for display")
+        common.add_argument("--seed", type=int, default=0, help="corpus randomness seed")
+        return common
+
+    common = flags()
 
     parser = argparse.ArgumentParser(
         prog="okcf",
@@ -446,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--conj-branch", choices=("+", "-"), default="+")
     p_expand.set_defaults(run=cmd_expand)
 
-    p_an = sub.add_parser("analyze", parents=[common], help="trajectory diagnostics table")
+    p_an = sub.add_parser("analyze", parents=[flags("csv")], help="trajectory diagnostics table")
     p_an.add_argument("A", nargs="?")
     p_an.add_argument("B", nargs="?")
     p_an.add_argument("C", nargs="?")

@@ -633,7 +633,7 @@ def _k_sign(k: KElement) -> int:
 
 
 def surd_sign(x: KElement, y: KElement, delta: KElement) -> int:
-    """Exact sign of x + y*sqrt(delta) for x, y in K and delta > 0 in K.
+    """Exact sign of x + y*sqrt(delta) for x, y in K and delta >= 0 in K.
 
     When x and y have opposite signs the sign of x^2 - y^2*delta, an
     element of K, says which term dominates; it is 0 only when delta is a
@@ -644,7 +644,7 @@ def surd_sign(x: KElement, y: KElement, delta: KElement) -> int:
     if sy == 0 or sx == sy:
         return sx
     if sx == 0:
-        return sy
+        return sy * _k_sign(delta)
     return sx * _k_sign(x * x - y * y * delta)
 
 
@@ -692,8 +692,6 @@ def is_square_in_k(x: KElement) -> KElement | None:
     norm test comes first and rejects most non-squares with one isqrt.
     """
     spec = x.spec
-    if x.is_zero:
-        return spec.zero
     d = spec.d
     u, v, m = _sqrt_d_form(x)
     norm = u * u - d * v * v
@@ -728,7 +726,7 @@ def is_square_in_k(x: KElement) -> KElement | None:
 
 
 def reals_equal(a: SurdElement | KElement, b: SurdElement | KElement) -> bool:
-    """Exact equality of real values, allowing different surd families."""
+    """Exact equality of real values, across surd families: sign(a - b) == 0."""
     if isinstance(a, KElement) and isinstance(b, KElement):
         return a == b
     if isinstance(a, KElement):
@@ -736,13 +734,5 @@ def reals_equal(a: SurdElement | KElement, b: SurdElement | KElement) -> bool:
     if not isinstance(a, SurdElement):
         raise AssertionError(f"reals_equal does not support {type(a)!r}")
     if isinstance(b, KElement):
-        return a.y.is_zero and a.x == b
-    if a.delta == b.delta:
-        return a.x == b.x and a.y == b.y
-    link = is_square_in_k(a.delta * b.delta)
-    if link is None:
-        # sqrt(delta_a) and sqrt(delta_b) are K-independent; equality forces
-        # both irrational parts to vanish.
-        return a.y.is_zero and b.y.is_zero and a.x == b.x
-    # sqrt(delta_b) = link / sqrt(delta_a) with link > 0.
-    return a.x == b.x and a.y == b.y * link / a.delta
+        return surd_sign(a.x - b, a.y, a.delta) == 0
+    return surd_sum_sign(a.x - b.x, a.y, a.delta, -b.y, b.delta) == 0

@@ -629,7 +629,6 @@ def expand_pair(
     round-trip verification flag.
     """
     seen: dict[tuple, int] = {}
-    keys: list[tuple] = []
     quotients: list[KElement] = []
     for a, state in pair_steps(seed, branch, conj_branch):
         n = state.index
@@ -642,7 +641,7 @@ def expand_pair(
             m = seen[key]
             result = ExpansionResult(
                 expansion=CFExpansion(seed.spec, tuple(quotients[:m]), tuple(quotients[m:n])),
-                keys=tuple(keys),
+                keys=tuple(seen),
                 cycle_start=m,
                 verified=False,
                 seed=seed,
@@ -651,9 +650,8 @@ def expand_pair(
             )
             return replace(result, verified=bool(verify_roundtrip(result)))
         seen[key] = n
-        keys.append(key)
     raise MaxStepsError(
-        f"no state repetition within {cfg.max_steps} steps", quotients, keys
+        f"no state repetition within {cfg.max_steps} steps", quotients, list(seen)
     )
 
 

@@ -530,18 +530,10 @@ def _root_in_window(seed: QuadraticPolyK, a0: KElement, a1: KElement) -> bool:
     spoly = seed.sigma()
     lo = a0.conj()
     hi = lo + spec.one / a1.conj()
-    sdelta = spoly.delta
-    if sign_of(sdelta) < 0:
+    if sign_of(spoly.delta) < 0:
         return False
-    roots: list[SurdElement | KElement]
-    # A zero sdelta is a square too: its root 0 gives the double root twice.
-    root = is_square_in_k(sdelta)
-    if root is not None:
-        roots = [(-spoly.B + root) / (2 * spoly.A), (-spoly.B - root) / (2 * spoly.A)]
-    else:
-        plus = QuotientState(spoly, 1).value
-        roots = [plus, plus.conj_sqrt()]
-    for r in roots:
+    plus = QuotientState(spoly, 1).value
+    for r in (plus, plus.conj_sqrt()):
         if sign_of(r - lo) > 0 and sign_of(hi - r) > 0:
             return True
     return False

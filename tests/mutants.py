@@ -202,11 +202,32 @@ CATALOGUE = (
         ("tests/test_field_reference.py::test_matches_fraction_reference",),
     ),
     Mutant(
-        "start-window test takes the greater K root twice",
+        "start-window test takes the greater root twice",
         "okcf/quartic.py",
-        "(-spoly.B - root) / (2 * spoly.A)",
-        "(-spoly.B + root) / (2 * spoly.A)",
+        "(plus, plus.conj_sqrt())",
+        "(plus, plus)",
         ("tests/test_quartic.py::TestPreconditions",),
+    ),
+    Mutant(
+        "surd_sign reads y*sqrt(0) as y",
+        "okcf/field.py",
+        "        return sy * _k_sign(delta)\n",
+        "        return sy\n",
+        ("tests/test_quartic.py::TestPreconditions::test_window_tie_at_a_double_root",),
+    ),
+    Mutant(
+        "reals_equal adds the second surd instead of subtracting it",
+        "okcf/field.py",
+        "a.y, a.delta, -b.y, b.delta",
+        "a.y, a.delta, b.y, b.delta",
+        (*ROUNDTRIP_TESTS, "tests/test_field.py::TestRealsEqual"),
+    ),
+    Mutant(
+        "float floor with its error bound scaled by 2^-20",
+        "okcf/golden.py",
+        "    lo, hi = v - 2 * e, v + 2 * e\n",
+        "    lo, hi = v - 2 * e * 2.0**-20, v + 2 * e * 2.0**-20\n",
+        ("tests/test_float_filter.py",),
     ),
     Mutant(
         "e_matrix undoes a pre-period quotient with +a",

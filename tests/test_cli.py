@@ -305,6 +305,20 @@ def test_precision_below_minimum_is_usage_error(capsys):
     assert "usage:" in err and "must be at least 16" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "[0; 1]"],
+    ["expand", "1", "-2", "-1-1*w"],
+    ["radius", "13"],
+    ["corpus", "--count", "1"],
+])
+def test_csv_only_where_a_table_exists(capsys, argv):
+    # Only analyze prints a table; the other commands refuse csv.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--output", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def parser_state(parser: argparse.ArgumentParser) -> list:
     """Help text, defaults and action objects of the parser and of each
     subcommand's parser."""

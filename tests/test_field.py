@@ -177,6 +177,11 @@ class TestSquares:
             assert root * root == y * y
             assert sign_of(root) >= 0
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 13])
+    def test_zero(self, d):
+        spec = FieldSpec(d)
+        assert is_square_in_k(spec.zero) == 0
+
     def test_nonsquares_randomized(self, k5, rng):
         # A square has nonnegative norm; flip a random square's sign.
         for _ in range(100):
@@ -267,6 +272,12 @@ class TestSign:
         assert surd_is_zero(u)
         assert sign_of(u) == 0
 
+    def test_zero_delta(self, k5):
+        # y*sqrt(0) is 0 whatever the sign of y.
+        for y in (k5.one, -k5.omega):
+            assert sign_of(SurdElement(k5, k5.zero, k5.zero, y)) == 0
+            assert sign_of(SurdElement(k5, k5.zero, k5.omega, y)) == 1
+
     def test_agrees_with_intervals_randomized(self, k5, rng):
         delta = k5.element(7)
         for _ in range(200):
@@ -342,6 +353,32 @@ class TestRealsEqual:
     def test_k_values(self, k5):
         a = SurdElement(k5, k5.element(2), k5.omega, k5.zero)
         assert reals_equal(a, k5.omega)
+
+    def test_linked_families_randomized(self, k5, rng):
+        # sqrt(k^2 * delta) = |k| * sqrt(delta): the same value written over
+        # delta and over k^2 * delta, and that value moved by 2^-100.
+        tiny = Fraction(1, 1 << 100)
+        beta = k5.omega
+        for delta in (k5.element(2), beta + 5, k5.element(Fraction(7, 3), 1)):
+            for _ in range(40):
+                x = random_k(rng, k5, integral=False)
+                y = random_k(rng, k5, integral=False, nonzero=True)
+                k = random_k(rng, k5, integral=False, nonzero=True)
+                a = SurdElement(k5, delta, x, y)
+                b = SurdElement(k5, k * k * delta, x, y / (k if sign_of(k) > 0 else -k))
+                assert reals_equal(a, b) and reals_equal(b, a)
+                assert not reals_equal(a, b + tiny)
+                assert not reals_equal(a - tiny, b)
+                assert not reals_equal(a, -b)
+
+    def test_square_delta_compares_values(self, k5):
+        # (3 + beta) - sqrt(beta^2) is 3, which only the exact sign sees.
+        beta = k5.omega
+        u = SurdElement(k5, beta * beta, 3 + beta, -k5.one)
+        assert reals_equal(u, k5.element(3)) and reals_equal(k5.element(3), u)
+        assert not reals_equal(u, k5.element(3) + Fraction(1, 1 << 100))
+        v = SurdElement(k5, k5.element(2), k5.element(3), k5.zero)
+        assert reals_equal(u, v)
 
 
 class TestOrdering:

@@ -359,6 +359,15 @@ class TestPreconditions:
         outside = periodicity_preconditions(seed, a0=k5.element(-1), a1=k5.element(3))
         assert outside.interval_test is False
 
+    def test_window_tie_at_a_double_root(self, k5):
+        # (x - r)^2 with r = 1 + beta: sigma(delta) = 0 and the conjugate
+        # double root sigma(r) = 2 - beta lies on an open end of the window.
+        r = 1 + k5.omega
+        seed = QuadraticPolyK(k5.one, -2 * r, r * r)
+        for a0 in (r, r - 1):
+            rep = periodicity_preconditions(seed, a0=a0, a1=k5.one)
+            assert rep.sigma_delta_sign == 0 and rep.interval_test is False
+
     def test_window_with_negative_sigma_delta(self, k5):
         # sigma(delta) = 4 - 4*beta < 0: the conjugate roots are not real,
         # so no window holds one, whatever sigma(a1) > 0 allows.
