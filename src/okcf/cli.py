@@ -144,8 +144,8 @@ def _parse_seed(args: argparse.Namespace) -> QuadraticPolyK:
     return QuadraticPolyK(a, b, c)
 
 
-def _branch(flag: str) -> int:
-    return 1 if flag == "+" else -1
+def _branch(flag: str | None) -> int:
+    return -1 if flag == "-" else 1
 
 
 def _expansion_json(r: ExpansionResult) -> dict:
@@ -185,6 +185,8 @@ def cmd_expand(args: argparse.Namespace) -> int:
 def _analyze_quotients(args: argparse.Namespace):
     n = args.steps
     if args.expansion:
+        if any((args.A, args.quotients, args.branch, args.conj_branch)):
+            raise ParseError("--expansion takes no A B C, --quotients, --branch or --conj-branch")
         expansion = parse_expansion(args.expansion, FieldSpec(args.field_d))
         if not expansion.is_periodic:
             raise ParseError("expansion must have a nonempty period")
@@ -204,6 +206,8 @@ def _analyze_quotients(args: argparse.Namespace):
     seed = _parse_seed(args)
     branch = _branch(args.branch)
     if args.quotients:
+        if args.conj_branch:
+            raise ParseError("--quotients takes no --conj-branch")
         quotients = parse_element_list(args.quotients, seed.spec, require_integral=True)
         if len(quotients) < n + 1:
             raise ParseError(
@@ -418,58 +422,54 @@ def _int_at_least(minimum: int, maximum: int | None = None):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    def flags(*outputs: str) -> argparse.ArgumentParser:
-        """The flags every subcommand takes; only `analyze` has a CSV table."""
-        common = argparse.ArgumentParser(add_help=False)
-        common.add_argument("--field-d", type=int, default=5, help="squarefree D of Q(sqrt(D))")
-        common.add_argument("--precision", type=_int_at_least(16, _MAX_PRECISION), default=64,
-                            help="enclosure precision in bits for analyze and radius")
-        common.add_argument("--output", choices=("text", "json", *outputs), default="text")
-        common.add_argument("--max-steps", type=_int_at_least(1), default=10_000)
-        common.add_argument("--digits", type=_int_at_least(1, _MAX_DIGITS), default=30,
-                            help="decimal digits for display")
-        common.add_argument("--seed", type=int, default=0, help="corpus randomness seed")
-        return common
-
-    common = flags()
-
     parser = argparse.ArgumentParser(
         prog="okcf",
         description="Continued fractions with partial quotients in O_K, K = Q(sqrt(D))",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    branch = dict(choices=("+", "-"))  # no default: analyze tells a given branch from none
+    options = {
+        "--field-d": dict(type=int, default=5, help="squarefree D of Q(sqrt(D))"),
+        "--precision": dict(type=_int_at_least(16, _MAX_PRECISION), default=64, help="enclosure bits"),
+        "--max-steps": dict(type=_int_at_least(1), default=10_000),
+        "--branch": branch,
+        "--conj-branch": branch,
+    }
 
-    p_eval = sub.add_parser("eval", parents=[common], help="evaluate a periodic expansion")
-    p_eval.add_argument("expansion", help='e.g. "[1; 2]" or "[; 2, 4-2*w]"')
-    p_eval.set_defaults(run=cmd_eval)
+    def command(name: str, run, help: str, *flags: str, outputs=("text", "json")):
+        """A subcommand with `--output` and the named shared `options`."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        p.add_argument("--output", choices=outputs, default="text")
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
+        return p
 
-    p_expand = sub.add_parser("expand", parents=[common], help="expand a quartic root over Q(sqrt(5))")
-    p_expand.add_argument("A")
-    p_expand.add_argument("B")
-    p_expand.add_argument("C")
-    p_expand.add_argument("--branch", choices=("+", "-"), default="+")
-    p_expand.add_argument("--conj-branch", choices=("+", "-"), default="+")
-    p_expand.set_defaults(run=cmd_expand)
+    p = command("eval", cmd_eval, "evaluate a periodic expansion", "--field-d")
+    p.add_argument("expansion", help='e.g. "[1; 2]" or "[; 2, 4-2*w]"')
+    p.add_argument("--digits", type=_int_at_least(1, _MAX_DIGITS), default=30,
+                   help="decimal digits for display")
 
-    p_an = sub.add_parser("analyze", parents=[flags("csv")], help="trajectory diagnostics table")
-    p_an.add_argument("A", nargs="?")
-    p_an.add_argument("B", nargs="?")
-    p_an.add_argument("C", nargs="?")
-    p_an.add_argument("--expansion", help="analyze along an explicit periodic expansion")
-    p_an.add_argument("--quotients", help="comma-separated explicit partial quotients")
-    p_an.add_argument("--branch", choices=("+", "-"), default="+")
-    p_an.add_argument("--conj-branch", choices=("+", "-"), default="+")
-    p_an.add_argument("-n", "--steps", type=_int_at_least(0), default=20)
-    p_an.set_defaults(run=cmd_analyze)
+    p = command("expand", cmd_expand, "expand a quartic root over Q(sqrt(5))",
+                "--field-d", "--max-steps", "--branch", "--conj-branch")
+    for name in "ABC":
+        p.add_argument(name)
 
-    p_rad = sub.add_parser("radius", parents=[common], help="covering radius of v(O_K)")
-    p_rad.add_argument("D", type=int)
-    p_rad.set_defaults(run=cmd_radius)
+    # Only analyze prints a table, so only analyze writes CSV.
+    p = command("analyze", cmd_analyze, "trajectory diagnostics table", "--field-d",
+                "--precision", "--branch", "--conj-branch", outputs=("text", "json", "csv"))
+    for name in "ABC":
+        p.add_argument(name, nargs="?")
+    p.add_argument("--expansion", help="analyze along an explicit periodic expansion")
+    p.add_argument("--quotients", help="comma-separated explicit partial quotients")
+    p.add_argument("-n", "--steps", type=_int_at_least(0), default=20)
 
-    p_cor = sub.add_parser("corpus", parents=[common], help="random-seed expansion corpus")
-    p_cor.add_argument("--count", type=_int_at_least(1), default=10)
-    p_cor.add_argument("--bound", type=_int_at_least(1), default=3)
-    p_cor.set_defaults(run=cmd_corpus)
+    command("radius", cmd_radius, "covering radius of v(O_K)", "--precision").add_argument("D", type=int)
+
+    p = command("corpus", cmd_corpus, "random-seed expansion corpus", "--field-d", "--max-steps")
+    p.add_argument("--seed", type=int, default=0, help="corpus randomness seed")
+    p.add_argument("--count", type=_int_at_least(1), default=10)
+    p.add_argument("--bound", type=_int_at_least(1), default=3)
 
     return parser
 

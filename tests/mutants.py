@@ -44,6 +44,10 @@ ROOT_TABLE_TEST = "tests/test_root_table.py"
 ROW_VIEWS_TEST = "tests/test_quartic.py::TestRowViews"
 INTEGRAL_RECURRENCE_TEST = "tests/test_cf.py::TestIntegralRecurrence"
 E_MATRIX_REFERENCE_TEST = "tests/test_cf.py::TestEMatrix::test_matches_fraction_reference"
+CLI_FLAGS_TESTS = (
+    "tests/test_cli.py::test_each_command_declares_only_the_flags_it_reads",
+    "tests/test_cli.py::test_unread_flag_is_usage_error",
+)
 
 CATALOGUE = (
     Mutant(
@@ -270,6 +274,29 @@ CATALOGUE = (
         "    if not 2 * be < m < _INF:\n",
         "    if not 2 * be < m:\n",
         ("tests/test_float_filter.py::test_enclosures_hold_on_crafted_states",),
+    ),
+    Mutant(
+        "radius declares --field-d again",
+        "okcf/cli.py",
+        '"covering radius of v(O_K)", "--precision")',
+        '"covering radius of v(O_K)", "--precision", "--field-d")',
+        CLI_FLAGS_TESTS,
+    ),
+    Mutant(
+        "eval declares --precision again",
+        "okcf/cli.py",
+        '"evaluate a periodic expansion", "--field-d")',
+        '"evaluate a periodic expansion", "--field-d", "--precision")',
+        CLI_FLAGS_TESTS,
+    ),
+    Mutant(
+        "analyze drops its --expansion mode check",
+        "okcf/cli.py",
+        "        if any((args.A, args.quotients, args.branch, args.conj_branch)):\n"
+        '            raise ParseError("--expansion takes no A B C, --quotients, --branch or '
+        '--conj-branch")\n',
+        "",
+        ("tests/test_cli.py::TestAnalyze::test_mixed_input_modes_are_parse_errors",),
     ),
 )
 

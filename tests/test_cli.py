@@ -230,6 +230,19 @@ class TestAnalyze:
         assert "sigma(discriminant) < -4" in err
         assert out == ""
 
+    @pytest.mark.parametrize("flags", [
+        ["--expansion", "[; 2, 4-2*w]", "1", "0", "-3"],
+        ["--expansion", "[; 2, 4-2*w]", "--quotients=1,2,3"],
+        ["--expansion", "[; 2, 4-2*w]", "--branch=-"],
+        ["--expansion", "[; 2, 4-2*w]", "--conj-branch=+"],
+        ["1", "-2", "-1-1*w", "--quotients=1,2,3", "--conj-branch=-"],
+    ], ids=["expansion-seed", "expansion-quotients", "expansion-branch",
+            "expansion-conj-branch", "quotients-conj-branch"])
+    def test_mixed_input_modes_are_parse_errors(self, capsys, flags):
+        code, out, err = run(capsys, "analyze", "-n", "2", *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: ")
+
     def test_decreasing_s_for_classical(self, capsys):
         code, out, _ = run(
             capsys, "analyze", "--expansion", "[1; 2]", "-n", "8", "--output", "json"
@@ -299,10 +312,54 @@ def test_numeric_flag_below_minimum_is_usage_error(capsys, argv):
 
 def test_precision_below_minimum_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["eval", "[1; 2]", "--precision", "8"])
+        main(["radius", "13", "--precision", "8"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "must be at least 16" in err
+
+
+# Each subcommand takes exactly the flags its cmd_* reads.
+_COMMAND_FLAGS = {
+    "eval": {"--field-d", "--output", "--digits"},
+    "expand": {"--field-d", "--output", "--max-steps", "--branch", "--conj-branch"},
+    "analyze": {"--field-d", "--precision", "--output", "--expansion", "--quotients",
+                "--branch", "--conj-branch", "-n"},
+    "radius": {"--precision", "--output"},
+    "corpus": {"--field-d", "--output", "--max-steps", "--count", "--bound", "--seed"},
+}
+_BASE_ARGV = {
+    "eval": ["eval", "[1; 2]"],
+    "expand": ["expand", "1", "-2", "-1-1*w"],
+    "analyze": ["analyze", "1", "-2", "-1-1*w", "-n", "1"],
+    "radius": ["radius", "13"],
+    "corpus": ["corpus", "--count", "1"],
+}
+_FLAG_VALUES = {"--field-d": "2", "--precision": "64", "--max-steps": "10", "--digits": "7",
+                "--seed": "4"}
+
+
+def test_each_command_declares_only_the_flags_it_reads():
+    commands = next(
+        a.choices for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    declared = {
+        name: {a.option_strings[0] for a in p._actions
+               if a.option_strings and a.option_strings != ["-h", "--help"]}
+        for name, p in commands.items()
+    }
+    assert declared == _COMMAND_FLAGS
+    assert sum(map(len, declared.values())) == 24
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in _COMMAND_FLAGS for flag in _FLAG_VALUES
+    if flag not in _COMMAND_FLAGS[command]
+])
+def test_unread_flag_is_usage_error(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*_BASE_ARGV[command], flag, _FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}={_FLAG_VALUES[flag]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
