@@ -184,8 +184,8 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
 def _analyze_quotients(args: argparse.Namespace):
     n = args.steps
-    if args.expansion:
-        if any((args.A, args.quotients, args.branch, args.conj_branch)):
+    if args.expansion is not None:
+        if any(x is not None for x in (args.A, args.quotients, args.branch, args.conj_branch)):
             raise ParseError("--expansion takes no A B C, --quotients, --branch or --conj-branch")
         expansion = parse_expansion(args.expansion, FieldSpec(args.field_d))
         if not expansion.is_periodic:
@@ -205,8 +205,8 @@ def _analyze_quotients(args: argparse.Namespace):
         raise ParseError("analyze requires either --expansion or A B C")
     seed = _parse_seed(args)
     branch = _branch(args.branch)
-    if args.quotients:
-        if args.conj_branch:
+    if args.quotients is not None:
+        if args.conj_branch is not None:
             raise ParseError("--quotients takes no --conj-branch")
         quotients = parse_element_list(args.quotients, seed.spec, require_integral=True)
         if len(quotients) < n + 1:

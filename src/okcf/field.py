@@ -20,16 +20,17 @@ v^2*d, and a surd over K reduces the same way to signs in K.  These exact
 signs are the fallback of the pair expansion, whose certified float
 filter (`okcf.golden`) decides most of its questions first.  No interval
 is involved in a sign, and the expansion path never embeds; `embed`
-serves display and report enclosures only, refined by the one routine
-`intervals.refine`.  A surd's `embed` asks whether the value is exactly 0
-(a square delta can hide a zero) only when an enclosure contains 0, and
-at most once per call.  Enclosures are computed on integer mantissas: an
-embedding is found as the dyadic triple (lo_m, hi_m, e) of
-`intervals.Dyadic`, from one `isqrt` of d * 4^bits and two floor
-divisions of the element's own integers.  `embed` returns it as a
-`RealInterval` with `Fraction` endpoints, or as the triple itself
-(`dyadic=True`) to compute on further; `quartic.diagnostics` and
-`summarize` never leave the triples.  Those roots, and a surd's
+serves display and report enclosures only, each in one loop on integers
+(`_form_embed`, `_surd_embed`) that doubles its bits as `intervals.refine`
+does.  A surd's `embed` asks whether the value is exactly 0 (a square
+delta can hide a zero) only when an enclosure contains 0, and at most once
+per call.
+Enclosures are computed on integer mantissas: an embedding is found as
+the dyadic triple (lo_m, hi_m, e) of `intervals.Dyadic`, from one `isqrt`
+of d * 4^bits and two floor divisions of the element's own integers.
+`embed` returns it as a `RealInterval` with `Fraction` endpoints, or as
+the triple itself (`dyadic=True`) to compute on further;
+`quartic.diagnostics` and `summarize` never leave the triples.  Those roots, and a surd's
 enclosures of sqrt(delta), are kept per call in a private `_RootTable`,
 which each of those two calls shares among all its embeddings.
 """
@@ -40,19 +41,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, total_ordering
 from math import gcd, isqrt, lcm, sqrt
-from typing import Callable
 
 from .intervals import (
     DEFAULT_BITS,
     Dyadic,
     RealInterval,
+    _next_level,
     dyadic_add,
     dyadic_bits,
     dyadic_interval,
     dyadic_mul,
     dyadic_rounded,
     dyadic_sqrt,
-    refine,
 )
 
 
@@ -551,15 +551,19 @@ def _k_embed(k: KElement, precision_bits: int, roots: _RootTable,
     """`KElement.embed` as a dyadic triple, with the roots of `roots`."""
     # The embedding is (u + v*sqrt(d))/den; the conjugate only flips v.
     u, v, den = _sqrt_d_form(k)
-    if conjugate:
-        v = -v
+    return _form_embed(u, -v if conjugate else v, den, k.spec.d, precision_bits, roots.isqrt_d)
+
+
+def _form_embed(u: int, v: int, den: int, d: int, precision_bits: int,
+                isqrt_d: dict[int, int]) -> Dyadic:
+    """(u + v*sqrt(d))/den as a dyadic triple, with the roots `isqrt_d`.  As
+    in `_surd_embed`, a level is accepted once its width is at most
+    2^(1-precision_bits) * max(1, |lo|); its bits double by `_next_level`."""
     if not v:
         bits = max(precision_bits, 1)
         return (u << bits) // den, -(-(u << bits) // den), bits
-    d = k.spec.d
-    isqrt_d = roots.isqrt_d
-
-    def compute(bits: int) -> Dyadic:
+    bits = max(precision_bits, DEFAULT_BITS)
+    while True:
         # sqrt(d) lies in (r, r + 1) / 2^bits: d is not a square.
         r = isqrt_d.get(bits)
         if r is None:
@@ -568,9 +572,10 @@ def _k_embed(k: KElement, precision_bits: int, roots: _RootTable,
         hi = lo + v
         if v < 0:
             lo, hi = hi, lo
-        return lo // den, -(-hi // den), bits
-
-    return _refine_to_quality(compute, precision_bits)
+        m = lo // den, -(-hi // den), bits
+        if dyadic_bits(m) >= precision_bits:
+            return m
+        bits = _next_level(bits)
 
 
 def _surd_embed(z: SurdElement, precision_bits: int, roots: _RootTable) -> Dyadic:
@@ -578,38 +583,29 @@ def _surd_embed(z: SurdElement, precision_bits: int, roots: _RootTable) -> Dyadi
     x, y, delta = z.x, z.y, z.delta
     if y.is_zero:
         return _k_embed(x, precision_bits, roots)
-    sqrt_delta = roots.sqrt_delta
+    d, isqrt_d, sqrt_delta = z.spec.d, roots.isqrt_d, roots.sqrt_delta
+    xu, xv, xden = _sqrt_d_form(x)
+    yu, yv, yden = _sqrt_d_form(y)
     # Whether the value is exactly 0 (delta a square in K), decided only
     # when an enclosure contains 0, and at most once.
     is_zero: bool | None = None
-
-    def compute(bits: int) -> Dyadic:
-        nonlocal is_zero
+    bits = max(precision_bits, DEFAULT_BITS)
+    while True:
         key = (delta.p, delta.q, delta.den, bits)
         root = sqrt_delta.get(key)
         if root is None:
             root = sqrt_delta[key] = dyadic_sqrt(_k_embed(delta, bits, roots), bits)
-        value = dyadic_add(_k_embed(x, bits, roots),
-                           dyadic_mul(_k_embed(y, bits, roots), root))
+        value = dyadic_add(_form_embed(xu, xv, xden, d, bits, isqrt_d),
+                           dyadic_mul(_form_embed(yu, yv, yden, d, bits, isqrt_d), root))
         m = dyadic_rounded(value, bits)
         if m[0] <= 0 <= m[1]:
             if is_zero is None:
                 is_zero = surd_is_zero(z)
             if is_zero:
-                return 0, 0, 0
-        return m
-
-    return _refine_to_quality(compute, precision_bits)
-
-
-def _refine_to_quality(compute: Callable[[int], Dyadic], precision_bits: int) -> Dyadic:
-    """Refine until width <= 2^(1-precision_bits) * max(1, |lo|); `compute`
-    returns its enclosure rounded outward to the bits it is given."""
-    return refine(
-        compute,
-        max(precision_bits, DEFAULT_BITS),
-        lambda m: dyadic_bits(m) >= precision_bits,
-    )
+                m = 0, 0, 0
+        if dyadic_bits(m) >= precision_bits:
+            return m
+        bits = _next_level(bits)
 
 
 def _root_sign(x: int, y: int, d: int) -> int:

@@ -18,7 +18,9 @@ derived from the endpoints when asked for, never stored.  Intervals
 serve enclosures and display only (heights, error terms, decimal
 output); signs and floors are decided exactly by squaring in
 `okcf.field`, and the expansion path builds no interval.  Every enclosure
-that must reach a requested width comes from the one routine `refine`.
+that must reach a requested width comes from a loop that doubles its bits
+up to MAX_BITS: `refine`, or the integer loops of the `okcf.field`
+embeddings, which accept a level by `refine`'s rule.
 """
 
 from __future__ import annotations
@@ -42,11 +44,12 @@ _T = TypeVar("_T")
 class PrecisionError(ArithmeticError):
     """An enclosure did not reach its requested width within MAX_BITS.
 
-    Raised only by `refine`, which serves display and report enclosures
-    (an embedding at a requested precision, a relative enclosure of an
-    error term); the expansion path and its sign and floor decisions never
-    refine, because those are exact squarings.  Reaching the cap signals an
-    internal inconsistency rather than a recoverable numeric condition.
+    Raised only by `refine` and the embedding loops of `okcf.field`, which
+    serve display and report enclosures (an embedding at a requested
+    precision, a relative enclosure of an error term); the expansion path
+    and its sign and floor decisions never refine, because those are exact
+    squarings.  Reaching the cap signals an internal inconsistency rather
+    than a recoverable numeric condition.
     """
 
 
@@ -57,9 +60,15 @@ def refine(compute: Callable[[int], _T], bits: int, accept: Callable[[_T], bool]
         iv = compute(bits)
         if accept(iv):
             return iv
-        if bits >= MAX_BITS:
-            raise PrecisionError(f"no enclosure reached the requested width by {bits} bits")
-        bits *= 2
+        bits = _next_level(bits)
+
+
+def _next_level(bits: int) -> int:
+    """The bits after a level at `bits` that was not accepted; the
+    embedding loops of `okcf.field` double by this rule too."""
+    if bits >= MAX_BITS:
+        raise PrecisionError(f"no enclosure reached the requested width by {bits} bits")
+    return 2 * bits
 
 
 def round_down(x: Fraction, bits: int) -> Fraction:

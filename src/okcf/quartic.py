@@ -20,12 +20,15 @@ from .field import (
     _int_mul,
     _make,
     _RootTable,
+    _root_sign,
+    _sqrt_d_form,
     _surd_embed,
     is_square_in_k,
     sign_of,
 )
 from .intervals import (
     DEFAULT_BITS,
+    MAX_BITS,
     Dyadic,
     RealInterval,
     dyadic_abs,
@@ -74,7 +77,12 @@ class QuadraticPolyK:
 
     @cached_property
     def delta(self) -> KElement:
-        return self.B * self.B - 4 * self.A * self.C
+        # B^2 - 4AC on the integer pairs of the integral coefficients.
+        A, B, C, spec = self.A, self.B, self.C, self.A.spec
+        c, l = spec.omega_sq_const, spec.omega_sq_lin
+        bb_p, bb_q = _int_mul(c, l, B.p, B.q, B.p, B.q)
+        ac_p, ac_q = _int_mul(c, l, A.p, A.q, C.p, C.q)
+        return _make(spec, bb_p - 4 * ac_p, bb_q - 4 * ac_q, 1)
 
     def sigma(self) -> QuadraticPolyK:
         return QuadraticPolyK(self.A.conj(), self.B.conj(), self.C.conj())
@@ -206,31 +214,65 @@ def run_trajectory(
     return states
 
 
+def _root_inside(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int], e: int,
+                 d: int, k: int) -> bool:
+    """Whether the root (-b + e*sqrt(b^2 - 4ac))/(2a) of a*x^2 + b*x + c, with
+    real distinct roots, is proved to lie in (-t, t), t = T/S = 1 - 2^-k.  a,
+    b and c are the (u, v) of u + v*sqrt(d) over one positive denominator.
+    a*f(+-t)*S^2 < 0 iff +-t lies between the roots; if neither does, both
+    roots are inside iff the vertex -b/(2a) is.  A zero sign proves nothing."""
+    s, t = 1 << k, (1 << k) - 1
+    (au, av), (bu, bv), (cu, cv) = a, b, c
+    sa = _root_sign(au, av, d)
+    even_u, even_v = au * t * t + cu * s * s, av * t * t + cv * s * s
+    right = sa * _root_sign(even_u + bu * t * s, even_v + bv * t * s, d)
+    left = sa * _root_sign(even_u - bu * t * s, even_v - bv * t * s, d)
+    if right > 0 and left > 0:
+        sb = _root_sign(bu, bv, d)
+        return _root_sign(sb * bu * s - 2 * sa * au * t, sb * bv * s - 2 * sa * av * t, d) < 0
+    # The root is the larger iff e*sign(a) > 0.
+    return left < 0 < right if e * sa > 0 else right < 0 < left
+
+
 def _weil4_m(state: QuotientState, precision_bits: int, roots: _RootTable) -> Dyadic:
     """`weil_height4` as a dyadic triple, with the roots of `roots`.
 
     The embeddings are id and tau1 (sqrt(delta) -> -sqrt(delta)) of xi and
     the two roots of the conjugate polynomial.  When those roots are a
     complex pair z, conj(z), their two factors are one max(1, |z|^2), with
-    |z|^2 = sigma(C)/sigma(A) exactly in K.
+    |z|^2 = sigma(C)/sigma(A) exactly in K.  A factor whose |z| (or |z|^2)
+    is proved below t = 1 - 2^(1-P) is not embedded: every enclosure of z
+    that the embeddings accept at 1 < P <= MAX_BITS lies in [-1, 1], so the
+    factor is exactly [1, 1], and the product keeps its real endpoints.
     """
     poly, v = state.poly, state.value
-    surds = [v, v.conj_sqrt()]
+    # k = 0 gives t = 0, which proves nothing: at P <= 1 an accepted
+    # enclosure may leave [-1, 1], and past MAX_BITS none is accepted.
+    d, k = poly.spec.d, precision_bits - 1 if 1 < precision_bits <= MAX_BITS else 0
+    forms = [_sqrt_d_form(x)[:2] for x in (poly.A, poly.B, poly.C)]
+    sigma_forms = [(u, -w) for u, w in forms]
+    surds = [(v, forms, state.branch), (v.conj_sqrt(), forms, -state.branch)]
+    # A is integral, so its norm is an integer.
+    lead = abs(poly.A.norm().numerator)
+    acc = (lead, lead, 0)
     sigma_delta = poly.delta.conj()
     if sign_of(sigma_delta) > 0:
         # The roots (-sigma(B) +- sqrt(sigma(delta)))/(2*sigma(A)) of the
         # conjugate polynomial, from v = (-B + branch*sqrt(delta))/(2A).
         plus = SurdElement(v.spec, sigma_delta, v.x.conj(), state.branch * v.y.conj())
-        surds += [plus, plus.conj_sqrt()]
-        pair_modulus = []
+        surds += [(plus, sigma_forms, 1), (plus.conj_sqrt(), sigma_forms, -1)]
     else:
-        pair_modulus = [_k_embed((poly.C / poly.A).conj(), precision_bits, roots)]
-    magnitudes = [dyadic_abs(_surd_embed(z, precision_bits, roots)) for z in surds]
-    # A is integral, so its norm is an integer.
-    lead = abs(poly.A.norm().numerator)
-    acc = (lead, lead, 0)
-    for m in magnitudes + pair_modulus:
-        acc = dyadic_mul(acc, dyadic_max(m, _ONE))
+        # sigma(A)*sigma(C) > 0, so |z|^2 < t = T/S iff
+        # sign(sigma(A)) * sign(sigma(C)*S - sigma(A)*T) < 0.
+        (au, av), _, (cu, cv) = sigma_forms
+        s, t = 1 << k, (1 << k) - 1
+        if _root_sign(au, av, d) * _root_sign(cu * s - au * t, cv * s - av * t, d) >= 0:
+            modulus = _k_embed((poly.C / poly.A).conj(), precision_bits, roots)
+            acc = dyadic_mul(acc, dyadic_max(modulus, _ONE))
+    for z, (a, b, c), e in surds:
+        if not _root_inside(a, b, c, e, d, k):
+            magnitude = dyadic_abs(_surd_embed(z, precision_bits, roots))
+            acc = dyadic_mul(acc, dyadic_max(magnitude, _ONE))
     return acc
 
 

@@ -44,6 +44,8 @@ ROOT_TABLE_TEST = "tests/test_root_table.py"
 ROW_VIEWS_TEST = "tests/test_quartic.py::TestRowViews"
 INTEGRAL_RECURRENCE_TEST = "tests/test_cf.py::TestIntegralRecurrence"
 E_MATRIX_REFERENCE_TEST = "tests/test_cf.py::TestEMatrix::test_matches_fraction_reference"
+WEIL_SKIP_TEST = "tests/test_weil_skip.py"
+EMBED_KERNEL_TEST = "tests/test_embed_kernel.py"
 CLI_FLAGS_TESTS = (
     "tests/test_cli.py::test_each_command_declares_only_the_flags_it_reads",
     "tests/test_cli.py::test_unread_flag_is_usage_error",
@@ -290,9 +292,31 @@ CATALOGUE = (
         CLI_FLAGS_TESTS,
     ),
     Mutant(
+        "the Weil skip tests |z| against t = 1",
+        "okcf/quartic.py",
+        "\n    s, t = 1 << k, (1 << k) - 1\n",
+        "\n    s, t = 1 << k, 1 << k\n",
+        (WEIL_SKIP_TEST,),
+    ),
+    Mutant(
+        "the Weil skip swaps the smaller and the larger root",
+        "okcf/quartic.py",
+        "    return left < 0 < right if e * sa > 0 else right < 0 < left\n",
+        "    return left < 0 < right if e * sa < 0 else right < 0 < left\n",
+        (WEIL_SKIP_TEST,),
+    ),
+    Mutant(
+        "the embedding kernel accepts a level at P - 1 bits",
+        "okcf/field.py",
+        "-(-hi // den), bits\n        if dyadic_bits(m) >= precision_bits:\n",
+        "-(-hi // den), bits\n        if dyadic_bits(m) >= precision_bits - 1:\n",
+        (EMBED_KERNEL_TEST,),
+    ),
+    Mutant(
         "analyze drops its --expansion mode check",
         "okcf/cli.py",
-        "        if any((args.A, args.quotients, args.branch, args.conj_branch)):\n"
+        "        if any(x is not None for x in (args.A, args.quotients, args.branch, "
+        "args.conj_branch)):\n"
         '            raise ParseError("--expansion takes no A B C, --quotients, --branch or '
         '--conj-branch")\n',
         "",

@@ -243,6 +243,17 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert err.startswith("parse error: ")
 
+    @pytest.mark.parametrize("flags", [
+        ["--expansion", "", "1", "-2", "-1-1*w"],
+        ["1", "-2", "-1-1*w", "--quotients=", "--conj-branch=-"],
+    ], ids=["empty-expansion-seed", "empty-quotients-conj-branch"])
+    def test_an_empty_mode_flag_still_selects_its_mode(self, capsys, flags):
+        # An empty --expansion or --quotients is given, not absent: the
+        # other mode's arguments are mixed in, and nothing is printed.
+        code, out, err = run(capsys, "analyze", "-n", "1", *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: ")
+
     def test_decreasing_s_for_classical(self, capsys):
         code, out, _ = run(
             capsys, "analyze", "--expansion", "[1; 2]", "-n", "8", "--output", "json"
