@@ -580,6 +580,14 @@ _PINNED_OUTPUTS = [
      "6582d6e939f1bd5656b8d186efa589e443bbf82ff10186f969cc64c358117ca5"),
     ("analyze 1 -2 -1-1*w -n 10", 0,
      "af827bdf1d205e59b62b8c2f9e768e9433b1425519709b1f8f1dbd2c9cf74985"),
+    # A complex sigma(delta): the rows' sigma-side error terms are moduli.
+    ("analyze 1 0 2-3*w -n 12 --quotients=1,w,2,1,-w,3,1-w,2,w,1,-2,1,2 --output json", 0,
+     "072debb439ba98169f167aa349d5ed239b6941fb360e8600bbd57e70908b7cdc"),
+    ("analyze 1 0 2-3*w -n 12 --quotients=1,w,2,1,-w,3,1-w,2,w,1,-2,1,2 --output csv "
+     "--precision 256", 0,
+     "1beff98f8629b8872efdd49d205aa6f66cba92d93df1137f5f8a5e6a03a534c4"),
+    ("analyze 1 0 2-3*w -n 12 --quotients=1,w,2,1,-w,3,1-w,2,w,1,-2,1,2", 0,
+     "aef160e1a88f586ef012ced867fc5d658f9d4d90d3e7be8f0fe4de317098ce4c"),
     ("expand 1 -2 -1-1*w --conj-branch=+ --output json", 0,
      "fc78197ce6cf37ef02896e4d253edf132e944bb3d6c7bce8404dc68bc06fc785"),
     ("expand 1 -2 -1-1*w --conj-branch=- --output json", 0,
