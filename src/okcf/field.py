@@ -21,18 +21,18 @@ signs are the fallback of the pair expansion, whose certified float
 filter (`okcf.golden`) decides most of its questions first.  No interval
 is involved in a sign, and the expansion path never embeds; `embed`
 serves display and report enclosures only, each in one loop on integers
-(`_form_embed`, `_surd_embed`) that doubles its bits as `intervals.refine`
-does.  A surd's `embed` asks whether the value is exactly 0 (a square
-delta can hide a zero) only when an enclosure contains 0, and at most once
-per call.
-Enclosures are computed on integer mantissas: an embedding is found as
-the dyadic triple (lo_m, hi_m, e) of `intervals.Dyadic`, from one `isqrt`
-of d * 4^bits and two floor divisions of the element's own integers.
+that doubles its bits as `intervals.refine` does: `_form_embed` on the
+form (u, v, den) of (u + v*sqrt(d))/den, and `_surd_form_embed` on the
+forms of x and y in x + y*sqrt(delta), reduced or not (`_surd_embed` is
+it on a surd's own forms; `quartic` passes forms it builds on integers).
+It asks whether the value is exactly 0 (a square delta can hide a zero)
+only when an enclosure contains 0, at most once per call.  An embedding
+is the dyadic triple (lo_m, hi_m, e) of `intervals.Dyadic`, from one
+`isqrt` of d * 4^bits and two floor divisions of the form's integers;
 `embed` returns it as a `RealInterval` with `Fraction` endpoints, or as
-the triple itself (`dyadic=True`) to compute on further;
-`quartic.diagnostics` and `summarize` never leave the triples.  Those roots, and a surd's
-enclosures of sqrt(delta), are kept per call in a private `_RootTable`,
-which each of those two calls shares among all its embeddings.
+the triple itself (`dyadic=True`), and `quartic.diagnostics` and
+`summarize` never leave the triples.  Those roots, and the enclosures of
+sqrt(delta), are shared by one call's embeddings in a `_RootTable`.
 """
 
 from __future__ import annotations
@@ -546,6 +546,18 @@ def _sqrt_d_form(k: KElement) -> tuple[int, int, int]:
     return k.p, k.q, k.den
 
 
+def _from_form(spec: FieldSpec, form: tuple[int, int, int]) -> KElement:
+    """The element of a form (u, v, den); sqrt(d) = 2w - 1 when w is a half."""
+    u, v, den = form
+    return _reduced(spec, u - v, 2 * v, den) if spec.omega_is_half else _reduced(spec, u, v, den)
+
+
+def _form_mul(d: int, f: tuple[int, int, int], g: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The form of the product of two forms (u, v, den) over sqrt(d)."""
+    (u1, v1, m1), (u2, v2, m2) = f, g
+    return u1 * u2 + d * v1 * v2, u1 * v2 + v1 * u2, m1 * m2
+
+
 def _k_embed(k: KElement, precision_bits: int, roots: _RootTable,
              conjugate: bool = False) -> Dyadic:
     """`KElement.embed` as a dyadic triple, with the roots of `roots`."""
@@ -557,7 +569,7 @@ def _k_embed(k: KElement, precision_bits: int, roots: _RootTable,
 def _form_embed(u: int, v: int, den: int, d: int, precision_bits: int,
                 isqrt_d: dict[int, int]) -> Dyadic:
     """(u + v*sqrt(d))/den as a dyadic triple, with the roots `isqrt_d`.  As
-    in `_surd_embed`, a level is accepted once its width is at most
+    in `_surd_form_embed`, a level is accepted once its width is at most
     2^(1-precision_bits) * max(1, |lo|); its bits double by `_next_level`."""
     if not v:
         bits = max(precision_bits, 1)
@@ -580,12 +592,18 @@ def _form_embed(u: int, v: int, den: int, d: int, precision_bits: int,
 
 def _surd_embed(z: SurdElement, precision_bits: int, roots: _RootTable) -> Dyadic:
     """`SurdElement.embed` as a dyadic triple, with the roots of `roots`."""
-    x, y, delta = z.x, z.y, z.delta
-    if y.is_zero:
-        return _k_embed(x, precision_bits, roots)
-    d, isqrt_d, sqrt_delta = z.spec.d, roots.isqrt_d, roots.sqrt_delta
-    xu, xv, xden = _sqrt_d_form(x)
-    yu, yv, yden = _sqrt_d_form(y)
+    return _surd_form_embed(_sqrt_d_form(z.x), _sqrt_d_form(z.y), z.delta, precision_bits, roots)
+
+
+def _surd_form_embed(x: tuple[int, int, int], y: tuple[int, int, int], delta: KElement,
+                     precision_bits: int, roots: _RootTable) -> Dyadic:
+    """`_surd_embed` of x + y*sqrt(delta) for the forms (u, v, den > 0) of x
+    and y, in lowest terms or not: a form is k > 0 times the reduced one, and
+    floor(k*a / (k*b)) = floor(a/b), so every endpoint is the same."""
+    (xu, xv, xden), (yu, yv, yden) = x, y
+    d, isqrt_d, sqrt_delta = delta.spec.d, roots.isqrt_d, roots.sqrt_delta
+    if not yu and not yv:
+        return _form_embed(xu, xv, xden, d, precision_bits, isqrt_d)
     # Whether the value is exactly 0 (delta a square in K), decided only
     # when an enclosure contains 0, and at most once.
     is_zero: bool | None = None
@@ -600,7 +618,7 @@ def _surd_embed(z: SurdElement, precision_bits: int, roots: _RootTable) -> Dyadi
         m = dyadic_rounded(value, bits)
         if m[0] <= 0 <= m[1]:
             if is_zero is None:
-                is_zero = surd_is_zero(z)
+                is_zero = surd_sign(*(_from_form(delta.spec, f) for f in (x, y)), delta) == 0
             if is_zero:
                 m = 0, 0, 0
         if dyadic_bits(m) >= precision_bits:

@@ -19,10 +19,11 @@ from .field import (
     _k_embed,
     _int_mul,
     _make,
+    _form_mul,
     _RootTable,
     _root_sign,
     _sqrt_d_form,
-    _surd_embed,
+    _surd_form_embed,
     is_square_in_k,
     sign_of,
 )
@@ -130,6 +131,18 @@ class QuotientState:
         return SurdElement(
             spec, self.poly.delta, -self.poly.B * inv2a, self.branch * inv2a
         )
+
+
+def _root_forms(poly: QuadraticPolyK) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """The forms of x = -B/(2A) and y = 1/(2A), the root of branch e being
+    x + e*y*sqrt(delta): with A = (u + v*sqrt(d))/m and N = u^2 - d*v^2,
+    1/A = m*(u - v*sqrt(d))/N, the sign of N moved to the numerator."""
+    d = poly.spec.d
+    (au, av, am), (bu, bv, bm) = _sqrt_d_form(poly.A), _sqrt_d_form(poly.B)
+    n = au * au - d * av * av
+    s = am if n > 0 else -am
+    y = s * au, -s * av, 2 * abs(n)
+    return _form_mul(d, (-bu, -bv, bm), y), y
 
 
 def make_state(poly: QuadraticPolyK, branch: int) -> QuotientState:
@@ -245,33 +258,36 @@ def _weil4_m(state: QuotientState, precision_bits: int, roots: _RootTable) -> Dy
     that the embeddings accept at 1 < P <= MAX_BITS lies in [-1, 1], so the
     factor is exactly [1, 1], and the product keeps its real endpoints.
     """
-    poly, v = state.poly, state.value
+    poly = state.poly
     # k = 0 gives t = 0, which proves nothing: at P <= 1 an accepted
     # enclosure may leave [-1, 1], and past MAX_BITS none is accepted.
     d, k = poly.spec.d, precision_bits - 1 if 1 < precision_bits <= MAX_BITS else 0
     forms = [_sqrt_d_form(x)[:2] for x in (poly.A, poly.B, poly.C)]
     sigma_forms = [(u, -w) for u, w in forms]
-    surds = [(v, forms, state.branch), (v.conj_sqrt(), forms, -state.branch)]
+    x, (yu, yv, ym) = _root_forms(poly)
+    surds = [(x, (e * yu, e * yv, ym), poly.delta, forms, e) for e in (state.branch, -state.branch)]
     # A is integral, so its norm is an integer.
     lead = abs(poly.A.norm().numerator)
     acc = (lead, lead, 0)
     sigma_delta = poly.delta.conj()
     if sign_of(sigma_delta) > 0:
-        # The roots (-sigma(B) +- sqrt(sigma(delta)))/(2*sigma(A)) of the
-        # conjugate polynomial, from v = (-B + branch*sqrt(delta))/(2A).
-        plus = SurdElement(v.spec, sigma_delta, v.x.conj(), state.branch * v.y.conj())
-        surds += [(plus, sigma_forms, 1), (plus.conj_sqrt(), sigma_forms, -1)]
+        # The roots of the conjugate polynomial, over sigma(delta).
+        surds += [((x[0], -x[1], x[2]), (e * yu, -e * yv, ym), sigma_delta, sigma_forms, e)
+                  for e in (1, -1)]
     else:
         # sigma(A)*sigma(C) > 0, so |z|^2 < t = T/S iff
         # sign(sigma(A)) * sign(sigma(C)*S - sigma(A)*T) < 0.
         (au, av), _, (cu, cv) = sigma_forms
         s, t = 1 << k, (1 << k) - 1
         if _root_sign(au, av, d) * _root_sign(cu * s - au * t, cv * s - av * t, d) >= 0:
-            modulus = _k_embed((poly.C / poly.A).conj(), precision_bits, roots)
+            # |z|^2 = sigma(C/A) = sigma(2*C*y).
+            u, v, m = _form_mul(d, _sqrt_d_form(poly.C), (yu, yv, ym))
+            modulus = _surd_form_embed((2 * u, -2 * v, m), (0, 0, 1), poly.delta,
+                                       precision_bits, roots)
             acc = dyadic_mul(acc, dyadic_max(modulus, _ONE))
-    for z, (a, b, c), e in surds:
+    for x, y, delta, (a, b, c), e in surds:
         if not _root_inside(a, b, c, e, d, k):
-            magnitude = dyadic_abs(_surd_embed(z, precision_bits, roots))
+            magnitude = dyadic_abs(_surd_form_embed(x, y, delta, precision_bits, roots))
             acc = dyadic_mul(acc, dyadic_max(magnitude, _ONE))
     return acc
 
@@ -342,15 +358,19 @@ def _tight_abs(value: KElement | SurdElement, rel_bits: int) -> RealInterval:
     vacuous for the exponentially small approximation errors S_n; this
     refines until the enclosure is tight relative to the value itself.
     """
-    return dyadic_interval(_tight_abs_m(value, rel_bits, _RootTable()))
+    x, y, delta = ((value.x, value.y, value.delta) if isinstance(value, SurdElement)
+                   else (value, value.spec.zero, value.spec.one))
+    return dyadic_interval(_tight_abs_m(_sqrt_d_form(x), _sqrt_d_form(y), delta, rel_bits,
+                                        _RootTable()))
 
 
-def _tight_abs_m(value: KElement | SurdElement, rel_bits: int, roots: _RootTable) -> Dyadic:
-    """`_tight_abs` as a dyadic triple, with the roots of `roots`."""
+def _tight_abs_m(x: tuple[int, int, int], y: tuple[int, int, int], delta: KElement,
+                 rel_bits: int, roots: _RootTable) -> Dyadic:
+    """`_tight_abs` of x + y*sqrt(delta), for the forms x and y that
+    `field._surd_form_embed` takes, with the roots of `roots`."""
     shift = rel_bits - 1
-    embed = _surd_embed if isinstance(value, SurdElement) else _k_embed
     return refine(
-        lambda bits: dyadic_abs(embed(value, bits, roots)),
+        lambda bits: dyadic_abs(_surd_form_embed(x, y, delta, bits, roots)),
         rel_bits,
         lambda m: m[1] == 0 or (m[0] > 0 and (m[1] - m[0]) << shift <= m[0]),
     )
@@ -409,41 +429,43 @@ def diagnostics(
     approximation error S_n = xi*Q_n - P_n, the two embedding-pair products
     F_1(n), F_2(n) (with S_{-1} = -1), and the heights of xi_n.  Every
     enclosure is an element of K or a surd over delta or sigma(delta), so
-    all of them share one root table.
+    all of them share one root table.  With xi = x + branch*y*sqrt(delta),
+    xi*Q_n - P_n is embedded from the forms of x*Q_n - P_n and branch*y*Q_n;
+    tau flips y, and sigma flips v in each form and takes branch +1.
     """
     bits = precision_bits
     roots = _RootTable()
-    spec = seed.spec
+    d, delta, sigma_delta = seed.spec.d, seed.delta, seed.delta.conj()
     states = run_trajectory(seed, branch, quotients)
-    qpairs = qpair_states(spec, quotients)
-    xi = states[0].value
-    xi_tau = xi.conj_sqrt()
-    # x + y*sqrt(sigma(delta)) are the roots of the conjugate polynomial;
-    # when they are complex, only x and y are read.
-    xi_p_plus = QuotientState(seed.sigma(), 1).value
-    sigma_real = sign_of(xi_p_plus.delta) > 0
-    if sigma_real:
-        xi_p_minus = xi_p_plus.conj_sqrt()
+    qpairs = qpair_states(seed.spec, quotients)
+    (x, y), (sx, sy) = _root_forms(seed), _root_forms(seed.sigma())
+    sigma_real = sign_of(sigma_delta) > 0
+
+    def error_forms(x, y, q, p):
+        # The forms of x*Q_n - P_n and y*Q_n; P_n and Q_n share one den.
+        u, v, m = _form_mul(d, x, q)
+        return (u - p[0] * x[2], v - p[1] * x[2], m), _form_mul(d, y, q)
 
     prev = {"id": _ONE, "tau": _ONE, "s2": _ONE, "s3": _ONE}
     rows: list[TrajectoryRow] = []
     for n, qp in enumerate(qpairs):
         pn, qn = qp.p_cur, qp.q_cur
-        s_id = _tight_abs_m(xi * qn - pn, bits, roots)
-        s_tau = _tight_abs_m(xi_tau * qn - pn, bits, roots)
-        sqn, spn = qn.conj(), pn.conj()
+        (qu, qv, qm), (pu, pv, _) = _sqrt_d_form(qn), _sqrt_d_form(pn)
+        e, (fu, fv, fm) = error_forms(x, y, (qu, qv, qm), (pu, pv))
+        s_id = _tight_abs_m(e, (branch * fu, branch * fv, fm), delta, bits, roots)
+        s_tau = _tight_abs_m(e, (-branch * fu, -branch * fv, fm), delta, bits, roots)
+        e, f = error_forms(sx, sy, (qu, -qv, qm), (pu, -pv))
         if sigma_real:
-            s_s2 = _tight_abs_m(xi_p_plus * sqn - spn, bits, roots)
-            s_s3 = _tight_abs_m(xi_p_minus * sqn - spn, bits, roots)
-            sq_abs = dyadic_abs(_k_embed(sqn, bits, roots))
+            s_s2 = _tight_abs_m(e, f, sigma_delta, bits, roots)
+            s_s3 = _tight_abs_m(e, (-f[0], -f[1], f[2]), sigma_delta, bits, roots)
+            sq_abs = dyadic_abs(_k_embed(qn, bits, roots, True))
             qs_sigma = (dyadic_mul(s_s2, sq_abs), dyadic_mul(s_s3, sq_abs))
         else:
-            # Complex pair: |x'' + y''*sqrt(sigma(delta))|^2
-            # = x''^2 - y''^2*sigma(delta) in K.
-            x2 = xi_p_plus.x * sqn - spn
-            y2 = xi_p_plus.y * sqn
-            mod_sq = x2 * x2 - y2 * y2 * xi_p_plus.delta
-            s_s2 = s_s3 = dyadic_sqrt(_tight_abs_m(mod_sq, bits, roots), bits)
+            # Complex pair: |e + f*sqrt(sigma(delta))|^2 = e^2 - f^2*sigma(delta) in K.
+            u1, v1, m1 = _form_mul(d, e, e)
+            u2, v2, m2 = _form_mul(d, _form_mul(d, f, f), _sqrt_d_form(sigma_delta))
+            mod_sq = u1 * m2 - u2 * m1, v1 * m2 - v2 * m1, m1 * m2
+            s_s2 = s_s3 = dyadic_sqrt(_tight_abs_m(mod_sq, (0, 0, 1), delta, bits, roots), bits)
             qs_sigma = None
         f1 = dyadic_mul(dyadic_max(s_id, prev["id"]), dyadic_max(s_tau, prev["tau"]))
         f2 = dyadic_mul(dyadic_max(s_s2, prev["s2"]), dyadic_max(s_s3, prev["s3"]))

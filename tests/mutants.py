@@ -46,6 +46,7 @@ INTEGRAL_RECURRENCE_TEST = "tests/test_cf.py::TestIntegralRecurrence"
 E_MATRIX_REFERENCE_TEST = "tests/test_cf.py::TestEMatrix::test_matches_fraction_reference"
 WEIL_SKIP_TEST = "tests/test_weil_skip.py"
 EMBED_KERNEL_TEST = "tests/test_embed_kernel.py"
+ERROR_FORMS_TEST = "tests/test_form_kernel.py::test_error_term_forms_match_surd_arithmetic"
 CLI_FLAGS_TESTS = (
     "tests/test_cli.py::test_each_command_declares_only_the_flags_it_reads",
     "tests/test_cli.py::test_unread_flag_is_usage_error",
@@ -311,6 +312,27 @@ CATALOGUE = (
         "-(-hi // den), bits\n        if dyadic_bits(m) >= precision_bits:\n",
         "-(-hi // den), bits\n        if dyadic_bits(m) >= precision_bits - 1:\n",
         (EMBED_KERNEL_TEST,),
+    ),
+    Mutant(
+        "the sigma error term keeps the v sign of Q_n",
+        "okcf/quartic.py",
+        "        e, f = error_forms(sx, sy, (qu, -qv, qm), (pu, -pv))\n",
+        "        e, f = error_forms(sx, sy, (qu, qv, qm), (pu, -pv))\n",
+        (ERROR_FORMS_TEST,),
+    ),
+    Mutant(
+        "the tau error term keeps the sign of y",
+        "okcf/quartic.py",
+        "s_tau = _tight_abs_m(e, (-branch * fu, -branch * fv, fm),",
+        "s_tau = _tight_abs_m(e, (branch * fu, branch * fv, fm),",
+        (ERROR_FORMS_TEST,),
+    ),
+    Mutant(
+        "the form kernel skips the zero test",
+        "okcf/field.py",
+        "            if is_zero:\n                m = 0, 0, 0\n",
+        "",
+        ("tests/test_form_kernel.py::test_a_hidden_zero_in_unreduced_forms_is_the_point_zero",),
     ),
     Mutant(
         "analyze drops its --expansion mode check",

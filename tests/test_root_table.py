@@ -17,7 +17,15 @@ import pytest
 
 from conftest import random_k
 from okcf import field, quartic
-from okcf.field import KElement, SurdElement, _k_embed, _RootTable, _surd_embed, sign_of
+from okcf.field import (
+    KElement,
+    SurdElement,
+    _from_form,
+    _k_embed,
+    _RootTable,
+    _surd_embed,
+    sign_of,
+)
 from okcf.quartic import QuadraticPolyK, diagnostics
 
 
@@ -36,7 +44,8 @@ SEEDS = [real_sigma_seed, complex_sigma_seed]
 
 def recorded_embeds(monkeypatch, seed, quotients, bits):
     """(element, bits, conjugate, table, enclosure) for every embedding that
-    `diagnostics` makes, nested ones included."""
+    `diagnostics` makes, nested ones included.  A call of the form kernel
+    is recorded as the surd rebuilt from its forms and delta."""
     calls = []
 
     def k_recording(k, precision_bits, roots, conjugate=False):
@@ -44,16 +53,18 @@ def recorded_embeds(monkeypatch, seed, quotients, bits):
         calls.append((k, precision_bits, conjugate, roots, m))
         return m
 
-    def surd_recording(z, precision_bits, roots):
-        m = surd_embed(z, precision_bits, roots)
+    def kernel_recording(x, y, delta, precision_bits, roots):
+        m = kernel(x, y, delta, precision_bits, roots)
+        spec = delta.spec
+        z = SurdElement(spec, delta, _from_form(spec, x), _from_form(spec, y))
         calls.append((z, precision_bits, False, roots, m))
         return m
 
-    k_embed, surd_embed = field._k_embed, field._surd_embed
+    k_embed, kernel = field._k_embed, field._surd_form_embed
     with monkeypatch.context() as patch:
         for module in (field, quartic):
             patch.setattr(module, "_k_embed", k_recording)
-            patch.setattr(module, "_surd_embed", surd_recording)
+            patch.setattr(module, "_surd_form_embed", kernel_recording)
         diagnostics(seed, 1, quotients, bits)
     return calls
 

@@ -25,6 +25,7 @@ from okcf.field import (
     _RootTable,
     _sqrt_d_form,
     _surd_embed,
+    _surd_form_embed,
     sign_of,
 )
 from okcf.intervals import (
@@ -125,7 +126,7 @@ def counted_weil4(monkeypatch, state, bits):
         return wrapped
 
     with monkeypatch.context() as patch:
-        patch.setattr(quartic, "_surd_embed", counting(_surd_embed))
+        patch.setattr(quartic, "_surd_form_embed", counting(_surd_form_embed))
         patch.setattr(quartic, "_k_embed", counting(_k_embed))
         got = _weil4_m(state, bits, _RootTable())
     return got, len(calls)
