@@ -4,8 +4,9 @@ forms that `quartic.diagnostics` and `quartic._weil4_m` give it.
 Covered: the kernel against `_surd_embed` on unreduced forms (each form
 scaled by a random k up to 2^40), under tau (y -> -y) and sigma (v -> -v in
 every form, over sigma(delta)), for D = 5, 2 and 13 at P = 1, 16, 64 and
-1024; a hidden zero over a square delta, which is the point 0; P > MAX_BITS,
-which raises `PrecisionError`.  Then, on random seeds and quotients with real
+1024; a zero y, which embeds x as an element of K; a hidden zero over a
+square delta, which is the point 0; P > MAX_BITS, which raises
+`PrecisionError`.  Then, on random seeds and quotients with real
 and with complex sigma(delta), the forms of every error term that
 `diagnostics` embeds against xi*Q_n - P_n built by `SurdElement` arithmetic
 under all four conjugations, and the forms of `_root_forms` against
