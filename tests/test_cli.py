@@ -568,6 +568,11 @@ def test_precision_at_maximum_succeeds(capsys, argv):
 _PINNED_OUTPUTS = [
     ("corpus --count 25 --bound 3 --seed 1 --output json", 0,
      "9aa4ef28c2a7ba0e91368c0783624178d92b1fbf9650b633ebd310bbb9f09266"),
+    # Large coefficients: periods reach the hundreds at bound 40.
+    ("corpus --count 100 --bound 12 --seed 7 --output json", 0,
+     "9943780245609bc674a6010b5146da25f786f3da96c8da76b5201a03b44e18bb"),
+    ("corpus --count 30 --bound 40 --seed 11 --output json", 0,
+     "cfa9e7f360a1f372f94996e77df4b533782a29ab724f46d9c8f30216f210e21a"),
     ("analyze --expansion '[; 2, 4-2*w]' -n 40 --output json", 0,
      "53a3cd6070f65d8d0a059cc49c1fb1396a614b3799fcdd775373a3593ec57f43"),
     ("analyze --expansion '[; 2, 4-2*w]' -n 40", 0,

@@ -11,12 +11,14 @@ how many decisions reach the exact path, which guards the fast path.
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
 from okcf import golden
-from okcf.field import KElement
-from okcf.golden import PairContext, PairState, expand_pair
+from okcf.cli import _sample_seed
+from okcf.field import FieldSpec, KElement, is_square_in_k
+from okcf.golden import PairContext, PairState, SeedRejection, expand_pair
 from okcf.quartic import QuadraticPolyK, QuotientState
 from test_sign_oracle import pool_seeds
 
@@ -268,3 +270,38 @@ def test_decided_steps_build_no_exact_pair(k5, monkeypatch):
     monkeypatch.setattr(golden.RealPair, "sign", forbidden)
     for conj, r in expected.items():
         assert expand_pair(seed, 1, conj).expansion == r.expansion
+
+
+def corpus_seeds(count: int, bound: int, seed: int) -> list[QuadraticPolyK]:
+    """The first `count` seeds of `okcf corpus --bound <bound> --seed <seed>`."""
+    rng, spec = random.Random(seed), FieldSpec(5)
+    counters = {reason.value: 0 for reason in SeedRejection}
+    seeds: list[QuadraticPolyK] = []
+    while len(seeds) < count:
+        s = _sample_seed(rng, spec, bound, counters)
+        if s is not None:
+            seeds.append(s)
+    return seeds
+
+
+@pytest.mark.parametrize("bound, seed, count, pool", [(12, 7, 50, 1500), (40, 11, 15, 1000)])
+def test_forced_exact_path_agrees_at_large_bounds(monkeypatch, bound, seed, count, pool):
+    # At these magnitudes the filter decides every floor and distance test,
+    # so turning it off is the only way their floors reach the exact path.
+    # Linked seeds (delta*sigma(delta) a square in K) are about 2% of the
+    # corpus here; all of those among the first `pool` seeds are added, and
+    # their floors take the two-family path of `surd_sum_sign`.
+    stream = corpus_seeds(pool, bound, seed)
+    linked = [s for s in stream if is_square_in_k(s.delta * s.delta.conj()) is not None]
+    assert len(linked) >= 9
+    seeds = stream[:count] + linked
+    filtered = [expand_pair(s, 1, conj) for s in seeds for conj in (1, -1)]
+    assert max(len(r.expansion.period) for r in filtered) > 40
+    assert sum(r.steps for r in filtered[2 * count:]) > 400
+    monkeypatch.setattr(golden, "_BINARY64", False)
+    exact = [expand_pair(s, 1, conj) for s in seeds for conj in (1, -1)]
+    for f, e in zip(filtered, exact):
+        assert e.expansion == f.expansion
+        assert e.keys == f.keys
+        assert e.cycle_start == f.cycle_start
+        assert e.verified == f.verified
