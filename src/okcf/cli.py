@@ -249,13 +249,13 @@ def _csv_record(row: dict) -> dict:
 def cmd_analyze(args: argparse.Namespace) -> int:
     seed, branch, quotients = _analyze_quotients(args)
     rows = diagnostics(seed, branch, quotients, args.precision)
-    summary = summarize(rows, quotients, args.precision)
     if args.output == "csv":
         records = [_csv_record(_row_json(r)) for r in rows]
         writer = csv.writer(sys.stdout)
         writer.writerow(records[0])
         writer.writerows(record.values() for record in records)
         return EXIT_OK
+    summary = summarize(rows, quotients, args.precision)
     if args.output == "json":
         payload = {
             "seed": _poly_json(seed),

@@ -29,10 +29,10 @@ It asks whether the value is exactly 0 (a square delta can hide a zero)
 only when an enclosure contains 0, at most once per call.  An embedding
 is the dyadic triple (lo_m, hi_m, e) of `intervals.Dyadic`, from one
 `isqrt` of d * 4^bits and two floor divisions of the form's integers;
-`embed` returns it as a `RealInterval` with `Fraction` endpoints, or as
-the triple itself (`dyadic=True`), and `quartic.diagnostics` and
-`summarize` never leave the triples.  Those roots, and the enclosures of
-sqrt(delta), are shared by one call's embeddings in a `_RootTable`.
+`embed` returns it as a `RealInterval` with `Fraction` endpoints, while
+`quartic.diagnostics` and `summarize` never leave the triples.  Those
+roots, and the enclosures of sqrt(delta), are shared by one call's
+embeddings in a `_RootTable`.
 """
 
 from __future__ import annotations
@@ -290,14 +290,7 @@ class KElement:
     def __pow__(self, n: int) -> KElement:
         if n < 0:
             return self.spec.one / self ** (-n)
-        out = self.spec.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self.spec.one, self, n)
 
     def conj(self) -> KElement:
         """Galois conjugate: w -> 1 - w when d = 1 (mod 4), else w -> -w."""
@@ -313,13 +306,9 @@ class KElement:
     def trace(self) -> Fraction:
         return Fraction(2 * self.p + self.spec.omega_sq_lin * self.q, self.den)
 
-    def embed(
-        self, precision_bits: int = DEFAULT_BITS, conjugate: bool = False, *, dyadic: bool = False
-    ) -> RealInterval | Dyadic:
-        """Enclosing interval of the chosen real embedding; with `dyadic`,
-        the `intervals.Dyadic` triple it is made from."""
-        m = _k_embed(self, precision_bits, _RootTable(), conjugate)
-        return m if dyadic else dyadic_interval(m)
+    def embed(self, precision_bits: int = DEFAULT_BITS, conjugate: bool = False) -> RealInterval:
+        """Enclosing interval of the chosen real embedding."""
+        return dyadic_interval(_k_embed(self, precision_bits, _RootTable(), conjugate))
 
     def __float__(self) -> float:
         """A float approximation with no error bound; `embed` encloses.
@@ -450,14 +439,7 @@ class SurdElement:
     def __pow__(self, n: int) -> SurdElement:
         if n < 0:
             raise ValueError("negative surd powers unsupported")
-        out = self._coerce(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self._coerce(1), self, n)
 
     def conj_sqrt(self) -> SurdElement:
         """Conjugation over K: sqrt(delta) -> -sqrt(delta)."""
@@ -470,13 +452,9 @@ class SurdElement:
     def recip(self) -> SurdElement:
         return self._coerce(1) / self
 
-    def embed(
-        self, precision_bits: int = DEFAULT_BITS, *, dyadic: bool = False
-    ) -> RealInterval | Dyadic:
-        """Enclosing interval of the value; with `dyadic`, the
-        `intervals.Dyadic` triple it is made from."""
-        m = _surd_embed(self, precision_bits, _RootTable())
-        return m if dyadic else dyadic_interval(m)
+    def embed(self, precision_bits: int = DEFAULT_BITS) -> RealInterval:
+        """Enclosing interval of the value."""
+        return dyadic_interval(_surd_embed(self, precision_bits, _RootTable()))
 
     def __float__(self) -> float:
         return float(self.embed(64))
@@ -493,6 +471,16 @@ _set_spec = KElement.spec.__set__
 _set_p = KElement.p.__set__
 _set_q = KElement.q.__set__
 _set_den = KElement.den.__set__
+
+
+def _power(out, base, n: int):
+    """out * base^n for n >= 0, by square-and-multiply."""
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
 
 
 def _int_mul(c: int, l: int, p1: int, q1: int, p2: int, q2: int) -> tuple[int, int]:
@@ -678,10 +666,6 @@ def surd_sum_sign(
     if sa == 0:
         return sb
     return sa * surd_sign(x * x + y1 * y1 * delta1 - y2 * y2 * delta2, 2 * x * y1, delta1)
-
-
-def surd_is_zero(u: SurdElement) -> bool:
-    return surd_sign(u.x, u.y, u.delta) == 0
 
 
 def sign_of(u: SurdElement | KElement | int | Fraction) -> int:

@@ -83,8 +83,7 @@ class GoldenPreconditionError(InputRuleError):
 @dataclass(frozen=True)
 class RealPair:
     """An exact real u + v with u, v surds over two (possibly different)
-    families.  When the product of the deltas is a square in K the second
-    component is folded into the first family and v is None."""
+    families; v is None for a real of one family."""
 
     u: SurdElement
     v: SurdElement | None
@@ -196,34 +195,13 @@ class PairContext:
         delta = seed.delta
         return PairContext(seed.spec, delta, delta.conj())
 
-    @cached_property
-    def link(self) -> KElement | None:
-        """sqrt(delta * delta_prime) when it lies in K, else None.  Only
-        the exact path's `pair` reads it."""
-        return is_square_in_k(self.delta * self.delta_prime)
-
     def pair(self, a: SurdElement, b: SurdElement) -> RealPair:
         """The real a + b with a over delta and b over delta_prime."""
-        if self.link is not None:
-            # sqrt(delta_prime) = link / sqrt(delta): fold b into a's family.
-            folded_y = b.y * self.link / self.delta
-            return RealPair(
-                SurdElement(self.spec, self.delta, a.x + b.x, a.y + folded_y), None
-            )
         return RealPair(a, b)
 
     @property
     def beta(self) -> KElement:
         return self.spec.omega
-
-    @cached_property
-    def inv_sqrt5(self) -> KElement:
-        # 1/sqrt(5) = (2*beta - 1)/5
-        return self.spec.element(Fraction(-1, 5), Fraction(2, 5))
-
-    @cached_property
-    def neg_radius_sq(self) -> KElement:
-        return self.spec.element(-RADIUS_SQ)
 
     @cached_property
     def float_roots(self) -> tuple[Enclosure, Enclosure] | None:
@@ -479,7 +457,8 @@ def lattice_coords(p: PairState, ctx: PairContext) -> LatticeCoords:
         raise GoldenPreconditionError("lattice rounding requires D = 5")
     xi = p.xi.value
     xip = p.xi_prime.value
-    inv = ctx.inv_sqrt5
+    # 1/sqrt(5) = (2*beta - 1)/5
+    inv = ctx.spec.element(Fraction(-1, 5), Fraction(2, 5))
     inv_beta = inv * ctx.beta
     y = ctx.pair(xi * inv, -(xip * inv))
     x = ctx.pair(xi * (ctx.spec.one - inv_beta), xip * inv_beta)
@@ -515,7 +494,7 @@ def choose_quotient(p: PairState, ctx: PairContext) -> KElement:
         z = None if enc is None else _corner_distance(enc[0], enc[1], x, y)
         inside = _float_below(z, _RADIUS_SQ_BELOW, _RADIUS_SQ_ABOVE)
         if inside is None:
-            inside = squared_distance(p, ctx, a).shift(ctx.neg_radius_sq).sign() < 0
+            inside = squared_distance(p, ctx, a).shift(-RADIUS_SQ).sign() < 0
         if inside:
             return a
     raise NoCandidateError(

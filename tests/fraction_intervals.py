@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from okcf.field import KElement, SurdElement, sign_of, surd_is_zero
+from okcf.field import KElement, SurdElement, sign_of, surd_sign
 from okcf.quartic import QuotientState
 
 DEFAULT_BITS = 64
@@ -161,7 +161,7 @@ def embed_k(x: KElement, precision_bits: int = DEFAULT_BITS,
 def embed_surd(s: SurdElement, precision_bits: int = DEFAULT_BITS) -> RefInterval:
     if s.y.is_zero:
         return embed_k(s.x, precision_bits)
-    if surd_is_zero(s):
+    if surd_sign(s.x, s.y, s.delta) == 0:
         return RefInterval.point(0)
 
     def compute(bits: int) -> RefInterval:

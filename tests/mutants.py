@@ -47,6 +47,7 @@ E_MATRIX_REFERENCE_TEST = "tests/test_cf.py::TestEMatrix::test_matches_fraction_
 WEIL_SKIP_TEST = "tests/test_weil_skip.py"
 EMBED_KERNEL_TEST = "tests/test_embed_kernel.py"
 ERROR_FORMS_TEST = "tests/test_form_kernel.py::test_error_term_forms_match_surd_arithmetic"
+LARGE_BOUND_TEST = "tests/test_float_filter.py::test_forced_exact_path_agrees_at_large_bounds"
 CLI_FLAGS_TESTS = (
     "tests/test_cli.py::test_each_command_declares_only_the_flags_it_reads",
     "tests/test_cli.py::test_unread_flag_is_usage_error",
@@ -343,6 +344,44 @@ CATALOGUE = (
         '--conj-branch")\n',
         "",
         ("tests/test_cli.py::TestAnalyze::test_mixed_input_modes_are_parse_errors",),
+    ),
+    # Linked seeds (delta*sigma(delta) a square in K) decide their exact
+    # floors and distances across both families, as every other seed does.
+    Mutant(
+        "surd_sum_sign drops y2^2*delta2 from the squared sum",
+        "okcf/field.py",
+        "x * x + y1 * y1 * delta1 - y2 * y2 * delta2, 2 * x * y1, delta1)",
+        "x * x + y1 * y1 * delta1, 2 * x * y1, delta1)",
+        ("tests/test_golden.py::TestRealPair", LARGE_BOUND_TEST),
+    ),
+    Mutant(
+        "lattice_coords takes -1/sqrt(5) for 1/sqrt(5)",
+        "okcf/golden.py",
+        "ctx.spec.element(Fraction(-1, 5), Fraction(2, 5))",
+        "ctx.spec.element(Fraction(1, 5), Fraction(-2, 5))",
+        ("tests/test_golden.py::TestLatticeCoords", LARGE_BOUND_TEST),
+    ),
+    Mutant(
+        "the exact distance test shifts by +9/10",
+        "okcf/golden.py",
+        ".shift(-RADIUS_SQ)",
+        ".shift(RADIUS_SQ)",
+        (LARGE_BOUND_TEST,),
+    ),
+    Mutant(
+        "the power loop skips the product of the top bit",
+        "okcf/field.py",
+        "        if n & 1:\n            out = out * base\n",
+        "        if n & 1 and n > 1:\n            out = out * base\n",
+        ("tests/test_field_reference.py::test_matches_fraction_reference",),
+    ),
+    Mutant(
+        "analyze --output csv builds the summary",
+        "okcf/cli.py",
+        "    rows = diagnostics(seed, branch, quotients, args.precision)\n    if args.output == \"csv\":\n",
+        "    rows = diagnostics(seed, branch, quotients, args.precision)\n"
+        "    summarize(rows, quotients, args.precision)\n    if args.output == \"csv\":\n",
+        ("tests/test_cli.py::TestAnalyze::test_csv_builds_no_summary",),
     ),
 )
 

@@ -185,6 +185,15 @@ class TestAnalyze:
         assert len(lines) == 11  # header + n+1 rows
         assert lines[0].startswith("n,A_n,B_n,C_n,P_n,Q_n,s_n_lo")
 
+    def test_csv_builds_no_summary(self, capsys, monkeypatch):
+        # The CSV table prints rows only, so it must not pay for the summary.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("csv output built the summary")
+
+        expected = run(capsys, "analyze", "--expansion", "[1; 2]", "-n", "9", "--output", "csv")
+        monkeypatch.setattr(cli, "summarize", forbidden)
+        assert run(capsys, "analyze", "--expansion", "[1; 2]", "-n", "9", "--output", "csv") == expected
+
     def test_seed_mode_runs(self, capsys):
         code, out, _ = run(
             capsys, "analyze", "1", "-2", "-1-1*w", "-n", "7", "--output", "json"

@@ -23,7 +23,7 @@ from okcf.field import (
     _sqrt_d_form,
     _surd_embed,
     sign_of,
-    surd_is_zero,
+    surd_sign,
 )
 from okcf.intervals import (
     DEFAULT_BITS,
@@ -90,7 +90,7 @@ def ref_surd_embed(z, precision_bits, roots):
         m = dyadic_rounded(value, bits)
         if m[0] <= 0 <= m[1]:
             if is_zero is None:
-                is_zero = surd_is_zero(z)
+                is_zero = surd_sign(z.x, z.y, z.delta) == 0
             if is_zero:
                 return 0, 0, 0
         return m

@@ -18,7 +18,7 @@ from itertools import islice
 import fraction_intervals as ref
 from conftest import random_k
 from okcf.cf import eval_periodic, qpair_states
-from okcf.field import FieldSpec, KElement, SurdElement, is_square_in_k
+from okcf.field import FieldSpec, KElement, SurdElement, _k_embed, _RootTable, is_square_in_k
 from okcf.golden import pair_steps
 from okcf.parsing import parse_expansion, parse_k
 from okcf.quartic import (
@@ -75,7 +75,7 @@ def test_k_pell_near_zeros_refine():
             for bits in BITS:
                 for conjugate in (False, True):
                     assert same(x.embed(bits, conjugate), ref.embed_k(x, bits, conjugate))
-                doubled += x.embed(bits, dyadic=True)[2] > max(bits, 64)
+                doubled += _k_embed(x, bits, _RootTable())[2] > max(bits, 64)
     # The cancellation forced `refine` past its first precision.
     assert doubled > 50
 
@@ -103,7 +103,8 @@ def test_surd_embedding_clamps_a_negative_radicand_bound():
     k5 = FieldSpec(5)
     delta = 2 * (k5.omega**94).conj()
     assert is_square_in_k(delta) is None
-    assert delta.embed(64, dyadic=True)[0] < 0 < delta.embed(64, dyadic=True)[1]
+    lo, hi, _ = _k_embed(delta, 64, _RootTable())
+    assert lo < 0 < hi
     for x, y in ((k5.one, k5.one), (k5.element(-3, 2), k5.element(Fraction(1, 3), -1)),
                  (k5.zero, k5.omega)):
         u = SurdElement(k5, delta, x, y)

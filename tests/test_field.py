@@ -14,7 +14,7 @@ from okcf.field import (
     rational_sqrt,
     reals_equal,
     sign_of,
-    surd_is_zero,
+    surd_sign,
 )
 from conftest import random_k
 
@@ -269,7 +269,7 @@ class TestSign:
         # beta - sqrt(beta^2) written as a surd with opposing signs
         beta = k5.omega
         u = SurdElement(k5, beta * beta, beta, -k5.one)
-        assert surd_is_zero(u)
+        assert surd_sign(u.x, u.y, u.delta) == 0
         assert sign_of(u) == 0
 
     def test_zero_delta(self, k5):

@@ -26,6 +26,7 @@ from okcf.field import (
     FieldSpec,
     SurdElement,
     _from_form,
+    _k_embed,
     _RootTable,
     _sqrt_d_form,
     _surd_embed,
@@ -82,7 +83,7 @@ def test_kernel_takes_a_zero_y_as_an_element_of_k(d):
         for bits in PRECISIONS:
             got = _surd_form_embed(scaled(rng, _sqrt_d_form(z.x)), scaled(rng, (0, 0, 1)),
                                    z.delta, bits, _RootTable())
-            assert got == _surd_embed(k, bits, _RootTable()) == z.x.embed(bits, dyadic=True)
+            assert got == _surd_embed(k, bits, _RootTable()) == _k_embed(z.x, bits, _RootTable())
 
 
 @pytest.mark.parametrize("d", [5, 2, 13])

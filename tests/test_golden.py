@@ -72,21 +72,18 @@ class TestCoveringRadius:
 
 class TestRealPair:
     def test_linked_fold_and_zero(self, k5):
-        # both tracks over delta = 8: product 64 is a square, so the pair
-        # collapses into one family and (xi - xi) is exactly zero.
+        # both tracks over delta = 8: product 64 is a square, and
+        # (xi - xi') is exactly zero across the two families.
         seed = QuadraticPolyK(k5.one, k5.zero, k5.element(-2))
         ctx = PairContext.create(seed)
-        assert ctx.link is not None
         xi = make_state(seed, +1).value
         xip = make_state(seed.sigma(), +1).value
         pair = ctx.pair(xi, -xip)
-        assert pair.v is None
         assert pair.is_zero
         assert pair.sign() == 0
 
     def test_unlinked_structure(self, k5, unlinked_seed):
         ctx = PairContext.create(unlinked_seed)
-        assert ctx.link is None
         xi = make_state(unlinked_seed, +1).value
         xip = make_state(unlinked_seed.sigma(), +1).value
         pair = ctx.pair(xi, -xip)
@@ -95,7 +92,7 @@ class TestRealPair:
         assert pair.sign() == (1 if float(xi) > float(xip) else -1)
 
     def test_hand_built_linked_pair_is_zero_by_value(self, k5):
-        # sqrt(2) - sqrt(8)/2 = 0 across two families that `pair` would fold.
+        # sqrt(2) - sqrt(8)/2 = 0 across two linked families.
         u = SurdElement(k5, k5.element(2), k5.zero, k5.one)
         v = SurdElement(k5, k5.element(8), k5.zero, k5.element(Fraction(-1, 2)))
         pair = RealPair(u, v)
@@ -222,7 +219,7 @@ class TestLatticeCoords:
         ps = PairState(make_state(example_seed, +1), make_state(example_seed.sigma(), +1), 0)
         coords = lattice_coords(ps, ctx)
         recomposed = coords.x + coords.y.scale(ctx.beta)
-        xi_pair = ctx.pair(ps.xi.value, ps.xi.value - ps.xi.value)
+        xi_pair = ctx.pair(ps.xi.value, ps.xi_prime.value - ps.xi_prime.value)
         diff = recomposed + (-xi_pair)
         assert diff.is_zero
 

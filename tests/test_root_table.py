@@ -71,8 +71,8 @@ def recorded_embeds(monkeypatch, seed, quotients, bits):
 
 def own_embed(z, bits, conjugate=False):
     if isinstance(z, SurdElement):
-        return z.embed(bits, dyadic=True)
-    return z.embed(bits, conjugate, dyadic=True)
+        return _surd_embed(z, bits, _RootTable())
+    return _k_embed(z, bits, _RootTable(), conjugate)
 
 
 def quotients_for(spec, seed_index):
