@@ -16,6 +16,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .cf import eval_periodic
@@ -32,9 +33,16 @@ from .golden import (
     expand_pair,
     pair_steps,
 )
-from .intervals import MAX_BITS, PrecisionError, dyadic_floats, dyadic_mid_float
+from .intervals import MAX_BITS, Dyadic, PrecisionError, dyadic_floats, dyadic_mid_float
 from .parsing import ParseError, parse_element_list, parse_expansion, parse_k
-from .quartic import QuadraticPolyK, SeedError, TrajectoryRow, diagnostics, summarize
+from .quartic import (
+    QuadraticPolyK,
+    SeedError,
+    TrajectoryRow,
+    TrajectorySummary,
+    diagnostics,
+    summarize,
+)
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
@@ -235,6 +243,48 @@ def _row_json(r: TrajectoryRow) -> dict:
     }
 
 
+def _analyze_json(seed: QuadraticPolyK, rows: list[TrajectoryRow],
+                  summary: TrajectorySummary) -> str:
+    """What `json.dumps(payload, indent=2)` gives for analyze's payload of
+    seed, rows and summary, written from the fields in the same layout: a
+    string by `encode_basestring_ascii`, a float by `float.__repr__` (every
+    float here is finite) and None as null."""
+    text = encode_basestring_ascii
+
+    def pair(m: Dyadic) -> str:
+        lo, hi = dyadic_floats(m)
+        return f"[\n        {lo!r},\n        {hi!r}\n      ]"
+
+    rows_text = ",\n".join(
+        f'    {{\n      "n": {r.index},\n'
+        f'      "A_n": {text(str(r.triple[0]))},\n'
+        f'      "B_n": {text(str(r.triple[1]))},\n'
+        f'      "C_n": {text(str(r.triple[2]))},\n'
+        f'      "P_n": {text(str(r.p))},\n'
+        f'      "Q_n": {text(str(r.q))},\n'
+        f'      "s_n": {pair(r.s_m)},\n'
+        f'      "f1": {pair(r.f1_m)},\n'
+        f'      "f2": {pair(r.f2_m)},\n'
+        f'      "weil": {pair(r.weil_m)},\n'
+        f'      "naive": {r.naive}\n    }}'
+        for r in rows
+    )
+    sigma = "null" if summary.sup_qs_sigma is None else repr(summary.sup_qs_sigma)
+    return (
+        f'{{\n  "seed": {{\n    "A": {text(str(seed.A))},\n'
+        f'    "B": {text(str(seed.B))},\n    "C": {text(str(seed.C))}\n  }},\n'
+        f'  "rows": [\n{rows_text}\n  ],\n'
+        f'  "summary": {{\n    "steps": {summary.steps},\n'
+        f'    "max_abs_A": {summary.max_abs_a!r},\n'
+        f'    "max_abs_sigma_A": {summary.max_abs_sigma_a!r},\n'
+        f'    "sup_Q_S": {summary.sup_qs!r},\n'
+        f'    "sup_Q_S_sigma": {sigma},\n'
+        f'    "weil_min": {summary.weil_min!r},\n'
+        f'    "weil_max": {summary.weil_max!r},\n'
+        f'    "naive_max": {summary.naive_max}\n  }}\n}}'
+    )
+
+
 def _csv_record(row: dict) -> dict:
     """A JSON row with each [lo, hi] pair split into <key>_lo, <key>_hi."""
     record = {}
@@ -257,21 +307,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_OK
     summary = summarize(rows, quotients, args.precision)
     if args.output == "json":
-        payload = {
-            "seed": _poly_json(seed),
-            "rows": [_row_json(r) for r in rows],
-            "summary": {
-                "steps": summary.steps,
-                "max_abs_A": summary.max_abs_a,
-                "max_abs_sigma_A": summary.max_abs_sigma_a,
-                "sup_Q_S": summary.sup_qs,
-                "sup_Q_S_sigma": summary.sup_qs_sigma,
-                "weil_min": summary.weil_min,
-                "weil_max": summary.weil_max,
-                "naive_max": summary.naive_max,
-            },
-        }
-        print(json.dumps(payload, indent=2))
+        print(_analyze_json(seed, rows, summary))
         return EXIT_OK
     print(f"seed     {seed}   branch {'+' if branch > 0 else '-'}")
     print(f"{'n':>4}  {'A_n':>14}  {'s_n':>12}  {'f1':>12}  {'f2':>12}  {'H':>10}  {'naive':>7}")

@@ -357,8 +357,10 @@ def _div(a: Enclosure, b: Enclosure) -> Enclosure:
     if not 2 * be < m < _INF:
         raise _Abstain("divisor enclosure reaches half its value, or inf")
     v = av / bv
-    # |a/b - av/bv| <= (ae + |av/bv|*be) / (|bv| - be)
-    return v, (ae + abs(v) * be) / (m - be) + _U * abs(v) + _ETA
+    # |a/b - av/bv| <= (ae + |av/bv|*be) / (|bv| - be).  The product |v|*be
+    # may underflow, and the quotient scales that loss by 1/(m - be): _ETA
+    # in the numerator covers it.
+    return v, (ae + abs(v) * be + _ETA) / (m - be) + _U * abs(v) + _ETA
 
 
 def _sqrt(a: Enclosure) -> Enclosure:

@@ -3,12 +3,16 @@
 Enclosures are computed on integer mantissas.  The producers (the
 embeddings of `okcf.field`, the error-term and height enclosures of
 `okcf.quartic`) work on a `Dyadic` triple (lo_m, hi_m, e), the interval
-[lo_m/2^e, hi_m/2^e], with the helpers below: outward rounding and
-square roots are floor and ceil shifts of a mantissa, and the precision
-test is a `bit_length`.  A `Fraction` is built only for a caller that
-asks for a `RealInterval` (`dyadic_interval`); display divides its
-floats from the triple (`dyadic_floats`, `dyadic_mid_float`).  Every
-endpoint keeps its exact value.
+[lo_m/2^e, hi_m/2^e]: outward rounding and square roots are floor and
+ceil shifts of a mantissa, and the precision test is `dyadic_bits`.  The
+heights and summaries use the helpers below.  The embedding kernel of
+`okcf.field` writes the same product, sum, rounding and precision test
+out on its integers and gives the same triples; `dyadic_add`,
+`dyadic_rounded` and `refine` remain the longhand that the tests'
+reference embedding is built from.  A `Fraction` is built only for a
+caller that asks for a `RealInterval` (`dyadic_interval`); display
+divides its floats from the triple (`dyadic_floats`, `dyadic_mid_float`).
+Every endpoint keeps its exact value.
 
 A `RealInterval` is its two endpoints and nothing more.  They are kept
 as exact `Fraction` values; constructors and the rounding helpers keep
@@ -19,8 +23,9 @@ serve enclosures and display only (heights, error terms, decimal
 output); signs and floors are decided exactly by squaring in
 `okcf.field`, and the expansion path builds no interval.  Every enclosure
 that must reach a requested width comes from a loop that doubles its bits
-up to MAX_BITS: `refine`, or the integer loops of the `okcf.field`
-embeddings, which accept a level by `refine`'s rule.
+by `_next_level` up to MAX_BITS: the integer loops of the `okcf.field`
+embeddings and of `quartic._tight_abs_m`, or `refine`, the same loop for
+any `compute` and `accept`.
 """
 
 from __future__ import annotations
@@ -44,12 +49,13 @@ _T = TypeVar("_T")
 class PrecisionError(ArithmeticError):
     """An enclosure did not reach its requested width within MAX_BITS.
 
-    Raised only by `refine` and the embedding loops of `okcf.field`, which
-    serve display and report enclosures (an embedding at a requested
-    precision, a relative enclosure of an error term); the expansion path
-    and its sign and floor decisions never refine, because those are exact
-    squarings.  Reaching the cap signals an internal inconsistency rather
-    than a recoverable numeric condition.
+    Raised only by `_next_level`, the doubling rule of `refine` and of the
+    enclosure loops of `okcf.field` and `okcf.quartic`, which serve display
+    and report enclosures (an embedding at a requested precision, a
+    relative enclosure of an error term); the expansion path and its sign
+    and floor decisions never refine, because those are exact squarings.
+    Reaching the cap signals an internal inconsistency rather than a
+    recoverable numeric condition.
     """
 
 
@@ -65,7 +71,8 @@ def refine(compute: Callable[[int], _T], bits: int, accept: Callable[[_T], bool]
 
 def _next_level(bits: int) -> int:
     """The bits after a level at `bits` that was not accepted; the
-    embedding loops of `okcf.field` double by this rule too."""
+    enclosure loops of `okcf.field` and `okcf.quartic` double by this rule
+    too."""
     if bits >= MAX_BITS:
         raise PrecisionError(f"no enclosure reached the requested width by {bits} bits")
     return 2 * bits

@@ -32,13 +32,13 @@ from .intervals import (
     MAX_BITS,
     Dyadic,
     RealInterval,
+    _next_level,
     dyadic_abs,
     dyadic_floats,
     dyadic_interval,
     dyadic_max,
     dyadic_mul,
     dyadic_sqrt,
-    refine,
 )
 
 
@@ -367,13 +367,15 @@ def _tight_abs(value: KElement | SurdElement, rel_bits: int) -> RealInterval:
 def _tight_abs_m(x: tuple[int, int, int], y: tuple[int, int, int], delta: KElement,
                  rel_bits: int, roots: _RootTable) -> Dyadic:
     """`_tight_abs` of x + y*sqrt(delta), for the forms x and y that
-    `field._surd_form_embed` takes, with the roots of `roots`."""
-    shift = rel_bits - 1
-    return refine(
-        lambda bits: dyadic_abs(_surd_form_embed(x, y, delta, bits, roots)),
-        rel_bits,
-        lambda m: m[1] == 0 or (m[0] > 0 and (m[1] - m[0]) << shift <= m[0]),
-    )
+    `field._surd_form_embed` takes, with the roots of `roots`: the first
+    enclosure from `rel_bits` on, doubling by `_next_level`, that is 0 or
+    positive with width <= 2^(1-rel_bits) * lo."""
+    shift, bits = rel_bits - 1, rel_bits
+    while True:
+        lo, hi, e = dyadic_abs(_surd_form_embed(x, y, delta, bits, roots))
+        if not hi or lo > 0 and (hi - lo) << shift <= lo:
+            return lo, hi, e
+        bits = _next_level(bits)
 
 
 @dataclass(frozen=True)

@@ -8,26 +8,32 @@ or more than once in its file is an error in the catalogue, and the
 script exits 2 before running anything.  It then copies src/, tests/ and
 pyproject.toml to a temporary directory, runs the union of the entries'
 tests there once unmutated (they must pass, or the script exits 2), and
-for each entry applies its one edit to a fresh copy and runs its tests.
-A mutant counts as killed only if those tests fail (pytest exit code 1)
-or time out.  The script prints one line per mutant and killed/total,
-and exits 1 if any mutant survives.  It needs only the standard library
-and pytest (plus what the named tests import); pytest does not collect
-it.
+for each entry applies its one edit to a fresh copy and runs its tests,
+on min(2, cpu count) entries at a time.  A mutant counts as killed only
+if those tests fail (pytest exit code 1) or time out.  The script prints
+one line per mutant in catalogue order, then killed/total and the wall
+time, and exits 1 if any mutant survives.  It needs only the standard
+library and pytest (plus what the named tests import); pytest does not
+collect it.
 """
 
 from __future__ import annotations
 
+import os
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 600
+# Entries run side by side, each pytest in its own copy.
+WORKERS = min(2, os.cpu_count() or 1)
 
 
 class Mutant(NamedTuple):
@@ -46,6 +52,8 @@ INTEGRAL_RECURRENCE_TEST = "tests/test_cf.py::TestIntegralRecurrence"
 E_MATRIX_REFERENCE_TEST = "tests/test_cf.py::TestEMatrix::test_matches_fraction_reference"
 WEIL_SKIP_TEST = "tests/test_weil_skip.py"
 EMBED_KERNEL_TEST = "tests/test_embed_kernel.py"
+EMBED_LEVELS_TEST = "tests/test_embed_levels.py"
+FLOAT_OPS_TEST = "tests/test_float_ops.py"
 ERROR_FORMS_TEST = "tests/test_form_kernel.py::test_error_term_forms_match_surd_arithmetic"
 LARGE_BOUND_TEST = "tests/test_float_filter.py::test_forced_exact_path_agrees_at_large_bounds"
 CLI_FLAGS_TESTS = (
@@ -279,6 +287,71 @@ CATALOGUE = (
         "    if not 2 * be < m:\n",
         ("tests/test_float_filter.py::test_enclosures_hold_on_crafted_states",),
     ),
+    # Each rounding (u*|v|) and underflow (_ETA) term of the filter's
+    # operations, dropped alone.
+    Mutant(
+        "_int drops its rounding term",
+        "okcf/golden.py",
+        "    v = float(n)\n    return v, _U * abs(v)\n",
+        "    v = float(n)\n    return v, 0.0\n",
+        (FLOAT_OPS_TEST,),
+    ),
+    Mutant(
+        "_add drops its rounding term",
+        "okcf/golden.py",
+        "    v = a[0] + b[0]\n    return v, a[1] + b[1] + _U * abs(v)\n",
+        "    v = a[0] + b[0]\n    return v, a[1] + b[1]\n",
+        (FLOAT_OPS_TEST,),
+    ),
+    Mutant(
+        "_sub drops its rounding term",
+        "okcf/golden.py",
+        "    v = a[0] - b[0]\n    return v, a[1] + b[1] + _U * abs(v)\n",
+        "    v = a[0] - b[0]\n    return v, a[1] + b[1]\n",
+        (FLOAT_OPS_TEST,),
+    ),
+    Mutant(
+        "_mul drops its rounding term",
+        "okcf/golden.py",
+        "ae * be + _U * abs(v) + _ETA",
+        "ae * be + _ETA",
+        (FLOAT_OPS_TEST,),
+    ),
+    Mutant(
+        "_mul drops its underflow term",
+        "okcf/golden.py",
+        "ae * be + _U * abs(v) + _ETA",
+        "ae * be + _U * abs(v)",
+        (FLOAT_OPS_TEST,),
+    ),
+    Mutant(
+        "_div drops its rounding term",
+        "okcf/golden.py",
+        "(m - be) + _U * abs(v) + _ETA",
+        "(m - be) + _ETA",
+        (FLOAT_OPS_TEST,),
+    ),
+    Mutant(
+        "_div drops its underflow term",
+        "okcf/golden.py",
+        "(m - be) + _U * abs(v) + _ETA",
+        "(m - be) + _U * abs(v)",
+        (FLOAT_OPS_TEST,),
+    ),
+    Mutant(
+        "_div drops the underflow term of its numerator",
+        "okcf/golden.py",
+        "(ae + abs(v) * be + _ETA) / (m - be)",
+        "(ae + abs(v) * be) / (m - be)",
+        (FLOAT_OPS_TEST,),
+    ),
+    Mutant(
+        "_sqrt drops its rounding term",
+        "okcf/golden.py",
+        "    return v, ae / v + _U * v\n",
+        "    return v, ae / v\n",
+        (FLOAT_OPS_TEST,),
+    ),
     Mutant(
         "radius declares --field-d again",
         "okcf/cli.py",
@@ -310,9 +383,37 @@ CATALOGUE = (
     Mutant(
         "the embedding kernel accepts a level at P - 1 bits",
         "okcf/field.py",
-        "-(-hi // den), bits\n        if dyadic_bits(m) >= precision_bits:\n",
-        "-(-hi // den), bits\n        if dyadic_bits(m) >= precision_bits - 1:\n",
+        "    p = precision_bits\n",
+        "    p = precision_bits - 1\n",
         (EMBED_KERNEL_TEST,),
+    ),
+    Mutant(
+        "the embedding kernel accepts a level past MAX_BITS",
+        "okcf/field.py",
+        "p <= 1 or p <= MAX_BITS and (",
+        "p <= 1 or (",
+        (f"{EMBED_KERNEL_TEST}::test_past_max_bits_raises_precision_error",),
+    ),
+    Mutant(
+        "the form kernel's straddling product takes ylo * rlo",
+        "okcf/field.py",
+        "plo, phi = ylo * rhi, yhi * rhi",
+        "plo, phi = ylo * rlo, yhi * rhi",
+        (EMBED_LEVELS_TEST,),
+    ),
+    Mutant(
+        "the form kernel keeps a rejected first level of x",
+        "okcf/field.py",
+        "        if not x_accepted:\n            xlo, xhi, xe = _form_embed(xu, xv, xden, d, bits, isqrt_d)\n",
+        "",
+        (EMBED_LEVELS_TEST,),
+    ),
+    Mutant(
+        "the analyze JSON writer prints each [lo, hi] on one line",
+        "okcf/cli.py",
+        'return f"[\\n        {lo!r},\\n        {hi!r}\\n      ]"',
+        'return f"[{lo!r}, {hi!r}]"',
+        ("tests/test_cli.py::test_reference_output_is_pinned",),
     ),
     Mutant(
         "the sigma error term keeps the v sign of Q_n",
@@ -414,7 +515,20 @@ def run_tests(work: Path, tests: tuple[str, ...]) -> int | None:
         return None
 
 
+def run_mutant(parent: Path, m: Mutant) -> tuple[str, float]:
+    """The verdict on `m` in a fresh copy under `parent`, and its seconds."""
+    work = fresh_copy(parent)
+    path = work / "src" / m.file
+    path.write_text(path.read_text(encoding="utf-8").replace(m.old, m.new), encoding="utf-8")
+    start = time.perf_counter()
+    code = run_tests(work, m.tests)
+    shutil.rmtree(work)
+    verdict = {1: "killed", None: "killed (timeout)"}.get(code, f"SURVIVED (exit {code})")
+    return verdict, time.perf_counter() - start
+
+
 def main() -> int:
+    start = time.perf_counter()
     errors = check_anchors(CATALOGUE)
     if errors:
         print("catalogue error:\n  " + "\n  ".join(errors))
@@ -427,18 +541,13 @@ def main() -> int:
             print(f"the unmutated tests do not pass (pytest exit {code}); nothing to measure")
             return 2
         killed = 0
-        for m in CATALOGUE:
-            work = fresh_copy(tmp)
-            path = work / "src" / m.file
-            path.write_text(path.read_text(encoding="utf-8").replace(m.old, m.new),
-                            encoding="utf-8")
-            start = time.perf_counter()
-            code = run_tests(work, m.tests)
-            verdict = {1: "killed", None: "killed (timeout)"}.get(code, f"SURVIVED (exit {code})")
-            killed += verdict.startswith("killed")
-            print(f"{verdict:<22} {time.perf_counter() - start:6.1f}s  {m.name}")
-            shutil.rmtree(work)
-    print(f"killed {killed}/{len(CATALOGUE)}")
+        with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+            verdicts = pool.map(partial(run_mutant, tmp), CATALOGUE)
+            for m, (verdict, seconds) in zip(CATALOGUE, verdicts):
+                killed += verdict.startswith("killed")
+                print(f"{verdict:<22} {seconds:6.1f}s  {m.name}", flush=True)
+    print(f"killed {killed}/{len(CATALOGUE)} in {time.perf_counter() - start:.0f}s "
+          f"on {WORKERS} worker(s)")
     return 0 if killed == len(CATALOGUE) else 1
 
 
