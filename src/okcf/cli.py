@@ -66,9 +66,10 @@ class SessionConfig:
 _MAX_DIGITS = int((MAX_BITS - 16) / 3.33)
 
 # The most bits whose nested enclosure requests stay within MAX_BITS. An
-# error term's relative enclosure (`quartic._tight_abs`) may ask `embed` for
-# 2p bits, that `embed` may refine to 4p and ask its components for as many,
-# and no request above MAX_BITS can be met: `effective_bits` caps there.
+# error term's relative enclosure (`quartic._tight_abs_m`) may ask
+# `field._surd_form_embed` for 2p bits, that may refine to 4p and ask
+# `_form_embed` for as many, and no request above MAX_BITS can be met:
+# `_form_embed` accepts a level only at p <= MAX_BITS.
 _MAX_PRECISION = MAX_BITS // 4
 
 
@@ -81,11 +82,7 @@ def decimal_str(value: KElement | SurdElement, digits: int) -> str:
     return str(Context(prec=digits).divide(Decimal(mid.numerator), Decimal(mid.denominator)))
 
 
-def _poly_json(poly: tuple[KElement, KElement, KElement] | QuadraticPolyK) -> dict:
-    if isinstance(poly, QuadraticPolyK):
-        a, b, c = poly.A, poly.B, poly.C
-    else:
-        a, b, c = poly
+def _poly_json(a: KElement, b: KElement, c: KElement) -> dict:
     return {"A": str(a), "B": str(b), "C": str(c)}
 
 
@@ -103,7 +100,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             [str(res.e.e11), str(res.e.e12)],
             [str(res.e.e21), str(res.e.e22)],
         ],
-        "poly": _poly_json(res.poly),
+        "poly": _poly_json(*res.poly),
         "discriminant": str(res.discriminant),
     }
     in_k = res.value is None
@@ -158,7 +155,7 @@ def _branch(flag: str | None) -> int:
 
 def _expansion_json(r: ExpansionResult) -> dict:
     return {
-        "seed": _poly_json(r.seed),
+        "seed": _poly_json(r.seed.A, r.seed.B, r.seed.C),
         "branch": "+" if r.branch > 0 else "-",
         "conj_branch": "+" if r.conj_branch > 0 else "-",
         "preperiod": [str(a) for a in r.expansion.preperiod],
@@ -227,22 +224,6 @@ def _analyze_quotients(args: argparse.Namespace):
     return seed, branch, [a for a, _ in islice(steps, 1, n + 2)]
 
 
-def _row_json(r: TrajectoryRow) -> dict:
-    return {
-        "n": r.index,
-        "A_n": str(r.triple[0]),
-        "B_n": str(r.triple[1]),
-        "C_n": str(r.triple[2]),
-        "P_n": str(r.p),
-        "Q_n": str(r.q),
-        "s_n": dyadic_floats(r.s_m),
-        "f1": dyadic_floats(r.f1_m),
-        "f2": dyadic_floats(r.f2_m),
-        "weil": dyadic_floats(r.weil_m),
-        "naive": r.naive,
-    }
-
-
 def _analyze_json(seed: QuadraticPolyK, rows: list[TrajectoryRow],
                   summary: TrajectorySummary) -> str:
     """What `json.dumps(payload, indent=2)` gives for analyze's payload of
@@ -285,25 +266,22 @@ def _analyze_json(seed: QuadraticPolyK, rows: list[TrajectoryRow],
     )
 
 
-def _csv_record(row: dict) -> dict:
-    """A JSON row with each [lo, hi] pair split into <key>_lo, <key>_hi."""
-    record = {}
-    for key, value in row.items():
-        if isinstance(value, list):
-            record[f"{key}_lo"], record[f"{key}_hi"] = value
-        else:
-            record[key] = value
-    return record
+# Analyze's CSV columns: a row's fields, each [lo, hi] pair split in two.
+_CSV_HEADER = ("n", "A_n", "B_n", "C_n", "P_n", "Q_n", "s_n_lo", "s_n_hi", "f1_lo", "f1_hi",
+               "f2_lo", "f2_hi", "weil_lo", "weil_hi", "naive")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     seed, branch, quotients = _analyze_quotients(args)
     rows = diagnostics(seed, branch, quotients, args.precision)
     if args.output == "csv":
-        records = [_csv_record(_row_json(r)) for r in rows]
         writer = csv.writer(sys.stdout)
-        writer.writerow(records[0])
-        writer.writerows(record.values() for record in records)
+        writer.writerow(_CSV_HEADER)
+        writer.writerows(
+            (r.index, *r.triple, r.p, r.q, *dyadic_floats(r.s_m), *dyadic_floats(r.f1_m),
+             *dyadic_floats(r.f2_m), *dyadic_floats(r.weil_m), r.naive)
+            for r in rows
+        )
         return EXIT_OK
     summary = summarize(rows, quotients, args.precision)
     if args.output == "json":
@@ -387,7 +365,7 @@ def run_corpus(count: int, bound: int, cfg: SessionConfig) -> dict:
         for conj in (1, -1):
             entry: dict = {
                 "seed_index": i,
-                "seed": _poly_json(seed),
+                "seed": _poly_json(seed.A, seed.B, seed.C),
                 "conj_branch": "+" if conj > 0 else "-",
             }
             try:
@@ -458,8 +436,10 @@ def _int_at_least(minimum: int, maximum: int | None = None):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # No abbreviations: each command takes exactly the flags the README lists.
     parser = argparse.ArgumentParser(
         prog="okcf",
+        allow_abbrev=False,
         description="Continued fractions with partial quotients in O_K, K = Q(sqrt(D))",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -474,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name: str, run, help: str, *flags: str, outputs=("text", "json")):
         """A subcommand with `--output` and the named shared `options`."""
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(run=run)
         p.add_argument("--output", choices=outputs, default="text")
         for flag in flags:
@@ -531,7 +511,11 @@ def _prepare_argv(argv: Sequence[str], parser: argparse.ArgumentParser) -> list[
     so that element arguments with a leading '-' parse as positionals.
 
     A value flag is joined to its value as flag=value, so that a value with
-    a leading '-' (say --quotients -1-1*w,2) is not taken for a flag.
+    a leading '-' (say --quotients -1-1*w,2) is not taken for a flag; a
+    short one keeps a value it holds already (-n5 or -n=5).  Any other
+    token that starts with '--' stays among the flags for argparse to
+    judge: no element is spelled so.  The '--' goes in only before a
+    positional with a leading '-'.
     """
     argv = list(argv)
     if not argv or argv[0].startswith("-"):
@@ -546,20 +530,18 @@ def _prepare_argv(argv: Sequence[str], parser: argparse.ArgumentParser) -> list[
         if tok == "--":
             positionals.extend(rest[i + 1 :])
             break
-        if tok in ("-h", "--help") or (
-            "=" in tok and (tok.startswith("--") or tok.partition("=")[0] in value_flags)
-        ):
-            flags.append(tok)
-            i += 1
-        elif tok in value_flags:
+        if tok in value_flags:
             # A trailing flag with no value is left for argparse to report.
             flags.append(f"{tok}={rest[i + 1]}" if i + 1 < len(rest) else tok)
             i += 2
+        elif tok == "-h" or tok.startswith("--") or tok[:2] in value_flags:
+            flags.append(tok)
+            i += 1
         else:
             positionals.append(tok)
             i += 1
-    if not positionals:
-        return [cmd, *flags]
+    if not any(tok.startswith("-") for tok in positionals):
+        return [cmd, *flags, *positionals]
     return [cmd, *flags, "--", *positionals]
 
 

@@ -22,19 +22,18 @@ filter (`okcf.golden`) decides most of its questions first.  No interval
 is involved in a sign, and the expansion path never embeds; `embed`
 serves display and report enclosures only, each in one loop on integers
 that doubles its bits as `intervals.refine` does: `_form_embed` on the
-form (u, v, den) of (u + v*sqrt(d))/den, one `_form_level` per level, and
-`_surd_form_embed` on the forms of x and y in x + y*sqrt(delta), reduced
-or not (`_surd_embed` is it on a surd's own forms; `quartic` passes forms
-it builds on integers), whose levels multiply, add and round in
-straight-line integer code.  It asks whether the value is exactly 0 (a
-square delta can hide a zero) only when an enclosure contains 0, at most
-once per call.  An embedding is the dyadic triple (lo_m, hi_m, e) of
-`intervals.Dyadic`, from one `isqrt` of d * 4^bits and two floor
-divisions of the form's integers;
-`embed` returns it as a `RealInterval` with `Fraction` endpoints, while
-`quartic.diagnostics` and `summarize` never leave the triples.  Those
-roots, and the enclosures of sqrt(delta), are shared by one call's
-embeddings in a `_RootTable`.
+form (u, v, den) of (u + v*sqrt(d))/den, and `_surd_form_embed` on the
+forms of x and y in x + y*sqrt(delta), reduced or not (`_surd_embed` is
+it on a surd's own forms; `quartic` passes forms it builds on integers),
+whose levels take x and y from one `_form_embed` each, then multiply, add
+and round in straight-line integer code.  It asks whether the value is
+exactly 0 (a square delta can hide a zero) only when an enclosure
+contains 0, at most once per call.  An embedding is the dyadic triple
+(lo_m, hi_m, e) of `intervals.Dyadic`, from one `isqrt` of d * 4^bits
+and two floor divisions of the form's integers; `embed` returns it as a
+`RealInterval` with `Fraction` endpoints, while `quartic.diagnostics` and
+`summarize` never leave the triples.  Those roots, and the enclosures of
+sqrt(delta), are shared by one call's embeddings in a `_RootTable`.
 """
 
 from __future__ import annotations
@@ -554,42 +553,33 @@ def _k_embed(k: KElement, precision_bits: int, roots: _RootTable,
     return _form_embed(u, -v if conjugate else v, den, k.spec.d, precision_bits, roots.isqrt_d)
 
 
-def _form_level(u: int, v: int, den: int, d: int, bits: int, precision_bits: int,
-                isqrt_d: dict[int, int]) -> tuple[int, int, bool]:
-    """The endpoints (lo, hi) over 2^bits of (u + v*sqrt(d))/den at `bits`,
-    and whether the level is accepted: `dyadic_bits((lo, hi, bits)) >=
-    precision_bits`, written out on the integers."""
-    lo = hi = u << bits
-    if v:
+def _form_embed(u: int, v: int, den: int, d: int, precision_bits: int,
+                isqrt_d: dict[int, int]) -> Dyadic:
+    """(u + v*sqrt(d))/den as a dyadic triple, with the roots `isqrt_d`: the
+    first level from max(precision_bits, DEFAULT_BITS) bits on whose
+    endpoints (lo, hi) over 2^bits are accepted, its bits doubling by
+    `_next_level`.  A rational value (v = 0) is exact at
+    max(precision_bits, 1) bits."""
+    if not v:
+        bits = max(precision_bits, 1)
+        return (u << bits) // den, -(-(u << bits) // den), bits
+    # A level is accepted when dyadic_bits((lo, hi, bits)) >= p.  dyadic_bits
+    # is at least 1 and at most MAX_BITS, and its
+    # floor(2 * max(2^bits, |lo|) / width) >= 2^p iff the product test holds.
+    p = precision_bits
+    bits = max(precision_bits, DEFAULT_BITS)
+    while True:
         # sqrt(d) lies in (r, r + 1) / 2^bits: d is not a square.
         r = isqrt_d.get(bits)
         if r is None:
             r = isqrt_d[bits] = isqrt(d << 2 * bits)
-        lo += v * r
+        lo = (u << bits) + v * r
         hi = lo + v
         if v < 0:
             lo, hi = hi, lo
-    lo, hi = lo // den, -(-hi // den)
-    # dyadic_bits is at least 1 and at most MAX_BITS, and its
-    # floor(2 * max(2^bits, |lo|) / width) >= 2^p iff the product test holds.
-    p = precision_bits
-    return lo, hi, p <= 1 or p <= MAX_BITS and (
-        hi == lo or max(1 << bits, abs(lo)) << 1 >= (hi - lo) << p)
-
-
-def _form_embed(u: int, v: int, den: int, d: int, precision_bits: int,
-                isqrt_d: dict[int, int]) -> Dyadic:
-    """(u + v*sqrt(d))/den as a dyadic triple, with the roots `isqrt_d`: the
-    first `_form_level` from max(precision_bits, DEFAULT_BITS) bits on that
-    is accepted, its bits doubling by `_next_level`.  A rational value
-    (v = 0) is exact at max(precision_bits, 1) bits."""
-    if not v:
-        bits = max(precision_bits, 1)
-        return (u << bits) // den, -(-(u << bits) // den), bits
-    bits = max(precision_bits, DEFAULT_BITS)
-    while True:
-        lo, hi, accepted = _form_level(u, v, den, d, bits, precision_bits, isqrt_d)
-        if accepted:
+        lo, hi = lo // den, -(-hi // den)
+        if p <= 1 or p <= MAX_BITS and (
+                hi == lo or max(1 << bits, abs(lo)) << 1 >= (hi - lo) << p):
             return lo, hi, bits
         bits = _next_level(bits)
 
@@ -605,12 +595,12 @@ def _surd_form_embed(x: tuple[int, int, int], y: tuple[int, int, int], delta: KE
     and y, in lowest terms or not: a form is k > 0 times the reduced one, and
     floor(k*a / (k*b)) = floor(a/b), so every endpoint is the same.
 
-    A level at `bits` takes x and y from `_form_level` at `bits`, or from
-    their own `_form_embed` loop at precision `bits` when that level is not
-    accepted; multiplies y by the nonnegative enclosure of sqrt(delta);
-    adds over the larger exponent and rounds out to `bits`.  Each step is
-    the one `dyadic_mul`, `dyadic_add` and `dyadic_rounded` would take, so
-    every endpoint is theirs."""
+    A level at `bits` takes x and y from one `_form_embed` loop each at
+    precision `bits`, whose first level is at `bits` too; multiplies y by
+    the nonnegative enclosure of sqrt(delta); adds over the larger exponent
+    and rounds out to `bits`.  Each step is the one `dyadic_mul`,
+    `dyadic_add` and `dyadic_rounded` would take, so every endpoint is
+    theirs."""
     (xu, xv, xden), (yu, yv, yden) = x, y
     d, isqrt_d, sqrt_delta = delta.spec.d, roots.isqrt_d, roots.sqrt_delta
     if not yu and not yv:
@@ -625,14 +615,8 @@ def _surd_form_embed(x: tuple[int, int, int], y: tuple[int, int, int], delta: KE
         if root is None:
             root = sqrt_delta[key] = dyadic_sqrt(_k_embed(delta, bits, roots), bits)
         rlo, rhi, _ = root
-        xlo, xhi, x_accepted = _form_level(xu, xv, xden, d, bits, bits, isqrt_d)
-        xe = bits
-        if not x_accepted:
-            xlo, xhi, xe = _form_embed(xu, xv, xden, d, bits, isqrt_d)
-        ylo, yhi, y_accepted = _form_level(yu, yv, yden, d, bits, bits, isqrt_d)
-        ye = bits
-        if not y_accepted:
-            ylo, yhi, ye = _form_embed(yu, yv, yden, d, bits, isqrt_d)
+        xlo, xhi, xe = _form_embed(xu, xv, xden, d, bits, isqrt_d)
+        ylo, yhi, ye = _form_embed(yu, yv, yden, d, bits, isqrt_d)
         # y * sqrt(delta) over 2^(ye + bits); 0 <= rlo <= rhi.
         if ylo >= 0:
             plo, phi = ylo * rlo, yhi * rhi

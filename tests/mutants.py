@@ -404,8 +404,11 @@ CATALOGUE = (
     Mutant(
         "the form kernel keeps a rejected first level of x",
         "okcf/field.py",
-        "        if not x_accepted:\n            xlo, xhi, xe = _form_embed(xu, xv, xden, d, bits, isqrt_d)\n",
-        "",
+        "        xlo, xhi, xe = _form_embed(xu, xv, xden, d, bits, isqrt_d)\n",
+        # x's level at `bits`, taken without its acceptance test.
+        "        r = isqrt(d << 2 * bits)\n"
+        "        xlo, xhi = sorted(((xu << bits) + xv * r, (xu << bits) + xv * (r + 1)))\n"
+        "        xlo, xhi, xe = xlo // xden, -(-xhi // xden), bits\n",
         (EMBED_LEVELS_TEST,),
     ),
     Mutant(

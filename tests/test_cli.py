@@ -229,6 +229,14 @@ class TestAnalyze:
         assert code_space == code_eq == 0
         assert out_space == out_eq
 
+    def test_short_value_flag_with_attached_value(self, capsys):
+        head = ("analyze", "1", "-2", "-1-1*w", "--output", "csv")
+        code_space, out_space, _ = run(capsys, *head, "-n", "5")
+        code_attached, out_attached, _ = run(capsys, *head, "-n5")
+        assert code_space == code_attached == 0
+        assert out_space == out_attached
+        assert len(out_space.splitlines()) == 7
+
     def test_seed_mode_rejects_like_expand(self, capsys):
         # delta = -4+8*w > 0 but sigma(delta) = 4-8*w < -4: the reason is
         # about the seed, not a discriminant of the conjugate track.
@@ -380,6 +388,19 @@ def test_unread_flag_is_usage_error(capsys, command, flag):
         main([*_BASE_ARGV[command], flag, _FLAG_VALUES[flag]])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}={_FLAG_VALUES[flag]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, unrecognized", [
+    (["--bou=2"], "--bou=2"),
+    (["--bou", "2"], "--bou 2"),
+    (["--cou", "1"], "--cou 1"),
+])
+def test_abbreviated_flag_is_usage_error(capsys, argv, unrecognized):
+    # Each command takes its flags exactly as the README spells them.
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", "--count", "1", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"unrecognized arguments: {unrecognized}\n")
 
 
 @pytest.mark.parametrize("argv", [
