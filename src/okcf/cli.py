@@ -495,17 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
-def _value_flags(parser: argparse.ArgumentParser) -> set[str]:
-    """Option strings, over all subcommands, that take a value."""
-    commands = next(
-        a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    return {
-        opt for sub in commands.values() for action in sub._actions
-        if action.nargs != 0 for opt in action.option_strings
-    }
-
-
 def _prepare_argv(argv: Sequence[str], parser: argparse.ArgumentParser) -> list[str]:
     """Reorder one subcommand's argv as [cmd, flags..., '--', positionals...]
     so that element arguments with a leading '-' parse as positionals.
@@ -515,12 +504,20 @@ def _prepare_argv(argv: Sequence[str], parser: argparse.ArgumentParser) -> list[
     short one keeps a value it holds already (-n5 or -n=5).  Any other
     token that starts with '--' stays among the flags for argparse to
     judge: no element is spelled so.  The '--' goes in only before a
-    positional with a leading '-'.
+    positional with a leading '-', and only for a command that declares a
+    positional: elsewhere argparse names the stray token as it was given.
     """
     argv = list(argv)
     if not argv or argv[0].startswith("-"):
         return argv
-    value_flags = _value_flags(parser)
+    commands = next(
+        a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    # Option strings, over all subcommands, that take a value.
+    value_flags = {
+        opt for sub in commands.values() for action in sub._actions
+        if action.nargs != 0 for opt in action.option_strings
+    }
     cmd, rest = argv[0], argv[1:]
     flags: list[str] = []
     positionals: list[str] = []
@@ -540,9 +537,10 @@ def _prepare_argv(argv: Sequence[str], parser: argparse.ArgumentParser) -> list[
         else:
             positionals.append(tok)
             i += 1
-    if not any(tok.startswith("-") for tok in positionals):
-        return [cmd, *flags, *positionals]
-    return [cmd, *flags, "--", *positionals]
+    declared = cmd in commands and any(not a.option_strings for a in commands[cmd]._actions)
+    if declared and any(tok.startswith("-") for tok in positionals):
+        return [cmd, *flags, "--", *positionals]
+    return [cmd, *flags, *positionals]
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -509,6 +509,9 @@ class SeedRejection(Enum):
 
     ZERO_LEAD never comes from `classify_seed`: a QuadraticPolyK cannot
     have A = 0, so samplers test the drawn leading coefficient themselves.
+    SIGMA_DELTA_SQUARE never comes from it either: sigma is an involution
+    of K, so sigma(delta) = s^2 gives delta = sigma(s)^2, which DELTA_SQUARE
+    has already reported; it stays as a corpus counter that reads 0.
     """
 
     ZERO_LEAD = "zero_lead"
@@ -536,8 +539,6 @@ def classify_seed(seed: QuadraticPolyK) -> SeedRejection | None:
         if sign_of(sdelta + 4) < 0:
             return SeedRejection.PROVABLY_NONPERIODIC
         return SeedRejection.SIGMA_DELTA_NONPOSITIVE
-    if is_square_in_k(sdelta) is not None:
-        return SeedRejection.SIGMA_DELTA_SQUARE
     return None
 
 
@@ -554,7 +555,6 @@ _REJECTION_MESSAGES = {
         "; moreover sigma(discriminant) < -4, so no ultimately periodic "
         "expansion over K exists at all (the even-period constraint fails)"
     ),
-    SeedRejection.SIGMA_DELTA_SQUARE: "sigma(discriminant) is a square in K",
 }
 
 

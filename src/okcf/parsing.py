@@ -14,7 +14,13 @@ from fractions import Fraction
 
 from .field import FieldSpec, KElement, SurdElement
 
-_NUMBER = re.compile(r"(\d+)(?:\s*/\s*(\d+))?")
+_NUMBER = re.compile(r"(?P<numeral>(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?)")
+# One term of a K-element: its sign with the space after it, then a numeral
+# with an optional `*w`, or a bare `w`.  Every part is optional, so a match
+# always succeeds, and `parse_k` reads a malformed term from its groups.
+_TERM = re.compile(
+    rf"\s*(?P<sign>[+-]?\s*)(?:{_NUMBER.pattern}\s*(?P<star>\*\s*(?P<w>[wW])?)?|(?P<bare_w>[wW]))?\s*"
+)
 
 
 class ParseError(ValueError):
@@ -26,14 +32,14 @@ class ParseError(ValueError):
 
 
 def _number(m: re.Match) -> int | Fraction:
-    """The rational that an `_NUMBER` match spells, an `int` when it has no
-    `/`; `p/0` is a parse error."""
-    if m[2] is None:
-        return int(m[1])
+    """The rational that the numeral of an `_NUMBER` or `_TERM` match
+    spells, an `int` when it has no `/`; `p/0` is a parse error."""
+    if m["den"] is None:
+        return int(m["num"])
     try:
-        return Fraction(int(m[1]), int(m[2]))
+        return Fraction(int(m["num"]), int(m["den"]))
     except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {m.group()!r}", m.start()) from None
+        raise ParseError(f"zero denominator in {m['numeral']!r}", m.start("numeral")) from None
 
 
 def parse_rational(text: str) -> Fraction:
@@ -44,51 +50,24 @@ def parse_rational(text: str) -> Fraction:
 
 
 def parse_k(text: str, spec: FieldSpec, require_integral: bool = False) -> KElement:
-    pos = 0
-    n = len(text)
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    a = b = 0
-    first = True
-    skip_ws()
-    if pos == n:
-        raise ParseError("empty element", pos)
-    while True:
-        skip_ws()
-        if pos == n:
-            break
-        sign = 1
-        if text[pos] in "+-":
-            sign = -1 if text[pos] == "-" else 1
-            pos += 1
-            skip_ws()
-        elif not first:
-            raise ParseError("expected '+' or '-' between terms", pos)
-        m = _NUMBER.match(text, pos)
-        if m:
-            q = _number(m)
-            pos = m.end()
-            skip_ws()
-            if pos < n and text[pos] == "*":
-                pos += 1
-                skip_ws()
-                if pos < n and text[pos] in "wW":
-                    pos += 1
-                    b += sign * q
-                else:
-                    raise ParseError("expected 'w' after '*'", pos)
-            else:
-                a += sign * q
-        elif pos < n and text[pos] in "wW":
-            pos += 1
-            b += sign
+    if not text.strip():
+        raise ParseError("empty element", len(text))
+    a = b = pos = 0
+    while pos < len(text):
+        t = _TERM.match(text, pos)
+        # Only the first term, the one read at position 0, may omit its sign.
+        if pos and not t["sign"]:
+            raise ParseError("expected '+' or '-' between terms", t.start("sign"))
+        if t["numeral"] is None and t["bare_w"] is None:
+            raise ParseError("expected a number or 'w'", t.end("sign"))
+        q = (-1 if t["sign"][:1] == "-" else 1) * (1 if t["bare_w"] else _number(t))
+        if t["star"] and not t["w"]:
+            raise ParseError("expected 'w' after '*'", t.end("star"))
+        if t["star"] or t["bare_w"]:
+            b += q
         else:
-            raise ParseError("expected a number or 'w'", pos)
-        first = False
+            a += q
+        pos = t.end()
     element = spec.element(a, b)
     if require_integral and not element.is_integral:
         raise ParseError(f"element {element} is not integral in O_K")

@@ -312,14 +312,11 @@ def weil_height_element(x: KElement, precision_bits: int = DEFAULT_BITS) -> Real
         return RealInterval.point(1)
     if x.is_rational:
         return RealInterval.point(max(abs(x.p), x.den))
-    # Primitive integer minimal polynomial a*t^2 + b*t + c from trace/norm.
-    tr, nm = x.trace(), x.norm()
-    den = (tr.denominator * nm.denominator) // gcd(tr.denominator, nm.denominator)
-    ia, ib, ic = den, -tr.numerator * (den // tr.denominator), nm.numerator * (
-        den // nm.denominator
-    )
-    content = gcd(ia, ib, ic)
-    lead = abs(ia) // content
+    # The leading coefficient of the primitive minimal polynomial of
+    # (p + q*w)/den: den^2*t^2 - den*(2p + l*q)*t + (p^2 + l*p*q - c*q^2).
+    p, q, den = x.p, x.q, x.den
+    c, l = x.spec.omega_sq_const, x.spec.omega_sq_lin
+    lead = den * den // gcd(den * den, den * (2 * p + l * q), p * p + l * p * q - c * q * q)
     h2 = (
         RealInterval.point(lead)
         * abs(x.embed(precision_bits)).max_with(1)

@@ -56,6 +56,9 @@ EMBED_LEVELS_TEST = "tests/test_embed_levels.py"
 FLOAT_OPS_TEST = "tests/test_float_ops.py"
 ERROR_FORMS_TEST = "tests/test_form_kernel.py::test_error_term_forms_match_surd_arithmetic"
 LARGE_BOUND_TEST = "tests/test_float_filter.py::test_forced_exact_path_agrees_at_large_bounds"
+K_SYNTAX_TEST = "tests/test_parsing.py::test_k_elements"
+K_ERRORS_TEST = "tests/test_parsing.py::test_k_errors"
+SCANNER_TEST = "tests/test_parse_k_scanner.py"
 CLI_FLAGS_TESTS = (
     "tests/test_cli.py::test_each_command_declares_only_the_flags_it_reads",
     "tests/test_cli.py::test_unread_flag_is_usage_error",
@@ -486,6 +489,95 @@ CATALOGUE = (
         "    rows = diagnostics(seed, branch, quotients, args.precision)\n"
         "    summarize(rows, quotients, args.precision)\n    if args.output == \"csv\":\n",
         ("tests/test_cli.py::TestAnalyze::test_csv_builds_no_summary",),
+    ),
+    # parse_k reads each term with one pattern; the frozen scanner in
+    # test_parse_k_scanner is the oracle for every value and error.
+    Mutant(
+        "parse_k accepts a missing sign between terms",
+        "okcf/parsing.py",
+        '        if pos and not t["sign"]:\n',
+        "        if False:\n",
+        (K_ERRORS_TEST,),
+    ),
+    Mutant(
+        "parse_k reads '3*' as a plain number",
+        "okcf/parsing.py",
+        '        if t["star"] and not t["w"]:\n'
+        '            raise ParseError("expected \'w\' after \'*\'", t.end("star"))\n'
+        '        if t["star"] or t["bare_w"]:\n',
+        '        if t["w"] or t["bare_w"]:\n',
+        (K_ERRORS_TEST,),
+    ),
+    Mutant(
+        "parse_k drops a minus sign that has a space after it",
+        "okcf/parsing.py",
+        't["sign"][:1] == "-"',
+        't["sign"] == "-"',
+        (K_SYNTAX_TEST,),
+    ),
+    Mutant(
+        "parse_k takes no space between '*' and 'w'",
+        "okcf/parsing.py",
+        "(?P<star>\\*\\s*(?P<w>",
+        "(?P<star>\\*(?P<w>",
+        (K_SYNTAX_TEST,),
+    ),
+    Mutant(
+        "parse_k reports a missing number before the sign's space",
+        "okcf/parsing.py",
+        "raise ParseError(\"expected a number or 'w'\", t.end(\"sign\"))",
+        "raise ParseError(\"expected a number or 'w'\", t.start(\"sign\"))",
+        (SCANNER_TEST,),
+    ),
+    Mutant(
+        "parse_k reads blank text as a missing number",
+        "okcf/parsing.py",
+        "    if not text.strip():\n",
+        "    if not text:\n",
+        (SCANNER_TEST,),
+    ),
+    Mutant(
+        "a zero denominator is reported at its term, not its numeral",
+        "okcf/parsing.py",
+        'm.start("numeral")) from None',
+        "m.start()) from None",
+        ("tests/test_parsing.py::test_zero_denominator_text_and_position",),
+    ),
+    Mutant(
+        "_prepare_argv puts '--' before a stray token of corpus",
+        "okcf/cli.py",
+        "    declared = cmd in commands and any(",
+        "    declared = True or any(",
+        ("tests/test_cli.py::test_stray_token_is_named_as_given",),
+    ),
+    Mutant(
+        "_prepare_argv never puts in '--'",
+        "okcf/cli.py",
+        "    declared = cmd in commands and any(",
+        "    declared = False and any(",
+        ("tests/test_cli.py::TestAnalyze::test_seed_mode_runs",),
+    ),
+    Mutant(
+        "weil_height_element drops den from the trace coefficient",
+        "okcf/quartic.py",
+        "gcd(den * den, den * (2 * p + l * q), ",
+        "gcd(den * den, (2 * p + l * q), ",
+        ("tests/test_quartic.py::TestHeights::test_leading_coefficient_from_trace_and_norm",),
+    ),
+    Mutant(
+        "weil_height_element adds c*q^2 to the norm",
+        "okcf/quartic.py",
+        "p * p + l * p * q - c * q * q)\n",
+        "p * p + l * p * q + c * q * q)\n",
+        ("tests/test_quartic.py::TestHeights::test_leading_coefficient_from_trace_and_norm",),
+    ),
+    # With sigma(delta)'s square rung gone, delta's is the only square test.
+    Mutant(
+        "classify_seed admits a square discriminant",
+        "okcf/golden.py",
+        "    if is_square_in_k(delta) is not None:\n        return SeedRejection.DELTA_SQUARE\n",
+        "",
+        ("tests/test_golden.py::TestExpandPair::test_rejects_square_discriminant",),
     ),
 )
 

@@ -214,6 +214,11 @@ class TestAnalyze:
         assert code == 0
         assert len(out.strip().splitlines()) == 5
 
+    def test_too_few_quotients_is_parse_error(self, capsys):
+        code, out, err = run(capsys, "analyze", "1", "-2", "-1-1*w", "-n", "5", "--quotients=1,2")
+        assert (code, out) == (2, "")
+        assert err == "parse error: need 6 quotients for 5 steps, got 2\n"
+
     def test_quotients_with_leading_minus(self, capsys):
         head = ("analyze", "1", "-2", "-1-1*w", "-n", "2")
         code_space, out_space, _ = run(capsys, *head, "--quotients", "-1-1*w,2,3")
@@ -401,6 +406,19 @@ def test_abbreviated_flag_is_usage_error(capsys, argv, unrecognized):
         main(["corpus", "--count", "1", *argv])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(f"unrecognized arguments: {unrecognized}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["corpus", "--count", "1", "-5"],
+    ["corpus", "--count", "1", "-1-1*w"],
+    ["radius", "13", "-5"],
+], ids=["corpus-number", "corpus-element", "radius-number"])
+def test_stray_token_is_named_as_given(capsys, argv):
+    # No '--' shows in the message of a command that takes no such positional.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"unrecognized arguments: {argv[-1]}\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,13 +2,14 @@
 that `test_embed_kernel` keeps (`ref_surd_embed`): every triple must be the
 same.
 
-A level of `field._surd_form_embed` at `bits` takes x and y from their
-first level at `bits` when it is accepted, and from their own loop when it
-is not; then it multiplies y by the enclosure of sqrt(delta) by the sign of
-y's enclosure.  Covered, for D = 5, 2 and 13 at P = 1, 16, 64, 100 and 1024:
-forms whose first level is rejected (|v|/den large against the value),
-and y enclosures that straddle 0 (a near-zero over a denominator above its
-|v|).  Each test asserts that its inputs reach the branch it is about.
+A level of `field._surd_form_embed` at `bits` takes x and y from one
+`_form_embed` loop each, which starts at `bits` and goes on to the next
+level when the first is rejected; then it multiplies y by the enclosure of
+sqrt(delta) by the sign of y's enclosure.  Covered, for D = 5, 2 and 13
+at P = 1, 16, 64, 100 and 1024: forms whose first level is rejected
+(|v|/den large against the value), and y enclosures that straddle 0 (a
+near-zero over a denominator above its |v|).  Each test asserts that its
+inputs reach the branch it is about.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def assert_same(z: SurdElement, shared: _RootTable) -> None:
 
 
 @pytest.mark.parametrize("d", [5, 2, 13])
-def test_rejected_first_levels_fall_back_to_their_own_loop(d):
+def test_rejected_first_levels_go_on_in_their_own_loop(d):
     spec = FieldSpec(d)
     rng = random.Random(900 + d)
     shared = _RootTable()

@@ -8,7 +8,7 @@ from math import isqrt
 import pytest
 
 from okcf.cf import CFExpansion, eval_periodic
-from okcf.field import FieldSpec, KElement, SurdElement, reals_equal, sign_of
+from okcf.field import FieldSpec, InputRuleError, KElement, SurdElement, reals_equal, sign_of
 from okcf.golden import (
     CANDIDATE_ORDER,
     ExpansionConfig,
@@ -362,6 +362,10 @@ class TestExpandPair:
         with pytest.raises(MaxStepsError) as err:
             expand_pair(example_seed, +1, +1, ExpansionConfig(max_steps=1))
         assert len(err.value.quotients) >= 1
+
+    def test_max_steps_below_one_is_rejected(self):
+        with pytest.raises(InputRuleError, match="max_steps must be >= 1"):
+            ExpansionConfig(max_steps=0)
 
     def test_no_embedding_on_expansion_path(self, example_seed, unlinked_seed, monkeypatch):
         expected = {

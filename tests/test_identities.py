@@ -10,6 +10,8 @@ time, each paid once here.
   integral results, and a derived leading coefficient is nonzero because
   the seed has no root in K.  On a seed with a square discriminant the
   check still fires.
+- `classify_seed` tests only delta for a square in K, never sigma(delta):
+  sigma is an involution of K, so the conjugate of a square is a square.
 """
 
 from __future__ import annotations
@@ -104,6 +106,16 @@ def test_a_root_in_k_still_trips_the_check(k5):
     with pytest.raises(SeedError, match="leading coefficient must be nonzero"):
         triple_recursion(seed, qp)
 
+
+
+@pytest.mark.parametrize("d", [5, 2, 13])
+def test_the_conjugate_of_a_square_is_a_square(d, rng):
+    spec = FieldSpec(d)
+    for _ in range(300):
+        s = random_k(rng, spec, 30, integral=rng.random() < 0.5)
+        for x in (s * s, (s * s).conj()):
+            root = is_square_in_k(x)
+            assert root is not None and root * root == x, s
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402

@@ -223,6 +223,24 @@ class TestHeights:
             bound = hx * hy
             assert hxy.lo <= bound.hi
 
+    @pytest.mark.parametrize("d", [5, 2, 13])
+    def test_leading_coefficient_from_trace_and_norm(self, d, rng):
+        # H(x)^2 = lead * max(1, |x|) * max(1, |x'|), where lead is the
+        # leading coefficient of the primitive minimal polynomial of x: for
+        # t^2 - Tr(x)*t + N(x) the lcm of the two denominators.
+        spec = FieldSpec(d)
+        leads = set()
+        for _ in range(200):
+            x = random_k(rng, spec, 30, integral=False)
+            if x.is_rational:
+                continue
+            lead = math.lcm(x.trace().denominator, x.norm().denominator)
+            sizes = [max(1.0, abs(float(x.embed(96, conjugate=c).lo))) for c in (False, True)]
+            h = weil_height_element(x, 96)
+            assert round(float(h.lo) ** 2 / (sizes[0] * sizes[1])) == lead, x
+            leads.add(lead)
+        assert len(leads) >= 5
+
     def test_orbit_heights_repeat(self, k5, example_seed):
         quots = [k5.element(2), k5.element(4, -2)] * 3
         states = run_trajectory(example_seed, +1, quots)
