@@ -611,6 +611,10 @@ def test_precision_at_maximum_succeeds(capsys, argv):
     assert out
 
 
+# 201 quotients for a 200-step analyze run over a complex sigma(delta).
+_LONG_QUOTIENTS = ",".join((["1", "w", "2", "1", "-w", "3", "1-w", "2", "w", "1", "-2", "1", "2"]
+                            * 16)[:201])
+
 # sha256 of stdout and the exit code of reference commands. Printed answers
 # are part of the CLI's contract: a refactor must keep them byte-identical.
 _PINNED_OUTPUTS = [
@@ -631,6 +635,11 @@ _PINNED_OUTPUTS = [
      "5fc33da2c012c5de5766ae6dc3f6bab6d56b2498a59b0ab6591fc7d1931cb16e"),
     ("analyze --expansion '[; 2, 4-2*w]' -n 8 --precision 4096 --output json", 0,
      "6582d6e939f1bd5656b8d186efa589e443bbf82ff10186f969cc64c358117ca5"),
+    # Long horizons: each row's error term needs more bits than the last.
+    ("analyze --expansion '[; 2, 4-2*w]' -n 400 --output csv", 0,
+     "c10acf7504c765c1b85b5058e8314c15d6c5d9e1941479e45291bcaac5126a19"),
+    ("analyze --expansion '[; 2, 4-2*w]' -n 281 --output json", 0,
+     "7f4336e8ef7f7bdf25e5aeb3ff1abd96fd926d8fcd197744564882c8614c1ed3"),
     ("analyze 1 -2 -1-1*w -n 10", 0,
      "af827bdf1d205e59b62b8c2f9e768e9433b1425519709b1f8f1dbd2c9cf74985"),
     # A complex sigma(delta): the rows' sigma-side error terms are moduli.
@@ -641,6 +650,8 @@ _PINNED_OUTPUTS = [
      "1beff98f8629b8872efdd49d205aa6f66cba92d93df1137f5f8a5e6a03a534c4"),
     ("analyze 1 0 2-3*w -n 12 --quotients=1,w,2,1,-w,3,1-w,2,w,1,-2,1,2", 0,
      "aef160e1a88f586ef012ced867fc5d658f9d4d90d3e7be8f0fe4de317098ce4c"),
+    (f"analyze 1 0 2-3*w -n 200 --quotients={_LONG_QUOTIENTS} --output csv --precision 256", 0,
+     "42db3adaa79b6888781fa49482f8fbe11cd5125c60190e1a56386e590a91e679"),
     ("expand 1 -2 -1-1*w --conj-branch=+ --output json", 0,
      "fc78197ce6cf37ef02896e4d253edf132e944bb3d6c7bce8404dc68bc06fc785"),
     ("expand 1 -2 -1-1*w --conj-branch=- --output json", 0,
