@@ -228,8 +228,9 @@ def _analyze_json(seed: QuadraticPolyK, rows: list[TrajectoryRow],
                   summary: TrajectorySummary) -> str:
     """What `json.dumps(payload, indent=2)` gives for analyze's payload of
     seed, rows and summary, written from the fields in the same layout: a
-    string by `encode_basestring_ascii`, a float by `float.__repr__` (every
-    float here is finite) and None as null."""
+    string by `encode_basestring_ascii`, a float by `float.__repr__` and
+    None as null.  No float here is infinite: an endpoint past the float
+    range raises OverflowError in `dyadic_floats`."""
     text = encode_basestring_ascii
 
     def pair(m: Dyadic) -> str:

@@ -6,7 +6,7 @@ naive heights, trajectory diagnostics and the periodicity predicates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd
 from typing import Sequence
 
@@ -32,6 +32,7 @@ from .intervals import (
     MAX_BITS,
     Dyadic,
     RealInterval,
+    _aligned,
     _next_level,
     dyadic_abs,
     dyadic_floats,
@@ -497,6 +498,8 @@ def summarize(rows: Sequence[TrajectoryRow], quotients: Sequence[KElement],
     is the last row; A_N+1 = f_N(a_N) is the one value the rows lack.  The
     sigma-side sup is the smaller of the two root choices' sups: the bound
     only claims existence of a suitable root of the conjugate polynomial.
+    It is selected on the triples, and only the selected sup becomes a
+    float: the other root's sup can pass the float range.
     """
     last = QuadraticPolyK(*rows[-1].triple).evaluate(quotients[len(rows) - 1])
     leads = [r.triple[0] for r in rows] + [last]
@@ -507,7 +510,9 @@ def summarize(rows: Sequence[TrajectoryRow], quotients: Sequence[KElement],
     )
     sigma_sup = None
     if rows[0].qs_sigma_m is not None:
-        sigma_sup = min(max(dyadic_floats(r.qs_sigma_m[i])[1] for r in rows) for i in (0, 1))
+        sups = (reduce(dyadic_max, (r.qs_sigma_m[i] for r in rows)) for i in (0, 1))
+        _, hi0, _, hi1, e = _aligned(*sups)
+        sigma_sup = min(hi0, hi1) / (1 << e)
     return TrajectorySummary(
         steps=len(rows),
         max_abs_a=max_a,

@@ -194,6 +194,14 @@ class TestAnalyze:
         monkeypatch.setattr(cli, "summarize", forbidden)
         assert run(capsys, "analyze", "--expansion", "[1; 2]", "-n", "9", "--output", "csv") == expected
 
+    def test_summary_selects_before_it_converts(self, capsys):
+        # From n = 282 on, the rejected conjugate root's sup |Q_n S_n| is
+        # past the float range; only the selected sup becomes a float.
+        code, out, err = run(capsys, "analyze", "--expansion", "[; 2, 4-2*w]", "-n", "282",
+                             "--output", "json")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
     def test_seed_mode_runs(self, capsys):
         code, out, _ = run(
             capsys, "analyze", "1", "-2", "-1-1*w", "-n", "7", "--output", "json"
@@ -640,6 +648,8 @@ _PINNED_OUTPUTS = [
      "c10acf7504c765c1b85b5058e8314c15d6c5d9e1941479e45291bcaac5126a19"),
     ("analyze --expansion '[; 2, 4-2*w]' -n 281 --output json", 0,
      "7f4336e8ef7f7bdf25e5aeb3ff1abd96fd926d8fcd197744564882c8614c1ed3"),
+    ("analyze --expansion '[; 2, 4-2*w]' -n 400 --output json", 0,
+     "82d465d9e46c393160eb1ff5384865db493925762a2c484f2f98cb84e375cb27"),
     ("analyze 1 -2 -1-1*w -n 10", 0,
      "af827bdf1d205e59b62b8c2f9e768e9433b1425519709b1f8f1dbd2c9cf74985"),
     # A complex sigma(delta): the rows' sigma-side error terms are moduli.
