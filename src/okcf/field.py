@@ -26,14 +26,14 @@ form (u, v, den) of (u + v*sqrt(d))/den, and `_surd_form_embed` on the
 forms of x and y in x + y*sqrt(delta), reduced or not (`_surd_embed` is
 it on a surd's own forms; `quartic` passes forms it builds on integers),
 whose levels take x and y from one `_form_embed` each, then multiply, add
-and round in straight-line integer code.  It asks whether the value is
-exactly 0 (a square delta can hide a zero) only when an enclosure
-contains 0, at most once per call.  An embedding is the dyadic triple
-(lo_m, hi_m, e) of `intervals.Dyadic`, from one `isqrt` of d * 4^bits
-and two floor divisions of the form's integers; `embed` returns it as a
-`RealInterval` with `Fraction` endpoints, while `quartic.diagnostics` and
-`summarize` never leave the triples.  Those roots, and the enclosures of
-sqrt(delta), are shared by one call's embeddings in a `_RootTable`.
+and round in straight-line integer code; a y != 0 makes the value 0 only
+when delta has a root s in K and x + y*s = 0, decided before the levels.
+An embedding is the dyadic triple (lo_m, hi_m, e) of `intervals.Dyadic`,
+from one `isqrt` of d * 4^bits and two floor divisions of the form's
+integers; `embed` returns it as a `RealInterval` with `Fraction`
+endpoints, while `quartic.diagnostics` and `summarize` never leave the
+triples.  A `_RootTable` shares the roots of d and of delta among one
+call's embeddings.
 """
 
 from __future__ import annotations
@@ -512,17 +512,18 @@ def _reduced(spec: FieldSpec, p: int, q: int, den: int) -> KElement:
 class _RootTable:
     """Square roots that the embeddings of one `quartic.diagnostics` or
     `summarize` call share, all in one field: `isqrt(d << 2*bits)` per
-    level, and the dyadic enclosure of sqrt(delta) per discriminant and
-    level, keyed by delta's triple (p, q, den) and the level.  Each entry is
-    the function of its key that an embedding would compute without the
-    table, so reading it changes no endpoint.  The public `embed` methods
-    use a fresh table per call, and no table outlives the call that made it."""
+    level; per discriminant, keyed by delta's triple (p, q, den), its
+    `is_square_in_k` and, per level too, the dyadic enclosure of sqrt(delta).
+    Each entry is the function of its key that an embedding would compute
+    without the table, so reading it changes no endpoint.  The public
+    `embed` methods use a fresh table per call, and none outlives its call."""
 
-    __slots__ = ("isqrt_d", "sqrt_delta")
+    __slots__ = ("isqrt_d", "sqrt_delta", "root_in_k")
 
     def __init__(self) -> None:
         self.isqrt_d: dict[int, int] = {}
         self.sqrt_delta: dict[tuple[int, int, int, int], Dyadic] = {}
+        self.root_in_k: dict[tuple[int, int, int], KElement | None] = {}
 
 
 def _sqrt_d_form(k: KElement) -> tuple[int, int, int]:
@@ -595,19 +596,23 @@ def _surd_form_embed(x: tuple[int, int, int], y: tuple[int, int, int], delta: KE
     and y, in lowest terms or not: a form is k > 0 times the reduced one, and
     floor(k*a / (k*b)) = floor(a/b), so every endpoint is the same.
 
-    A level at `bits` takes x and y from one `_form_embed` loop each at
-    precision `bits`, whose first level is at `bits` too; multiplies y by
-    the nonnegative enclosure of sqrt(delta); adds over the larger exponent
-    and rounds out to `bits`.  Each step is the one `dyadic_mul`,
-    `dyadic_add` and `dyadic_rounded` would take, so every endpoint is
-    theirs."""
+    A hidden zero, x + y*s = 0 with y != 0 and s = sqrt(delta) in K, is the
+    point 0 at any precision.  Any other value takes levels; a level at
+    `bits` takes x and y from one `_form_embed` loop each at precision
+    `bits`, whose first level is at `bits` too; multiplies y by the
+    nonnegative enclosure of sqrt(delta); adds over the larger exponent and
+    rounds out to `bits`.  Each step is the one `dyadic_mul`, `dyadic_add`
+    and `dyadic_rounded` would take, so every endpoint is theirs."""
     (xu, xv, xden), (yu, yv, yden) = x, y
     d, isqrt_d, sqrt_delta = delta.spec.d, roots.isqrt_d, roots.sqrt_delta
     if not yu and not yv:
         return _form_embed(xu, xv, xden, d, precision_bits, isqrt_d)
-    # Whether the value is exactly 0 (delta a square in K), decided only
-    # when an enclosure contains 0, and at most once.
-    is_zero: bool | None = None
+    dkey = delta.p, delta.q, delta.den
+    if dkey not in roots.root_in_k:
+        roots.root_in_k[dkey] = is_square_in_k(delta)
+    s = roots.root_in_k[dkey]
+    if s is not None and _from_form(delta.spec, x) + _from_form(delta.spec, y) * s == 0:
+        return 0, 0, 0
     bits = max(precision_bits, DEFAULT_BITS)
     while True:
         key = (delta.p, delta.q, delta.den, bits)
@@ -630,11 +635,6 @@ def _surd_form_embed(x: tuple[int, int, int], y: tuple[int, int, int], delta: KE
         hi = (xhi << e - xe) + (phi << e - ye - bits)
         e -= bits
         m = lo >> e, -(-hi >> e), bits
-        if m[0] <= 0 <= m[1]:
-            if is_zero is None:
-                is_zero = surd_sign(*(_from_form(delta.spec, f) for f in (x, y)), delta) == 0
-            if is_zero:
-                m = 0, 0, 0
         if dyadic_bits(m) >= precision_bits:
             return m
         bits = _next_level(bits)

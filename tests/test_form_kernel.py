@@ -5,8 +5,9 @@ Covered: the kernel against `_surd_embed` on unreduced forms (each form
 scaled by a random k up to 2^40), under tau (y -> -y) and sigma (v -> -v in
 every form, over sigma(delta)), for D = 5, 2 and 13 at P = 1, 16, 64 and
 1024; a zero y, which embeds x as an element of K; a hidden zero over a
-square delta, which is the point 0; P > MAX_BITS, which raises
-`PrecisionError`.  Then, on random seeds and quotients with real
+square delta, which is the point 0 at any P, and a nonzero value over
+one, which takes its levels; P > MAX_BITS, which raises `PrecisionError`
+for any other value.  Then, on random seeds and quotients with real
 and with complex sigma(delta), the forms of every error term that
 `diagnostics` embeds against xi*Q_n - P_n built by `SurdElement` arithmetic
 under all four conjugations, and the forms of `_root_forms` against
@@ -16,6 +17,7 @@ under all four conjugations, and the forms of `_root_forms` against
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -33,7 +35,7 @@ from okcf.field import (
     _surd_form_embed,
     sign_of,
 )
-from okcf.intervals import MAX_BITS, PrecisionError
+from okcf.intervals import MAX_BITS, PrecisionError, dyadic_bits
 from okcf.quartic import QuadraticPolyK, QuotientState, _root_forms, diagnostics, make_state
 from test_embed_kernel import surds
 
@@ -97,6 +99,34 @@ def test_a_hidden_zero_in_unreduced_forms_is_the_point_zero(d):
             got = _surd_form_embed(scaled(rng, _sqrt_d_form(x)), scaled(rng, _sqrt_d_form(y)),
                                    delta, bits, _RootTable())
             assert got == (0, 0, 0)
+
+
+def test_a_hidden_zero_past_max_bits_is_the_point_zero():
+    # The zero is decided before any level, so no precision is out of reach.
+    spec = FieldSpec(5)
+    delta, x, y = 4 * spec.omega * spec.omega, 2 * spec.omega, -spec.one
+    got = _surd_form_embed(_sqrt_d_form(x), _sqrt_d_form(y), delta, MAX_BITS + 1, _RootTable())
+    assert got == (0, 0, 0)
+
+
+@pytest.mark.parametrize("d", [5, 2, 13])
+def test_a_nonzero_value_over_a_square_delta_takes_its_levels(d):
+    spec = FieldSpec(d)
+    rng = random.Random(2350 + d)
+    for _ in range(10):
+        s, y = (random_k(rng, spec, bound=4, nonzero=True) for _ in range(2))
+        s = s if sign_of(s) > 0 else -s
+        # x = y*s, the zero of x - y*s, doubles; a random x is nonzero too.
+        for x in (y * s, random_k(rng, spec, bound=4)):
+            value = x + y * s
+            if value.is_zero:
+                continue
+            fx, fy = _sqrt_d_form(x), _sqrt_d_form(y)
+            for bits in PRECISIONS:
+                m = _surd_form_embed(scaled(rng, fx), scaled(rng, fy), s * s, bits, _RootTable())
+                lo, hi = (Fraction(end, 1 << m[2]) for end in m[:2])
+                assert m[:2] != (0, 0) and dyadic_bits(m) >= bits
+                assert sign_of(value - lo) >= 0 >= sign_of(value - hi)
 
 
 def test_past_max_bits_raises_precision_error():

@@ -6,7 +6,8 @@ Covered: every surd and K element that `diagnostics` embeds (its error
 terms, heights and |Q_n| factors, and the x, y and delta inside each
 surd), on a seed whose sigma(delta) is positive and on one whose
 sigma(delta) is negative, and one table serving both discriminants at
-64, 128 and 1024 bits.
+64, 128 and 1024 bits.  The kernel asks `is_square_in_k` once per
+discriminant and table, and over a non-square one builds no K element.
 """
 
 from __future__ import annotations
@@ -108,3 +109,31 @@ def test_one_table_serves_both_discriminants_and_three_precisions(k5, monkeypatc
                     got = _surd_embed(z, bits, roots)
                 assert got == own_embed(z, bits, conjugate), (z, bits)
         assert len({key[:3] for key in roots.sqrt_delta}) == (2 if i == 0 else 1)
+
+
+@pytest.mark.parametrize("make_seed", SEEDS, ids=["real sigma(delta)", "complex sigma(delta)"])
+def test_each_discriminant_is_tested_for_a_root_in_k_once(k5, monkeypatch, make_seed):
+    seed = make_seed(k5)
+    asked, kernel_calls = [], []
+    square, kernel = field.is_square_in_k, field._surd_form_embed
+
+    def counting(delta):
+        asked.append(delta)
+        return square(delta)
+
+    def kernel_counting(*args):
+        kernel_calls.append(args)
+        return kernel(*args)
+
+    def forbidden(*args):
+        raise AssertionError("the kernel built a K element over a non-square delta")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(field, "is_square_in_k", counting)
+        patch.setattr(field, "_from_form", forbidden)
+        patch.setattr(quartic, "_surd_form_embed", kernel_counting)
+        diagnostics(seed, 1, quotients_for(k5, SEEDS.index(make_seed)), 1024)
+    sigma_real = sign_of(seed.delta.conj()) > 0
+    assert len(asked) == len(set(asked)) == (2 if sigma_real else 1)
+    assert set(asked) == ({seed.delta, seed.delta.conj()} if sigma_real else {seed.delta})
+    assert len(kernel_calls) > 10 * len(asked)
