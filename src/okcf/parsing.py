@@ -50,13 +50,20 @@ def parse_rational(text: str) -> Fraction:
 
 
 def parse_k(text: str, spec: FieldSpec, require_integral: bool = False) -> KElement:
-    if not text.strip():
-        raise ParseError("empty element", len(text))
-    a = b = pos = 0
-    while pos < len(text):
-        t = _TERM.match(text, pos)
-        # Only the first term, the one read at position 0, may omit its sign.
-        if pos and not t["sign"]:
+    return _parse_k(text, 0, len(text), spec, require_integral)
+
+
+def _parse_k(text: str, start: int, end: int, spec: FieldSpec,
+             require_integral: bool = False) -> KElement:
+    """`parse_k` of text[start:end], each error's position an index into `text`."""
+    if not text[start:end].strip():
+        raise ParseError("empty element", end)
+    a = b = 0
+    pos = start
+    while pos < end:
+        t = _TERM.match(text, pos, end)
+        # Only the first term, the one read at `start`, may omit its sign.
+        if pos > start and not t["sign"]:
             raise ParseError("expected '+' or '-' between terms", t.start("sign"))
         if t["numeral"] is None and t["bare_w"] is None:
             raise ParseError("expected a number or 'w'", t.end("sign"))
@@ -87,50 +94,58 @@ def _matching_paren(text: str, start: int) -> int:
 
 
 def parse_surd(text: str, spec: FieldSpec) -> SurdElement:
-    s = text.strip()
-    if not s.startswith("("):
-        raise ParseError("surd must start with '('", 0)
-    i = _matching_paren(s, 0)
-    x = parse_k(s[1:i], spec)
-    rest = s[i + 1 :].strip()
-    if not rest:
+    # Positions index `text`; its leading and trailing space is skipped.
+    start, end = len(text) - len(text.lstrip()), len(text.rstrip())
+    if not text.startswith("(", start):
+        raise ParseError("surd must start with '('", start)
+    i = _matching_paren(text, start)
+    x = _parse_k(text, start + 1, i, spec)
+    k = end - len(text[i + 1 : end].lstrip())
+    if k == end:
         raise ParseError("missing '*sqrt(...)' part", i + 1)
-    if rest[0] not in "+-":
-        raise ParseError("expected '+' or '-' after first component", i + 1)
-    negate = rest[0] == "-"
-    rest = rest[1:].strip()
-    if not rest.startswith("("):
-        raise ParseError("expected parenthesized coefficient", 0)
-    j = _matching_paren(rest, 0)
-    y = parse_k(rest[1:j], spec)
+    if text[k] not in "+-":
+        raise ParseError("expected '+' or '-' after first component", k)
+    negate = text[k] == "-"
+    k = end - len(text[k + 1 : end].lstrip())
+    if not text.startswith("(", k, end):
+        raise ParseError("expected parenthesized coefficient", k)
+    j = _matching_paren(text, k)
+    y = _parse_k(text, k + 1, j, spec)
     if negate:
         y = -y
-    tail = rest[j + 1 :].strip()
-    m = re.fullmatch(r"\*\s*sqrt\s*\((.*)\)", tail, re.DOTALL)
+    m = re.compile(r"\s*\*\s*sqrt\s*\((.*)\)", re.DOTALL).fullmatch(text, j + 1, end)
     if not m:
-        raise ParseError("expected '*sqrt(<element>)'", 0)
-    delta = parse_k(m.group(1), spec)
+        raise ParseError("expected '*sqrt(<element>)'", j + 1)
+    delta = _parse_k(text, m.start(1), m.end(1), spec)
     return SurdElement(spec, delta, x, y)
 
 
 def parse_element_list(text: str, spec: FieldSpec, require_integral: bool = False) -> list[KElement]:
-    body = text.strip()
-    if not body:
+    return _parse_list(text, 0, len(text), spec, require_integral)
+
+
+def _parse_list(text: str, start: int, end: int, spec: FieldSpec,
+                require_integral: bool) -> list[KElement]:
+    """`parse_element_list` of text[start:end], with positions into `text`."""
+    if not text[start:end].strip():
         return []
-    return [parse_k(part, spec, require_integral) for part in body.split(",")]
+    elements = []
+    for part in text[start:end].split(","):
+        elements.append(_parse_k(text, start, start + len(part), spec, require_integral))
+        start += len(part) + 1
+    return elements
 
 
 def parse_expansion(text: str, spec: FieldSpec):
     from .cf import CFExpansion
 
-    s = text.strip()
-    if not (s.startswith("[") and s.endswith("]")):
+    start, end = len(text) - len(text.lstrip()), len(text.rstrip())
+    if not (text.startswith("[", start) and text.endswith("]", start, end)):
         raise ParseError("expansion must be bracketed as [pre; period]", 0)
-    body = s[1:-1]
-    if ";" in body:
-        pre_text, per_text = body.split(";", 1)
-    else:
-        pre_text, per_text = body, ""
-    pre = parse_element_list(pre_text, spec, require_integral=True)
-    per = parse_element_list(per_text, spec, require_integral=True)
+    # The body text[start + 1 : end - 1], split at its first ';'.
+    semi = text.find(";", start + 1, end - 1)
+    if semi < 0:
+        semi = end - 1
+    pre = _parse_list(text, start + 1, semi, spec, require_integral=True)
+    per = _parse_list(text, semi + 1, end - 1, spec, require_integral=True)
     return CFExpansion(spec, tuple(pre), tuple(per))

@@ -429,6 +429,17 @@ def test_stray_token_is_named_as_given(capsys, argv):
     assert capsys.readouterr().err.endswith(f"unrecognized arguments: {argv[-1]}\n")
 
 
+@pytest.mark.parametrize("argv, position", [
+    (["eval", "[1; 2, 3 4]"], 9),
+    (["analyze", "1", "-2", "-1-1*w", "-n", "3", "--quotients=1,2,3 4"], 6),
+    (["analyze", "--expansion", " [; 2, 4-2 w]", "-n", "3"], 11),
+], ids=["eval", "quotients", "expansion"])
+def test_parse_error_points_into_the_argument(capsys, argv, position):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: expected '+' or '-' between terms (at position {position})\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "[0; 1]"],
     ["expand", "1", "-2", "-1-1*w"],

@@ -6,7 +6,14 @@ from fractions import Fraction
 import pytest
 
 from okcf.field import SurdElement
-from okcf.parsing import ParseError, parse_expansion, parse_k, parse_rational, parse_surd
+from okcf.parsing import (
+    ParseError,
+    parse_element_list,
+    parse_expansion,
+    parse_k,
+    parse_rational,
+    parse_surd,
+)
 from conftest import random_k
 
 
@@ -133,3 +140,27 @@ def test_overlong_numeral_raises_as_fraction_does(k5, text):
             parse(text)
         assert type(err.value) is type(expected.value)
         assert str(err.value) == str(expected.value)
+
+
+# A fault inside an element of a list, an expansion or a surd is reported
+# at its index in the whole argument, not in the element's own slice.
+POSITIONED = [
+    (parse_element_list, "1,2,3 4", 6),
+    (parse_element_list, " 1 , 2 ,, 3", 8),
+    (parse_expansion, "[1; 2, 3 4]", 9),
+    (parse_expansion, "  [1, 3*; 2]", 8),
+    (parse_surd, "(1) + 2", 6),
+    (parse_surd, " (1) + (1)*sqrt(2 w)", 18),
+    (parse_surd, "(1 2) + (1)*sqrt(2)", 3),
+    (parse_surd, "(1) + (3*)*sqrt(2)", 9),
+    (parse_surd, "(1) + (1) sqrt(2)", 9),
+    (parse_surd, "(1) 1", 4),
+]
+
+
+@pytest.mark.parametrize("parse, text, position", POSITIONED, ids=[t for _, t, _ in POSITIONED])
+def test_errors_inside_a_slice_point_into_the_argument(k5, parse, text, position):
+    with pytest.raises(ParseError) as err:
+        parse(text, k5)
+    assert err.value.position == position
+    assert str(err.value).endswith(f" (at position {position})")
