@@ -59,6 +59,10 @@ LARGE_BOUND_TEST = "tests/test_float_filter.py::test_forced_exact_path_agrees_at
 K_SYNTAX_TEST = "tests/test_parsing.py::test_k_elements"
 K_ERRORS_TEST = "tests/test_parsing.py::test_k_errors"
 SCANNER_TEST = "tests/test_parse_k_scanner.py"
+SLICE_POSITIONS_TEST = "tests/test_parsing.py::test_errors_inside_a_slice_point_into_the_argument"
+ROOT_COUNT_TEST = "tests/test_root_table.py::test_each_discriminant_is_tested_for_a_root_in_k_once"
+SUMMARY_OVERFLOW_TEST = "tests/test_cli.py::TestAnalyze::test_summary_selects_before_it_converts"
+GROWTH_LAW_TEST = "tests/test_growth_law.py"
 CLI_FLAGS_TESTS = (
     "tests/test_cli.py::test_each_command_declares_only_the_flags_it_reads",
     "tests/test_cli.py::test_unread_flag_is_usage_error",
@@ -435,12 +439,29 @@ CATALOGUE = (
         "s_tau = _tight_abs_m(e, (branch * fu, branch * fv, fm),",
         (ERROR_FORMS_TEST,),
     ),
+    # The kernel decides a hidden zero once, before its levels, from the
+    # root of delta in K that the root table keeps per discriminant.
     Mutant(
         "the form kernel skips the zero test",
         "okcf/field.py",
-        "            if is_zero:\n                m = 0, 0, 0\n",
+        "    if s is not None and _from_form(delta.spec, x) + _from_form(delta.spec, y) * s == 0:\n"
+        "        return 0, 0, 0\n",
         "",
         ("tests/test_form_kernel.py::test_a_hidden_zero_in_unreduced_forms_is_the_point_zero",),
+    ),
+    Mutant(
+        "the form kernel's zero rule takes -s for sqrt(delta)",
+        "okcf/field.py",
+        "_from_form(delta.spec, y) * s == 0:",
+        "_from_form(delta.spec, y) * -s == 0:",
+        ("tests/test_form_kernel.py::test_a_nonzero_value_over_a_square_delta_takes_its_levels",),
+    ),
+    Mutant(
+        "the root table forgets the root of delta in K",
+        "okcf/field.py",
+        "    if dkey not in roots.root_in_k:\n",
+        "    if True:\n",
+        (ROOT_COUNT_TEST,),
     ),
     Mutant(
         "analyze drops its --expansion mode check",
@@ -495,7 +516,7 @@ CATALOGUE = (
     Mutant(
         "parse_k accepts a missing sign between terms",
         "okcf/parsing.py",
-        '        if pos and not t["sign"]:\n',
+        '        if pos > start and not t["sign"]:\n',
         "        if False:\n",
         (K_ERRORS_TEST,),
     ),
@@ -532,8 +553,8 @@ CATALOGUE = (
     Mutant(
         "parse_k reads blank text as a missing number",
         "okcf/parsing.py",
-        "    if not text.strip():\n",
-        "    if not text:\n",
+        "    if not text[start:end].strip():\n        raise ParseError(\"empty element\", end)\n",
+        "    if not text[start:end]:\n        raise ParseError(\"empty element\", end)\n",
         (SCANNER_TEST,),
     ),
     Mutant(
@@ -570,6 +591,83 @@ CATALOGUE = (
         "p * p + l * p * q - c * q * q)\n",
         "p * p + l * p * q + c * q * q)\n",
         ("tests/test_quartic.py::TestHeights::test_leading_coefficient_from_trace_and_norm",),
+    ),
+    # The sigma-side sup is selected on the triples; only it becomes a float.
+    Mutant(
+        "summarize converts each sup before it selects",
+        "okcf/quartic.py",
+        "        sups = (reduce(dyadic_max, (r.qs_sigma_m[i] for r in rows)) for i in (0, 1))\n"
+        "        _, hi0, _, hi1, e = _aligned(*sups)\n"
+        "        sigma_sup = min(hi0, hi1) / (1 << e)\n",
+        "        sigma_sup = min(max(dyadic_floats(r.qs_sigma_m[i])[1] for r in rows)\n"
+        "                        for i in (0, 1))\n",
+        (SUMMARY_OVERFLOW_TEST,),
+    ),
+    Mutant(
+        "summarize takes the larger root's sup",
+        "okcf/quartic.py",
+        "sigma_sup = min(hi0, hi1) / (1 << e)",
+        "sigma_sup = max(hi0, hi1) / (1 << e)",
+        (SUMMARY_OVERFLOW_TEST,),
+    ),
+    # A fault inside a slice is reported at its index in the argument.
+    Mutant(
+        "parse_k reports a missing sign at its index in the slice",
+        "okcf/parsing.py",
+        "between terms\", t.start(\"sign\"))",
+        "between terms\", t.start(\"sign\") - start)",
+        (SLICE_POSITIONS_TEST,),
+    ),
+    Mutant(
+        "parse_element_list reads each element as its own string",
+        "okcf/parsing.py",
+        "_parse_k(text, start, start + len(part), spec, require_integral)",
+        "_parse_k(part, 0, len(part), spec, require_integral)",
+        (SLICE_POSITIONS_TEST,),
+    ),
+    Mutant(
+        "parse_expansion reads the period as its own string",
+        "okcf/parsing.py",
+        "per = _parse_list(text, semi + 1, end - 1, spec, require_integral=True)",
+        "per = _parse_list(text[semi + 1 : end - 1], 0, end - semi - 2, spec, "
+        "require_integral=True)",
+        (SLICE_POSITIONS_TEST,),
+    ),
+    Mutant(
+        "parse_surd reads delta as its own string",
+        "okcf/parsing.py",
+        "delta = _parse_k(text, m.start(1), m.end(1), spec)",
+        "delta = _parse_k(m[1], 0, len(m[1]), spec)",
+        (SLICE_POSITIONS_TEST,),
+    ),
+    Mutant(
+        "parse_surd reports a missing coefficient at 0",
+        "okcf/parsing.py",
+        'raise ParseError("expected parenthesized coefficient", k)',
+        'raise ParseError("expected parenthesized coefficient", 0)',
+        (SLICE_POSITIONS_TEST,),
+    ),
+    # The growth law X_(n+2L) = tr(R)*X_(n+L) - (-1)^L*X_n past the pre-period.
+    Mutant(
+        "the convergents unroll the period one place late",
+        "okcf/cf.py",
+        "return self.period[(i - len(self.preperiod)) % len(self.period)]",
+        "return self.period[(i - len(self.preperiod) - 1) % len(self.period)]",
+        (GROWTH_LAW_TEST,),
+    ),
+    Mutant(
+        "the convergent recurrence drops the w part of Q_(n-2)",
+        "okcf/cf.py",
+        "q, q_prev = _make(spec, u + q_prev.p, v + q_prev.q, 1), q",
+        "q, q_prev = _make(spec, u + q_prev.p, v, 1), q",
+        (GROWTH_LAW_TEST,),
+    ),
+    Mutant(
+        "e_matrix undoes a pre-period quotient with +a in its second row",
+        "okcf/cf.py",
+        "        e21, e22 = e22, e21 - a * e22\n",
+        "        e21, e22 = e22, e21 + a * e22\n",
+        (GROWTH_LAW_TEST,),
     ),
     # With sigma(delta)'s square rung gone, delta's is the only square test.
     Mutant(
