@@ -116,7 +116,7 @@ def test_a_nonzero_value_over_a_square_delta_takes_its_levels(d):
     for _ in range(10):
         s, y = (random_k(rng, spec, bound=4, nonzero=True) for _ in range(2))
         s = s if sign_of(s) > 0 else -s
-        # x = y*s, the zero of x - y*s, doubles; a random x is nonzero too.
+        # At x = y*s a zero rule that took -s for sqrt(delta) would see 0.
         for x in (y * s, random_k(rng, spec, bound=4)):
             value = x + y * s
             if value.is_zero:
