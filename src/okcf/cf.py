@@ -146,16 +146,23 @@ def e_matrix(expansion: CFExpansion) -> Mat2:
 
     One pass of the recurrence gives M(pre) * M(period); each pre-period
     quotient is then undone, last first, on the right by
-    Q(a)^(-1) = [[0, 1], [1, -a]], which maps a row (x, y) to (y, x - a*y).
+    Q(a)^(-1) = [[0, 1], [1, -a]], which maps a row (x, y) to (y, x - a*y),
+    on the integer pairs of the integral entries.
     """
     if not expansion.is_periodic:
         raise InputRuleError("period must be nonempty")
-    m = cf_matrix(expansion.spec, expansion.preperiod + expansion.period)
-    e11, e12, e21, e22 = m.e11, m.e12, m.e21, m.e22
+    spec = expansion.spec
+    c, l = spec.omega_sq_const, spec.omega_sq_lin
+    m = cf_matrix(spec, expansion.preperiod + expansion.period)
+    (p11, q11), (p12, q12), (p21, q21), (p22, q22) = (
+        (k.p, k.q) for k in (m.e11, m.e12, m.e21, m.e22))
     for a in reversed(expansion.preperiod):
-        e11, e12 = e12, e11 - a * e12
-        e21, e22 = e22, e21 - a * e22
-    return Mat2(e11, e12, e21, e22)
+        x, y = _int_mul(c, l, a.p, a.q, p12, q12)
+        p11, q11, p12, q12 = p12, q12, p11 - x, q11 - y
+        x, y = _int_mul(c, l, a.p, a.q, p22, q22)
+        p21, q21, p22, q22 = p22, q22, p21 - x, q21 - y
+    return Mat2(_make(spec, p11, q11, 1), _make(spec, p12, q12, 1),
+                _make(spec, p21, q21, 1), _make(spec, p22, q22, 1))
 
 
 def associated_poly(e: Mat2) -> tuple[KElement, KElement, KElement]:

@@ -13,6 +13,7 @@ import json
 import os
 import random
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from itertools import islice
@@ -272,42 +273,83 @@ _CSV_HEADER = ("n", "A_n", "B_n", "C_n", "P_n", "Q_n", "s_n_lo", "s_n_hi", "f1_l
                "f2_lo", "f2_hi", "weil_lo", "weil_hi", "naive")
 
 
+def _first_row_past_floats(rows: list[TrajectoryRow], quotients: list[KElement],
+                           precision: int, summarized: bool) -> int:
+    """The least n such that row n, or with `summarized` the summary of
+    rows 0..n, holds a value past the float range; len(rows) if none.  The
+    summary takes maxima, so this is monotone in n, and a bisection finds
+    it.  Only an output that overflowed asks."""
+    def past(n: int) -> bool:
+        try:
+            for r in rows[: n + 1]:
+                for m in (r.s_m, r.f1_m, r.f2_m, r.weil_m):
+                    dyadic_floats(m)
+            if summarized:
+                summarize(rows[: n + 1], quotients, precision)
+        except OverflowError:
+            return True
+        return False
+
+    return bisect_left(range(len(rows)), True, key=past)
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     seed, branch, quotients = _analyze_quotients(args)
     rows = diagnostics(seed, branch, quotients, args.precision)
+    # Every float is made before anything is printed: a value past the
+    # float range is the quotients' doing, and is reported as such.
+    try:
+        if args.output == "csv":
+            records = [
+                (r.index, *r.triple, r.p, r.q, *dyadic_floats(r.s_m), *dyadic_floats(r.f1_m),
+                 *dyadic_floats(r.f2_m), *dyadic_floats(r.weil_m), r.naive)
+                for r in rows
+            ]
+        else:
+            summary = summarize(rows, quotients, args.precision)
+            text = (_analyze_json(seed, rows, summary) if args.output == "json"
+                    else _analyze_text(seed, branch, rows, summary))
+    except OverflowError:
+        n = _first_row_past_floats(rows, quotients, args.precision, args.output != "csv")
+        if n == len(rows):
+            raise
+        raise InputRuleError(
+            f"row {n} leaves the float range: the quotients drive a value printed for it "
+            "past 2^1024"
+        ) from None
     if args.output == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(_CSV_HEADER)
-        writer.writerows(
-            (r.index, *r.triple, r.p, r.q, *dyadic_floats(r.s_m), *dyadic_floats(r.f1_m),
-             *dyadic_floats(r.f2_m), *dyadic_floats(r.weil_m), r.naive)
-            for r in rows
-        )
-        return EXIT_OK
-    summary = summarize(rows, quotients, args.precision)
-    if args.output == "json":
-        print(_analyze_json(seed, rows, summary))
-        return EXIT_OK
-    print(f"seed     {seed}   branch {'+' if branch > 0 else '-'}")
-    print(f"{'n':>4}  {'A_n':>14}  {'s_n':>12}  {'f1':>12}  {'f2':>12}  {'H':>10}  {'naive':>7}")
-    for r in rows:
-        print(
-            f"{r.index:>4}  {str(r.triple[0]):>14}  {dyadic_mid_float(r.s_m):>12.5g}  "
-            f"{dyadic_mid_float(r.f1_m):>12.5g}  {dyadic_mid_float(r.f2_m):>12.5g}  "
-            f"{dyadic_mid_float(r.weil_m):>10.5g}  {r.naive:>7}"
-        )
+        writer.writerows(records)
+    else:
+        print(text)
+    return EXIT_OK
+
+
+def _analyze_text(seed: QuadraticPolyK, branch: int, rows: list[TrajectoryRow],
+                  summary: TrajectorySummary) -> str:
+    lines = [
+        f"seed     {seed}   branch {'+' if branch > 0 else '-'}",
+        f"{'n':>4}  {'A_n':>14}  {'s_n':>12}  {'f1':>12}  {'f2':>12}  {'H':>10}  {'naive':>7}",
+    ]
+    lines += (
+        f"{r.index:>4}  {str(r.triple[0]):>14}  {dyadic_mid_float(r.s_m):>12.5g}  "
+        f"{dyadic_mid_float(r.f1_m):>12.5g}  {dyadic_mid_float(r.f2_m):>12.5g}  "
+        f"{dyadic_mid_float(r.weil_m):>10.5g}  {r.naive:>7}"
+        for r in rows
+    )
     sigma_side = (
         f"{summary.sup_qs_sigma:.6g}" if summary.sup_qs_sigma is not None else "n/a"
     )
-    print(
+    lines.append(
         f"summary: max|A_n|={summary.max_abs_a:.6g} max|sigma(A_n)|={summary.max_abs_sigma_a:.6g} "
         f"sup|Q_n S_n|={summary.sup_qs:.6g} sigma-side={sigma_side}"
     )
-    print(
+    lines.append(
         f"         H in [{summary.weil_min:.6g}, {summary.weil_max:.6g}] "
         f"naive max={summary.naive_max}"
     )
-    return EXIT_OK
+    return "\n".join(lines)
 
 
 def cmd_radius(args: argparse.Namespace) -> int:

@@ -9,8 +9,9 @@ coordinates over one common denominator, the usual layout of number-field
 elements (Cohen, GTM 138, section 4.2).  The triple is unique, so equality
 compares integers; sums and products of integral elements (den = 1) take
 no gcd, and any other result is normalised by one gcd.  The integral
-loops of `quartic` and `cf` multiply on integer pairs by the same rule,
-`_int_mul`, and build elements only for their results.  Elements are
+loops of `quartic`, `cf` and `golden` multiply on integer pairs by the same
+rule, `_int_mul` (written out inline in `quartic`'s recursions), and build
+elements only for their results.  Elements are
 immutable (`__slots__`, and setting an attribute raises); the rational
 coordinates `a` and `b` are derived.  Elements of L are stored as
 x + y*sqrt(delta) with x, y, delta in K and sqrt(delta) the positive real

@@ -40,6 +40,7 @@ from .field import (
     InputRuleError,
     KElement,
     SurdElement,
+    _int_mul,
     is_square_in_k,
     reals_equal,
     sign_of,
@@ -298,6 +299,13 @@ class ExpansionResult:
 # NaN carries an inf or NaN bound, and those fail every comparison a
 # decision makes; division by an infinite divisor is the one operation
 # that would turn such a value finite again, hence its own check.
+#
+# The helpers `_int`, `_add`, `_sub`, `_mul` and `_div` are the
+# specification, and the tests check each of them against exact
+# arithmetic.  `_xi_enclosure`, `_pair_enclosures` and `_corner_distance`
+# compute the same float operations in the same order, written out in
+# straight-line code, so every enclosure and abstention is bit for bit the
+# helpers' own; a test holds them to the helper composition.
 
 Enclosure = tuple[float, float]
 # (xi, xi', x, y)
@@ -376,6 +384,9 @@ _SQRT5 = _sqrt((5.0, 0.0))
 _INV_SQRT5 = _div((1.0, 0.0), _SQRT5)
 # w = (1 + sqrt(5))/2; halving is exact.
 _W = tuple(t / 2 for t in _add((1.0, 0.0), _SQRT5))
+# Their floats are positive, so each abs() of them in a helper is the float.
+_WV, _WE = _W
+_INV_SQRT5_V, _INV_SQRT5_E = _INV_SQRT5
 
 
 def _k_enclosure(k: KElement) -> Enclosure:
@@ -385,19 +396,35 @@ def _k_enclosure(k: KElement) -> Enclosure:
 
 def _xi_enclosure(s: QuotientState, root: Enclosure) -> Enclosure | None:
     """Enclosure of (-B + branch*sqrt(delta))/(2A), from the integers of A
-    and B and an enclosure of sqrt(delta); None when the filter abstains."""
+    and B and an enclosure of sqrt(delta); None when the filter abstains:
+    _div((v, be + root[1] + u*|v|), (2*av, 2*ae)), v = branch*root[0] - bv,
+    with (bv, be) and (av, ae) the `_k_enclosure` of B and A."""
+    poly = s.poly
     try:
-        bv, be = _k_enclosure(s.poly.B)
-        av, ae = _k_enclosure(s.poly.A)
-        v = s.branch * root[0] - bv
-        return _div((v, be + root[1] + _U * abs(v)), (2 * av, 2 * ae))
-    except ArithmeticError:
+        p, q = float(poly.B.p), float(poly.B.q)
+        qe, w = _U * abs(q), q * _WV
+        bv = p + w
+        be = _U * abs(p) + (abs(q) * _WE + _WV * qe + qe * _WE + _U * abs(w) + _ETA) + _U * abs(bv)
+        p, q = float(poly.A.p), float(poly.A.q)
+    except OverflowError:
         return None
+    qe, w = _U * abs(q), q * _WV
+    av = p + w
+    ae = _U * abs(p) + (abs(q) * _WE + _WV * qe + qe * _WE + _U * abs(w) + _ETA) + _U * abs(av)
+    v = s.branch * root[0] - bv
+    ve = be + root[1] + _U * abs(v)
+    dv, de = 2 * av, 2 * ae
+    m = abs(dv)
+    if not 2 * de < m < _INF:
+        return None
+    x = v / dv
+    return x, (ve + abs(x) * de + _ETA) / (m - de) + _U * abs(x) + _ETA
 
 
 def _pair_enclosures(p: PairState, ctx: PairContext) -> PairEnclosures | None:
     """Enclosures of xi, xi', and the lattice coordinates
-    y = (xi - xi')/sqrt(5) and x = xi - y*w; None when the filter abstains."""
+    y = _mul(_sub(xi, xi'), 1/sqrt(5)) and x = _sub(xi, _mul(y, w)); None
+    when the filter abstains."""
     roots = ctx.float_roots
     if roots is None:
         return None
@@ -405,20 +432,39 @@ def _pair_enclosures(p: PairState, ctx: PairContext) -> PairEnclosures | None:
     xip = _xi_enclosure(p.xi_prime, roots[1])
     if xi is None or xip is None:
         return None
-    y = _mul(_sub(xi, xip), _INV_SQRT5)
-    return xi, xip, _sub(xi, _mul(y, _W)), y
+    (v, e), (vp, ep) = xi, xip
+    dv = v - vp
+    de = e + ep + _U * abs(dv)
+    yv = dv * _INV_SQRT5_V
+    ye = abs(dv) * _INV_SQRT5_E + _INV_SQRT5_V * de + de * _INV_SQRT5_E + _U * abs(yv) + _ETA
+    wv = yv * _WV
+    we = abs(yv) * _WE + _WV * ye + ye * _WE + _U * abs(wv) + _ETA
+    xv = v - wv
+    return xi, xip, (xv, e + we + _U * abs(xv)), (yv, ye)
 
 
 def _corner_distance(xi: Enclosure, xip: Enclosure, x: int, y: int) -> Enclosure | None:
     """Enclosure of |xi - a|^2 + |xi' - sigma(a)|^2 for a = x + y*w, with
-    sigma(a) = (x + y) - y*w."""
+    sigma(a) = (x + y) - y*w: the _add of the _mul squares of
+    d1 = _sub(_sub(xi, _int(x)), yw) and d2 = _add(_sub(xi', _int(x + y)), yw),
+    yw = _mul(_int(y), w)."""
     try:
-        yw = _mul(_int(y), _W)
-        d1 = _sub(_sub(xi, _int(x)), yw)
-        d2 = _add(_sub(xip, _int(x + y)), yw)
+        fy, fx, fs = float(y), float(x), float(x + y)
     except OverflowError:
         return None
-    return _add(_mul(d1, d1), _mul(d2, d2))
+    qe, yv = _U * abs(fy), fy * _WV
+    ye = abs(fy) * _WE + _WV * qe + qe * _WE + _U * abs(yv) + _ETA
+    v = xi[0] - fx
+    d1 = v - yv
+    e1 = xi[1] + _U * abs(fx) + _U * abs(v) + ye + _U * abs(d1)
+    v = xip[0] - fs
+    d2 = v + yv
+    e2 = xip[1] + _U * abs(fs) + _U * abs(v) + ye + _U * abs(d2)
+    s1, s2 = d1 * d1, d2 * d2
+    e1 = abs(d1) * e1 + abs(d1) * e1 + e1 * e1 + _U * abs(s1) + _ETA
+    e2 = abs(d2) * e2 + abs(d2) * e2 + e2 * e2 + _U * abs(s2) + _ETA
+    v = s1 + s2
+    return v, e1 + e2 + _U * abs(v)
 
 
 def _float_floor(z: Enclosure | None) -> tuple[int, int] | None:
@@ -689,7 +735,13 @@ def _proportional_roundtrip(r: ExpansionResult) -> bool:
         return False
     e = e_matrix(r.expansion)
     a, e21 = seed.A, e.e21
-    if e21.is_zero or e21 * seed.B != (e.e22 - e.e11) * a or e21 * seed.C != -(e.e12 * a):
+    # E and the seed are integral: the products run on their integer pairs.
+    c, l = seed.spec.omega_sq_const, seed.spec.omega_sq_lin
+    if (e21.is_zero
+            or _int_mul(c, l, e21.p, e21.q, seed.B.p, seed.B.q)
+            != _int_mul(c, l, e.e22.p - e.e11.p, e.e22.q - e.e11.q, a.p, a.q)
+            or _int_mul(c, l, e21.p, e21.q, -seed.C.p, -seed.C.q)
+            != _int_mul(c, l, e.e12.p, e.e12.q, a.p, a.q)):
         return False
     trace = e.e11 + e.e22
     return (

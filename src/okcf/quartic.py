@@ -19,6 +19,7 @@ from .field import (
     _k_embed,
     _int_mul,
     _make,
+    _new,
     _form_mul,
     _RootTable,
     _root_sign,
@@ -157,27 +158,47 @@ def make_state(poly: QuadraticPolyK, branch: int) -> QuotientState:
     return QuotientState(poly, branch)
 
 
+def _poly(A: KElement, B: KElement, C: KElement) -> QuadraticPolyK:
+    """The polynomial A*x^2 + B*x + C that `step_state` and
+    `triple_recursion` derive, built as `field._make` builds an element.
+
+    Integral coefficients of one spec in give integral coefficients of that
+    spec out (each is `_make(spec, p, q, 1)`), so only the nonzero leading
+    coefficient is checked: it fails when the seed has a root in K.  The
+    tests rebuild every derived polynomial through `QuadraticPolyK`.
+    """
+    if not A.p and not A.q:
+        raise SeedError("leading coefficient must be nonzero")
+    poly = _new(QuadraticPolyK)
+    fields = poly.__dict__
+    fields["A"], fields["B"], fields["C"] = A, B, C
+    return poly
+
+
 def step_state(state: QuotientState, a: KElement) -> QuotientState:
     """State of 1/(xi - a): shift by a, then swap A and C.
 
     With B' = 2*A*a + B and C' = f(a), the identity
     1/(xi - a) = (-B' - branch*sqrt(delta)) / (2*C') gives the new branch
     as -branch.  With t = A*a + B, f(a) = t*a + C and B' = A*a + t: two
-    products on the integer pairs of p + q*w, and one element per result.
+    products on the integer pairs of p + q*w, each `field._int_mul` written
+    out, and one element per result.
     """
-    if not a.is_integral:
+    if a.den != 1:
         raise InputRuleError(f"partial quotient {a} is not integral in O_K")
     poly = state.poly
     A, B, C, spec = poly.A, poly.B, poly.C, poly.A.spec
     if a.spec is not spec and a.spec != spec:
         raise ValueError("mismatched field specs")
     c, l = spec.omega_sq_const, spec.omega_sq_lin
-    aa_p, aa_q = _int_mul(c, l, A.p, A.q, a.p, a.q)
+    x_p, x_q = a.p, a.q
+    qq = A.q * x_q
+    aa_p, aa_q = A.p * x_p + c * qq, A.p * x_q + A.q * x_p + l * qq
     t_p, t_q = aa_p + B.p, aa_q + B.q
-    f_p, f_q = _int_mul(c, l, t_p, t_q, a.p, a.q)
+    qq = t_q * x_q
+    f_p, f_q = t_p * x_p + c * qq, t_p * x_q + t_q * x_p + l * qq
     fa = _make(spec, f_p + C.p, f_q + C.q, 1)
-    new_poly = QuadraticPolyK(fa, _make(spec, aa_p + t_p, aa_q + t_q, 1), A)
-    return QuotientState(new_poly, -state.branch)
+    return QuotientState(_poly(fa, _make(spec, aa_p + t_p, aa_q + t_q, 1), A), -state.branch)
 
 
 def triple_recursion(seed: QuadraticPolyK, qp: QPairState) -> QuadraticPolyK:
@@ -187,35 +208,55 @@ def triple_recursion(seed: QuadraticPolyK, qp: QPairState) -> QuadraticPolyK:
     polar form of the binary quadratic form f(x, y) = A*x^2 + B*x*y + C*y^2.
     With u = A*P_n + B*Q_n and c = C*Q_n, A_{n+1} = u*P_n + c*Q_n and
     B_{n+1} = (u + A*P_n)*P_{n-1} + (B*P_n + 2c)*Q_{n-1}: 13 products, on
-    the pairs (x_p, x_q) of x = x_p + x_q*w, and one element per result.
+    the pairs (x_p, x_q) of x = x_p + x_q*w, each `field._int_mul` written
+    out as qq = x_q*y_q, (x_p*y_p + c*qq, x_p*y_q + x_q*y_p + l*qq), and
+    one element per result.
     """
     spec = seed.spec
-    for x in (qp.p_cur, qp.p_prev, qp.q_cur, qp.q_prev):
+    pn, pm, qn, qm = qp.p_cur, qp.p_prev, qp.q_cur, qp.q_prev
+    for x in (pn, pm, qn, qm):
         if x.spec is not spec and x.spec != spec:
             raise ValueError("mismatched field specs")
-        if not x.is_integral:
+        if x.den != 1:
             raise InputRuleError(f"convergent {x} is not integral in O_K")
     c, l = spec.omega_sq_const, spec.omega_sq_lin
-    pn_p, pn_q, pm_p, pm_q = qp.p_cur.p, qp.p_cur.q, qp.p_prev.p, qp.p_prev.q
-    qn_p, qn_q, qm_p, qm_q = qp.q_cur.p, qp.q_cur.q, qp.q_prev.p, qp.q_prev.q
-    a_p, a_q, b_p, b_q = seed.A.p, seed.A.q, seed.B.p, seed.B.q
-    c_p, c_q = _int_mul(c, l, seed.C.p, seed.C.q, qn_p, qn_q)
-    ap_p, ap_q = _int_mul(c, l, a_p, a_q, pn_p, pn_q)
-    u_p, u_q = _int_mul(c, l, b_p, b_q, qn_p, qn_q)
-    u_p, u_q = u_p + ap_p, u_q + ap_q
-    x_p, x_q = _int_mul(c, l, u_p, u_q, pn_p, pn_q)
-    y_p, y_q = _int_mul(c, l, c_p, c_q, qn_p, qn_q)
+    pn_p, pn_q, pm_p, pm_q = pn.p, pn.q, pm.p, pm.q
+    qn_p, qn_q, qm_p, qm_q = qn.p, qn.q, qm.p, qm.q
+    a_p, a_q, b_p, b_q, s_p, s_q = seed.A.p, seed.A.q, seed.B.p, seed.B.q, seed.C.p, seed.C.q
+    # c = C*Q_n, A*P_n, and u = B*Q_n + A*P_n.
+    qq = s_q * qn_q
+    c_p, c_q = s_p * qn_p + c * qq, s_p * qn_q + s_q * qn_p + l * qq
+    qq = a_q * pn_q
+    ap_p, ap_q = a_p * pn_p + c * qq, a_p * pn_q + a_q * pn_p + l * qq
+    qq = b_q * qn_q
+    u_p, u_q = b_p * qn_p + c * qq + ap_p, b_p * qn_q + b_q * qn_p + l * qq + ap_q
+    # A_{n+1} = u*P_n + c*Q_n.
+    qq = u_q * pn_q
+    x_p, x_q = u_p * pn_p + c * qq, u_p * pn_q + u_q * pn_p + l * qq
+    qq = c_q * qn_q
+    y_p, y_q = c_p * qn_p + c * qq, c_p * qn_q + c_q * qn_p + l * qq
     a_next = _make(spec, x_p + y_p, x_q + y_q, 1)
-    x_p, x_q = _int_mul(c, l, u_p + ap_p, u_q + ap_q, pm_p, pm_q)
-    y_p, y_q = _int_mul(c, l, b_p, b_q, pn_p, pn_q)
-    y_p, y_q = _int_mul(c, l, y_p + 2 * c_p, y_q + 2 * c_q, qm_p, qm_q)
+    # B_{n+1} = (u + A*P_n)*P_{n-1} + (B*P_n + 2c)*Q_{n-1}.
+    t_p, t_q = u_p + ap_p, u_q + ap_q
+    qq = t_q * pm_q
+    x_p, x_q = t_p * pm_p + c * qq, t_p * pm_q + t_q * pm_p + l * qq
+    qq = b_q * pn_q
+    t_p, t_q = b_p * pn_p + c * qq + 2 * c_p, b_p * pn_q + b_q * pn_p + l * qq + 2 * c_q
+    qq = t_q * qm_q
+    y_p, y_q = t_p * qm_p + c * qq, t_p * qm_q + t_q * qm_p + l * qq
     b_next = _make(spec, x_p + y_p, x_q + y_q, 1)
-    x_p, x_q = _int_mul(c, l, a_p, a_q, pm_p, pm_q)
-    y_p, y_q = _int_mul(c, l, b_p, b_q, qm_p, qm_q)
-    x_p, x_q = _int_mul(c, l, x_p + y_p, x_q + y_q, pm_p, pm_q)
-    y_p, y_q = _int_mul(c, l, seed.C.p, seed.C.q, qm_p, qm_q)
-    y_p, y_q = _int_mul(c, l, y_p, y_q, qm_p, qm_q)
-    return QuadraticPolyK(a_next, b_next, _make(spec, x_p + y_p, x_q + y_q, 1))
+    # C_{n+1} = (A*P_{n-1} + B*Q_{n-1})*P_{n-1} + (C*Q_{n-1})*Q_{n-1}.
+    qq = a_q * pm_q
+    x_p, x_q = a_p * pm_p + c * qq, a_p * pm_q + a_q * pm_p + l * qq
+    qq = b_q * qm_q
+    t_p, t_q = b_p * qm_p + c * qq + x_p, b_p * qm_q + b_q * qm_p + l * qq + x_q
+    qq = t_q * pm_q
+    x_p, x_q = t_p * pm_p + c * qq, t_p * pm_q + t_q * pm_p + l * qq
+    qq = s_q * qm_q
+    t_p, t_q = s_p * qm_p + c * qq, s_p * qm_q + s_q * qm_p + l * qq
+    qq = t_q * qm_q
+    y_p, y_q = t_p * qm_p + c * qq, t_p * qm_q + t_q * qm_p + l * qq
+    return _poly(a_next, b_next, _make(spec, x_p + y_p, x_q + y_q, 1))
 
 
 def run_trajectory(

@@ -63,6 +63,9 @@ SLICE_POSITIONS_TEST = "tests/test_parsing.py::test_errors_inside_a_slice_point_
 ROOT_COUNT_TEST = "tests/test_root_table.py::test_each_discriminant_is_tested_for_a_root_in_k_once"
 SUMMARY_OVERFLOW_TEST = "tests/test_cli.py::TestAnalyze::test_summary_selects_before_it_converts"
 GROWTH_LAW_TEST = "tests/test_growth_law.py"
+STRAIGHT_LINE_TEST = "tests/test_filter_straight_line.py"
+INT_MUL_COMPOSITION_TEST = "tests/test_quartic_formulas.py::test_inline_products_match_the_int_mul_composition"
+FLOAT_RANGE_TEST = "tests/test_cli.py::TestAnalyze::test_a_row_past_the_float_range_is_a_rejection"
 CLI_FLAGS_TESTS = (
     "tests/test_cli.py::test_each_command_declares_only_the_flags_it_reads",
     "tests/test_cli.py::test_unread_flag_is_usage_error",
@@ -100,14 +103,16 @@ CATALOGUE = (
     Mutant(
         "round trip drops the cross product of B",
         "okcf/golden.py",
-        "e21 * seed.B != (e.e22 - e.e11) * a or ",
+        "\n            or _int_mul(c, l, e21.p, e21.q, seed.B.p, seed.B.q)\n"
+        "            != _int_mul(c, l, e.e22.p - e.e11.p, e.e22.q - e.e11.q, a.p, a.q)",
         "",
         ROUNDTRIP_TESTS,
     ),
     Mutant(
         "round trip drops the cross product of C",
         "okcf/golden.py",
-        " or e21 * seed.C != -(e.e12 * a)",
+        "\n            or _int_mul(c, l, e21.p, e21.q, -seed.C.p, -seed.C.q)\n"
+        "            != _int_mul(c, l, e.e12.p, e.e12.q, a.p, a.q)",
         "",
         ROUNDTRIP_TESTS,
     ),
@@ -212,8 +217,8 @@ CATALOGUE = (
     Mutant(
         "triple_recursion's B_(n+1) form swaps the coordinates of P_n",
         "okcf/quartic.py",
-        "y_p, y_q = _int_mul(c, l, b_p, b_q, pn_p, pn_q)",
-        "y_p, y_q = _int_mul(c, l, b_p, b_q, pn_q, pn_p)",
+        "    qq = b_q * pn_q\n    t_p, t_q = b_p * pn_p + c * qq + 2 * c_p, b_p * pn_q + b_q * pn_p ",
+        "    qq = b_q * pn_p\n    t_p, t_q = b_p * pn_q + c * qq + 2 * c_p, b_p * pn_p + b_q * pn_q ",
         ("tests/test_quartic_formulas.py::test_step_and_triple_match_longhand",),
     ),
     Mutant(
@@ -255,8 +260,8 @@ CATALOGUE = (
     Mutant(
         "e_matrix undoes a pre-period quotient with +a",
         "okcf/cf.py",
-        "        e11, e12 = e12, e11 - a * e12\n",
-        "        e11, e12 = e12, e11 + a * e12\n",
+        "        p11, q11, p12, q12 = p12, q12, p11 - x, q11 - y\n",
+        "        p11, q11, p12, q12 = p12, q12, p11 + x, q11 + y\n",
         (E_MATRIX_REFERENCE_TEST,),
     ),
     Mutant(
@@ -292,7 +297,7 @@ CATALOGUE = (
         "okcf/golden.py",
         "    if not 2 * be < m < _INF:\n",
         "    if not 2 * be < m:\n",
-        ("tests/test_float_filter.py::test_enclosures_hold_on_crafted_states",),
+        ("tests/test_float_filter.py::test_enclosures_hold_on_crafted_states", STRAIGHT_LINE_TEST),
     ),
     # Each rounding (u*|v|) and underflow (_ETA) term of the filter's
     # operations, dropped alone.
@@ -506,9 +511,8 @@ CATALOGUE = (
     Mutant(
         "analyze --output csv builds the summary",
         "okcf/cli.py",
-        "    rows = diagnostics(seed, branch, quotients, args.precision)\n    if args.output == \"csv\":\n",
-        "    rows = diagnostics(seed, branch, quotients, args.precision)\n"
-        "    summarize(rows, quotients, args.precision)\n    if args.output == \"csv\":\n",
+        "    try:\n        if args.output == \"csv\":\n",
+        "    summarize(rows, quotients, args.precision)\n    try:\n        if args.output == \"csv\":\n",
         ("tests/test_cli.py::TestAnalyze::test_csv_builds_no_summary",),
     ),
     # parse_k reads each term with one pattern; the frozen scanner in
@@ -665,8 +669,8 @@ CATALOGUE = (
     Mutant(
         "e_matrix undoes a pre-period quotient with +a in its second row",
         "okcf/cf.py",
-        "        e21, e22 = e22, e21 - a * e22\n",
-        "        e21, e22 = e22, e21 + a * e22\n",
+        "        p21, q21, p22, q22 = p22, q22, p21 - x, q21 - y\n",
+        "        p21, q21, p22, q22 = p22, q22, p21 + x, q21 + y\n",
         (GROWTH_LAW_TEST,),
     ),
     # With sigma(delta)'s square rung gone, delta's is the only square test.
@@ -676,6 +680,46 @@ CATALOGUE = (
         "    if is_square_in_k(delta) is not None:\n        return SeedRejection.DELTA_SQUARE\n",
         "",
         ("tests/test_golden.py::TestExpandPair::test_rejects_square_discriminant",),
+    ),
+    # The straight-line kernels: the float filter against its helper
+    # composition, the recursion against its _int_mul composition, and
+    # the one check that the polynomial builder keeps.
+    Mutant(
+        "the inline corner distance drops the rounding term of d1",
+        "okcf/golden.py",
+        " + ye + _U * abs(d1)\n",
+        " + ye\n",
+        (STRAIGHT_LINE_TEST,),
+    ),
+    Mutant(
+        "the inline xi division drops its abstention",
+        "okcf/golden.py",
+        "    if not 2 * de < m < _INF:\n        return None\n",
+        "",
+        (STRAIGHT_LINE_TEST,),
+    ),
+    Mutant(
+        "triple_recursion drops the 2c term of B_(n+1)",
+        "okcf/quartic.py",
+        "+ c * qq + 2 * c_p, b_p * pn_q + b_q * pn_p + l * qq + 2 * c_q\n",
+        "+ c * qq, b_p * pn_q + b_q * pn_p + l * qq\n",
+        (INT_MUL_COMPOSITION_TEST,),
+    ),
+    Mutant(
+        "the polynomial builder drops its zero-lead check",
+        "okcf/quartic.py",
+        '    if not A.p and not A.q:\n        raise SeedError("leading coefficient must be nonzero")\n',
+        "",
+        ("tests/test_identities.py::test_a_root_in_k_still_trips_the_check",),
+    ),
+    # A value past the float range is the quotients' doing: exit 3, with
+    # the first row that leaves the range.
+    Mutant(
+        "analyze names the last row past the float range",
+        "okcf/cli.py",
+        "    return bisect_left(range(len(rows)), True, key=past)\n",
+        "    return len(rows) - 1\n",
+        (FLOAT_RANGE_TEST,),
     ),
 )
 

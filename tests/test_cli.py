@@ -202,6 +202,17 @@ class TestAnalyze:
         assert (code, err) == (0, "")
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
+    @pytest.mark.parametrize("output", ["csv", "json", "text"])
+    def test_a_row_past_the_float_range_is_a_rejection(self, capsys, output):
+        # These quotients are not the seed's expansion, so the error terms
+        # grow: row 297 is the first whose printed values pass 2^1024.
+        threes = "--quotients=" + ",".join(["3"] * 301)
+        argv = ("analyze", "1", "-2", "-1-1*w", threes, "--output", output)
+        assert run(capsys, *argv, "-n", "300") == (
+            3, "", "rejected: row 297 leaves the float range: the quotients drive a value "
+            "printed for it past 2^1024\n")
+        assert run(capsys, *argv, "-n", "296")[0] == 0
+
     def test_seed_mode_runs(self, capsys):
         code, out, _ = run(
             capsys, "analyze", "1", "-2", "-1-1*w", "-n", "7", "--output", "json"

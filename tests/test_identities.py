@@ -8,8 +8,9 @@ time, each paid once here.
 - `step_state`, `triple_recursion` and `QuadraticPolyK.sigma` never trip
   the constructors' checks on admitted seeds: integral inputs give
   integral results, and a derived leading coefficient is nonzero because
-  the seed has no root in K.  On a seed with a square discriminant the
-  check still fires.
+  the seed has no root in K.  On a seed with a root in K the check still
+  fires.  The builder behind them checks only that leading coefficient,
+  so each derived polynomial is rebuilt here through `QuadraticPolyK`.
 - `classify_seed` tests only delta for a square in K, never sigma(delta):
   sigma is an involution of K, so the conjugate of a square is a square.
 """
@@ -149,3 +150,13 @@ def test_derived_polynomials_pass_the_public_checks(run):
         s.poly.sigma()
     for qp in qpair_states(seed.spec, quotients):
         triple_recursion(seed, qp)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(admitted_runs())
+def test_derived_polynomials_rebuild_through_the_constructor(run):
+    seed, branch, quotients = run
+    derived = [s.poly for s in run_trajectory(seed, branch, quotients)[1:]]
+    derived += [triple_recursion(seed, qp) for qp in qpair_states(seed.spec, quotients)]
+    for poly in derived:
+        assert QuadraticPolyK(poly.A, poly.B, poly.C) == poly

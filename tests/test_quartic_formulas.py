@@ -1,7 +1,9 @@
 """The shared-subproduct formulas of `triple_recursion`, `step_state`,
 `naive_height` and the scalar and square `SurdElement` products, against
 longhand references on the frozen `Fraction`-backed `RefK`, plus the K
-product budget each of them is allowed."""
+product budget each of them is allowed.  The products that `step_state`
+and `triple_recursion` write out inline also match the same formulas
+composed of `field._int_mul` calls, in every shape of w."""
 
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import pytest
 from conftest import random_k
 from fraction_k import RefK
 from okcf.cf import qpair_states
-from okcf.field import FieldSpec, KElement, SurdElement, is_square_in_k, sign_of
+from okcf.field import FieldSpec, KElement, SurdElement, _int_mul, is_square_in_k, sign_of
 from okcf.quartic import (
     QuadraticPolyK,
     make_state,
@@ -87,6 +89,64 @@ def test_step_and_triple_match_longhand(spec):
             want = ref_triple(A, B, C, *(ref(k) for k in (qp.p_cur, qp.p_prev,
                                                           qp.q_cur, qp.q_prev)))
             assert all(same(k, r) for k, r in zip((got.A, got.B, got.C), want))
+
+
+def int_mul_step(poly: QuadraticPolyK, a: KElement) -> tuple[tuple[int, int], ...]:
+    """(f(a), 2*A*a + B, A) of `step_state`, as (p, q) pairs, from two
+    `_int_mul` calls: t = A*a + B, f(a) = t*a + C and B' = A*a + t."""
+    c, l = poly.spec.omega_sq_const, poly.spec.omega_sq_lin
+    A, B, C = poly.A, poly.B, poly.C
+    aa_p, aa_q = _int_mul(c, l, A.p, A.q, a.p, a.q)
+    t_p, t_q = aa_p + B.p, aa_q + B.q
+    f_p, f_q = _int_mul(c, l, t_p, t_q, a.p, a.q)
+    return (f_p + C.p, f_q + C.q), (aa_p + t_p, aa_q + t_q), (A.p, A.q)
+
+
+def int_mul_triple(seed: QuadraticPolyK, pn, pm, qn, qm) -> tuple[tuple[int, int], ...]:
+    """`triple_recursion`'s 13 products as `_int_mul` calls, as (p, q) pairs."""
+    c, l = seed.spec.omega_sq_const, seed.spec.omega_sq_lin
+
+    def mul(x, y):
+        return _int_mul(c, l, *x, *y)
+
+    def add(*xs):
+        return sum(x[0] for x in xs), sum(x[1] for x in xs)
+
+    A, B, C = ((k.p, k.q) for k in (seed.A, seed.B, seed.C))
+    pn, pm, qn, qm = ((k.p, k.q) for k in (pn, pm, qn, qm))
+    cq, ap = mul(C, qn), mul(A, pn)
+    u = add(mul(B, qn), ap)
+    a_next = add(mul(u, pn), mul(cq, qn))
+    b_next = add(mul(add(u, ap), pm), mul(add(mul(B, pn), cq, cq), qm))
+    c_next = add(mul(add(mul(A, pm), mul(B, qm)), pm), mul(mul(C, qm), qm))
+    return a_next, b_next, c_next
+
+
+def pairs(poly: QuadraticPolyK) -> tuple[tuple[int, int], ...]:
+    for k in (poly.A, poly.B, poly.C):
+        assert k.den == 1 and k.spec is poly.spec
+    return (poly.A.p, poly.A.q), (poly.B.p, poly.B.q), (poly.C.p, poly.C.q)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 13])
+def test_inline_products_match_the_int_mul_composition(d):
+    # Both shapes of w: sqrt(d) for d = 2, 3 and (1 + sqrt(d))/2 for 5, 13.
+    # At corpus bound 40 the states' coefficients reach 2^8, the quotients
+    # 2^12 and the convergents over 2^600; the sizes here cover those.
+    spec = FieldSpec(d)
+    rng = random.Random(880 + d)
+    for _ in range(12):
+        seed = random_seed(rng, spec, rng.choice((3, 40, 2**8, 2**40)))
+        bound = rng.choice((3, 2**12))
+        quotients = [random_k(rng, spec, bound, nonzero=i > 0) for i in range(60)]
+        states = run_trajectory(seed, 1, quotients)
+        for state, a, nxt in zip(states, quotients, states[1:]):
+            assert pairs(nxt.poly) == int_mul_step(state.poly, a)
+        for qp in qpair_states(spec, quotients):
+            assert pairs(triple_recursion(seed, qp)) == int_mul_triple(
+                seed, qp.p_cur, qp.p_prev, qp.q_cur, qp.q_prev)
+        if bound > 3:
+            assert max(abs(qp.q_cur.p) for qp in qpair_states(spec, quotients)) > 2**600
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"D{s.d}")
