@@ -684,6 +684,20 @@ _PINNED_OUTPUTS = [
      "aef160e1a88f586ef012ced867fc5d658f9d4d90d3e7be8f0fe4de317098ce4c"),
     (f"analyze 1 0 2-3*w -n 200 --quotients={_LONG_QUOTIENTS} --output csv --precision 256", 0,
      "42db3adaa79b6888781fa49482f8fbe11cd5125c60190e1a56386e590a91e679"),
+    # At 16 bits the Weil factors are proved 1 below t = 1 - 2^-15.
+    ("analyze --expansion '[; 2, 4-2*w]' -n 40 --precision 16 --output json", 0,
+     "d30aae78326137f1598c4c55fe1310304f54737286f210dc6bcdc91feb918154"),
+    ("analyze 1 0 2-3*w -n 12 --quotients=1,w,2,1,-w,3,1-w,2,w,1,-2,1,2 --precision 16 "
+     "--output csv", 0,
+     "442d56bc3763f46438b4935abda3a69371b22ed88671e5168bda0d4b47f82f5a"),
+    # Other fields: w = sqrt(2) over m = 1 (real sigma(delta)), and
+    # w = (1 + sqrt(13))/2 over m = 2 (complex sigma(delta)).
+    ("analyze 1 -2 -1-1*w --field-d 2 -n 12 --quotients=1,w,2,1,-w,3,1-w,2,w,1,-2,1,2 "
+     "--output json", 0,
+     "3b861b7533d1fab0cc1013c98b0048e2de395e7db81f7edc49eeb4ce205fe210"),
+    ("analyze 1 0 2-3*w --field-d 13 -n 12 --quotients=1,w,2,1,-w,3,1-w,2,w,1,-2,1,2 "
+     "--output json", 0,
+     "08274a0c87199d698833b8a88db41c9e94f9cd79dd89f3b8b352310a24b35905"),
     ("expand 1 -2 -1-1*w --conj-branch=+ --output json", 0,
      "fc78197ce6cf37ef02896e4d253edf132e944bb3d6c7bce8404dc68bc06fc785"),
     ("expand 1 -2 -1-1*w --conj-branch=- --output json", 0,
