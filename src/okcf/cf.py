@@ -104,27 +104,35 @@ def continuant(spec: FieldSpec, ts: Sequence[KElement]) -> KElement:
     return cf_matrix(spec, ts).e11
 
 
-def _convergents(spec: FieldSpec, quotients: Iterable[KElement]) -> Iterator[tuple]:
-    """(P_n, P_(n-1), Q_n, Q_(n-1)) after each integral quotient a_n, from
-    (1, 0, 0, 1) by P_n = a_n*P_(n-1) + P_(n-2) and the same for Q: two
-    products on integer pairs, and two elements built, per quotient."""
+def _convergents(spec: FieldSpec, quotients: Iterable[KElement]) -> Iterator[tuple[int, ...]]:
+    """The integer pairs (p, q) of p + q*w of P_n, P_(n-1), Q_n and Q_(n-1),
+    eight integers, after each integral quotient a_n, from (1, 0, 0, 1) by
+    P_n = a_n*P_(n-1) + P_(n-2) and the same for Q: two products on
+    integer pairs per quotient."""
     c, l = spec.omega_sq_const, spec.omega_sq_lin
-    p, p_prev, q, q_prev = spec.one, spec.zero, spec.zero, spec.one
+    p_p, p_q, pp_p, pp_q, q_p, q_q, qp_p, qp_q = 1, 0, 0, 0, 0, 0, 1, 0
     for a in quotients:
         if a.spec is not spec and a.spec != spec:
             raise ValueError("mismatched field specs")
         if not a.is_integral:
             raise InputRuleError(f"partial quotient {a} is not integral in O_K")
-        x, y = _int_mul(c, l, a.p, a.q, p.p, p.q)
-        u, v = _int_mul(c, l, a.p, a.q, q.p, q.q)
-        p, p_prev = _make(spec, x + p_prev.p, y + p_prev.q, 1), p
-        q, q_prev = _make(spec, u + q_prev.p, v + q_prev.q, 1), q
-        yield p, p_prev, q, q_prev
+        x, y = _int_mul(c, l, a.p, a.q, p_p, p_q)
+        u, v = _int_mul(c, l, a.p, a.q, q_p, q_q)
+        p_p, p_q, pp_p, pp_q = x + pp_p, y + pp_q, p_p, p_q
+        q_p, q_q, qp_p, qp_q = u + qp_p, v + qp_q, q_p, q_q
+        yield p_p, p_q, pp_p, pp_q, q_p, q_q, qp_p, qp_q
 
 
 def qpair_states(spec: FieldSpec, quotients: Iterable[KElement]) -> list[QPairState]:
-    """One state per integral quotient, by the convergent recurrence."""
-    return [QPairState(*t, i) for i, t in enumerate(_convergents(spec, quotients))]
+    """One state per integral quotient, by the convergent recurrence; each
+    P_(n-1) and Q_(n-1) is the element made at the step before."""
+    states = []
+    p, q = spec.one, spec.zero
+    for i, (p_p, p_q, _, _, q_p, q_q, _, _) in enumerate(_convergents(spec, quotients)):
+        p_n, q_n = _make(spec, p_p, p_q, 1), _make(spec, q_p, q_q, 1)
+        states.append(QPairState(p_n, p, q_n, q, i))
+        p, q = p_n, q_n
+    return states
 
 
 def convergents(expansion: CFExpansion, n: int) -> list[QPairState]:
@@ -132,30 +140,37 @@ def convergents(expansion: CFExpansion, n: int) -> list[QPairState]:
     return qpair_states(expansion.spec, expansion.prefix(n))
 
 
+def _matrix_pairs(spec: FieldSpec, quotients: Iterable[KElement]) -> tuple[int, ...]:
+    """The integer pairs of [[P_n, P_(n-1)], [Q_n, Q_(n-1)]], row by row,
+    after the last quotient: those of the identity for none."""
+    last = 1, 0, 0, 0, 0, 0, 1, 0
+    for last in _convergents(spec, quotients):
+        pass
+    return last
+
+
 def cf_matrix(spec: FieldSpec, quotients: Sequence[KElement]) -> Mat2:
     """[[P_n, P_(n-1)], [Q_n, Q_(n-1)]], the product of the quotient matrices
     [[a, 1], [1, 0]] of integral quotients: the identity for none."""
-    last = (spec.one, spec.zero, spec.zero, spec.one)
-    for last in _convergents(spec, quotients):
-        pass
-    return Mat2(*last)
+    p11, q11, p12, q12, p21, q21, p22, q22 = _matrix_pairs(spec, quotients)
+    return Mat2(_make(spec, p11, q11, 1), _make(spec, p12, q12, 1),
+                _make(spec, p21, q21, 1), _make(spec, p22, q22, 1))
 
 
 def e_matrix(expansion: CFExpansion) -> Mat2:
     """M(pre) * M(period) * M(pre)^(-1); determinant (-1)^len(period).
 
-    One pass of the recurrence gives M(pre) * M(period); each pre-period
-    quotient is then undone, last first, on the right by
-    Q(a)^(-1) = [[0, 1], [1, -a]], which maps a row (x, y) to (y, x - a*y),
-    on the integer pairs of the integral entries.
+    One pass of the recurrence gives M(pre) * M(period) on the integer
+    pairs of its integral entries; each pre-period quotient is then undone,
+    last first, on the right by Q(a)^(-1) = [[0, 1], [1, -a]], which maps a
+    row (x, y) to (y, x - a*y).
     """
     if not expansion.is_periodic:
         raise InputRuleError("period must be nonempty")
     spec = expansion.spec
     c, l = spec.omega_sq_const, spec.omega_sq_lin
-    m = cf_matrix(spec, expansion.preperiod + expansion.period)
-    (p11, q11), (p12, q12), (p21, q21), (p22, q22) = (
-        (k.p, k.q) for k in (m.e11, m.e12, m.e21, m.e22))
+    p11, q11, p12, q12, p21, q21, p22, q22 = _matrix_pairs(
+        spec, expansion.preperiod + expansion.period)
     for a in reversed(expansion.preperiod):
         x, y = _int_mul(c, l, a.p, a.q, p12, q12)
         p11, q11, p12, q12 = p12, q12, p11 - x, q11 - y

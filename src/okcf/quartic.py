@@ -135,16 +135,19 @@ class QuotientState:
         )
 
 
-def _root_forms(poly: QuadraticPolyK) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+def _root_forms(d: int, a: tuple[int, int, int], b: tuple[int, int, int]
+                ) -> tuple[tuple[int, int, int], tuple[int, int, int], int]:
     """The forms of x = -B/(2A) and y = 1/(2A), the root of branch e being
-    x + e*y*sqrt(delta): with A = (u + v*sqrt(d))/m and N = u^2 - d*v^2,
-    1/A = m*(u - v*sqrt(d))/N, the sign of N moved to the numerator."""
-    d = poly.spec.d
-    (au, av, am), (bu, bv, bm) = _sqrt_d_form(poly.A), _sqrt_d_form(poly.B)
+    x + e*y*sqrt(delta), and the integer |N(A)|, from the forms a and b of
+    the integral A and B over one m: with A = (u + v*sqrt(d))/m and
+    n = u^2 - d*v^2 = m^2*N(A), 1/A = m*(u - v*sqrt(d))/n, the sign of n
+    moved to the numerator.  sigma(A) and sigma(B) give x and y with v
+    negated."""
+    (au, av, am), (bu, bv, bm) = a, b
     n = au * au - d * av * av
     s = am if n > 0 else -am
     y = s * au, -s * av, 2 * abs(n)
-    return _form_mul(d, (-bu, -bv, bm), y), y
+    return _form_mul(d, (-bu, -bv, bm), y), y, abs(n) // (am * am)
 
 
 def make_state(poly: QuadraticPolyK, branch: int) -> QuotientState:
@@ -182,7 +185,9 @@ def step_state(state: QuotientState, a: KElement) -> QuotientState:
     1/(xi - a) = (-B' - branch*sqrt(delta)) / (2*C') gives the new branch
     as -branch.  With t = A*a + B, f(a) = t*a + C and B' = A*a + t: two
     products on the integer pairs of p + q*w, each `field._int_mul` written
-    out, and one element per result.
+    out, and one element per result.  The state is built as `_poly` builds
+    its polynomial: the negated branch of a valid state is +1 or -1.  The
+    tests rebuild every derived state through `QuotientState`.
     """
     if a.den != 1:
         raise InputRuleError(f"partial quotient {a} is not integral in O_K")
@@ -198,7 +203,11 @@ def step_state(state: QuotientState, a: KElement) -> QuotientState:
     qq = t_q * x_q
     f_p, f_q = t_p * x_p + c * qq, t_p * x_q + t_q * x_p + l * qq
     fa = _make(spec, f_p + C.p, f_q + C.q, 1)
-    return QuotientState(_poly(fa, _make(spec, aa_p + t_p, aa_q + t_q, 1), A), -state.branch)
+    state_n = _new(QuotientState)
+    fields = state_n.__dict__
+    fields["poly"] = _poly(fa, _make(spec, aa_p + t_p, aa_q + t_q, 1), A)
+    fields["branch"] = -state.branch
+    return state_n
 
 
 def triple_recursion(seed: QuadraticPolyK, qp: QPairState) -> QuadraticPolyK:
@@ -269,28 +278,33 @@ def run_trajectory(
     return states
 
 
-def _root_inside(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int], e: int,
-                 d: int, k: int) -> bool:
-    """Whether the root (-b + e*sqrt(b^2 - 4ac))/(2a) of a*x^2 + b*x + c, with
-    real distinct roots, is proved to lie in (-t, t), t = T/S = 1 - 2^-k.  a,
-    b and c are the (u, v) of u + v*sqrt(d) over one positive denominator.
-    a*f(+-t)*S^2 < 0 iff +-t lies between the roots; if neither does, both
-    roots are inside iff the vertex -b/(2a) is.  A zero sign proves nothing."""
+def _roots_inside(a: tuple[int, int, int], b: tuple[int, int, int],
+                  c: tuple[int, int, int], d: int, k: int) -> tuple[bool, bool]:
+    """Whether the roots (-b + e*sqrt(b^2 - 4ac))/(2a), e = +1 and then
+    e = -1, of a*x^2 + b*x + c, with real distinct roots, are each proved to
+    lie in (-t, t), t = T/S = 1 - 2^-k.  a, b and c are forms (u, v, m) of
+    u + v*sqrt(d) over one m > 0.  a*f(+-t)*S^2 < 0 iff +-t lies between the
+    roots; if neither does, both roots are inside iff the vertex -b/(2a)
+    is.  A zero sign proves nothing."""
     s, t = 1 << k, (1 << k) - 1
-    (au, av), (bu, bv), (cu, cv) = a, b, c
+    (au, av, _), (bu, bv, _), (cu, cv, _) = a, b, c
     sa = _root_sign(au, av, d)
     even_u, even_v = au * t * t + cu * s * s, av * t * t + cv * s * s
     right = sa * _root_sign(even_u + bu * t * s, even_v + bv * t * s, d)
     left = sa * _root_sign(even_u - bu * t * s, even_v - bv * t * s, d)
     if right > 0 and left > 0:
         sb = _root_sign(bu, bv, d)
-        return _root_sign(sb * bu * s - 2 * sa * au * t, sb * bv * s - 2 * sa * av * t, d) < 0
-    # The root is the larger iff e*sign(a) > 0.
-    return left < 0 < right if e * sa > 0 else right < 0 < left
+        inside = _root_sign(sb * bu * s - 2 * sa * au * t, sb * bv * s - 2 * sa * av * t, d) < 0
+        return inside, inside
+    larger, smaller = left < 0 < right, right < 0 < left
+    # The root of e = +1 is the larger iff sign(a) > 0.
+    return (larger, smaller) if sa > 0 else (smaller, larger)
 
 
-def _weil4_m(state: QuotientState, precision_bits: int, roots: _RootTable) -> Dyadic:
-    """`weil_height4` as a dyadic triple, with the roots of `roots`.
+def _weil4_m(state: QuotientState, precision_bits: int, roots: _RootTable, delta: KElement,
+             sigma_real: bool) -> Dyadic:
+    """`weil_height4` as a dyadic triple, with the roots of `roots`, for
+    the state's discriminant `delta` and whether sigma(delta) > 0.
 
     The embeddings are id and tau1 (sqrt(delta) -> -sqrt(delta)) of xi and
     the two roots of the conjugate polynomial.  When those roots are a
@@ -299,52 +313,63 @@ def _weil4_m(state: QuotientState, precision_bits: int, roots: _RootTable) -> Dy
     is proved below t = 1 - 2^(1-P) is not embedded: every enclosure of z
     that the embeddings accept at 1 < P <= MAX_BITS lies in [-1, 1], so the
     factor is exactly [1, 1], and the product keeps its real endpoints.
+    Every factor is at least 1, so the exact product does not depend on
+    their order.
     """
     poly = state.poly
     # k = 0 gives t = 0, which proves nothing: at P <= 1 an accepted
     # enclosure may leave [-1, 1], and past MAX_BITS none is accepted.
     d, k = poly.spec.d, precision_bits - 1 if 1 < precision_bits <= MAX_BITS else 0
-    forms = [_sqrt_d_form(x)[:2] for x in (poly.A, poly.B, poly.C)]
-    sigma_forms = [(u, -w) for u, w in forms]
-    x, (yu, yv, ym) = _root_forms(poly)
-    surds = [(x, (e * yu, e * yv, ym), poly.delta, forms, e) for e in (state.branch, -state.branch)]
-    # A is integral, so its norm is an integer.
-    lead = abs(poly.A.norm().numerator)
+    a, b, c = _sqrt_d_form(poly.A), _sqrt_d_form(poly.B), _sqrt_d_form(poly.C)
+    x, (yu, yv, ym), lead = _root_forms(d, a, b)
     acc = (lead, lead, 0)
-    sigma_delta = poly.delta.conj()
-    if sign_of(sigma_delta) > 0:
+    # The roots x + e*y*sqrt(delta) of f_n.
+    for inside, e in zip(_roots_inside(a, b, c, d, k), (1, -1)):
+        if not inside:
+            z = _surd_form_embed(x, (e * yu, e * yv, ym), delta, precision_bits, roots)
+            acc = dyadic_mul(acc, dyadic_max(dyadic_abs(z), _ONE))
+    # sigma flips v in every form.
+    (au, av, am), (bu, bv, bm), (cu, cv, cm) = a, b, c
+    if sigma_real:
         # The roots of the conjugate polynomial, over sigma(delta).
-        surds += [((x[0], -x[1], x[2]), (e * yu, -e * yv, ym), sigma_delta, sigma_forms, e)
-                  for e in (1, -1)]
-    else:
-        # sigma(A)*sigma(C) > 0, so |z|^2 < t = T/S iff
-        # sign(sigma(A)) * sign(sigma(C)*S - sigma(A)*T) < 0.
-        (au, av), _, (cu, cv) = sigma_forms
-        s, t = 1 << k, (1 << k) - 1
-        if _root_sign(au, av, d) * _root_sign(cu * s - au * t, cv * s - av * t, d) >= 0:
-            # |z|^2 = sigma(C/A) = sigma(2*C*y).
-            u, v, m = _form_mul(d, _sqrt_d_form(poly.C), (yu, yv, ym))
-            modulus = _surd_form_embed((2 * u, -2 * v, m), (0, 0, 1), poly.delta,
-                                       precision_bits, roots)
-            acc = dyadic_mul(acc, dyadic_max(modulus, _ONE))
-    for x, y, delta, (a, b, c), e in surds:
-        if not _root_inside(a, b, c, e, d, k):
-            magnitude = dyadic_abs(_surd_form_embed(x, y, delta, precision_bits, roots))
-            acc = dyadic_mul(acc, dyadic_max(magnitude, _ONE))
+        sx = x[0], -x[1], x[2]
+        verdicts = _roots_inside((au, -av, am), (bu, -bv, bm), (cu, -cv, cm), d, k)
+        for inside, e in zip(verdicts, (1, -1)):
+            if not inside:
+                z = _surd_form_embed(sx, (e * yu, -e * yv, ym), delta.conj(), precision_bits, roots)
+                acc = dyadic_mul(acc, dyadic_max(dyadic_abs(z), _ONE))
+        return acc
+    # sigma(A)*sigma(C) > 0, so |z|^2 < t = T/S iff
+    # sign(sigma(A)) * sign(sigma(C)*S - sigma(A)*T) < 0.
+    s, t = 1 << k, (1 << k) - 1
+    if _root_sign(au, -av, d) * _root_sign(cu * s - au * t, av * t - cv * s, d) >= 0:
+        # |z|^2 = sigma(C/A) = sigma(2*C*y).
+        u, v, m = _form_mul(d, c, (yu, yv, ym))
+        modulus = _surd_form_embed((2 * u, -2 * v, m), (0, 0, 1), delta, precision_bits, roots)
+        acc = dyadic_mul(acc, dyadic_max(modulus, _ONE))
     return acc
+
+
+def _discriminant_facts(state: QuotientState) -> tuple[KElement, bool]:
+    """The state's delta, and whether sigma(delta) > 0."""
+    delta = state.poly.delta
+    return delta, sign_of(delta.conj()) > 0
 
 
 def weil_height4(state: QuotientState, precision_bits: int = DEFAULT_BITS) -> RealInterval:
     """Interval for H(xi)^4 = |A * sigma(A)| * prod max(1, |phi(xi)|)."""
-    return dyadic_interval(_weil4_m(state, precision_bits, _RootTable()))
+    return dyadic_interval(_weil4_m(state, precision_bits, _RootTable(),
+                                    *_discriminant_facts(state)))
 
 
 def weil_height(state: QuotientState, precision_bits: int = DEFAULT_BITS) -> RealInterval:
-    return dyadic_interval(_weil_height(state, precision_bits, _RootTable()))
+    return dyadic_interval(_weil_height(state, precision_bits, _RootTable(),
+                                        *_discriminant_facts(state)))
 
 
-def _weil_height(state: QuotientState, precision_bits: int, roots: _RootTable) -> Dyadic:
-    root2 = dyadic_sqrt(_weil4_m(state, precision_bits, roots), precision_bits)
+def _weil_height(state: QuotientState, precision_bits: int, roots: _RootTable, delta: KElement,
+                 sigma_real: bool) -> Dyadic:
+    root2 = dyadic_sqrt(_weil4_m(state, precision_bits, roots, delta, sigma_real), precision_bits)
     return dyadic_sqrt(root2, precision_bits)
 
 
@@ -377,17 +402,15 @@ def naive_height(state: QuotientState) -> int:
     """
     poly = state.poly
     c, l = poly.spec.omega_sq_const, poly.spec.omega_sq_lin
-    (pa, qa), (pb, qb), (pc, qc) = ((x.p, x.q) for x in (poly.A, poly.B, poly.C))
-
-    def norm(p: int, q: int) -> int:
-        return p * p + l * p * q - c * q * q
-
-    def tr(p1: int, q1: int, p2: int, q2: int) -> int:
-        return 2 * p1 * p2 + l * (p1 * q2 + q1 * p2) - 2 * c * q1 * q2
-
-    coeffs = (norm(pa, qa), tr(pa, qa, pb, qb), tr(pa, qa, pc, qc) + norm(pb, qb),
-              tr(pb, qb, pc, qc), norm(pc, qc))
-    return max(map(abs, coeffs))
+    pa, qa, pb, qb, pc, qc = poly.A.p, poly.A.q, poly.B.p, poly.B.q, poly.C.p, poly.C.q
+    return max(
+        abs(pa * pa + l * pa * qa - c * qa * qa),
+        abs(2 * pa * pb + l * (pa * qb + qa * pb) - 2 * c * qa * qb),
+        abs(2 * pa * pc + l * (pa * qc + qa * pc) - 2 * c * qa * qc
+            + pb * pb + l * pb * qb - c * qb * qb),
+        abs(2 * pb * pc + l * (pb * qc + qb * pc) - 2 * c * qb * qc),
+        abs(pc * pc + l * pc * qc - c * qc * qc),
+    )
 
 
 def _tight_abs(value: KElement | SurdElement, rel_bits: int) -> RealInterval:
@@ -479,7 +502,8 @@ def diagnostics(
     d, delta, sigma_delta = seed.spec.d, seed.delta, seed.delta.conj()
     states = run_trajectory(seed, branch, quotients)
     qpairs = qpair_states(seed.spec, quotients)
-    (x, y), (sx, sy) = _root_forms(seed), _root_forms(seed.sigma())
+    x, y, _ = _root_forms(d, _sqrt_d_form(seed.A), _sqrt_d_form(seed.B))
+    sx, sy = (x[0], -x[1], x[2]), (y[0], -y[1], y[2])
     sigma_real = sign_of(sigma_delta) > 0
 
     def error_forms(x, y, q, p):
@@ -521,7 +545,7 @@ def diagnostics(
                 s_m=s_id,
                 f1_m=f1,
                 f2_m=f2,
-                weil_m=_weil_height(state_n, bits, roots),
+                weil_m=_weil_height(state_n, bits, roots, delta, sigma_real),
                 naive=naive_height(state_n),
                 qs_abs_m=dyadic_mul(q_abs, s_id),
                 qs_sigma_m=qs_sigma,

@@ -175,8 +175,15 @@ CATALOGUE = (
     Mutant(
         "naive_height turns the trace term -2*c*q1*q2 to +",
         "okcf/quartic.py",
-        "l * (p1 * q2 + q1 * p2) - 2 * c * q1 * q2",
-        "l * (p1 * q2 + q1 * p2) + 2 * c * q1 * q2",
+        "l * (pa * qb + qa * pb) - 2 * c * qa * qb",
+        "l * (pa * qb + qa * pb) + 2 * c * qa * qb",
+        ("tests/test_quartic_formulas.py",),
+    ),
+    Mutant(
+        "naive_height's middle coefficient drops N(B)",
+        "okcf/quartic.py",
+        "\n            + pb * pb + l * pb * qb - c * qb * qb),\n",
+        "),\n",
         ("tests/test_quartic_formulas.py",),
     ),
     Mutant(
@@ -381,15 +388,44 @@ CATALOGUE = (
     Mutant(
         "the Weil skip tests |z| against t = 1",
         "okcf/quartic.py",
-        "\n    s, t = 1 << k, (1 << k) - 1\n",
-        "\n    s, t = 1 << k, 1 << k\n",
+        "    s, t = 1 << k, (1 << k) - 1\n    (au, av, _), (bu, bv, _), (cu, cv, _) = a, b, c\n",
+        "    s, t = 1 << k, 1 << k\n    (au, av, _), (bu, bv, _), (cu, cv, _) = a, b, c\n",
         (WEIL_SKIP_TEST,),
     ),
     Mutant(
         "the Weil skip swaps the smaller and the larger root",
         "okcf/quartic.py",
-        "    return left < 0 < right if e * sa > 0 else right < 0 < left\n",
-        "    return left < 0 < right if e * sa < 0 else right < 0 < left\n",
+        "    return (larger, smaller) if sa > 0 else (smaller, larger)\n",
+        "    return (larger, smaller) if sa < 0 else (smaller, larger)\n",
+        (WEIL_SKIP_TEST,),
+    ),
+    # One root-location test per quadratic, on forms shared by the row.
+    Mutant(
+        "the Weil skip orders its two verdicts without sign(a)",
+        "okcf/quartic.py",
+        "    return (larger, smaller) if sa > 0 else (smaller, larger)\n",
+        "    return larger, smaller\n",
+        (WEIL_SKIP_TEST,),
+    ),
+    Mutant(
+        "the Weil skip tests sigma(f_n)'s roots on unnegated v",
+        "okcf/quartic.py",
+        "verdicts = _roots_inside((au, -av, am), (bu, -bv, bm), (cu, -cv, cm), d, k)",
+        "verdicts = _roots_inside(a, b, c, d, k)",
+        (WEIL_SKIP_TEST,),
+    ),
+    Mutant(
+        "the complex-pair skip reads sign(sigma(A)) on unnegated v",
+        "okcf/quartic.py",
+        "    if _root_sign(au, -av, d) * _root_sign(",
+        "    if _root_sign(au, av, d) * _root_sign(",
+        (WEIL_SKIP_TEST,),
+    ),
+    Mutant(
+        "the Weil lead |N(A)| keeps its factor m^2",
+        "okcf/quartic.py",
+        "return _form_mul(d, (-bu, -bv, bm), y), y, abs(n) // (am * am)",
+        "return _form_mul(d, (-bu, -bv, bm), y), y, abs(n)",
         (WEIL_SKIP_TEST,),
     ),
     Mutant(
@@ -662,9 +698,16 @@ CATALOGUE = (
     Mutant(
         "the convergent recurrence drops the w part of Q_(n-2)",
         "okcf/cf.py",
-        "q, q_prev = _make(spec, u + q_prev.p, v + q_prev.q, 1), q",
-        "q, q_prev = _make(spec, u + q_prev.p, v, 1), q",
+        "q_p, q_q, qp_p, qp_q = u + qp_p, v + qp_q, q_p, q_q",
+        "q_p, q_q, qp_p, qp_q = u + qp_p, v, q_p, q_q",
         (GROWTH_LAW_TEST,),
+    ),
+    Mutant(
+        "qpair_states never advances P_(n-1) and Q_(n-1)",
+        "okcf/cf.py",
+        "        p, q = p_n, q_n\n",
+        "",
+        (INTEGRAL_RECURRENCE_TEST,),
     ),
     Mutant(
         "e_matrix undoes a pre-period quotient with +a in its second row",
@@ -711,6 +754,13 @@ CATALOGUE = (
         '    if not A.p and not A.q:\n        raise SeedError("leading coefficient must be nonzero")\n',
         "",
         ("tests/test_identities.py::test_a_root_in_k_still_trips_the_check",),
+    ),
+    Mutant(
+        "step_state writes a branch other than +1 or -1",
+        "okcf/quartic.py",
+        '    fields["branch"] = -state.branch\n',
+        '    fields["branch"] = -2 * state.branch\n',
+        ("tests/test_identities.py::test_derived_polynomials_rebuild_through_the_constructor",),
     ),
     # A value past the float range is the quotients' doing: exit 3, with
     # the first row that leaves the range.

@@ -11,7 +11,8 @@ for any other value.  Then, on random seeds and quotients with real
 and with complex sigma(delta), the forms of every error term that
 `diagnostics` embeds against xi*Q_n - P_n built by `SurdElement` arithmetic
 under all four conjugations, and the forms of `_root_forms` against
-`QuotientState.value`.
+`QuotientState.value`, with v negated for sigma, and |N(A)|, for D = 2,
+3, 5 and 13.
 """
 
 from __future__ import annotations
@@ -206,7 +207,28 @@ def test_root_forms_match_the_state_value(d):
     spec = FieldSpec(d)
     for seed, branch, quotients in random_states(spec, 2500 + d):
         for state in quartic.run_trajectory(seed, branch, quotients):
-            x, y = _root_forms(state.poly)
+            x, y, _ = _root_forms(d, _sqrt_d_form(state.poly.A), _sqrt_d_form(state.poly.B))
             assert min(x[2], y[2]) > 0
             assert _from_form(spec, x) == state.value.x
             assert state.branch * _from_form(spec, y) == state.value.y
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 13])
+def test_shared_forms_give_the_root_forms_and_the_norm(d):
+    """`quartic._weil4_m` takes `_sqrt_d_form` of A, B and C once: from the
+    forms of A and B, `_root_forms` gives x = -B/(2A), y = 1/(2A) and
+    |N(A)|, and the same forms with v negated give sigma(x) and sigma(y),
+    which are `_root_forms` of sigma(A) and sigma(B)."""
+    spec = FieldSpec(d)
+    for seed, branch, quotients in random_states(spec, 2600 + d):
+        for state in quartic.run_trajectory(seed, branch, quotients):
+            poly = state.poly
+            a, b = _sqrt_d_form(poly.A), _sqrt_d_form(poly.B)
+            assert a[2] == b[2] == _sqrt_d_form(poly.C)[2]
+            x, y, lead = _root_forms(d, a, b)
+            assert _from_form(spec, x) == -poly.B / (2 * poly.A)
+            assert _from_form(spec, y) == 1 / (2 * poly.A)
+            assert lead == abs(poly.A.norm())
+            sx, sy, sigma_lead = _root_forms(d, sigma(a), sigma(b))
+            assert (sx, sy, sigma_lead) == (sigma(x), sigma(y), lead)
+            assert _from_form(spec, sx) == (-poly.B / (2 * poly.A)).conj()

@@ -11,6 +11,8 @@ time, each paid once here.
   the seed has no root in K.  On a seed with a root in K the check still
   fires.  The builder behind them checks only that leading coefficient,
   so each derived polynomial is rebuilt here through `QuadraticPolyK`.
+  `step_state` builds its state the same way, with no branch check: each
+  stepped state is rebuilt here through `QuotientState`.
 - `classify_seed` tests only delta for a square in K, never sigma(delta):
   sigma is an involution of K, so the conjugate of a square is a square.
 """
@@ -156,7 +158,10 @@ def test_derived_polynomials_pass_the_public_checks(run):
 @given(admitted_runs())
 def test_derived_polynomials_rebuild_through_the_constructor(run):
     seed, branch, quotients = run
-    derived = [s.poly for s in run_trajectory(seed, branch, quotients)[1:]]
+    states = run_trajectory(seed, branch, quotients)[1:]
+    derived = [s.poly for s in states]
     derived += [triple_recursion(seed, qp) for qp in qpair_states(seed.spec, quotients)]
     for poly in derived:
         assert QuadraticPolyK(poly.A, poly.B, poly.C) == poly
+    for s in states:
+        assert QuotientState(s.poly, s.branch) == s

@@ -6,7 +6,9 @@ Covered: trajectory states for D = 5, 2 and 13 at P = 16, 64 and 1024,
 with real and with complex sigma(delta); states built with a root within
 2^(1-P) of 1 or of -1, on either side of t = 1 - 2^(1-P); a complex pair
 whose |z|^2 is exactly t; a polynomial with a root exactly at t; and every
-skip decision checked against the exact sign of |z| - t.
+skip decision checked against the exact sign of |z| - t.  `_roots_inside`
+decides both roots of one quadratic from one set of signs; each of its two
+verdicts is checked against its own root.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from okcf import quartic
 from okcf.field import (
     FieldSpec,
     SurdElement,
+    _from_form,
     _k_embed,
     _RootTable,
     _sqrt_d_form,
@@ -40,7 +43,7 @@ from okcf.intervals import (
 from okcf.quartic import (
     QuadraticPolyK,
     QuotientState,
-    _root_inside,
+    _roots_inside,
     _weil4_m,
     _weil_height,
     make_state,
@@ -115,6 +118,11 @@ def exact_t_states(spec: FieldSpec, bits: int) -> list[QuotientState]:
     return [complex_pair, QuotientState(rational, 1), QuotientState(rational, -1)]
 
 
+def facts(state):
+    """The discriminant facts that `diagnostics` passes to `_weil4_m`."""
+    return state.poly.delta, sign_of(state.poly.delta.conj()) > 0
+
+
 def counted_weil4(monkeypatch, state, bits):
     """`_weil4_m`, and the number of factors it embedded."""
     calls = []
@@ -128,7 +136,7 @@ def counted_weil4(monkeypatch, state, bits):
     with monkeypatch.context() as patch:
         patch.setattr(quartic, "_surd_form_embed", counting(_surd_form_embed))
         patch.setattr(quartic, "_k_embed", counting(_k_embed))
-        got = _weil4_m(state, bits, _RootTable())
+        got = _weil4_m(state, bits, _RootTable(), *facts(state))
     return got, len(calls)
 
 
@@ -149,7 +157,7 @@ def test_weil_matches_the_formula_that_embeds_every_factor(monkeypatch, d, bits)
         got, n = counted_weil4(monkeypatch, state, bits)
         assert dyadic_interval(got) == dyadic_interval(want), (state.poly, bits)
         root2 = dyadic_sqrt(want, bits)
-        assert _weil_height(state, bits, _RootTable()) == dyadic_sqrt(root2, bits)
+        assert _weil_height(state, bits, _RootTable(), *facts(state)) == dyadic_sqrt(root2, bits)
         assert weil_height4(state, bits) == dyadic_interval(want)
         assert weil_height(state, bits) == dyadic_interval(dyadic_sqrt(root2, bits))
         skipped += factor_count(state) - n
@@ -157,17 +165,18 @@ def test_weil_matches_the_formula_that_embeds_every_factor(monkeypatch, d, bits)
     assert skipped and embedded
 
 
-def roots_of(state):
-    """(z, a, b, c, e) for each real root z = (-b + e*sqrt(delta))/(2a) of
-    f_n and of sigma(f_n), with a, b and c as `_root_inside` takes them."""
+def quadratics_of(state):
+    """((z+, z-), (a, b, c)) for f_n and, when its roots are real, for
+    sigma(f_n): the roots z = (-b + e*sqrt(delta))/(2a) for e = +1 and
+    e = -1, and a, b and c as `_roots_inside` takes them."""
     v = state.value
-    forms = [_sqrt_d_form(x)[:2] for x in (state.poly.A, state.poly.B, state.poly.C)]
-    out = [(v, *forms, state.branch), (v.conj_sqrt(), *forms, -state.branch)]
+    forms = [_sqrt_d_form(x) for x in (state.poly.A, state.poly.B, state.poly.C)]
+    roots = (v, v.conj_sqrt()) if state.branch > 0 else (v.conj_sqrt(), v)
+    out = [(roots, forms)]
     sigma_delta = state.poly.delta.conj()
     if sign_of(sigma_delta) > 0:
         plus = SurdElement(v.spec, sigma_delta, v.x.conj(), state.branch * v.y.conj())
-        sigma_forms = [(u, -w) for u, w in forms]
-        out += [(plus, *sigma_forms, 1), (plus.conj_sqrt(), *sigma_forms, -1)]
+        out.append(((plus, plus.conj_sqrt()), [(u, -w, m) for u, w, m in forms]))
     return out
 
 
@@ -177,16 +186,22 @@ def test_every_skip_is_a_root_inside_t(d, bits):
     spec = FieldSpec(d)
     t = 1 - Fraction(2, 1 << bits)
     verdicts = set()
+    signs_of_a = set()
     for state in trajectory_states(spec, 900 + d) + near_one_states(spec, bits):
-        for z, a, b, c, e in roots_of(state):
-            inside = sign_of(z - t) < 0 < sign_of(z + t)
-            claimed = _root_inside(a, b, c, e, spec.d, bits - 1)
-            assert inside or not claimed, (state.poly, z, bits)
-            # Far from +-t the decision is never left open.
-            if abs(float(z)) < 0.99 or abs(float(z)) > 1.01:
-                assert claimed == inside, (state.poly, z, bits)
-            verdicts.add((inside, claimed))
+        for roots, (a, b, c) in quadratics_of(state):
+            claims = _roots_inside(a, b, c, spec.d, bits - 1)
+            assert len(claims) == 2
+            for z, claimed in zip(roots, claims):
+                inside = sign_of(z - t) < 0 < sign_of(z + t)
+                assert inside or not claimed, (state.poly, z, bits)
+                # Far from +-t the decision is never left open.
+                if abs(float(z)) < 0.99 or abs(float(z)) > 1.01:
+                    assert claimed == inside, (state.poly, z, bits)
+                verdicts.add((inside, claimed))
+            signs_of_a.add(sign_of(_from_form(spec, a)))
     assert verdicts >= {(True, True), (False, False)}
+    # The order of the two verdicts turns on sign(a): both signs occur.
+    assert signs_of_a == {1, -1}
 
 
 def test_no_skip_at_p_1_or_below_and_past_max_bits(monkeypatch):
@@ -196,7 +211,7 @@ def test_no_skip_at_p_1_or_below_and_past_max_bits(monkeypatch):
             assert n == factor_count(state)
             assert dyadic_interval(got) == dyadic_interval(ref_weil4_m(state, bits, _RootTable()))
         with pytest.raises(PrecisionError):
-            _weil4_m(state, MAX_BITS + 1, _RootTable())
+            _weil4_m(state, MAX_BITS + 1, _RootTable(), *facts(state))
 
 
 @pytest.mark.parametrize("d", [5, 2, 13])
