@@ -20,15 +20,17 @@ with rational u, v of opposite signs is the sign of the larger of u^2 and
 v^2*d, and a surd over K reduces the same way to signs in K.  These exact
 signs are the fallback of the pair expansion, whose certified float
 filter (`okcf.golden`) decides most of its questions first.  No interval
-is involved in a sign, and the expansion path never embeds; `embed`
-serves display and report enclosures only, each in one loop on integers
-that doubles its bits as `intervals.refine` does: `_form_embed` on the
-form (u, v, den) of (u + v*sqrt(d))/den, and `_surd_form_embed` on the
-forms of x and y in x + y*sqrt(delta), reduced or not (`_surd_embed` is
-it on a surd's own forms; `quartic` passes forms it builds on integers),
-whose levels take x and y from one `_form_embed` each, then multiply, add
-and round in straight-line integer code; a y != 0 makes the value 0 only
-when delta has a root s in K and x + y*s = 0, decided before the levels.
+is involved in a sign, and the expansion path embeds only for a floor
+guess whose float overflows or is NaN (`golden.RealPair._floor_guess`).
+`embed` serves that guess and the display and report enclosures, each in
+one loop on integers that doubles its bits as `intervals.refine` does:
+`_form_embed` on the form (u, v, den) of (u + v*sqrt(d))/den, and
+`_surd_form_embed` on the forms of x and y in x + y*sqrt(delta), reduced
+or not (`_surd_embed` is it on a surd's own forms; `quartic` passes forms
+it builds on integers), whose levels take x and y from one `_form_embed`
+each, then multiply, add and round in straight-line integer code; a y != 0
+makes the value 0 only when delta has a root s in K and x + y*s = 0,
+decided before the levels.
 An embedding is the dyadic triple (lo_m, hi_m, e) of `intervals.Dyadic`,
 from one `isqrt` of d * 4^bits and two floor divisions of the form's
 integers; `embed` returns it as a `RealInterval` with `Fraction`
@@ -221,29 +223,19 @@ class KElement:
         return self.den == 1
 
     def __add__(self, other: object) -> KElement:
-        if other.__class__ is KElement and other.spec is self.spec:
-            o = other
-        else:
-            o = self._coerce(other)
-            if o is None:
-                return NotImplemented
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         d1, d2 = self.den, o.den
-        if d1 == d2:
-            return _reduced(self.spec, self.p + o.p, self.q + o.q, d1)
         return _reduced(self.spec, self.p * d2 + o.p * d1, self.q * d2 + o.q * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> KElement:
-        if other.__class__ is KElement and other.spec is self.spec:
-            o = other
-        else:
-            o = self._coerce(other)
-            if o is None:
-                return NotImplemented
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         d1, d2 = self.den, o.den
-        if d1 == d2:
-            return _reduced(self.spec, self.p - o.p, self.q - o.q, d1)
         return _reduced(self.spec, self.p * d2 - o.p * d1, self.q * d2 - o.q * d1, d1 * d2)
 
     def __rsub__(self, other: object) -> KElement:
@@ -253,12 +245,9 @@ class KElement:
         return _make(self.spec, -self.p, -self.q, self.den)
 
     def __mul__(self, other: object) -> KElement:
-        if other.__class__ is KElement and other.spec is self.spec:
-            o = other
-        else:
-            o = self._coerce(other)
-            if o is None:
-                return NotImplemented
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         spec = self.spec
         p, q = _int_mul(spec.omega_sq_const, spec.omega_sq_lin, self.p, self.q, o.p, o.q)
         return _reduced(spec, p, q, self.den * o.den)
@@ -655,8 +644,6 @@ def _root_sign(x: int, y: int, d: int) -> int:
 
 
 def _k_sign(k: KElement) -> int:
-    if not k.q:
-        return (k.p > 0) - (k.p < 0)
     u, v, _ = _sqrt_d_form(k)
     return _root_sign(u, v, k.spec.d)
 
@@ -715,6 +702,13 @@ def is_square_in_k(x: KElement) -> KElement | None:
     S^2 + d*T^2 = 4U and S*T = 2V, and U^2 - d*V^2 = N(z)^2 must be a
     square n^2, with S^2 - d*T^2 = 4*N(z) = +-4n: so S^2 = 2(U +- n).  The
     norm test comes first and rejects most non-squares with one isqrt.
+
+    Conversely, an integer S != 0 with S^2 = 2(U +- n) needs no more test:
+    with W = U + V*sqrt(d), W^2 = 2U*W - n^2 makes r = (W +- n)/S a root
+    of W in K, of trace S and norm +-n, so an algebraic integer, and
+    2r = S + T*sqrt(d) with T = 2V/S an integer and
+    S^2 + d*T^2 = 2(U +- n) + 2(U -+ n) = 4U.  S = 0 means U = -+n, and
+    n^2 = U^2 - d*V^2 then gives V = 0.
     """
     spec = x.spec
     d = spec.d
@@ -726,20 +720,17 @@ def is_square_in_k(x: KElement) -> KElement | None:
     if n * n != norm:
         return None
     big_u, n = m * u, m * n
-    two_v = 2 * m * v
     for s2 in (2 * (big_u + n), 2 * (big_u - n)):
         s = isqrt(s2) if s2 >= 0 else -1
         if s * s != s2:
             continue
         if s:
-            t, rem = divmod(two_v, s)
-            if rem or s * s + d * t * t != 4 * big_u:
-                continue
+            t = 2 * m * v // s
         else:
-            # z = T*sqrt(d)/2: V = 0 and d*T^2 = 4U.
+            # z = T*sqrt(d)/2 with d*T^2 = 4U.
             t2, rem = divmod(4 * big_u, d)
             t = isqrt(t2) if t2 >= 0 else -1
-            if two_v or rem or t * t != t2:
+            if rem or t * t != t2:
                 continue
         if _root_sign(s, t, d) < 0:
             s, t = -s, -t

@@ -19,13 +19,15 @@ as exact `Fraction` values; constructors and the rounding helpers keep
 them dyadic (denominator a power of two), so every interval is an exact,
 machine-checkable enclosure of the real it stands for.  Its precision is
 derived from the endpoints when asked for, never stored.  Intervals
-serve enclosures and display only (heights, error terms, decimal
+serve enclosures and display (heights, error terms, decimal
 output); signs and floors are decided exactly by squaring in
-`okcf.field`, and the expansion path builds no interval.  Every enclosure
-that must reach a requested width comes from a loop that doubles its bits
-by `_next_level` up to MAX_BITS: the integer loops of the `okcf.field`
-embeddings and of `quartic._tight_abs_m`, or `refine`, the same loop for
-any `compute` and `accept`.
+`okcf.field`, and the expansion path builds an interval only for a floor
+guess whose float overflows or is NaN (`golden.RealPair._floor_guess`),
+which exact signs then check.  Every enclosure that must reach a
+requested width comes from a loop that doubles its bits by `_next_level`
+up to MAX_BITS: the integer loops of the `okcf.field` embeddings and of
+`quartic._tight_abs_m`, or `refine`, the same loop for any `compute` and
+`accept`.
 """
 
 from __future__ import annotations
@@ -52,10 +54,10 @@ class PrecisionError(ArithmeticError):
     Raised only by `_next_level`, the doubling rule of `refine` and of the
     enclosure loops of `okcf.field` and `okcf.quartic`, which serve display
     and report enclosures (an embedding at a requested precision, a
-    relative enclosure of an error term); the expansion path and its sign
-    and floor decisions never refine, because those are exact squarings.
-    Reaching the cap signals an internal inconsistency rather than a
-    recoverable numeric condition.
+    relative enclosure of an error term) and a floor guess whose float
+    overflows or is NaN; the sign and floor decisions never refine,
+    because those are exact squarings.  Reaching the cap signals an
+    internal inconsistency rather than a recoverable numeric condition.
     """
 
 

@@ -321,30 +321,28 @@ def _weil4_m(state: QuotientState, precision_bits: int, roots: _RootTable, delta
     # enclosure may leave [-1, 1], and past MAX_BITS none is accepted.
     d, k = poly.spec.d, precision_bits - 1 if 1 < precision_bits <= MAX_BITS else 0
     a, b, c = _sqrt_d_form(poly.A), _sqrt_d_form(poly.B), _sqrt_d_form(poly.C)
-    x, (yu, yv, ym), lead = _root_forms(d, a, b)
+    x, y, lead = _root_forms(d, a, b)
     acc = (lead, lead, 0)
-    # The roots x + e*y*sqrt(delta) of f_n.
-    for inside, e in zip(_roots_inside(a, b, c, d, k), (1, -1)):
-        if not inside:
-            z = _surd_form_embed(x, (e * yu, e * yv, ym), delta, precision_bits, roots)
-            acc = dyadic_mul(acc, dyadic_max(dyadic_abs(z), _ONE))
-    # sigma flips v in every form.
-    (au, av, am), (bu, bv, bm), (cu, cv, cm) = a, b, c
+    # The roots x + e*y*sqrt(delta) of f_n and, when they are real, of the
+    # conjugate polynomial over sigma(delta): sigma flips v in every form.
+    quadratics = [(a, b, c, x, y, delta)]
     if sigma_real:
-        # The roots of the conjugate polynomial, over sigma(delta).
-        sx = x[0], -x[1], x[2]
-        verdicts = _roots_inside((au, -av, am), (bu, -bv, bm), (cu, -cv, cm), d, k)
-        for inside, e in zip(verdicts, (1, -1)):
+        sa, sb, sc, sx, sy = [(u, -v, m) for u, v, m in (a, b, c, x, y)]
+        quadratics.append((sa, sb, sc, sx, sy, delta.conj()))
+    for qa, qb, qc, qx, (yu, yv, ym), qdelta in quadratics:
+        for inside, e in zip(_roots_inside(qa, qb, qc, d, k), (1, -1)):
             if not inside:
-                z = _surd_form_embed(sx, (e * yu, -e * yv, ym), delta.conj(), precision_bits, roots)
+                z = _surd_form_embed(qx, (e * yu, e * yv, ym), qdelta, precision_bits, roots)
                 acc = dyadic_mul(acc, dyadic_max(dyadic_abs(z), _ONE))
+    if sigma_real:
         return acc
     # sigma(A)*sigma(C) > 0, so |z|^2 < t = T/S iff
     # sign(sigma(A)) * sign(sigma(C)*S - sigma(A)*T) < 0.
+    (au, av, _), (cu, cv, _) = a, c
     s, t = 1 << k, (1 << k) - 1
     if _root_sign(au, -av, d) * _root_sign(cu * s - au * t, av * t - cv * s, d) >= 0:
         # |z|^2 = sigma(C/A) = sigma(2*C*y).
-        u, v, m = _form_mul(d, c, (yu, yv, ym))
+        u, v, m = _form_mul(d, c, y)
         modulus = _surd_form_embed((2 * u, -2 * v, m), (0, 0, 1), delta, precision_bits, roots)
         acc = dyadic_mul(acc, dyadic_max(modulus, _ONE))
     return acc
@@ -375,8 +373,6 @@ def _weil_height(state: QuotientState, precision_bits: int, roots: _RootTable, d
 
 def weil_height_element(x: KElement, precision_bits: int = DEFAULT_BITS) -> RealInterval:
     """Weil height of an element of K (degree 1 or 2 over Q)."""
-    if x.is_zero:
-        return RealInterval.point(1)
     if x.is_rational:
         return RealInterval.point(max(abs(x.p), x.den))
     # The leading coefficient of the primitive minimal polynomial of

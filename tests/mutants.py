@@ -410,8 +410,8 @@ CATALOGUE = (
     Mutant(
         "the Weil skip tests sigma(f_n)'s roots on unnegated v",
         "okcf/quartic.py",
-        "verdicts = _roots_inside((au, -av, am), (bu, -bv, bm), (cu, -cv, cm), d, k)",
-        "verdicts = _roots_inside(a, b, c, d, k)",
+        "quadratics.append((sa, sb, sc, sx, sy, delta.conj()))",
+        "quadratics.append((a, b, c, sx, sy, delta.conj()))",
         (WEIL_SKIP_TEST,),
     ),
     Mutant(
@@ -770,6 +770,102 @@ CATALOGUE = (
         "    return bisect_left(range(len(rows)), True, key=past)\n",
         "    return len(rows) - 1\n",
         (FLOAT_RANGE_TEST,),
+    ),
+    # One path per K operation: every operand goes through _coerce, a sum
+    # takes the cross-denominator formula, and a square root takes T = 2V/S
+    # unchecked, as is_square_in_k's docstring proves.
+    Mutant(
+        "KElement operators admit an element of another field",
+        "okcf/field.py",
+        "            if other.spec is not self.spec and other.spec != self.spec:\n"
+        '                raise ValueError("mismatched field specs")\n',
+        "",
+        ("tests/test_field_reference.py::test_mismatched_specs_raise",),
+    ),
+    Mutant(
+        "the cross-denominator sum drops * d2",
+        "okcf/field.py",
+        "self.p * d2 + o.p * d1, self.q * d2 + o.q * d1, d1 * d2",
+        "self.p + o.p * d1, self.q * d2 + o.q * d1, d1 * d2",
+        ("tests/test_field_reference.py::test_matches_fraction_reference",),
+    ),
+    Mutant(
+        "is_square_in_k takes T = 2V/S + 1",
+        "okcf/field.py",
+        "            t = 2 * m * v // s\n",
+        "            t = 2 * m * v // s + 1\n",
+        ("tests/test_field.py::TestSquares",),
+    ),
+    # Branches that no other test runs.
+    Mutant(
+        "parse_surd ignores the '-' before its second part",
+        "okcf/parsing.py",
+        '    negate = text[k] == "-"\n',
+        "    negate = False\n",
+        ("tests/test_parsing.py::test_surd_round_trip",),
+    ),
+    Mutant(
+        "parse_surd reports a missing '(' at 0",
+        "okcf/parsing.py",
+        "raise ParseError(\"surd must start with '('\", start)",
+        "raise ParseError(\"surd must start with '('\", 0)",
+        ("tests/test_parsing.py::test_surd_errors_name_their_fault",),
+    ),
+    Mutant(
+        "QuadraticPolyK drops its zero-lead check",
+        "okcf/quartic.py",
+        '        if self.A.is_zero:\n            raise SeedError("leading coefficient must be nonzero")\n',
+        "",
+        ("tests/test_quartic.py::TestStates::test_zero_lead_rejected",),
+    ),
+    Mutant(
+        "QuotientState admits a branch of 0",
+        "okcf/quartic.py",
+        "if self.branch not in (1, -1):",
+        "if self.branch not in (1, 0, -1):",
+        ("tests/test_quartic.py::TestStates::test_branch_is_a_sign",),
+    ),
+    Mutant(
+        "surd_sum_sign flips the sign of a lone second surd",
+        "okcf/field.py",
+        "    if sa == 0:\n        return sb\n",
+        "    if sa == 0:\n        return -sb\n",
+        ("tests/test_field.py::TestSign::test_sum_with_a_zero_first_surd",),
+    ),
+    Mutant(
+        "CFExpansion admits an entry of another field",
+        "okcf/cf.py",
+        "            if entry.spec != self.spec:\n",
+        "            if False:\n",
+        ("tests/test_cf.py::test_expansion_checks_its_entries",),
+    ),
+    Mutant(
+        "a finite expansion's missing entry divides by zero",
+        "okcf/cf.py",
+        '        if not self.period:\n            raise IndexError(f"finite expansion has no entry {i}")\n',
+        "",
+        ("tests/test_cf.py::test_expansion_checks_its_entries",),
+    ),
+    Mutant(
+        "weil_height_element drops the sign of a rational's numerator",
+        "okcf/quartic.py",
+        "RealInterval.point(max(abs(x.p), x.den))",
+        "RealInterval.point(max(x.p, x.den))",
+        ("tests/test_quartic.py::TestHeights::test_height_of_a_rational",),
+    ),
+    Mutant(
+        "the floor guess lets a NaN float through",
+        "okcf/golden.py",
+        "        except (OverflowError, ValueError):\n",
+        "        except OverflowError:\n",
+        ("tests/test_golden.py::TestRealPair::test_floor_past_the_float_range",),
+    ),
+    Mutant(
+        "the CLI reports an ExpansionError as an unforeseen fault",
+        "okcf/cli.py",
+        "    except (ExpansionError, PrecisionError, AssertionError) as exc:\n",
+        "    except (PrecisionError, AssertionError) as exc:\n",
+        ("tests/test_cli.py::test_expansion_error_is_internal_failure",),
     ),
 )
 

@@ -156,6 +156,17 @@ class TestIntegralRecurrence:
             call(k5, [k5.one, FieldSpec(2).omega])
 
 
+def test_expansion_checks_its_entries(k5):
+    with pytest.raises(ValueError, match="share one field spec"):
+        CFExpansion(k5, (FieldSpec(2).one,), (k5.one,))
+    with pytest.raises(InputRuleError, match="not integral"):
+        CFExpansion(k5, (), (k5.element(Fraction(1, 2)),))
+    finite = CFExpansion(k5, (k5.one, k5.element(2)), ())
+    assert finite.entry(1) == 2
+    with pytest.raises(IndexError, match="finite expansion has no entry 2"):
+        finite.entry(2)
+
+
 class TestMatrices:
     def test_empty_product(self, k5):
         assert cf_matrix(k5, []) == Mat2.identity(k5)

@@ -17,6 +17,7 @@ import pytest
 from okcf import cli
 from okcf.cli import decimal_str, main
 from okcf.field import KElement, SurdElement
+from okcf.golden import NoCandidateError
 
 
 def run(capsys, *argv):
@@ -540,6 +541,17 @@ def test_unforeseen_exception_is_internal_failure(capsys, monkeypatch):
     assert err == "internal consistency failure: RuntimeError: broken evaluator\n"
 
 
+def test_expansion_error_is_internal_failure(capsys, monkeypatch):
+    def broken(*args):
+        raise NoCandidateError("no corner candidate at step 3")
+
+    monkeypatch.setattr("okcf.cli.expand_pair", broken)
+    code, out, err = run(capsys, "expand", "1", "-2", "-1-1*w")
+    assert code == 5
+    assert out == ""
+    assert err == "internal consistency failure: no corner candidate at step 3\n"
+
+
 @pytest.mark.parametrize(
     "error",
     [ValueError("mismatched field specs"), ValueError("interval endpoints out of order")],
@@ -562,6 +574,7 @@ def test_internal_value_error_is_not_a_rejection(capsys, monkeypatch, error):
     "argv, reason",
     [
         (["eval", "[1; 2]", "--field-d", "4"], "d must be a squarefree integer > 1, got 4"),
+        (["expand", "0", "1", "1"], "leading coefficient must be nonzero"),
     ],
 )
 def test_input_rule_is_a_rejection(capsys, argv, reason):

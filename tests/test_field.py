@@ -15,6 +15,7 @@ from okcf.field import (
     reals_equal,
     sign_of,
     surd_sign,
+    surd_sum_sign,
 )
 from conftest import random_k
 
@@ -277,6 +278,14 @@ class TestSign:
         for y in (k5.one, -k5.omega):
             assert sign_of(SurdElement(k5, k5.zero, k5.zero, y)) == 0
             assert sign_of(SurdElement(k5, k5.zero, k5.omega, y)) == 1
+
+    def test_sum_with_a_zero_first_surd(self, k5):
+        # 0 + 0*sqrt(2) and the hidden zero w - sqrt(w^2): the sum takes the
+        # sign of y2*sqrt(delta2).
+        beta = k5.omega
+        for x, y1, delta1 in ((k5.zero, k5.zero, k5.element(2)), (beta, -k5.one, beta * beta)):
+            for y2 in (k5.element(3), -beta):
+                assert surd_sum_sign(x, y1, delta1, y2, k5.element(7)) == sign_of(y2)
 
     def test_agrees_with_intervals_randomized(self, k5, rng):
         delta = k5.element(7)

@@ -112,6 +112,18 @@ class TestRealPair:
         neg = RealPair(SurdElement(k5, k5.element(2), k5.zero, -k5.one), None)
         assert neg.floor() == -2 and neg.ceil() == -1
 
+    def test_floor_past_the_float_range(self, k5):
+        # The float guess overflows, or is inf - inf: the guess comes from
+        # an enclosure, and exact signs decide the floor as before.
+        big = 10**400
+        over = RealPair(SurdElement(k5, k5.element(3), k5.element(big), k5.element(-big)), None)
+        assert over.floor() == big - isqrt(3 * big * big) - 1
+        top = 10**308
+        u = SurdElement(k5, k5.element(10), k5.element(top), k5.element(top))
+        v = SurdElement(k5, k5.element(10), k5.element(-top), k5.element(3 - top))
+        assert math.isnan(float(RealPair(u, v)))
+        assert RealPair(u, v).floor() == 9  # 3*sqrt(10) = 9.48...
+
 
 def pair_cases(k5, unlinked_seed) -> list[tuple[RealPair, int, int, int]]:
     """(pair, sign, floor, ceil) over random, near-tie and exact inputs.

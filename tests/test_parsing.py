@@ -59,6 +59,22 @@ def test_surd_round_trip(k5):
     assert parse_surd(str(s), k5) == s
     t = parse_surd("(1) + (1)*sqrt(2+1*w)", k5)
     assert t.x == 1 and t.y == 1 and t.delta == k5.element(2, 1)
+    u = parse_surd("(1) - (2)*sqrt(3)", k5)
+    assert u.x == 1 and u.y == -2 and u.delta == 3
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("  1 + (1)*sqrt(2)", "surd must start with '('", 2),
+        ("(1)  ", "missing '*sqrt(...)' part", 3),
+        (" (1 + (1)*sqrt(2)", "unbalanced parentheses", 1),
+    ],
+)
+def test_surd_errors_name_their_fault(k5, text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_surd(text, k5)
+    assert str(err.value) == f"{message} (at position {position})"
 
 
 def test_expansion_forms(k5):

@@ -11,6 +11,7 @@ from okcf.field import FieldSpec, InputRuleError, SurdElement, reals_equal, sign
 from okcf.intervals import RealInterval, dyadic_interval
 from okcf.quartic import (
     QuadraticPolyK,
+    QuotientState,
     SeedError,
     SquareDiscriminantError,
     diagnostics,
@@ -88,6 +89,14 @@ class TestStates:
     def test_non_integral_rejected(self, k5):
         with pytest.raises(SeedError):
             QuadraticPolyK(k5.element(Fraction(1, 2)), k5.zero, k5.one)
+
+    def test_zero_lead_rejected(self, k5):
+        with pytest.raises(SeedError, match="leading coefficient must be nonzero"):
+            QuadraticPolyK(k5.zero, k5.one, k5.one)
+
+    def test_branch_is_a_sign(self, example_seed):
+        with pytest.raises(InputRuleError, match="branch must be"):
+            QuotientState(example_seed, 0)
 
 
 class TestStepState:
@@ -212,6 +221,12 @@ class TestHeights:
     def test_height_of_one(self, k5):
         iv = weil_height_element(k5.one)
         assert iv.lo == iv.hi == 1
+
+    def test_height_of_a_rational(self, k5):
+        # H(p/q) = max(|p|, q) in lowest terms, so H(0) = 1.
+        for x, h in ((k5.zero, 1), (k5.element(Fraction(-7, 3)), 7), (k5.element(Fraction(2, 5)), 5)):
+            iv = weil_height_element(x)
+            assert iv.lo == iv.hi == h
 
     def test_submultiplicative_randomized(self, k5, rng):
         for _ in range(150):
