@@ -10,7 +10,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
 from .field import FieldSpec, InputRuleError, KElement, SurdElement, is_square_in_k, sign_of
-from .field import _int_mul, _make
+from .field import _int_mul, _make, _new
 
 
 @dataclass(frozen=True)
@@ -125,13 +125,17 @@ def _convergents(spec: FieldSpec, quotients: Iterable[KElement]) -> Iterator[tup
 
 def qpair_states(spec: FieldSpec, quotients: Iterable[KElement]) -> list[QPairState]:
     """One state per integral quotient, by the convergent recurrence; each
-    P_(n-1) and Q_(n-1) is the element made at the step before."""
+    P_(n-1) and Q_(n-1) is the element made at the step before.  A state is
+    built as `_make` builds an element, since `QPairState` checks nothing."""
     states = []
     p, q = spec.one, spec.zero
     for i, (p_p, p_q, _, _, q_p, q_q, _, _) in enumerate(_convergents(spec, quotients)):
-        p_n, q_n = _make(spec, p_p, p_q, 1), _make(spec, q_p, q_q, 1)
-        states.append(QPairState(p_n, p, q_n, q, i))
-        p, q = p_n, q_n
+        state = _new(QPairState)
+        fields = state.__dict__
+        fields["p_prev"], fields["q_prev"], fields["index"] = p, q, i
+        fields["p_cur"] = p = _make(spec, p_p, p_q, 1)
+        fields["q_cur"] = q = _make(spec, q_p, q_q, 1)
+        states.append(state)
     return states
 
 

@@ -2,13 +2,16 @@
 
 Commands: eval, expand, analyze, radius, corpus.  Exit codes: 0 success,
 1 standard output closed by its reader, 2 parse error, 3 precondition
-rejection, 4 max-steps exceeded, 5 internal consistency failure.
+rejection, 4 max-steps exceeded, 5 internal consistency failure.  Each
+command returns its output as one string; `main` writes it to standard
+output once, and only on success: a run that exits nonzero writes none.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import random
@@ -87,7 +90,7 @@ def _poly_json(a: KElement, b: KElement, c: KElement) -> dict:
     return {"A": str(a), "B": str(b), "C": str(c)}
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace) -> str:
     expansion = parse_expansion(args.expansion, FieldSpec(args.field_d))
     if not expansion.is_periodic:
         raise ParseError("expansion must have a nonempty period")
@@ -123,23 +126,22 @@ def cmd_eval(args: argparse.Namespace) -> int:
         payload["linear_poly"] = True
 
     if args.output == "json":
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
-    print(f"expansion      {expansion}")
-    print(f"E(P)           {res.e}")
-    print(f"f(P)           ({res.poly[0]})*x^2 + ({res.poly[1]})*x + ({res.poly[2]})")
-    print(f"discriminant   {res.discriminant}")
+        return json.dumps(payload, indent=2) + "\n"
+    text = (
+        f"expansion      {expansion}\n"
+        f"E(P)           {res.e}\n"
+        f"f(P)           ({res.poly[0]})*x^2 + ({res.poly[1]})*x + ({res.poly[2]})\n"
+        f"discriminant   {res.discriminant}\n"
+    )
     if value is not None:
-        print(f"{'value (in K)' if in_k else 'value':<15}{value}")
-        print(f"decimal        {payload['decimal']}")
-    else:
-        reason = res.failure.value
-        if res.negative_discriminant:
-            reason += " (negative discriminant)"
-        if res.window is not None:
-            reason += f" (window j={res.window})"
-        print(f"value          doesn't exist: {reason}")
-    return EXIT_OK
+        return (text + f"{'value (in K)' if in_k else 'value':<15}{value}\n"
+                f"decimal        {payload['decimal']}\n")
+    reason = res.failure.value
+    if res.negative_discriminant:
+        reason += " (negative discriminant)"
+    if res.window is not None:
+        reason += f" (window j={res.window})"
+    return text + f"value          doesn't exist: {reason}\n"
 
 
 def _parse_seed(args: argparse.Namespace) -> QuadraticPolyK:
@@ -166,7 +168,7 @@ def _expansion_json(r: ExpansionResult) -> dict:
     }
 
 
-def cmd_expand(args: argparse.Namespace) -> int:
+def cmd_expand(args: argparse.Namespace) -> str:
     seed = _parse_seed(args)
     result = expand_pair(
         seed,
@@ -175,17 +177,17 @@ def cmd_expand(args: argparse.Namespace) -> int:
         ExpansionConfig(max_steps=args.max_steps),
     )
     if args.output == "json":
-        print(json.dumps(_expansion_json(result), indent=2))
-        return EXIT_OK
+        return json.dumps(_expansion_json(result), indent=2) + "\n"
     pre = ", ".join(str(a) for a in result.expansion.preperiod)
     per = ", ".join(str(a) for a in result.expansion.period)
-    print(f"seed           {seed}")
-    print(f"preperiod      [{pre}]")
-    print(f"period         [{per}]")
-    print(f"steps          {result.steps}")
-    print(f"cycle start    {result.cycle_start}")
-    print(f"verified       {result.verified}")
-    return EXIT_OK
+    return (
+        f"seed           {seed}\n"
+        f"preperiod      [{pre}]\n"
+        f"period         [{per}]\n"
+        f"steps          {result.steps}\n"
+        f"cycle start    {result.cycle_start}\n"
+        f"verified       {result.verified}\n"
+    )
 
 
 def _analyze_quotients(args: argparse.Namespace):
@@ -293,22 +295,25 @@ def _first_row_past_floats(rows: list[TrajectoryRow], quotients: list[KElement],
     return bisect_left(range(len(rows)), True, key=past)
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> str:
     seed, branch, quotients = _analyze_quotients(args)
     rows = diagnostics(seed, branch, quotients, args.precision)
-    # Every float is made before anything is printed: a value past the
-    # float range is the quotients' doing, and is reported as such.
+    # A value past the float range is the quotients' doing: a rejection.
     try:
         if args.output == "csv":
-            records = [
+            out = io.StringIO()
+            writer = csv.writer(out)
+            writer.writerow(_CSV_HEADER)
+            writer.writerows(
                 (r.index, *r.triple, r.p, r.q, *dyadic_floats(r.s_m), *dyadic_floats(r.f1_m),
                  *dyadic_floats(r.f2_m), *dyadic_floats(r.weil_m), r.naive)
                 for r in rows
-            ]
-        else:
-            summary = summarize(rows, quotients, args.precision)
-            text = (_analyze_json(seed, rows, summary) if args.output == "json"
-                    else _analyze_text(seed, branch, rows, summary))
+            )
+            return out.getvalue()
+        summary = summarize(rows, quotients, args.precision)
+        if args.output == "json":
+            return _analyze_json(seed, rows, summary) + "\n"
+        return _analyze_text(seed, branch, rows, summary)
     except OverflowError:
         n = _first_row_past_floats(rows, quotients, args.precision, args.output != "csv")
         if n == len(rows):
@@ -317,13 +322,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             f"row {n} leaves the float range: the quotients drive a value printed for it "
             "past 2^1024"
         ) from None
-    if args.output == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(_CSV_HEADER)
-        writer.writerows(records)
-    else:
-        print(text)
-    return EXIT_OK
 
 
 def _analyze_text(seed: QuadraticPolyK, branch: int, rows: list[TrajectoryRow],
@@ -349,26 +347,20 @@ def _analyze_text(seed: QuadraticPolyK, branch: int, rows: list[TrajectoryRow],
         f"         H in [{summary.weil_min:.6g}, {summary.weil_max:.6g}] "
         f"naive max={summary.naive_max}"
     )
-    return "\n".join(lines)
+    return "\n".join(lines) + "\n"
 
 
-def cmd_radius(args: argparse.Namespace) -> int:
+def cmd_radius(args: argparse.Namespace) -> str:
     cr = covering_radius(args.D, args.precision)
     if args.output == "json":
-        print(
-            json.dumps(
-                {
-                    "D": cr.d,
-                    "r_squared": str(cr.r_squared),
-                    "r": [float(cr.interval.lo), float(cr.interval.hi)],
-                    "usable": cr.usable,
-                }
-            )
-        )
-        return EXIT_OK
-    print(f"D={cr.d}: r^2 = {cr.r_squared}, r ~ {float(cr.interval):.6f}, "
-          f"{'usable (r < 1)' if cr.usable else 'not usable (r >= 1)'}")
-    return EXIT_OK
+        return json.dumps({
+            "D": cr.d,
+            "r_squared": str(cr.r_squared),
+            "r": [float(cr.interval.lo), float(cr.interval.hi)],
+            "usable": cr.usable,
+        }) + "\n"
+    return (f"D={cr.d}: r^2 = {cr.r_squared}, r ~ {float(cr.interval):.6f}, "
+            f"{'usable (r < 1)' if cr.usable else 'not usable (r >= 1)'}\n")
 
 
 def _random_k(rng: random.Random, spec: FieldSpec, bound: int) -> KElement:
@@ -441,25 +433,21 @@ def run_corpus(count: int, bound: int, cfg: SessionConfig) -> dict:
     return {"summary": summary, "runs": runs}
 
 
-def cmd_corpus(args: argparse.Namespace) -> int:
+def cmd_corpus(args: argparse.Namespace) -> str:
     cfg = SessionConfig(d=args.field_d, max_steps=args.max_steps, seed=args.seed)
     report = run_corpus(args.count, args.bound, cfg)
     if args.output == "json":
-        print(json.dumps(report, indent=2))
-        return EXIT_OK
+        return json.dumps(report, indent=2) + "\n"
     s = report["summary"]
-    print(
+    return (
         f"corpus: {s['count']} seeds (bound {s['bound']}, rng seed {s['random_seed']}), "
-        f"{s['runs']} expansions"
-    )
-    print(
+        f"{s['runs']} expansions\n"
         f"cycles detected: {s['cycles_detected']}/{s['runs']} "
-        f"(verified: {s['verified_fraction']})"
+        f"(verified: {s['verified_fraction']})\n"
+        f"preperiod lengths: {s['preperiod_lengths']}\n"
+        f"period lengths:    {s['period_lengths']}\n"
+        f"rejection counters: {s['rejections']}\n"
     )
-    print(f"preperiod lengths: {s['preperiod_lengths']}")
-    print(f"period lengths:    {s['period_lengths']}")
-    print(f"rejection counters: {s['rejections']}")
-    return EXIT_OK
 
 
 def _int_at_least(minimum: int, maximum: int | None = None):
@@ -591,9 +579,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _PARSER.parse_args(_prepare_argv(argv, _PARSER))
     try:
-        code = args.run(args)
+        sys.stdout.write(args.run(args))
         sys.stdout.flush()
-        return code
+        return EXIT_OK
     except BrokenPipeError:
         # The reader closed standard output (say, `| head`).  As the Python
         # `signal` docs advise, point stdout at devnull so that the flush at

@@ -23,7 +23,7 @@ filter (`okcf.golden`) decides most of its questions first.  No interval
 is involved in a sign, and the expansion path embeds only for a floor
 guess whose float overflows or is NaN (`golden.RealPair._floor_guess`).
 `embed` serves that guess and the display and report enclosures, each in
-one loop on integers that doubles its bits as `intervals.refine` does:
+one loop on integers that doubles its bits by `intervals._next_level`:
 `_form_embed` on the form (u, v, den) of (u + v*sqrt(d))/den, and
 `_surd_form_embed` on the forms of x and y in x + y*sqrt(delta), reduced
 or not (`_surd_embed` is it on a surd's own forms; `quartic` passes forms
@@ -339,6 +339,14 @@ class SurdElement:
     x: KElement
     y: KElement
 
+    def __post_init__(self) -> None:
+        # delta may be 0 or a square: the exact signs decide those too.
+        for part in (self.delta, self.x, self.y):
+            if not isinstance(part, KElement):
+                raise TypeError(f"surd component of type {type(part).__name__} is not a KElement")
+            if part.spec is not self.spec and part.spec != self.spec:
+                raise ValueError("mismatched field specs")
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SurdElement):
             if other.delta == self.delta:
@@ -359,7 +367,7 @@ class SurdElement:
                 raise ValueError("mismatched surd families")
             return other
         if isinstance(other, (int, Fraction)):
-            return SurdElement(self.spec, self.delta, self.spec.element(other), self.spec.zero)
+            other = self.spec.element(other)
         if isinstance(other, KElement):
             return SurdElement(self.spec, self.delta, other, self.spec.zero)
         return None

@@ -534,17 +534,16 @@ def choose_quotient(p: PairState, ctx: PairContext) -> KElement:
         coords = lattice_coords(p, ctx)
         xs = xs or (coords.x.floor(), coords.x.ceil())
         ys = ys or (coords.y.floor(), coords.y.ceil())
-    corners = {"floor": (xs[0], ys[0]), "ceil": (xs[1], ys[1])}
     for cx, cy in CANDIDATE_ORDER:
-        x = corners[cx][0]
-        y = corners[cy][1]
-        a = ctx.spec.element(x, y)
+        # xs and ys are (floor, ceil) pairs.
+        x, y = xs[cx == "ceil"], ys[cy == "ceil"]
         z = None if enc is None else _corner_distance(enc[0], enc[1], x, y)
         inside = _float_below(z, _RADIUS_SQ_BELOW, _RADIUS_SQ_ABOVE)
         if inside is None:
+            a = ctx.spec.element(x, y)
             inside = squared_distance(p, ctx, a).shift(-RADIUS_SQ).sign() < 0
         if inside:
-            return a
+            return ctx.spec.element(x, y)
     raise NoCandidateError(
         f"no corner candidate within the circumradius bound at index {p.index}"
     )

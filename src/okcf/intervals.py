@@ -26,8 +26,9 @@ guess whose float overflows or is NaN (`golden.RealPair._floor_guess`),
 which exact signs then check.  Every enclosure that must reach a
 requested width comes from a loop that doubles its bits by `_next_level`
 up to MAX_BITS: the integer loops of the `okcf.field` embeddings and of
-`quartic._tight_abs_m`, or `refine`, the same loop for any `compute` and
-`accept`.
+`quartic._tight_abs_m`.  `refine` is the same loop for any `compute` and
+`accept`; no code in the package calls it, only the tests' reference
+embedding.
 """
 
 from __future__ import annotations

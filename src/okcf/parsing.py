@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .cf import CFExpansion
 from .field import FieldSpec, KElement, SurdElement
 
 _NUMBER = re.compile(r"(?P<numeral>(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?)")
@@ -136,9 +137,7 @@ def _parse_list(text: str, start: int, end: int, spec: FieldSpec,
     return elements
 
 
-def parse_expansion(text: str, spec: FieldSpec):
-    from .cf import CFExpansion
-
+def parse_expansion(text: str, spec: FieldSpec) -> CFExpansion:
     start, end = len(text) - len(text.lstrip()), len(text.rstrip())
     if not (text.startswith("[", start) and text.endswith("]", start, end)):
         raise ParseError("expansion must be bracketed as [pre; period]", 0)

@@ -66,6 +66,7 @@ GROWTH_LAW_TEST = "tests/test_growth_law.py"
 STRAIGHT_LINE_TEST = "tests/test_filter_straight_line.py"
 INT_MUL_COMPOSITION_TEST = "tests/test_quartic_formulas.py::test_inline_products_match_the_int_mul_composition"
 FLOAT_RANGE_TEST = "tests/test_cli.py::TestAnalyze::test_a_row_past_the_float_range_is_a_rejection"
+ONE_WRITER_TEST = "tests/test_cli.py::test_a_success_writes_stdout_once"
 CLI_FLAGS_TESTS = (
     "tests/test_cli.py::test_each_command_declares_only_the_flags_it_reads",
     "tests/test_cli.py::test_unread_flag_is_usage_error",
@@ -705,8 +706,10 @@ CATALOGUE = (
     Mutant(
         "qpair_states never advances P_(n-1) and Q_(n-1)",
         "okcf/cf.py",
-        "        p, q = p_n, q_n\n",
-        "",
+        '        fields["p_cur"] = p = _make(spec, p_p, p_q, 1)\n'
+        '        fields["q_cur"] = q = _make(spec, q_p, q_q, 1)\n',
+        '        fields["p_cur"] = _make(spec, p_p, p_q, 1)\n'
+        '        fields["q_cur"] = _make(spec, q_p, q_q, 1)\n',
         (INTEGRAL_RECURRENCE_TEST,),
     ),
     Mutant(
@@ -866,6 +869,43 @@ CATALOGUE = (
         "    except (ExpansionError, PrecisionError, AssertionError) as exc:\n",
         "    except (PrecisionError, AssertionError) as exc:\n",
         ("tests/test_cli.py::test_expansion_error_is_internal_failure",),
+    ),
+    # One writer: each command returns its output, and main writes it once,
+    # only on success.  Each command's text is the same bytes either way.
+    Mutant(
+        "main returns before it writes",
+        "okcf/cli.py",
+        "        sys.stdout.write(args.run(args))\n",
+        "        args.run(args)\n        return EXIT_OK\n",
+        (ONE_WRITER_TEST,),
+    ),
+    Mutant(
+        "cmd_radius prints its line itself",
+        "okcf/cli.py",
+        '    return (f"D={cr.d}: r^2 = {cr.r_squared}, r ~ {float(cr.interval):.6f}, "\n'
+        "            f\"{'usable (r < 1)' if cr.usable else 'not usable (r >= 1)'}\\n\")\n",
+        '    print(f"D={cr.d}: r^2 = {cr.r_squared}, r ~ {float(cr.interval):.6f}, "\n'
+        "          f\"{'usable (r < 1)' if cr.usable else 'not usable (r >= 1)'}\")\n"
+        '    return ""\n',
+        (ONE_WRITER_TEST,),
+    ),
+    Mutant(
+        "SurdElement drops its component check",
+        "okcf/field.py",
+        "            if not isinstance(part, KElement):\n"
+        '                raise TypeError(f"surd component of type {type(part).__name__} is not a '
+        'KElement")\n'
+        "            if part.spec is not self.spec and part.spec != self.spec:\n"
+        '                raise ValueError("mismatched field specs")\n',
+        "            pass\n",
+        ("tests/test_field.py::TestSurds::test_components_must_be_elements_of_the_field",),
+    ),
+    Mutant(
+        "choose_quotient returns the first candidate's floor corner whatever the test says",
+        "okcf/golden.py",
+        "        if inside:\n            return ctx.spec.element(x, y)\n",
+        "        return ctx.spec.element(xs[0], ys[0])\n",
+        ("tests/test_golden.py::TestChooseQuotient",),
     ),
 )
 

@@ -8,6 +8,7 @@ from okcf.cf import (
     CFExpansion,
     EvalFailure,
     Mat2,
+    QPairState,
     associated_poly,
     cf_matrix,
     continuant,
@@ -144,6 +145,17 @@ class TestIntegralRecurrence:
             m = cf_matrix(spec, qs)
             got = (m.e11, m.e12, m.e21, m.e22)
             assert [(g.a, g.b) for g in got] == [(x.a, x.b) for row in rows for x in row]
+
+    @pytest.mark.parametrize("d", (2, 5, 13))
+    def test_states_rebuild_through_the_constructor(self, d, rng):
+        # `qpair_states` builds each record without `QPairState.__init__`.
+        spec = FieldSpec(d)
+        for _ in range(40):
+            qs = [random_k(rng, spec, rng.choice((3, 2**40))) for _ in range(rng.randint(1, 8))]
+            for st in qpair_states(spec, qs):
+                rebuilt = QPairState(st.p_cur, st.p_prev, st.q_cur, st.q_prev, st.index)
+                assert type(st) is QPairState
+                assert st == rebuilt and vars(st) == vars(rebuilt)
 
     @pytest.mark.parametrize("call", (qpair_states, cf_matrix, continuant))
     def test_non_integral_quotient_rejected(self, k5, call):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import decimal
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -749,3 +750,72 @@ def test_reference_output_is_pinned(capsys, command, code, digest):
     got_code, out, _ = run(capsys, *shlex.split(command))
     assert got_code == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class CountingStdout(io.StringIO):
+    """A standard output stand-in that counts its `write` calls."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        return super().write(text)
+
+
+def _output_choices(command: str) -> tuple[str, ...]:
+    commands = next(
+        a.choices for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return next(a.choices for a in commands[command]._actions if a.dest == "output")
+
+
+# Each command returns its output, and `main` alone writes it: once, and
+# only on success.
+@pytest.mark.parametrize("command, output", [
+    (command, output) for command in _BASE_ARGV for output in _output_choices(command)
+])
+def test_a_success_writes_stdout_once(monkeypatch, command, output):
+    stdout = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main([*_BASE_ARGV[command], "--output", output]) == 0
+    assert stdout.writes == 1
+    assert stdout.getvalue().endswith("\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["eval", "[1; 2"], 2),
+    (["analyze", "1", "-2", "-1-1*w", "-n", "300", "--quotients=" + ",".join(["3"] * 301),
+      "--output", "csv"], 3),
+    (["expand", "1", "-2", "-1-1*w", "--max-steps", "1"], 4),
+    (["radius", "13", "--seed", "4"], 2),
+], ids=["parse", "float-range", "max-steps", "usage"])
+def test_a_failure_writes_no_stdout(monkeypatch, argv, code):
+    stdout = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        got = exc.code
+    assert got == code
+    assert stdout.writes == 0
+
+
+def test_an_internal_failure_writes_no_stdout(monkeypatch):
+    # analyze's CSV makes its floats row by row: fail at the last row's.
+    calls = []
+
+    def failing(m, _real=cli.dyadic_floats):
+        calls.append(m)
+        if len(calls) == 4 * 6:
+            raise NoCandidateError("planted at the last row")
+        return _real(m)
+
+    monkeypatch.setattr("okcf.cli.dyadic_floats", failing)
+    stdout = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["analyze", "1", "-2", "-1-1*w", "-n", "5", "--output", "csv"]) == 5
+    assert len(calls) == 4 * 6
+    assert stdout.writes == 0
+

@@ -229,6 +229,22 @@ class TestSurds:
         with pytest.raises(ZeroDivisionError):
             u / (u - u)
 
+    def test_components_must_be_elements_of_the_field(self, k5):
+        # Plain ints once built a surd whose floor failed deep inside the
+        # embedding; each component must be a KElement of the surd's field.
+        big = 10**400
+        with pytest.raises(TypeError, match="surd component of type int is not a KElement"):
+            SurdElement(k5, 3, big, -big)
+        with pytest.raises(TypeError, match="of type Fraction is not a KElement"):
+            SurdElement(k5, k5.element(3), k5.one, Fraction(1, 2))
+        other = FieldSpec(2)
+        for parts in ((other.element(3), k5.one, k5.one), (k5.element(3), other.one, k5.one),
+                      (k5.element(3), k5.one, other.omega)):
+            with pytest.raises(ValueError, match="mismatched field specs"):
+                SurdElement(k5, *parts)
+        # An equal spec, though another object, is the same field.
+        assert SurdElement(FieldSpec(5), k5.element(3), k5.one, k5.one).y == k5.one
+
     def test_field_axioms_randomized(self, k5, rng):
         delta = k5.element(2)
         for _ in range(300):
