@@ -818,4 +818,3 @@ def test_an_internal_failure_writes_no_stdout(monkeypatch):
     assert main(["analyze", "1", "-2", "-1-1*w", "-n", "5", "--output", "csv"]) == 5
     assert len(calls) == 4 * 6
     assert stdout.writes == 0
-

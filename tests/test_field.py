@@ -230,8 +230,8 @@ class TestSurds:
             u / (u - u)
 
     def test_components_must_be_elements_of_the_field(self, k5):
-        # Plain ints once built a surd whose floor failed deep inside the
-        # embedding; each component must be a KElement of the surd's field.
+        # A surd of plain ints would fail deep inside the embedding at its
+        # floor; each component must be a KElement of the surd's field.
         big = 10**400
         with pytest.raises(TypeError, match="surd component of type int is not a KElement"):
             SurdElement(k5, 3, big, -big)
