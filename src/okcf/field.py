@@ -20,10 +20,9 @@ with rational u, v of opposite signs is the sign of the larger of u^2 and
 v^2*d, and a surd over K reduces the same way to signs in K.  These exact
 signs are the fallback of the pair expansion, whose certified float
 filter (`okcf.golden`) decides most of its questions first.  No interval
-is involved in a sign, and the expansion path embeds only for a floor
-guess whose float overflows or is NaN (`golden.RealPair._floor_guess`).
-`embed` serves that guess and the display and report enclosures, each in
-one loop on integers that doubles its bits by `intervals._next_level`:
+is involved in a sign or a floor, and the expansion builds no interval.
+`embed` serves the display and report enclosures, each in one loop on
+integers that doubles its bits by `intervals._next_level`:
 `_form_embed` on the form (u, v, den) of (u + v*sqrt(d))/den, and
 `_surd_form_embed` on the forms of x and y in x + y*sqrt(delta), reduced
 or not (`_surd_embed` is it on a surd's own forms; `quartic` passes forms

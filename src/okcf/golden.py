@@ -133,12 +133,13 @@ class RealPair:
         return approx
 
     def _floor_guess(self) -> int:
-        """floor of a float approximation, or of one enclosure when a float
-        overflows.  Only a starting point: `_floor_parts` checks it exactly."""
+        """floor of a float approximation, or 0 when that float overflows or
+        is NaN.  Only a starting point: `_floor_parts` decides the floor
+        exactly from any start."""
         try:
             return _floor(float(self))
         except (OverflowError, ValueError):
-            return _floor(self.interval().lo)
+            return 0
 
     @cached_property
     def _floor_parts(self) -> tuple[int, bool]:
@@ -196,14 +197,6 @@ class PairContext:
         delta = seed.delta
         return PairContext(seed.spec, delta, delta.conj())
 
-    def pair(self, a: SurdElement, b: SurdElement) -> RealPair:
-        """The real a + b with a over delta and b over delta_prime."""
-        return RealPair(a, b)
-
-    @property
-    def beta(self) -> KElement:
-        return self.spec.omega
-
     @cached_property
     def float_roots(self) -> tuple[Enclosure, Enclosure] | None:
         """Float enclosures of sqrt(delta) and sqrt(sigma(delta)), or None
@@ -242,15 +235,6 @@ class ExpansionConfig:
 class LatticeCoords:
     x: RealPair
     y: RealPair
-
-    # Enclosures for display and tests; the rounding decisions never read them.
-    @cached_property
-    def x_interval(self) -> RealInterval:
-        return self.x.interval()
-
-    @cached_property
-    def y_interval(self) -> RealInterval:
-        return self.y.interval()
 
 
 @dataclass(frozen=True)
@@ -507,9 +491,9 @@ def lattice_coords(p: PairState, ctx: PairContext) -> LatticeCoords:
     xip = p.xi_prime.value
     # 1/sqrt(5) = (2*beta - 1)/5
     inv = ctx.spec.element(Fraction(-1, 5), Fraction(2, 5))
-    inv_beta = inv * ctx.beta
-    y = ctx.pair(xi * inv, -(xip * inv))
-    x = ctx.pair(xi * (ctx.spec.one - inv_beta), xip * inv_beta)
+    inv_beta = inv * ctx.spec.omega
+    y = RealPair(xi * inv, -(xip * inv))
+    x = RealPair(xi * (ctx.spec.one - inv_beta), xip * inv_beta)
     return LatticeCoords(x, y)
 
 
@@ -517,7 +501,7 @@ def squared_distance(p: PairState, ctx: PairContext, a: KElement) -> RealPair:
     """The exact |xi_n - a|^2 + |xi'_n - sigma(a)|^2."""
     e1 = p.xi.value - a
     e2 = p.xi_prime.value - a.conj()
-    return ctx.pair(e1 * e1, e2 * e2)
+    return RealPair(e1 * e1, e2 * e2)
 
 
 def choose_quotient(p: PairState, ctx: PairContext) -> KElement:

@@ -19,11 +19,10 @@ as exact `Fraction` values; constructors and the rounding helpers keep
 them dyadic (denominator a power of two), so every interval is an exact,
 machine-checkable enclosure of the real it stands for.  Its precision is
 derived from the endpoints when asked for, never stored.  Intervals
-serve enclosures and display (heights, error terms, decimal
+serve display and report enclosures (heights, error terms, decimal
 output); signs and floors are decided exactly by squaring in
-`okcf.field`, and the expansion path builds an interval only for a floor
-guess whose float overflows or is NaN (`golden.RealPair._floor_guess`),
-which exact signs then check.  Every enclosure that must reach a
+`okcf.field`, and the expansion builds no interval, so only display and
+reports can raise `PrecisionError`.  Every enclosure that must reach a
 requested width comes from a loop that doubles its bits by `_next_level`
 up to MAX_BITS: the integer loops of the `okcf.field` embeddings and of
 `quartic._tight_abs_m`.  `refine` is the same loop for any `compute` and
@@ -55,9 +54,9 @@ class PrecisionError(ArithmeticError):
     Raised only by `_next_level`, the doubling rule of `refine` and of the
     enclosure loops of `okcf.field` and `okcf.quartic`, which serve display
     and report enclosures (an embedding at a requested precision, a
-    relative enclosure of an error term) and a floor guess whose float
-    overflows or is NaN; the sign and floor decisions never refine,
-    because those are exact squarings.  Reaching the cap signals an
+    relative enclosure of an error term); the expansion builds no
+    interval, and its sign and floor decisions never refine, because
+    those are exact squarings.  Reaching the cap signals an
     internal inconsistency rather than a recoverable numeric condition.
     """
 

@@ -864,6 +864,14 @@ CATALOGUE = (
         ("tests/test_golden.py::TestRealPair::test_floor_past_the_float_range",),
     ),
     Mutant(
+        "the floor guess embeds again",
+        "okcf/golden.py",
+        "        except (OverflowError, ValueError):\n            return 0\n",
+        "        except (OverflowError, ValueError):\n            return _floor(self.interval().lo)\n",
+        ("tests/test_golden.py::TestRealPair::test_floor_of_a_pell_surd_past_max_bits",
+         "tests/test_golden.py::TestExactPairDecisions::test_no_enclosure_past_the_float_range"),
+    ),
+    Mutant(
         "the CLI reports an ExpansionError as an unforeseen fault",
         "okcf/cli.py",
         "    except (ExpansionError, PrecisionError, AssertionError) as exc:\n",

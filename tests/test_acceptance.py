@@ -26,6 +26,7 @@ from okcf.golden import (
     LOWER_BOUND_SQ,
     PairContext,
     RADIUS_SQ,
+    RealPair,
     covering_radius,
     expand_pair,
 )
@@ -201,7 +202,7 @@ def test_criterion_6_expansion_step_invariants():
                     assert a.is_integral
                     d1 = (s.value - a) * (s.value - a)
                     d2 = (sp.value - a.conj()) * (sp.value - a.conj())
-                    assert ctx.pair(d1, d2).shift(-RADIUS_SQ).sign() < 0
+                    assert RealPair(d1, d2).shift(-RADIUS_SQ).sign() < 0
                     if n >= 1:
                         assert sign_of(s.value * s.value - LOWER_BOUND_SQ) > 0
                         assert sign_of(sp.value * sp.value - LOWER_BOUND_SQ) > 0

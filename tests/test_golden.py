@@ -7,6 +7,7 @@ from math import isqrt
 
 import pytest
 
+import okcf.field
 from okcf.cf import CFExpansion, eval_periodic
 from okcf.field import FieldSpec, InputRuleError, KElement, SurdElement, reals_equal, sign_of
 from okcf.golden import (
@@ -27,6 +28,7 @@ from okcf.golden import (
     squared_distance,
     verify_roundtrip,
 )
+from okcf.intervals import MAX_BITS
 from okcf.parsing import parse_expansion
 from okcf.quartic import QuadraticPolyK, make_state, run_trajectory, step_state
 
@@ -78,7 +80,7 @@ class TestRealPair:
         ctx = PairContext.create(seed)
         xi = make_state(seed, +1).value
         xip = make_state(seed.sigma(), +1).value
-        pair = ctx.pair(xi, -xip)
+        pair = RealPair(xi, -xip)
         assert pair.is_zero
         assert pair.sign() == 0
 
@@ -86,7 +88,7 @@ class TestRealPair:
         ctx = PairContext.create(unlinked_seed)
         xi = make_state(unlinked_seed, +1).value
         xip = make_state(unlinked_seed.sigma(), +1).value
-        pair = ctx.pair(xi, -xip)
+        pair = RealPair(xi, -xip)
         assert pair.v is not None
         assert not pair.is_zero
         assert pair.sign() == (1 if float(xi) > float(xip) else -1)
@@ -113,8 +115,8 @@ class TestRealPair:
         assert neg.floor() == -2 and neg.ceil() == -1
 
     def test_floor_past_the_float_range(self, k5):
-        # The float guess overflows, or is inf - inf: the guess comes from
-        # an enclosure, and exact signs decide the floor as before.
+        # The float guess overflows, or is inf - inf: the guess is 0, and
+        # exact signs decide the floor from there.
         big = 10**400
         over = RealPair(SurdElement(k5, k5.element(3), k5.element(big), k5.element(-big)), None)
         assert over.floor() == big - isqrt(3 * big * big) - 1
@@ -123,6 +125,27 @@ class TestRealPair:
         v = SurdElement(k5, k5.element(10), k5.element(-top), k5.element(3 - top))
         assert math.isnan(float(RealPair(u, v)))
         assert RealPair(u, v).floor() == 9  # 3*sqrt(10) = 9.48...
+
+    def test_floor_of_a_pell_surd_past_max_bits(self, k5):
+        # p + q*sqrt(3) = (2 + sqrt(3))^40000, so p - q*sqrt(3) is a positive
+        # number below 2^-75000 with a 76,000-bit p: no enclosure of MAX_BITS
+        # bits can place it, and exact signs floor it.
+        p, q = pell_power(40000)
+        assert p.bit_length() > MAX_BITS
+        tiny = RealPair(SurdElement(k5, k5.element(3), k5.element(p), k5.element(-q)), None)
+        assert (tiny.floor(), tiny.ceil()) == (0, 1)
+        assert ((-tiny).floor(), (-tiny).ceil()) == (-1, 0)
+
+
+def pell_power(n: int) -> tuple[int, int]:
+    """(p, q) with p + q*sqrt(3) = (2 + sqrt(3))^n."""
+    p, q, bp, bq = 1, 0, 2, 1
+    while n:
+        if n & 1:
+            p, q = p * bp + 3 * q * bq, p * bq + q * bp
+        bp, bq = bp * bp + 3 * bq * bq, 2 * bp * bq
+        n >>= 1
+    return p, q
 
 
 def pair_cases(k5, unlinked_seed) -> list[tuple[RealPair, int, int, int]]:
@@ -177,7 +200,7 @@ def pair_cases(k5, unlinked_seed) -> list[tuple[RealPair, int, int, int]]:
     linked = QuadraticPolyK(k5.one, k5.zero, k5.element(-2))
     xi = make_state(linked, +1).value
     xip = make_state(linked.sigma(), +1).value
-    cases.append((PairContext.create(linked).pair(xi, -xip), 0, 0, 0))  # exactly zero
+    cases.append((RealPair(xi, -xip), 0, 0, 0))  # exactly zero
     # delta = beta^2 is a square: 3 + beta - sqrt(beta^2) is exactly 3.
     hidden = SurdElement(k5, beta * beta, 3 + beta, -k5.one)
     cases.append((RealPair(hidden, None), 1, 3, 3))
@@ -212,6 +235,35 @@ class TestExactPairDecisions:
                 assert sign_of(pair.u) == sign
 
 
+    def test_no_enclosure_past_the_float_range(self, k5, monkeypatch):
+        # Seeds whose floats overflow: with every embedding forbidden, the
+        # floors of TestRealPair.test_floor_past_the_float_range and two
+        # whole expansions still come out exact and verified.
+        big, top = 10**400, 10**308
+        over = RealPair(SurdElement(k5, k5.element(3), k5.element(big), k5.element(-big)), None)
+        nan = RealPair(
+            SurdElement(k5, k5.element(10), k5.element(top), k5.element(top)),
+            SurdElement(k5, k5.element(10), k5.element(-top), k5.element(3 - top)),
+        )
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a decision built an enclosure")
+
+        monkeypatch.setattr(okcf.field, "_form_embed", forbidden)
+        monkeypatch.setattr(KElement, "embed", forbidden)
+        monkeypatch.setattr(SurdElement, "embed", forbidden)
+        monkeypatch.setattr(RealPair, "interval", forbidden)
+        assert over.floor() == big - isqrt(3 * big * big) - 1
+        assert (nan.floor(), nan.ceil()) == (9, 10)
+        # The period has two quotients; max_steps makes a wrong step fail
+        # fast instead of walking a long period of 660-bit states.
+        for c in (2 * 10**200, 3 * 10**320):
+            seed = QuadraticPolyK(k5.one, k5.element(-c), 1 + k5.omega)
+            r = expand_pair(seed, +1, +1, ExpansionConfig(max_steps=4))
+            assert r.verified and r.expansion.preperiod == ()
+            assert r.expansion.period == (k5.element(c), k5.element(-2 * c, c))
+
+
 class TestLatticeCoords:
     def test_example_start(self, k5, example_seed):
         ctx = PairContext.create(example_seed)
@@ -222,16 +274,16 @@ class TestLatticeCoords:
         xip = 1 + math.sqrt(1 / BETA_F**2 + 1)
         y = (xi - xip) / (BETA_F + 1 / BETA_F)
         x = xi - y * BETA_F
-        assert abs(float(coords.x_interval) - x) < 1e-9
-        assert abs(float(coords.y_interval) - y) < 1e-9
+        assert abs(float(coords.x) - x) < 1e-9
+        assert abs(float(coords.y) - y) < 1e-9
         assert abs(x - 2.3763819) < 1e-6 and abs(y - 0.3249196) < 1e-6
 
     def test_recomposition(self, k5, example_seed):
         ctx = PairContext.create(example_seed)
         ps = PairState(make_state(example_seed, +1), make_state(example_seed.sigma(), +1), 0)
         coords = lattice_coords(ps, ctx)
-        recomposed = coords.x + coords.y.scale(ctx.beta)
-        xi_pair = ctx.pair(ps.xi.value, ps.xi_prime.value - ps.xi_prime.value)
+        recomposed = coords.x + coords.y.scale(k5.omega)
+        xi_pair = RealPair(ps.xi.value, ps.xi_prime.value - ps.xi_prime.value)
         diff = recomposed + (-xi_pair)
         assert diff.is_zero
 
@@ -335,7 +387,7 @@ class TestExpandPair:
             for n, a in enumerate(quots):
                 d1 = (s.value - a) * (s.value - a)
                 d2 = (sp.value - a.conj()) * (sp.value - a.conj())
-                assert ctx.pair(d1, d2).shift(-RADIUS_SQ).sign() < 0
+                assert RealPair(d1, d2).shift(-RADIUS_SQ).sign() < 0
                 if n >= 1:
                     assert sign_of(s.value * s.value - LOWER_BOUND_SQ) > 0
                     assert sign_of(sp.value * sp.value - LOWER_BOUND_SQ) > 0
