@@ -28,7 +28,6 @@ from .field import (
 )
 from .golden import (
     CoveringRadius,
-    ExpansionConfig,
     ExpansionResult,
     GoldenPreconditionError,
     MaxStepsError,

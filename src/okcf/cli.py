@@ -17,7 +17,6 @@ import os
 import random
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from decimal import Context, Decimal
 from itertools import islice
 from json.encoder import encode_basestring_ascii
@@ -26,7 +25,6 @@ from typing import Sequence
 from .cf import eval_periodic
 from .field import FieldSpec, InputRuleError, KElement, SurdElement
 from .golden import (
-    ExpansionConfig,
     ExpansionError,
     ExpansionResult,
     GoldenPreconditionError,
@@ -54,15 +52,6 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_MAX_STEPS = 4
 EXIT_INTERNAL = 5
-
-
-@dataclass
-class SessionConfig:
-    """The inputs of `run_corpus` besides its count and bound."""
-
-    d: int = 5
-    max_steps: int = 10_000
-    seed: int = 0
 
 
 # The most digits whose display bits, int(3.33*digits) + 16, stay within
@@ -174,7 +163,7 @@ def cmd_expand(args: argparse.Namespace) -> str:
         seed,
         _branch(args.branch),
         _branch(args.conj_branch),
-        ExpansionConfig(max_steps=args.max_steps),
+        args.max_steps,
     )
     if args.output == "json":
         return json.dumps(_expansion_json(result), indent=2) + "\n"
@@ -383,11 +372,9 @@ def _sample_seed(rng: random.Random, spec: FieldSpec, bound: int, counters: dict
     return seed
 
 
-def run_corpus(count: int, bound: int, cfg: SessionConfig) -> dict:
-    if cfg.d != 5:
-        raise GoldenPreconditionError("corpus expansion requires D = 5")
-    spec = FieldSpec(cfg.d)
-    rng = random.Random(cfg.seed)
+def run_corpus(count: int, bound: int, max_steps: int, rng_seed: int) -> dict:
+    spec = FieldSpec(5)
+    rng = random.Random(rng_seed)
     counters = {reason.value: 0 for reason in SeedRejection}
     seeds: list[QuadraticPolyK] = []
     while len(seeds) < count:
@@ -395,7 +382,6 @@ def run_corpus(count: int, bound: int, cfg: SessionConfig) -> dict:
         if seed is not None:
             seeds.append(seed)
     runs = []
-    econfig = ExpansionConfig(max_steps=cfg.max_steps)
     for i, seed in enumerate(seeds):
         for conj in (1, -1):
             entry: dict = {
@@ -404,7 +390,7 @@ def run_corpus(count: int, bound: int, cfg: SessionConfig) -> dict:
                 "conj_branch": "+" if conj > 0 else "-",
             }
             try:
-                r = expand_pair(seed, 1, conj, econfig)
+                r = expand_pair(seed, 1, conj, max_steps)
                 entry.update(
                     cycle=True,
                     preperiod=len(r.expansion.preperiod),
@@ -419,7 +405,7 @@ def run_corpus(count: int, bound: int, cfg: SessionConfig) -> dict:
     summary = {
         "count": count,
         "bound": bound,
-        "random_seed": cfg.seed,
+        "random_seed": rng_seed,
         "runs": len(runs),
         "cycles_detected": len(cycles),
         "cycle_fraction": len(cycles) / len(runs),
@@ -434,8 +420,9 @@ def run_corpus(count: int, bound: int, cfg: SessionConfig) -> dict:
 
 
 def cmd_corpus(args: argparse.Namespace) -> str:
-    cfg = SessionConfig(d=args.field_d, max_steps=args.max_steps, seed=args.seed)
-    report = run_corpus(args.count, args.bound, cfg)
+    if args.field_d != 5:
+        raise GoldenPreconditionError("corpus expansion requires D = 5")
+    report = run_corpus(args.count, args.bound, args.max_steps, args.seed)
     if args.output == "json":
         return json.dumps(report, indent=2) + "\n"
     s = report["summary"]

@@ -223,15 +223,6 @@ class PairState:
 
 
 @dataclass(frozen=True)
-class ExpansionConfig:
-    max_steps: int = 10_000
-
-    def __post_init__(self) -> None:
-        if self.max_steps < 1:
-            raise InputRuleError("max_steps must be >= 1")
-
-
-@dataclass(frozen=True)
 class LatticeCoords:
     x: RealPair
     y: RealPair
@@ -479,25 +470,26 @@ def _float_below(z: Enclosure | None, below: float, above: float) -> bool | None
     return None
 
 
-def lattice_coords(p: PairState, ctx: PairContext) -> LatticeCoords:
+def lattice_coords(p: PairState) -> LatticeCoords:
     """Exact solution of x + y*beta = xi_n, x - y/beta = xi'_n.
 
     Subtracting the equations gives y = (xi_n - xi'_n)/sqrt(5) since
     beta + 1/beta = sqrt(5) = 2*beta - 1 lies in K.
     """
-    if ctx.spec.d != 5:
+    spec = p.xi.poly.spec
+    if spec.d != 5:
         raise GoldenPreconditionError("lattice rounding requires D = 5")
     xi = p.xi.value
     xip = p.xi_prime.value
     # 1/sqrt(5) = (2*beta - 1)/5
-    inv = ctx.spec.element(Fraction(-1, 5), Fraction(2, 5))
-    inv_beta = inv * ctx.spec.omega
+    inv = spec.element(Fraction(-1, 5), Fraction(2, 5))
+    inv_beta = inv * spec.omega
     y = RealPair(xi * inv, -(xip * inv))
-    x = RealPair(xi * (ctx.spec.one - inv_beta), xip * inv_beta)
+    x = RealPair(xi * (spec.one - inv_beta), xip * inv_beta)
     return LatticeCoords(x, y)
 
 
-def squared_distance(p: PairState, ctx: PairContext, a: KElement) -> RealPair:
+def squared_distance(p: PairState, a: KElement) -> RealPair:
     """The exact |xi_n - a|^2 + |xi'_n - sigma(a)|^2."""
     e1 = p.xi.value - a
     e2 = p.xi_prime.value - a.conj()
@@ -515,7 +507,7 @@ def choose_quotient(p: PairState, ctx: PairContext) -> KElement:
     xs = _float_floor(None if enc is None else enc[2])
     ys = _float_floor(None if enc is None else enc[3])
     if xs is None or ys is None:
-        coords = lattice_coords(p, ctx)
+        coords = lattice_coords(p)
         xs = xs or (coords.x.floor(), coords.x.ceil())
         ys = ys or (coords.y.floor(), coords.y.ceil())
     for cx, cy in CANDIDATE_ORDER:
@@ -525,7 +517,7 @@ def choose_quotient(p: PairState, ctx: PairContext) -> KElement:
         inside = _float_below(z, _RADIUS_SQ_BELOW, _RADIUS_SQ_ABOVE)
         if inside is None:
             a = ctx.spec.element(x, y)
-            inside = squared_distance(p, ctx, a).shift(-RADIUS_SQ).sign() < 0
+            inside = squared_distance(p, a).shift(-RADIUS_SQ).sign() < 0
         if inside:
             return ctx.spec.element(x, y)
     raise NoCandidateError(
@@ -631,24 +623,27 @@ def expand_pair(
     seed: QuadraticPolyK,
     branch: int,
     conj_branch: int,
-    cfg: ExpansionConfig = ExpansionConfig(),
+    max_steps: int = 10_000,
 ) -> ExpansionResult:
-    """Run the pair expansion until the exact state key repeats.
+    """Run the pair expansion until the exact state key repeats, or raise
+    MaxStepsError past `max_steps` steps.
 
     Returns the pre-period and period, the visited state keys and the
     round-trip verification flag.
     """
+    if max_steps < 1:
+        raise InputRuleError("max_steps must be >= 1")
     seen: dict[tuple, int] = {}
     quotients: list[KElement] = []
     for a, state in pair_steps(seed, branch, conj_branch):
         n = state.index
         if a is not None:
             quotients.append(a)
-        if n > cfg.max_steps:
+        if n > max_steps:
             break
-        key = state.key
-        if key in seen:
-            m = seen[key]
+        # The index of the state's first visit; n on a first visit.
+        m = seen.setdefault(state.key, n)
+        if m != n:
             result = ExpansionResult(
                 expansion=CFExpansion(seed.spec, tuple(quotients[:m]), tuple(quotients[m:n])),
                 keys=tuple(seen),
@@ -659,9 +654,8 @@ def expand_pair(
                 conj_branch=conj_branch,
             )
             return replace(result, verified=bool(verify_roundtrip(result)))
-        seen[key] = n
     raise MaxStepsError(
-        f"no state repetition within {cfg.max_steps} steps", quotients, list(seen)
+        f"no state repetition within {max_steps} steps", quotients, list(seen)
     )
 
 

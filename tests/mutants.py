@@ -527,8 +527,8 @@ CATALOGUE = (
     Mutant(
         "lattice_coords takes -1/sqrt(5) for 1/sqrt(5)",
         "okcf/golden.py",
-        "ctx.spec.element(Fraction(-1, 5), Fraction(2, 5))",
-        "ctx.spec.element(Fraction(1, 5), Fraction(-2, 5))",
+        "    inv = spec.element(Fraction(-1, 5), Fraction(2, 5))\n",
+        "    inv = spec.element(Fraction(1, 5), Fraction(-2, 5))\n",
         ("tests/test_golden.py::TestLatticeCoords", LARGE_BOUND_TEST),
     ),
     Mutant(
@@ -914,6 +914,23 @@ CATALOGUE = (
         "        if inside:\n            return ctx.spec.element(x, y)\n",
         "        return ctx.spec.element(xs[0], ys[0])\n",
         ("tests/test_golden.py::TestChooseQuotient",),
+    ),
+    # The step cap and the corpus's field are plain values: expand_pair and
+    # cmd_corpus check them themselves.
+    Mutant(
+        "expand_pair accepts max_steps below 1",
+        "okcf/golden.py",
+        "    if max_steps < 1:\n        raise InputRuleError(\"max_steps must be >= 1\")\n",
+        "",
+        ("tests/test_golden.py::TestExpandPair::test_max_steps_below_one_is_rejected",),
+    ),
+    Mutant(
+        "corpus accepts any D",
+        "okcf/cli.py",
+        "    if args.field_d != 5:\n"
+        "        raise GoldenPreconditionError(\"corpus expansion requires D = 5\")\n",
+        "",
+        ("tests/test_cli.py::TestCorpus::test_rejects_any_d_but_5",),
     ),
 )
 

@@ -24,7 +24,6 @@ from okcf.cf import (
 from okcf.field import FieldSpec, SurdElement, reals_equal, sign_of
 from okcf.golden import (
     LOWER_BOUND_SQ,
-    PairContext,
     RADIUS_SQ,
     RealPair,
     covering_radius,
@@ -42,7 +41,7 @@ from okcf.quartic import (
     weil_height,
     weil_height4,
 )
-from okcf.cli import SessionConfig, run_corpus
+from okcf.cli import run_corpus
 from conftest import random_k
 
 K5 = FieldSpec(5)
@@ -194,7 +193,6 @@ def test_criterion_6_expansion_step_invariants():
             seed = _sample_expandable_seed(rng)
             for conj in (+1, -1):
                 r = expand_pair(seed, +1, conj)
-                ctx = PairContext.create(seed)
                 s = make_state(seed, +1)
                 sp = make_state(seed.sigma(), conj)
                 quots = list(r.expansion.preperiod) + list(r.expansion.period)
@@ -235,8 +233,7 @@ def test_criterion_7_covering_radius_table():
 
 def test_criterion_8_periodicity_at_scale():
     with Budget(8, "25-seed corpus periodicity", 600.0):
-        cfg = SessionConfig(d=5, seed=1, max_steps=10_000)
-        report = run_corpus(25, 3, cfg)
+        report = run_corpus(25, 3, max_steps=10_000, rng_seed=1)
         s = report["summary"]
         failures = [r for r in report["runs"] if not r["cycle"]]
         if failures:

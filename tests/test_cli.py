@@ -345,6 +345,14 @@ class TestCorpus:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    @pytest.mark.parametrize("d", ["2", "4"])
+    def test_rejects_any_d_but_5(self, capsys, d):
+        # The D = 5 check comes before sampling, and before FieldSpec would
+        # reject the non-squarefree 4.
+        code, out, err = run(capsys, "corpus", "--count", "1", "--field-d", d)
+        assert (code, out) == (3, "")
+        assert err == "rejected: corpus expansion requires D = 5\n"
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -12,7 +12,6 @@ from okcf.cf import CFExpansion, eval_periodic
 from okcf.field import FieldSpec, InputRuleError, KElement, SurdElement, reals_equal, sign_of
 from okcf.golden import (
     CANDIDATE_ORDER,
-    ExpansionConfig,
     ExpansionResult,
     GoldenPreconditionError,
     LOWER_BOUND_SQ,
@@ -77,7 +76,6 @@ class TestRealPair:
         # both tracks over delta = 8: product 64 is a square, and
         # (xi - xi') is exactly zero across the two families.
         seed = QuadraticPolyK(k5.one, k5.zero, k5.element(-2))
-        ctx = PairContext.create(seed)
         xi = make_state(seed, +1).value
         xip = make_state(seed.sigma(), +1).value
         pair = RealPair(xi, -xip)
@@ -85,7 +83,6 @@ class TestRealPair:
         assert pair.sign() == 0
 
     def test_unlinked_structure(self, k5, unlinked_seed):
-        ctx = PairContext.create(unlinked_seed)
         xi = make_state(unlinked_seed, +1).value
         xip = make_state(unlinked_seed.sigma(), +1).value
         pair = RealPair(xi, -xip)
@@ -259,16 +256,15 @@ class TestExactPairDecisions:
         # fast instead of walking a long period of 660-bit states.
         for c in (2 * 10**200, 3 * 10**320):
             seed = QuadraticPolyK(k5.one, k5.element(-c), 1 + k5.omega)
-            r = expand_pair(seed, +1, +1, ExpansionConfig(max_steps=4))
+            r = expand_pair(seed, +1, +1, max_steps=4)
             assert r.verified and r.expansion.preperiod == ()
             assert r.expansion.period == (k5.element(c), k5.element(-2 * c, c))
 
 
 class TestLatticeCoords:
     def test_example_start(self, k5, example_seed):
-        ctx = PairContext.create(example_seed)
         ps = PairState(make_state(example_seed, +1), make_state(example_seed.sigma(), +1), 0)
-        coords = lattice_coords(ps, ctx)
+        coords = lattice_coords(ps)
         # numeric oracle: solve the 2x2 system directly
         xi = 1 + math.sqrt(BETA_F**2 + 1)
         xip = 1 + math.sqrt(1 / BETA_F**2 + 1)
@@ -279,9 +275,8 @@ class TestLatticeCoords:
         assert abs(x - 2.3763819) < 1e-6 and abs(y - 0.3249196) < 1e-6
 
     def test_recomposition(self, k5, example_seed):
-        ctx = PairContext.create(example_seed)
         ps = PairState(make_state(example_seed, +1), make_state(example_seed.sigma(), +1), 0)
-        coords = lattice_coords(ps, ctx)
+        coords = lattice_coords(ps)
         recomposed = coords.x + coords.y.scale(k5.omega)
         xi_pair = RealPair(ps.xi.value, ps.xi_prime.value - ps.xi_prime.value)
         diff = recomposed + (-xi_pair)
@@ -289,20 +284,16 @@ class TestLatticeCoords:
 
     def test_symmetric_input_gives_zero_y(self, k5):
         seed = QuadraticPolyK(k5.one, k5.zero, k5.element(-2))
-        ctx = PairContext.create(seed)
         ps = PairState(make_state(seed, +1), make_state(seed.sigma(), +1), 0)
-        coords = lattice_coords(ps, ctx)
+        coords = lattice_coords(ps)
         assert coords.y.is_zero
         assert coords.y.floor() == 0
 
     def test_requires_d5(self):
         k2 = FieldSpec(2)
         seed = QuadraticPolyK(k2.one, k2.zero, k2.element(-3))
-        ctx = PairContext.create(seed)
         with pytest.raises(GoldenPreconditionError):
-            lattice_coords(
-                PairState(make_state(seed, 1), make_state(seed.sigma(), 1), 0), ctx
-            )
+            lattice_coords(PairState(make_state(seed, 1), make_state(seed.sigma(), 1), 0))
 
 
 class TestChooseQuotient:
@@ -310,7 +301,7 @@ class TestChooseQuotient:
         ctx = PairContext.create(example_seed)
         ps = PairState(make_state(example_seed, +1), make_state(example_seed.sigma(), +1), 0)
         a = choose_quotient(ps, ctx)
-        dist = squared_distance(ps, ctx, a)
+        dist = squared_distance(ps, a)
         assert a == 2
         assert float(dist) < 0.9
 
@@ -341,7 +332,7 @@ class TestChooseQuotient:
                 for n in range(6):
                     p = PairState(s, sp, n)
                     a = choose_quotient(p, ctx)
-                    dist = squared_distance(p, ctx, a)
+                    dist = squared_distance(p, a)
                     assert isinstance(dist, RealPair)
                     assert dist.shift(-RADIUS_SQ).sign() < 0
                     assert dist.sign() >= 0
@@ -378,7 +369,6 @@ class TestExpandPair:
         assert end_key == r.keys[r.cycle_start]
 
     def test_step_invariants_replay(self, k5, example_seed):
-        ctx = PairContext.create(example_seed)
         for conj in (+1, -1):
             r = expand_pair(example_seed, +1, conj)
             quots = list(r.expansion.preperiod) + list(r.expansion.period)
@@ -424,12 +414,12 @@ class TestExpandPair:
 
     def test_max_steps_error_carries_state(self, k5, example_seed):
         with pytest.raises(MaxStepsError) as err:
-            expand_pair(example_seed, +1, +1, ExpansionConfig(max_steps=1))
+            expand_pair(example_seed, +1, +1, max_steps=1)
         assert len(err.value.quotients) >= 1
 
-    def test_max_steps_below_one_is_rejected(self):
+    def test_max_steps_below_one_is_rejected(self, example_seed):
         with pytest.raises(InputRuleError, match="max_steps must be >= 1"):
-            ExpansionConfig(max_steps=0)
+            expand_pair(example_seed, +1, +1, max_steps=0)
 
     def test_no_embedding_on_expansion_path(self, example_seed, unlinked_seed, monkeypatch):
         expected = {

@@ -25,7 +25,7 @@ import pytest
 from okcf import cli
 from okcf.cf import CFExpansion, Mat2, cf_matrix, convergents, e_matrix
 from okcf.field import FieldSpec
-from okcf.golden import ExpansionConfig, MaxStepsError, SeedRejection, expand_pair
+from okcf.golden import MaxStepsError, SeedRejection, expand_pair
 from okcf.parsing import parse_expansion
 
 K5 = FieldSpec(5)
@@ -46,12 +46,11 @@ def corpus_expansions(count: int, bound: int, rng_seed: int) -> list[CFExpansion
         seed = cli._sample_seed(rng, K5, bound, counters)
         if seed is not None:
             seeds.append(seed)
-    config = ExpansionConfig(max_steps=cli.SessionConfig().max_steps)
     out = []
     for seed in seeds:
         for conj in (1, -1):
             try:
-                out.append(expand_pair(seed, 1, conj, config).expansion)
+                out.append(expand_pair(seed, 1, conj, max_steps=10_000).expansion)
             except MaxStepsError:
                 pass
     return out

@@ -182,7 +182,7 @@ def test_floor_ceil_on_every_corpus_step(k5, monkeypatch):
     choose = golden.choose_quotient
 
     def recording(p, ctx):
-        steps.append(lattice_coords(p, ctx))
+        steps.append(lattice_coords(p))
         return choose(p, ctx)
 
     monkeypatch.setattr(golden, "choose_quotient", recording)
