@@ -32,12 +32,12 @@ from .golden import (
     GoldenPreconditionError,
     MaxStepsError,
     NoCandidateError,
-    PairContext,
     PairState,
     RealPair,
     choose_quotient,
     covering_radius,
     expand_pair,
+    float_roots,
     lattice_coords,
     squared_distance,
     verify_roundtrip,

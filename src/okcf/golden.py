@@ -184,33 +184,6 @@ def _surd_float(u: SurdElement) -> float:
 
 
 @dataclass(frozen=True)
-class PairContext:
-    """Session constants for one expansion: the two discriminant families
-    and the exact lattice geometry of Q(sqrt(5))."""
-
-    spec: FieldSpec
-    delta: KElement
-    delta_prime: KElement
-
-    @staticmethod
-    def create(seed: QuadraticPolyK) -> PairContext:
-        delta = seed.delta
-        return PairContext(seed.spec, delta, delta.conj())
-
-    @cached_property
-    def float_roots(self) -> tuple[Enclosure, Enclosure] | None:
-        """Float enclosures of sqrt(delta) and sqrt(sigma(delta)), or None
-        when the filter abstains.  The discriminant is conserved along the
-        expansion, so these serve every state of both tracks."""
-        if not _BINARY64 or self.spec.d != 5:
-            return None
-        try:
-            return _sqrt(_k_enclosure(self.delta)), _sqrt(_k_enclosure(self.delta_prime))
-        except ArithmeticError:
-            return None
-
-
-@dataclass(frozen=True)
 class PairState:
     xi: QuotientState
     xi_prime: QuotientState
@@ -220,12 +193,6 @@ class PairState:
     def key(self) -> tuple:
         """Exact value-level key of the pair, used for cycle detection."""
         return (*self.xi.canonical_key, *self.xi_prime.canonical_key)
-
-
-@dataclass(frozen=True)
-class LatticeCoords:
-    x: RealPair
-    y: RealPair
 
 
 @dataclass(frozen=True)
@@ -369,6 +336,18 @@ def _k_enclosure(k: KElement) -> Enclosure:
     return _add(_int(k.p), _mul(_int(k.q), _W))
 
 
+def float_roots(seed: QuadraticPolyK) -> tuple[Enclosure, Enclosure] | None:
+    """Float enclosures of sqrt(delta) and sqrt(sigma(delta)), or None
+    when the filter abstains.  The discriminant is conserved along the
+    expansion, so these serve every state of both tracks."""
+    if not _BINARY64 or seed.spec.d != 5:
+        return None
+    try:
+        return _sqrt(_k_enclosure(seed.delta)), _sqrt(_k_enclosure(seed.delta.conj()))
+    except ArithmeticError:
+        return None
+
+
 def _xi_enclosure(s: QuotientState, root: Enclosure) -> Enclosure | None:
     """Enclosure of (-B + branch*sqrt(delta))/(2A), from the integers of A
     and B and an enclosure of sqrt(delta); None when the filter abstains:
@@ -396,11 +375,12 @@ def _xi_enclosure(s: QuotientState, root: Enclosure) -> Enclosure | None:
     return x, (ve + abs(x) * de + _ETA) / (m - de) + _U * abs(x) + _ETA
 
 
-def _pair_enclosures(p: PairState, ctx: PairContext) -> PairEnclosures | None:
+def _pair_enclosures(
+    p: PairState, roots: tuple[Enclosure, Enclosure] | None
+) -> PairEnclosures | None:
     """Enclosures of xi, xi', and the lattice coordinates
-    y = _mul(_sub(xi, xi'), 1/sqrt(5)) and x = _sub(xi, _mul(y, w)); None
-    when the filter abstains."""
-    roots = ctx.float_roots
+    y = _mul(_sub(xi, xi'), 1/sqrt(5)) and x = _sub(xi, _mul(y, w)), from
+    the `float_roots` of the seed; None when the filter abstains."""
     if roots is None:
         return None
     xi = _xi_enclosure(p.xi, roots[0])
@@ -470,8 +450,8 @@ def _float_below(z: Enclosure | None, below: float, above: float) -> bool | None
     return None
 
 
-def lattice_coords(p: PairState) -> LatticeCoords:
-    """Exact solution of x + y*beta = xi_n, x - y/beta = xi'_n.
+def lattice_coords(p: PairState) -> tuple[RealPair, RealPair]:
+    """Exact solution (x, y) of x + y*beta = xi_n, x - y/beta = xi'_n.
 
     Subtracting the equations gives y = (xi_n - xi'_n)/sqrt(5) since
     beta + 1/beta = sqrt(5) = 2*beta - 1 lies in K.
@@ -486,7 +466,7 @@ def lattice_coords(p: PairState) -> LatticeCoords:
     inv_beta = inv * spec.omega
     y = RealPair(xi * inv, -(xip * inv))
     x = RealPair(xi * (spec.one - inv_beta), xip * inv_beta)
-    return LatticeCoords(x, y)
+    return x, y
 
 
 def squared_distance(p: PairState, a: KElement) -> RealPair:
@@ -496,30 +476,32 @@ def squared_distance(p: PairState, a: KElement) -> RealPair:
     return RealPair(e1 * e1, e2 * e2)
 
 
-def choose_quotient(p: PairState, ctx: PairContext) -> KElement:
+def choose_quotient(p: PairState, roots: tuple[Enclosure, Enclosure] | None) -> KElement:
     """First corner candidate a = x + y*beta with
     |xi_n - a|^2 + |xi'_n - sigma(a)|^2 < 9/10.
 
     The float filter answers each floor and each distance test that its
-    enclosure decides; the exact squarings answer the rest.
+    enclosure decides; the exact squarings answer the rest.  `roots` is
+    the `float_roots` of the seed.
     """
-    enc = _pair_enclosures(p, ctx)
+    spec = p.xi.poly.spec
+    enc = _pair_enclosures(p, roots)
     xs = _float_floor(None if enc is None else enc[2])
     ys = _float_floor(None if enc is None else enc[3])
     if xs is None or ys is None:
-        coords = lattice_coords(p)
-        xs = xs or (coords.x.floor(), coords.x.ceil())
-        ys = ys or (coords.y.floor(), coords.y.ceil())
+        x, y = lattice_coords(p)
+        xs = xs or (x.floor(), x.ceil())
+        ys = ys or (y.floor(), y.ceil())
     for cx, cy in CANDIDATE_ORDER:
         # xs and ys are (floor, ceil) pairs.
         x, y = xs[cx == "ceil"], ys[cy == "ceil"]
         z = None if enc is None else _corner_distance(enc[0], enc[1], x, y)
         inside = _float_below(z, _RADIUS_SQ_BELOW, _RADIUS_SQ_ABOVE)
         if inside is None:
-            a = ctx.spec.element(x, y)
+            a = spec.element(x, y)
             inside = squared_distance(p, a).shift(-RADIUS_SQ).sign() < 0
         if inside:
-            return ctx.spec.element(x, y)
+            return spec.element(x, y)
     raise NoCandidateError(
         f"no corner candidate within the circumradius bound at index {p.index}"
     )
@@ -605,7 +587,7 @@ def pair_steps(
     two summands, so xi_(n+1)^2 > 10/9, and the same holds for xi'_(n+1).
     """
     _check_preconditions(seed)
-    ctx = PairContext.create(seed)
+    roots = float_roots(seed)
     # The checks above admitted delta and sigma(delta); make_state would
     # decide their signs and squareness again.
     s = QuotientState(seed, branch)
@@ -614,7 +596,7 @@ def pair_steps(
     for n in count():
         state = PairState(s, sp, n)
         yield a, state
-        a = choose_quotient(state, ctx)
+        a = choose_quotient(state, roots)
         s = step_state(s, a)
         sp = step_state(sp, a.conj())
 

@@ -17,7 +17,6 @@ from .field import (
     KElement,
     SurdElement,
     _k_embed,
-    _int_mul,
     _make,
     _new,
     _form_mul,
@@ -80,12 +79,7 @@ class QuadraticPolyK:
 
     @cached_property
     def delta(self) -> KElement:
-        # B^2 - 4AC on the integer pairs of the integral coefficients.
-        A, B, C, spec = self.A, self.B, self.C, self.A.spec
-        c, l = spec.omega_sq_const, spec.omega_sq_lin
-        bb_p, bb_q = _int_mul(c, l, B.p, B.q, B.p, B.q)
-        ac_p, ac_q = _int_mul(c, l, A.p, A.q, C.p, C.q)
-        return _make(spec, bb_p - 4 * ac_p, bb_q - 4 * ac_q, 1)
+        return self.B * self.B - 4 * self.A * self.C
 
     def sigma(self) -> QuadraticPolyK:
         return QuadraticPolyK(self.A.conj(), self.B.conj(), self.C.conj())

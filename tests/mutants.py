@@ -911,9 +911,16 @@ CATALOGUE = (
     Mutant(
         "choose_quotient returns the first candidate's floor corner whatever the test says",
         "okcf/golden.py",
-        "        if inside:\n            return ctx.spec.element(x, y)\n",
-        "        return ctx.spec.element(xs[0], ys[0])\n",
+        "        if inside:\n            return spec.element(x, y)\n",
+        "        return spec.element(xs[0], ys[0])\n",
         ("tests/test_golden.py::TestChooseQuotient",),
+    ),
+    Mutant(
+        "float_roots serves any D",
+        "okcf/golden.py",
+        "    if not _BINARY64 or seed.spec.d != 5:\n",
+        "    if not _BINARY64:\n",
+        ("tests/test_float_filter.py::test_float_roots_abstain_off_q_sqrt5",),
     ),
     # The step cap and the corpus's field are plain values: expand_pair and
     # cmd_corpus check them themselves.

@@ -45,8 +45,7 @@ def ref_xi(s: QuotientState, root):
         return None
 
 
-def ref_pair(p, ctx):
-    roots = ctx.float_roots
+def ref_pair(p, roots):
     if roots is None:
         return None
     xi = ref_xi(p.xi, roots[0])
@@ -81,13 +80,12 @@ def corners(enc) -> list[tuple[int, int]]:
     return [(cx, cy) for cx in (x, x + 1) for cy in (y, y + 1)]
 
 
-def assert_state_agrees(p, ctx) -> None:
-    roots = ctx.float_roots
+def assert_state_agrees(p, roots) -> None:
     if roots is not None:
         for s, root in ((p.xi, roots[0]), (p.xi_prime, roots[1])):
             assert bits(golden._xi_enclosure(s, root)) == bits(ref_xi(s, root)), s.poly
-    enc = golden._pair_enclosures(p, ctx)
-    assert bits(enc) == bits(ref_pair(p, ctx)), p.xi.poly
+    enc = golden._pair_enclosures(p, roots)
+    assert bits(enc) == bits(ref_pair(p, roots)), p.xi.poly
     if enc is not None:
         for x, y in corners(enc):
             got = golden._corner_distance(enc[0], enc[1], x, y)
@@ -111,7 +109,7 @@ def perfbench_pool_seeds(k5: FieldSpec) -> list[QuadraticPolyK]:
 
 @pytest.fixture(scope="module")
 def corpus_states(k5):
-    """Every (state, context) that chose a quotient, per corpus."""
+    """Every (state, float roots) that chose a quotient, per corpus."""
     corpora = {
         "perfbench pool": perfbench_pool_seeds(k5),
         "bound 12": corpus_seeds(100, 12, 7),
@@ -121,9 +119,9 @@ def corpus_states(k5):
     choose = golden.choose_quotient
     with pytest.MonkeyPatch.context() as mp:
         for name, seeds in corpora.items():
-            def recording(p, ctx, into=states[name]):
-                into.append((p, ctx))
-                return choose(p, ctx)
+            def recording(p, roots, into=states[name]):
+                into.append((p, roots))
+                return choose(p, roots)
 
             mp.setattr(golden, "choose_quotient", recording)
             for seed in seeds:
@@ -137,18 +135,18 @@ def corpus_states(k5):
 def test_corpus_states_agree_bit_for_bit(corpus_states, corpus, count):
     states = corpus_states[corpus]
     assert len(states) == count
-    for p, ctx in states:
-        assert_state_agrees(p, ctx)
+    for p, roots in states:
+        assert_state_agrees(p, roots)
 
 
 def test_crafted_states_agree_bit_for_bit(k5):
     seeds = crafted_seeds(k5)
     for name in ("cancel", "cancel_neg", "cancel_mixed", "tiny_lead", "huge_lead"):
-        for p, ctx in both_branches(seeds[name]):
-            assert_state_agrees(p, ctx)
+        for p, roots in both_branches(seeds[name]):
+            assert_state_agrees(p, roots)
     # An infinite divisor: 2A overflows to inf, and both abstain.
     huge = QuotientState(seeds["huge_lead"], 1)
-    root = golden.PairContext.create(seeds["huge_lead"]).float_roots[0]
+    root = golden.float_roots(seeds["huge_lead"])[0]
     assert math.isinf(2 * ref_k(huge.poly.A)[0])
     assert golden._xi_enclosure(huge, root) is None and ref_xi(huge, root) is None
     # Coefficients that no float holds, in B or in A.

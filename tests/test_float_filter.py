@@ -18,28 +18,30 @@ import pytest
 from okcf import golden
 from okcf.cli import _sample_seed
 from okcf.field import FieldSpec, KElement, is_square_in_k
-from okcf.golden import PairContext, PairState, SeedRejection, expand_pair
+from okcf.golden import Enclosure, PairState, SeedRejection, expand_pair, float_roots
 from okcf.quartic import QuadraticPolyK, QuotientState
 from test_sign_oracle import pool_seeds
 
 DIGITS = 100
+# The float_roots of a seed: enclosures of sqrt(delta) and sqrt(sigma(delta)).
+Roots = tuple[Enclosure, Enclosure] | None
 
 
 @pytest.fixture(scope="module")
 def pool_run(k5):
     """Expand the sign-oracle pool on both conjugate branches with the
-    filter on, recording every (state, context) that chose a quotient and
+    filter on, recording every (state, float roots) that chose a quotient and
     how many floors and candidate tests the filter left undecided."""
-    states: list[tuple[PairState, PairContext]] = []
+    states: list[tuple[PairState, Roots]] = []
     # kind -> [decisions, undecided]
     counts = {"floor": [0, 0], "candidate": [0, 0]}
     choose, float_floor, float_below = (
         golden.choose_quotient, golden._float_floor, golden._float_below
     )
 
-    def recording(p, ctx):
-        states.append((p, ctx))
-        return choose(p, ctx)
+    def recording(p, roots):
+        states.append((p, roots))
+        return choose(p, roots)
 
     def counted_floor(z):
         answer = float_floor(z)
@@ -92,14 +94,14 @@ def assert_encloses(mpmath, z, true, what):
     assert abs(true - mpmath.mpf(v)) <= mpmath.mpf(e), what
 
 
-def check_state(mpmath, p: PairState, ctx: PairContext) -> int:
-    """Check every enclosure the filter builds for p, and every answer it
-    gives; returns the number of enclosures checked."""
-    roots = ctx.float_roots
+def check_state(mpmath, p: PairState, roots: Roots) -> int:
+    """Check every enclosure the filter builds for p from the seed's
+    float roots, and every answer it gives; returns the number of
+    enclosures checked."""
     if roots is None:
         return 0
     checked = 0
-    for z, delta in zip(roots, (ctx.delta, ctx.delta_prime)):
+    for z, delta in zip(roots, (p.xi.poly.delta, p.xi_prime.poly.delta)):
         assert_encloses(mpmath, z, mpmath.sqrt(mp_k(mpmath, delta)), "sqrt(delta)")
         checked += 1
     xi, xip = mp_xi(mpmath, p.xi), mp_xi(mpmath, p.xi_prime)
@@ -114,7 +116,7 @@ def check_state(mpmath, p: PairState, ctx: PairContext) -> int:
         )
         if modulus_below is not None:
             assert modulus_below == (true * true < mpmath.mpf(10) / 9)
-    enc = golden._pair_enclosures(p, ctx)
+    enc = golden._pair_enclosures(p, roots)
     if enc is None:
         return checked
     y = (xi - xip) / mpmath.sqrt(5)
@@ -145,7 +147,7 @@ def check_state(mpmath, p: PairState, ctx: PairContext) -> int:
 def test_enclosures_hold_on_every_pool_state(mp, pool_run):
     _, states, _ = pool_run
     assert len(states) > 1000
-    checked = sum(check_state(mp, p, ctx) for p, ctx in states)
+    checked = sum(check_state(mp, p, roots) for p, roots in states)
     assert checked == 10 * len(states)
 
 
@@ -178,10 +180,10 @@ def crafted_seeds(k5) -> dict[str, QuadraticPolyK]:
     }
 
 
-def both_branches(seed: QuadraticPolyK) -> list[tuple[PairState, PairContext]]:
-    ctx = PairContext.create(seed)
+def both_branches(seed: QuadraticPolyK) -> list[tuple[PairState, Roots]]:
+    roots = float_roots(seed)
     return [
-        (PairState(QuotientState(seed, branch), QuotientState(seed.sigma(), conj), 0), ctx)
+        (PairState(QuotientState(seed, branch), QuotientState(seed.sigma(), conj), 0), roots)
         for branch in (1, -1)
         for conj in (1, -1)
     ]
@@ -190,28 +192,36 @@ def both_branches(seed: QuadraticPolyK) -> list[tuple[PairState, PairContext]]:
 def test_enclosures_hold_on_crafted_states(mp, k5):
     seeds = crafted_seeds(k5)
     for name in ("cancel", "cancel_neg", "cancel_mixed", "tiny_lead"):
-        for p, ctx in both_branches(seeds[name]):
-            assert check_state(mp, p, ctx) >= 3, name
+        for p, roots in both_branches(seeds[name]):
+            assert check_state(mp, p, roots) >= 3, name
     # A divisor or radicand whose enclosure reaches 0 makes the filter
     # abstain even though its float is not 0, and so does a coefficient
     # that no float holds.
     lead = seeds["tiny_lead"].A
     assert 0 < golden._k_enclosure(lead)[0] < golden._k_enclosure(lead)[1]
-    for p, ctx in both_branches(seeds["tiny_lead"]):
-        assert golden._pair_enclosures(p, ctx) is None
+    for p, roots in both_branches(seeds["tiny_lead"]):
+        assert golden._pair_enclosures(p, roots) is None
     delta = seeds["tiny_delta"].delta
     assert 0 < golden._k_enclosure(delta)[0] < golden._k_enclosure(delta)[1]
-    assert PairContext.create(seeds["tiny_delta"]).float_roots is None
-    assert PairContext.create(seeds["overflow"]).float_roots is None
+    assert float_roots(seeds["tiny_delta"]) is None
+    assert float_roots(seeds["overflow"]) is None
     # A divisor that overflows to inf: finite/inf = 0 would enclose xi
     # (about -1/2) as 0, and choose 0 where the exact path chooses -1.
     huge = seeds["huge_lead"]
     assert golden.classify_seed(huge) is None
     assert 0 < huge.delta.p < 2**1023 and huge.delta.q == 0
-    for p, ctx in both_branches(huge):
-        assert check_state(mp, p, ctx) == 2
-        assert golden._pair_enclosures(p, ctx) is None
-        assert golden.choose_quotient(p, ctx) == -1
+    for p, roots in both_branches(huge):
+        assert check_state(mp, p, roots) == 2
+        assert golden._pair_enclosures(p, roots) is None
+        assert golden.choose_quotient(p, roots) == -1
+
+
+def test_float_roots_abstain_off_q_sqrt5():
+    # The float filter encloses w = (1 + sqrt(5))/2 only; over any other
+    # field the exact path decides every step.
+    for d in (2, 13):
+        k = FieldSpec(d)
+        assert float_roots(QuadraticPolyK(k.one, k.zero, k.element(-3))) is None, d
 
 
 def test_helpers_abstain_when_the_enclosure_touches_a_threshold():

@@ -16,13 +16,13 @@ from okcf.golden import (
     GoldenPreconditionError,
     LOWER_BOUND_SQ,
     MaxStepsError,
-    PairContext,
     PairState,
     RADIUS_SQ,
     RealPair,
     choose_quotient,
     covering_radius,
     expand_pair,
+    float_roots,
     lattice_coords,
     squared_distance,
     verify_roundtrip,
@@ -202,9 +202,8 @@ def pair_cases(k5, unlinked_seed) -> list[tuple[RealPair, int, int, int]]:
     hidden = SurdElement(k5, beta * beta, 3 + beta, -k5.one)
     cases.append((RealPair(hidden, None), 1, 3, 3))
     cases.append((RealPair(-hidden, None), -1, -3, -3))
-    ul = PairContext.create(unlinked_seed)
-    zero_y = SurdElement(ul.spec, ul.delta, k5.element(Fraction(-7, 2)), k5.zero)
-    zero_y2 = SurdElement(ul.spec, ul.delta_prime, k5.element(1), k5.zero)
+    zero_y = SurdElement(k5, unlinked_seed.delta, k5.element(Fraction(-7, 2)), k5.zero)
+    zero_y2 = SurdElement(k5, unlinked_seed.delta.conj(), k5.element(1), k5.zero)
     cases.append((RealPair(zero_y, zero_y2), -1, -3, -2))
     return cases
 
@@ -264,20 +263,20 @@ class TestExactPairDecisions:
 class TestLatticeCoords:
     def test_example_start(self, k5, example_seed):
         ps = PairState(make_state(example_seed, +1), make_state(example_seed.sigma(), +1), 0)
-        coords = lattice_coords(ps)
+        cx, cy = lattice_coords(ps)
         # numeric oracle: solve the 2x2 system directly
         xi = 1 + math.sqrt(BETA_F**2 + 1)
         xip = 1 + math.sqrt(1 / BETA_F**2 + 1)
         y = (xi - xip) / (BETA_F + 1 / BETA_F)
         x = xi - y * BETA_F
-        assert abs(float(coords.x) - x) < 1e-9
-        assert abs(float(coords.y) - y) < 1e-9
+        assert abs(float(cx) - x) < 1e-9
+        assert abs(float(cy) - y) < 1e-9
         assert abs(x - 2.3763819) < 1e-6 and abs(y - 0.3249196) < 1e-6
 
     def test_recomposition(self, k5, example_seed):
         ps = PairState(make_state(example_seed, +1), make_state(example_seed.sigma(), +1), 0)
-        coords = lattice_coords(ps)
-        recomposed = coords.x + coords.y.scale(k5.omega)
+        x, y = lattice_coords(ps)
+        recomposed = x + y.scale(k5.omega)
         xi_pair = RealPair(ps.xi.value, ps.xi_prime.value - ps.xi_prime.value)
         diff = recomposed + (-xi_pair)
         assert diff.is_zero
@@ -285,9 +284,9 @@ class TestLatticeCoords:
     def test_symmetric_input_gives_zero_y(self, k5):
         seed = QuadraticPolyK(k5.one, k5.zero, k5.element(-2))
         ps = PairState(make_state(seed, +1), make_state(seed.sigma(), +1), 0)
-        coords = lattice_coords(ps)
-        assert coords.y.is_zero
-        assert coords.y.floor() == 0
+        _, y = lattice_coords(ps)
+        assert y.is_zero
+        assert y.floor() == 0
 
     def test_requires_d5(self):
         k2 = FieldSpec(2)
@@ -298,26 +297,26 @@ class TestLatticeCoords:
 
 class TestChooseQuotient:
     def test_example_first_quotient(self, k5, example_seed):
-        ctx = PairContext.create(example_seed)
+        roots = float_roots(example_seed)
         ps = PairState(make_state(example_seed, +1), make_state(example_seed.sigma(), +1), 0)
-        a = choose_quotient(ps, ctx)
+        a = choose_quotient(ps, roots)
         dist = squared_distance(ps, a)
         assert a == 2
         assert float(dist) < 0.9
 
     def test_example_second_quotient(self, k5, example_seed):
-        ctx = PairContext.create(example_seed)
+        roots = float_roots(example_seed)
         s = make_state(example_seed, +1)
         sp = make_state(example_seed.sigma(), +1)
-        a0 = choose_quotient(PairState(s, sp, 0), ctx)
+        a0 = choose_quotient(PairState(s, sp, 0), roots)
         s, sp = step_state(s, a0), step_state(sp, a0.conj())
-        a1 = choose_quotient(PairState(s, sp, 1), ctx)
+        a1 = choose_quotient(PairState(s, sp, 1), roots)
         assert a1 == k5.element(4, -2)
 
     def test_alternative_branch_takes_beta_squared(self, k5, example_seed):
-        ctx = PairContext.create(example_seed)
+        roots = float_roots(example_seed)
         ps = PairState(make_state(example_seed, +1), make_state(example_seed.sigma(), -1), 0)
-        a = choose_quotient(ps, ctx)
+        a = choose_quotient(ps, roots)
         assert a == k5.element(1, 1)  # beta^2 = 1 + beta
 
     def test_dist_is_exact_squared_distance(self, example_seed, unlinked_seed):
@@ -326,12 +325,12 @@ class TestChooseQuotient:
         # 1e-16 here) that a 64-bit enclosure is far narrower than, hence
         # the tolerance.
         for seed in (example_seed, unlinked_seed):
-            ctx = PairContext.create(seed)
+            roots = float_roots(seed)
             for conj_branch in (1, -1):
                 s, sp = make_state(seed, +1), make_state(seed.sigma(), conj_branch)
                 for n in range(6):
                     p = PairState(s, sp, n)
-                    a = choose_quotient(p, ctx)
+                    a = choose_quotient(p, roots)
                     dist = squared_distance(p, a)
                     assert isinstance(dist, RealPair)
                     assert dist.shift(-RADIUS_SQ).sign() < 0

@@ -181,17 +181,17 @@ def test_floor_ceil_on_every_corpus_step(k5, monkeypatch):
     steps = []
     choose = golden.choose_quotient
 
-    def recording(p, ctx):
+    def recording(p, roots):
         steps.append(lattice_coords(p))
-        return choose(p, ctx)
+        return choose(p, roots)
 
     monkeypatch.setattr(golden, "choose_quotient", recording)
     for seed in pool_seeds(k5):
         for conj in (1, -1):
             expand_pair(seed, 1, conj)
     assert len(steps) > 1000
-    for coords in steps:
-        for pair in (coords.x, coords.y):
+    for x, y in steps:
+        for pair in (x, y):
             assert (pair.floor(), pair.ceil()) == oracle_floor_ceil(pair)
 
 
