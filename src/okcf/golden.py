@@ -14,13 +14,13 @@ squaring answers the rest; on the corpus pool the exact path sees under 1%
 of the decisions.  The modulus invariant xi_n^2 > 10/9 follows from the
 previous step's distance test and is asserted by the tests, not checked.
 
-The round trip reads only the quotients and the seed.  The expansion
-evaluates to the seed root only if E = M(pre)*M(period)*M(pre)^(-1) is
-proportional to the seed polynomial, and then the root `eval_periodic`
-selects is decided by the signs of E21, A and tr(E); the sigma side takes
-the conjugates of the same entries.  Any other case is evaluated in full
-by `eval_periodic` and compared with `reals_equal`, which also writes
-every failure text.
+The round trip reads only the quotients and the seed.  For an admitted
+seed it holds exactly when E = M(pre)*M(period)*M(pre)^(-1) is
+proportional to the seed polynomial and the signs of E21, A and tr(E),
+and of their conjugates on the sigma side, select the seed's branches.
+`expand_pair` admitted its seed, so this test alone decides it.
+`verify_roundtrip` checks admission first and evaluates any other case in
+full by `eval_periodic` and `reals_equal`, which write the failure texts.
 """
 
 from __future__ import annotations
@@ -96,18 +96,8 @@ class RealPair:
     def __neg__(self) -> RealPair:
         return RealPair(-self.u, None if self.v is None else -self.v)
 
-    def __add__(self, other: RealPair) -> RealPair:
-        if (self.v is None) != (other.v is None):
-            raise ValueError("mismatched pair structure")
-        if self.v is None:
-            return RealPair(self.u + other.u, None)
-        return RealPair(self.u + other.u, self.v + other.v)
-
     def shift(self, k: KElement | Fraction | int) -> RealPair:
         return RealPair(self.u + k, self.v)
-
-    def scale(self, k: KElement | Fraction | int) -> RealPair:
-        return RealPair(self.u * k, None if self.v is None else self.v * k)
 
     def interval(self, bits: int = DEFAULT_BITS) -> RealInterval:
         iv = self.u.embed(bits)
@@ -611,7 +601,8 @@ def expand_pair(
     MaxStepsError past `max_steps` steps.
 
     Returns the pre-period and period, the visited state keys and the
-    round-trip verification flag.
+    round-trip flag: `pair_steps` admitted the seed, so the proportional
+    test alone decides it.
     """
     if max_steps < 1:
         raise InputRuleError("max_steps must be >= 1")
@@ -635,7 +626,7 @@ def expand_pair(
                 branch=branch,
                 conj_branch=conj_branch,
             )
-            return replace(result, verified=bool(verify_roundtrip(result)))
+            return replace(result, verified=_proportional_roundtrip(result))
     raise MaxStepsError(
         f"no state repetition within {max_steps} steps", quotients, list(seen)
     )
@@ -651,9 +642,9 @@ _ROUNDTRIP_SIDES = (
 
 def verify_roundtrip(r: ExpansionResult) -> RoundTrip:
     """Whether the expansion and its sigma image evaluate back to the seed
-    pair: decided from E = e_matrix(expansion) and the seed when E is
-    proportional to it, and by evaluating both sides otherwise."""
-    if _proportional_roundtrip(r):
+    pair: decided from E = e_matrix(expansion) and an admitted seed when E
+    is proportional to it, and by evaluating both sides otherwise."""
+    if classify_seed(r.seed) is None and _proportional_roundtrip(r):
         return RoundTrip(True, True, True)
     return _evaluated_roundtrip(r)
 
@@ -673,8 +664,8 @@ def _selected_branch(a: KElement, e21: KElement, trace: KElement) -> int:
 
 def _proportional_roundtrip(r: ExpansionResult) -> bool:
     """Whether both sides of the round trip hold, decided from the
-    quotients and the seed alone; False leaves the decision, and every
-    detail text, to `_evaluated_roundtrip`.
+    quotients and the seed alone.  The caller has admitted r.seed
+    (`classify_seed` returned None); the test is complete only then.
 
     For an admissible seed (A, B, C), the minimal polynomial of its root
     over K is the seed itself, so the expansion can evaluate to that root
@@ -690,8 +681,6 @@ def _proportional_roundtrip(r: ExpansionResult) -> bool:
     positive and not a square.
     """
     seed = r.seed
-    if classify_seed(seed) is not None:
-        return False
     e = e_matrix(r.expansion)
     a, e21 = seed.A, e.e21
     # E and the seed are integral: the products run on their integer pairs.
@@ -711,7 +700,7 @@ def _proportional_roundtrip(r: ExpansionResult) -> bool:
 
 def _evaluated_roundtrip(r: ExpansionResult) -> RoundTrip:
     """Evaluate the expansion and its sigma image back to the seed pair."""
-    # expand_pair admitted r.seed, so its states need no second check.
+    # QuotientState checks only the branch; the values compare for any seed.
     sides = (
         (r.expansion, QuotientState(r.seed, r.branch)),
         (r.expansion.sigma(), QuotientState(r.seed.sigma(), r.conj_branch)),

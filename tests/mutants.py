@@ -45,6 +45,9 @@ class Mutant(NamedTuple):
 
 
 ROUNDTRIP_TESTS = ("tests/test_roundtrip.py",)
+EXPAND_PAIR_ROUNDTRIP_TEST = (
+    "tests/test_roundtrip.py::test_expand_pair_admits_once_and_decides_by_proportionality"
+)
 TRACE_TEST = "tests/test_identities.py::test_trace_rule_matches_the_squared_rule"
 ROOT_TABLE_TEST = "tests/test_root_table.py"
 ROW_VIEWS_TEST = "tests/test_quartic.py::TestRowViews"
@@ -134,9 +137,23 @@ CATALOGUE = (
     Mutant(
         "round trip admits any seed",
         "okcf/golden.py",
-        "    if classify_seed(seed) is not None:\n        return False\n    e = e_matrix",
-        "    e = e_matrix",
+        "    if classify_seed(r.seed) is None and _proportional_roundtrip(r):\n",
+        "    if _proportional_roundtrip(r):\n",
         ROUNDTRIP_TESTS,
+    ),
+    Mutant(
+        "expand_pair verifies every expansion",
+        "okcf/golden.py",
+        "verified=_proportional_roundtrip(result))",
+        "verified=True)",
+        (EXPAND_PAIR_ROUNDTRIP_TEST,),
+    ),
+    Mutant(
+        "expand_pair verifies through the full round trip",
+        "okcf/golden.py",
+        "verified=_proportional_roundtrip(result))",
+        "verified=bool(verify_roundtrip(result)))",
+        (EXPAND_PAIR_ROUNDTRIP_TEST,),
     ),
     Mutant(
         "float filter decides with a zero error bound",

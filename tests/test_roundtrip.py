@@ -1,11 +1,15 @@
 """The round trip of `okcf.golden.verify_roundtrip` against the full
 evaluation it stands in front of.
 
-`verify_roundtrip` decides an expansion whose matrix E is proportional to
-the seed from the signs of E21, A and tr(E), and evaluates every other
-case in full (`_evaluated_roundtrip`).  These tests require the same
-`RoundTrip`, flags and text, from both on the sign-oracle pool, on
-corrupted expansions and on random periodic expansions, and pay once the
+For an admitted seed, the proportional test decides the round trip from
+the signs of E21, A and tr(E) when the matrix E is proportional to the
+seed, and rejects every other case.  `expand_pair` has admitted its seed,
+so its `verified` flag is that test alone.  `verify_roundtrip` checks
+admission first and evaluates every case the test does not accept in full
+(`_evaluated_roundtrip`).  These tests require the same `RoundTrip`,
+flags and text, from both on the sign-oracle pool, on corrupted
+expansions, on an inadmissible seed and on random periodic expansions,
+require `expand_pair` to admit once and never evaluate, and pay once the
 identities the proportional path rests on.
 """
 
@@ -115,17 +119,41 @@ def test_a_seed_sharing_one_cross_product_is_not_proportional(k5, example):
 def test_an_inadmissible_seed_goes_to_the_evaluation(k5):
     # [; 0, 1] has E = [[1, 0], [1, 1]], whose associated polynomial is x^2:
     # proportional, but with a square discriminant, so the signs of E21, A
-    # and tr(E) select nothing.
+    # and tr(E), which select branch (1, 1), decide nothing, and only the
+    # admission check keeps the proportional test from accepting it.
     expansion = CFExpansion(k5, (), (k5.zero, k5.one))
     seed = QuadraticPolyK(*associated_poly(e_matrix(expansion)))
     assert classify_seed(seed) is not None
     r = ExpansionResult(expansion, (), 0, False, seed, 1, 1)
     for other in all_branches(r):
-        assert not golden._proportional_roundtrip(other)
         rt = verify_roundtrip(other)
         assert rt == old_path(other)
         assert rt.detail == ("expansion evaluates into K, not to the quartic root; "
                              "sigma expansion evaluates into K")
+
+
+def test_expand_pair_admits_once_and_decides_by_proportionality(k5, monkeypatch):
+    seeds = pool_seeds(k5)
+    calls = []
+    classify = golden.classify_seed
+
+    def counting(seed):
+        calls.append(seed)
+        return classify(seed)
+
+    def forbidden(r):
+        raise AssertionError("expand_pair evaluated the round trip")
+
+    monkeypatch.setattr(golden, "classify_seed", counting)
+    monkeypatch.setattr(golden, "_evaluated_roundtrip", forbidden)
+    for seed in seeds:
+        for branch, conj in BRANCHES:
+            calls.clear()
+            assert expand_pair(seed, branch, conj).verified
+            assert calls == [seed]
+    # The flag is the proportional test's own answer.
+    monkeypatch.setattr(golden, "_proportional_roundtrip", lambda r: False)
+    assert not expand_pair(seeds[0], 1, 1).verified
 
 
 # -- Random periodic expansions and the identities the path rests on -----------
