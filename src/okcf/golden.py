@@ -19,8 +19,8 @@ seed it holds exactly when E = M(pre)*M(period)*M(pre)^(-1) is
 proportional to the seed polynomial and the signs of E21, A and tr(E),
 and of their conjugates on the sigma side, select the seed's branches.
 `expand_pair` admitted its seed, so this test alone decides it.
-`verify_roundtrip` checks admission first and evaluates any other case in
-full by `eval_periodic` and `reals_equal`, which write the failure texts.
+`verify_roundtrip` evaluates both sides in full by `eval_periodic` and
+`reals_equal`, for any seed, and writes the failure texts.
 """
 
 from __future__ import annotations
@@ -641,12 +641,25 @@ _ROUNDTRIP_SIDES = (
 
 
 def verify_roundtrip(r: ExpansionResult) -> RoundTrip:
-    """Whether the expansion and its sigma image evaluate back to the seed
-    pair: decided from E = e_matrix(expansion) and an admitted seed when E
-    is proportional to it, and by evaluating both sides otherwise."""
-    if classify_seed(r.seed) is None and _proportional_roundtrip(r):
-        return RoundTrip(True, True, True)
-    return _evaluated_roundtrip(r)
+    """Evaluate the expansion and its sigma image back to the seed pair."""
+    # QuotientState checks only the branch; the values compare for any seed.
+    sides = (
+        (r.expansion, QuotientState(r.seed, r.branch)),
+        (r.expansion.sigma(), QuotientState(r.seed.sigma(), r.conj_branch)),
+    )
+    details = []
+    oks = []
+    for (expansion, state), (name, into_k, root) in zip(sides, _ROUNDTRIP_SIDES):
+        res = eval_periodic(expansion)
+        ok = res.value is not None and reals_equal(res.value, state.value)
+        if res.value_in_k is not None:
+            details.append(f"{name} evaluates into K{into_k}")
+        elif res.value is None:
+            details.append(f"{name} has no value: {res.failure.value}")
+        elif not ok and not details:
+            details.append(f"{name} value differs from {root}")
+        oks.append(ok)
+    return RoundTrip(all(oks), *oks, detail="; ".join(details))
 
 
 def _selected_branch(a: KElement, e21: KElement, trace: KElement) -> int:
@@ -696,28 +709,6 @@ def _proportional_roundtrip(r: ExpansionResult) -> bool:
         _selected_branch(a, e21, trace) == r.branch
         and _selected_branch(a.conj(), e21.conj(), trace.conj()) == r.conj_branch
     )
-
-
-def _evaluated_roundtrip(r: ExpansionResult) -> RoundTrip:
-    """Evaluate the expansion and its sigma image back to the seed pair."""
-    # QuotientState checks only the branch; the values compare for any seed.
-    sides = (
-        (r.expansion, QuotientState(r.seed, r.branch)),
-        (r.expansion.sigma(), QuotientState(r.seed.sigma(), r.conj_branch)),
-    )
-    details = []
-    oks = []
-    for (expansion, state), (name, into_k, root) in zip(sides, _ROUNDTRIP_SIDES):
-        res = eval_periodic(expansion)
-        ok = res.value is not None and reals_equal(res.value, state.value)
-        if res.value_in_k is not None:
-            details.append(f"{name} evaluates into K{into_k}")
-        elif res.value is None:
-            details.append(f"{name} has no value: {res.failure.value}")
-        elif not ok and not details:
-            details.append(f"{name} value differs from {root}")
-        oks.append(ok)
-    return RoundTrip(all(oks), *oks, detail="; ".join(details))
 
 
 @dataclass(frozen=True)

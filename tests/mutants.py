@@ -135,13 +135,6 @@ CATALOGUE = (
         ROUNDTRIP_TESTS,
     ),
     Mutant(
-        "round trip admits any seed",
-        "okcf/golden.py",
-        "    if classify_seed(r.seed) is None and _proportional_roundtrip(r):\n",
-        "    if _proportional_roundtrip(r):\n",
-        ROUNDTRIP_TESTS,
-    ),
-    Mutant(
         "expand_pair verifies every expansion",
         "okcf/golden.py",
         "verified=_proportional_roundtrip(result))",

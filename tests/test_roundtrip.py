@@ -1,16 +1,16 @@
-"""The round trip of `okcf.golden.verify_roundtrip` against the full
-evaluation it stands in front of.
+"""The proportional round-trip test of `okcf.golden` against the full
+evaluation of `verify_roundtrip`.
 
 For an admitted seed, the proportional test decides the round trip from
 the signs of E21, A and tr(E) when the matrix E is proportional to the
 seed, and rejects every other case.  `expand_pair` has admitted its seed,
-so its `verified` flag is that test alone.  `verify_roundtrip` checks
-admission first and evaluates every case the test does not accept in full
-(`_evaluated_roundtrip`).  These tests require the same `RoundTrip`,
-flags and text, from both on the sign-oracle pool, on corrupted
-expansions, on an inadmissible seed and on random periodic expansions,
-require `expand_pair` to admit once and never evaluate, and pay once the
-identities the proportional path rests on.
+so its `verified` flag is that test alone.  `verify_roundtrip` evaluates
+both sides in full, for any seed.  These tests require the test's answer
+to be the evaluation's `ok` on the sign-oracle pool, on corrupted
+expansions and on random periodic expansions, pin the evaluation's texts
+on those and on an inadmissible seed, require `expand_pair` to admit once
+and never evaluate, and pay once the identities the proportional test
+rests on.
 """
 
 from __future__ import annotations
@@ -22,15 +22,11 @@ import pytest
 from okcf import golden
 from okcf.cf import CFExpansion, Mat2, associated_poly, cf_matrix, e_matrix
 from okcf.field import FieldSpec, KElement, is_square_in_k
-from okcf.golden import ExpansionResult, RoundTrip, classify_seed, expand_pair, verify_roundtrip
+from okcf.golden import ExpansionResult, classify_seed, expand_pair, verify_roundtrip
 from okcf.quartic import QuadraticPolyK
 from test_sign_oracle import pool_seeds
 
 BRANCHES = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-
-
-def old_path(r: ExpansionResult) -> RoundTrip:
-    return golden._evaluated_roundtrip(r)
 
 
 def all_branches(r: ExpansionResult) -> list[ExpansionResult]:
@@ -50,14 +46,13 @@ def test_pool_matches_the_evaluated_path(pool_results):
     assert len(pool_results) == 600
     for r in pool_results:
         assert r.verified
-        # The proportional path decides every pool expansion by itself...
-        assert golden._proportional_roundtrip(r)
-        # ...and agrees with the evaluation on the expansion's own branches
-        # and on the three wrong ones, which go to the evaluation.
+        # The proportional test agrees with the evaluation on the
+        # expansion's own branches and on the three wrong ones.
         for other in all_branches(r):
             rt = verify_roundtrip(other)
-            assert rt == old_path(other)
             assert rt.ok is ((other.branch, other.conj_branch) == (r.branch, r.conj_branch))
+            assert golden._proportional_roundtrip(other) is rt.ok
+            assert (rt.detail == "") is rt.ok
 
 
 @pytest.fixture
@@ -96,7 +91,6 @@ def test_corrupted_expansions_reach_the_failure_texts(k5, example, kind):
     for r in all_branches(replace(example, expansion=expansion)):
         assert not golden._proportional_roundtrip(r)
         rt = verify_roundtrip(r)
-        assert rt == old_path(r)
         assert rt.detail == detail and not rt.ok
 
 
@@ -112,22 +106,20 @@ def test_a_seed_sharing_one_cross_product_is_not_proportional(k5, example):
         for r in all_branches(replace(example, seed=other)):
             assert not golden._proportional_roundtrip(r)
             rt = verify_roundtrip(r)
-            assert rt == old_path(r)
             assert rt.detail == "expansion value differs from the seed root"
 
 
 def test_an_inadmissible_seed_goes_to_the_evaluation(k5):
     # [; 0, 1] has E = [[1, 0], [1, 1]], whose associated polynomial is x^2:
     # proportional, but with a square discriminant, so the signs of E21, A
-    # and tr(E), which select branch (1, 1), decide nothing, and only the
-    # admission check keeps the proportional test from accepting it.
+    # and tr(E) decide nothing.  verify_roundtrip evaluates every branch.
     expansion = CFExpansion(k5, (), (k5.zero, k5.one))
     seed = QuadraticPolyK(*associated_poly(e_matrix(expansion)))
     assert classify_seed(seed) is not None
     r = ExpansionResult(expansion, (), 0, False, seed, 1, 1)
     for other in all_branches(r):
         rt = verify_roundtrip(other)
-        assert rt == old_path(other)
+        assert not rt.ok
         assert rt.detail == ("expansion evaluates into K, not to the quartic root; "
                              "sigma expansion evaluates into K")
 
@@ -145,7 +137,7 @@ def test_expand_pair_admits_once_and_decides_by_proportionality(k5, monkeypatch)
         raise AssertionError("expand_pair evaluated the round trip")
 
     monkeypatch.setattr(golden, "classify_seed", counting)
-    monkeypatch.setattr(golden, "_evaluated_roundtrip", forbidden)
+    monkeypatch.setattr(golden, "verify_roundtrip", forbidden)
     for seed in seeds:
         for branch, conj in BRANCHES:
             calls.clear()
@@ -207,7 +199,7 @@ def test_windows_are_conjugate_to_e(x, sign, power):
 @given(expansions)
 def test_random_expansions_match_the_evaluated_path(x):
     # The seed is E's own associated polynomial: when it is admissible,
-    # exactly one pair of branches holds, and the proportional path finds it.
+    # exactly one pair of branches holds, and the proportional test finds it.
     e = e_matrix(x)
     assume(not e.e21.is_zero)
     seed = QuadraticPolyK(*associated_poly(e))
@@ -215,6 +207,5 @@ def test_random_expansions_match_the_evaluated_path(x):
     r = ExpansionResult(x, (), 0, False, seed, 1, 1)
     results = [(verify_roundtrip(other), other) for other in all_branches(r)]
     for rt, other in results:
-        assert rt == old_path(other)
         assert golden._proportional_roundtrip(other) is rt.ok
     assert sum(rt.ok for rt, _ in results) == 1
