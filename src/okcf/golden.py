@@ -26,7 +26,7 @@ and of their conjugates on the sigma side, select the seed's branches.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -44,7 +44,6 @@ from .field import (
     is_square_in_k,
     reals_equal,
     sign_of,
-    surd_sign,
     surd_sum_sign,
 )
 from .intervals import DEFAULT_BITS, RealInterval
@@ -84,32 +83,27 @@ class GoldenPreconditionError(InputRuleError):
 @dataclass(frozen=True)
 class RealPair:
     """An exact real u + v with u, v surds over two (possibly different)
-    families; v is None for a real of one family."""
+    families; a real of one family is RealPair(u, 0 * u)."""
 
     u: SurdElement
-    v: SurdElement | None
+    v: SurdElement
 
     @property
     def is_zero(self) -> bool:
         return self.sign() == 0
 
     def __neg__(self) -> RealPair:
-        return RealPair(-self.u, None if self.v is None else -self.v)
+        return RealPair(-self.u, -self.v)
 
     def shift(self, k: KElement | Fraction | int) -> RealPair:
         return RealPair(self.u + k, self.v)
 
     def interval(self, bits: int = DEFAULT_BITS) -> RealInterval:
-        iv = self.u.embed(bits)
-        if self.v is not None:
-            iv = iv + self.v.embed(bits)
-        return iv
+        return self.u.embed(bits) + self.v.embed(bits)
 
     def _sign_minus(self, k: Fraction | int) -> int:
         """Exact sign of self - k."""
         u, v = self.u, self.v
-        if v is None:
-            return surd_sign(u.x - k, u.y, u.delta)
         return surd_sum_sign(u.x + v.x - k, u.y, u.delta, v.y, v.delta)
 
     def sign(self) -> int:
@@ -117,10 +111,7 @@ class RealPair:
 
     def __float__(self) -> float:
         """A float approximation with no error bound; `interval` encloses."""
-        approx = _surd_float(self.u)
-        if self.v is not None:
-            approx += _surd_float(self.v)
-        return approx
+        return _surd_float(self.u) + _surd_float(self.v)
 
     def _floor_guess(self) -> int:
         """floor of a float approximation, or 0 when that float overflows or
@@ -488,8 +479,7 @@ def choose_quotient(p: PairState, roots: tuple[Enclosure, Enclosure] | None) -> 
         z = None if enc is None else _corner_distance(enc[0], enc[1], x, y)
         inside = _float_below(z, _RADIUS_SQ_BELOW, _RADIUS_SQ_ABOVE)
         if inside is None:
-            a = spec.element(x, y)
-            inside = squared_distance(p, a).shift(-RADIUS_SQ).sign() < 0
+            inside = squared_distance(p, spec.element(x, y))._sign_minus(RADIUS_SQ) < 0
         if inside:
             return spec.element(x, y)
     raise NoCandidateError(
@@ -617,16 +607,16 @@ def expand_pair(
         # The index of the state's first visit; n on a first visit.
         m = seen.setdefault(state.key, n)
         if m != n:
-            result = ExpansionResult(
-                expansion=CFExpansion(seed.spec, tuple(quotients[:m]), tuple(quotients[m:n])),
+            expansion = CFExpansion(seed.spec, tuple(quotients[:m]), tuple(quotients[m:n]))
+            return ExpansionResult(
+                expansion=expansion,
                 keys=tuple(seen),
                 cycle_start=m,
-                verified=False,
+                verified=_proportional_roundtrip(seed, expansion, branch, conj_branch),
                 seed=seed,
                 branch=branch,
                 conj_branch=conj_branch,
             )
-            return replace(result, verified=_proportional_roundtrip(result))
     raise MaxStepsError(
         f"no state repetition within {max_steps} steps", quotients, list(seen)
     )
@@ -675,9 +665,11 @@ def _selected_branch(a: KElement, e21: KElement, trace: KElement) -> int:
     return sign_of(e21) * sign_of(a) * sign_of(trace)
 
 
-def _proportional_roundtrip(r: ExpansionResult) -> bool:
+def _proportional_roundtrip(
+    seed: QuadraticPolyK, expansion: CFExpansion, branch: int, conj_branch: int
+) -> bool:
     """Whether both sides of the round trip hold, decided from the
-    quotients and the seed alone.  The caller has admitted r.seed
+    quotients and the seed alone.  The caller has admitted the seed
     (`classify_seed` returned None); the test is complete only then.
 
     For an admissible seed (A, B, C), the minimal polynomial of its root
@@ -693,8 +685,7 @@ def _proportional_roundtrip(r: ExpansionResult) -> bool:
     conjugate seed, whose discriminant sigma(delta) admission also made
     positive and not a square.
     """
-    seed = r.seed
-    e = e_matrix(r.expansion)
+    e = e_matrix(expansion)
     a, e21 = seed.A, e.e21
     # E and the seed are integral: the products run on their integer pairs.
     c, l = seed.spec.omega_sq_const, seed.spec.omega_sq_lin
@@ -706,8 +697,8 @@ def _proportional_roundtrip(r: ExpansionResult) -> bool:
         return False
     trace = e.e11 + e.e22
     return (
-        _selected_branch(a, e21, trace) == r.branch
-        and _selected_branch(a.conj(), e21.conj(), trace.conj()) == r.conj_branch
+        _selected_branch(a, e21, trace) == branch
+        and _selected_branch(a.conj(), e21.conj(), trace.conj()) == conj_branch
     )
 
 

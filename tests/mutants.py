@@ -70,6 +70,7 @@ STRAIGHT_LINE_TEST = "tests/test_filter_straight_line.py"
 INT_MUL_COMPOSITION_TEST = "tests/test_quartic_formulas.py::test_inline_products_match_the_int_mul_composition"
 FLOAT_RANGE_TEST = "tests/test_cli.py::TestAnalyze::test_a_row_past_the_float_range_is_a_rejection"
 ONE_WRITER_TEST = "tests/test_cli.py::test_a_success_writes_stdout_once"
+ANALYZE_NO_VALUE_TEST = "tests/test_cli.py::TestAnalyze::test_an_input_without_a_quartic_value"
 CLI_FLAGS_TESTS = (
     "tests/test_cli.py::test_each_command_declares_only_the_flags_it_reads",
     "tests/test_cli.py::test_unread_flag_is_usage_error",
@@ -130,22 +131,24 @@ CATALOGUE = (
     Mutant(
         "round trip drops the sigma side's root selection",
         "okcf/golden.py",
-        "\n        and _selected_branch(a.conj(), e21.conj(), trace.conj()) == r.conj_branch",
+        "\n        and _selected_branch(a.conj(), e21.conj(), trace.conj()) == conj_branch",
         "",
         ROUNDTRIP_TESTS,
     ),
     Mutant(
         "expand_pair verifies every expansion",
         "okcf/golden.py",
-        "verified=_proportional_roundtrip(result))",
-        "verified=True)",
+        "verified=_proportional_roundtrip(seed, expansion, branch, conj_branch),",
+        "verified=True,",
         (EXPAND_PAIR_ROUNDTRIP_TEST,),
     ),
     Mutant(
         "expand_pair verifies through the full round trip",
         "okcf/golden.py",
-        "verified=_proportional_roundtrip(result))",
-        "verified=bool(verify_roundtrip(result)))",
+        "verified=_proportional_roundtrip(seed, expansion, branch, conj_branch),",
+        "verified=bool(verify_roundtrip(ExpansionResult(\n"
+        "                expansion, tuple(seen), m, False, seed, branch, conj_branch\n"
+        "            ))),",
         (EXPAND_PAIR_ROUNDTRIP_TEST,),
     ),
     Mutant(
@@ -544,8 +547,8 @@ CATALOGUE = (
     Mutant(
         "the exact distance test shifts by +9/10",
         "okcf/golden.py",
-        ".shift(-RADIUS_SQ)",
-        ".shift(RADIUS_SQ)",
+        "._sign_minus(RADIUS_SQ)",
+        "._sign_minus(-RADIUS_SQ)",
         (LARGE_BOUND_TEST,),
     ),
     Mutant(
@@ -948,6 +951,37 @@ CATALOGUE = (
         "        raise GoldenPreconditionError(\"corpus expansion requires D = 5\")\n",
         "",
         ("tests/test_cli.py::TestCorpus::test_rejects_any_d_but_5",),
+    ),
+    Mutant(
+        "is_squarefree skips odd square factors",
+        "okcf/field.py",
+        "        if n % (f * f) == 0:\n            return False\n",
+        "",
+        ("tests/test_field.py::test_field_spec_rejects_an_odd_square_factor",
+         "tests/test_cli.py::TestRadius::test_not_squarefree"),
+    ),
+    # Each analyze input that leaves nothing to analyze has its own exit
+    # code and text, and a corpus run that reaches the cap is no cycle.
+    Mutant(
+        "analyze reports a missing input mode as a rejection",
+        "okcf/cli.py",
+        'raise ParseError("analyze requires either --expansion or A B C")',
+        'raise SeedError("analyze requires either --expansion or A B C")',
+        (ANALYZE_NO_VALUE_TEST,),
+    ),
+    Mutant(
+        "analyze reports an empty period as a rejection",
+        "okcf/cli.py",
+        '\n            raise ParseError("expansion must have a nonempty period")',
+        '\n            raise SeedError("expansion must have a nonempty period")',
+        (ANALYZE_NO_VALUE_TEST,),
+    ),
+    Mutant(
+        "corpus marks a run with no cycle as verified",
+        "okcf/cli.py",
+        "entry.update(cycle=False, verified=False)",
+        "entry.update(cycle=False, verified=True)",
+        ("tests/test_cli.py::TestCorpus::test_a_run_past_max_steps_is_no_cycle_and_not_verified",),
     ),
 )
 

@@ -297,6 +297,15 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert err.startswith("parse error: ")
 
+    @pytest.mark.parametrize("flags, code, err", [
+        ([], 2, "parse error: analyze requires either --expansion or A B C\n"),
+        (["--expansion", "[1;]"], 2, "parse error: expansion must have a nonempty period\n"),
+        (["--expansion", "[; 1]"], 3,
+         "rejected: expansion has no quartic value; nothing to analyze (in K)\n"),
+    ], ids=["no-input", "empty-period", "value-in-k"])
+    def test_an_input_without_a_quartic_value(self, capsys, flags, code, err):
+        assert run(capsys, "analyze", "-n", "1", *flags) == (code, "", err)
+
     def test_decreasing_s_for_classical(self, capsys):
         code, out, _ = run(
             capsys, "analyze", "--expansion", "[1; 2]", "-n", "8", "--output", "json"
@@ -320,6 +329,10 @@ class TestRadius:
     def test_not_squarefree(self, capsys):
         code, _, err = run(capsys, "radius", "4")
         assert code == 3
+        # 9 = 3^2 has no factor 4 to give it away.
+        assert run(capsys, "radius", "9") == (
+            3, "", "rejected: d must be a squarefree integer > 1, got 9\n"
+        )
 
 
 class TestCorpus:
@@ -344,6 +357,21 @@ class TestCorpus:
         code2, out2, _ = run(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_a_run_past_max_steps_is_no_cycle_and_not_verified(self, capsys):
+        args = ["corpus", "--count", "2", "--max-steps", "1"]
+        code, out, _ = run(capsys, *args, "--output", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert [
+            (r["conj_branch"], r["cycle"], r["verified"], "period" in r) for r in report["runs"]
+        ] == [("+", False, False, False), ("-", False, False, False)] * 2
+        s = report["summary"]
+        assert (s["runs"], s["cycles_detected"], s["verified_fraction"]) == (4, 0, None)
+        assert (s["preperiod_lengths"], s["period_lengths"]) == ([], [])
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert "\ncycles detected: 0/4 (verified: None)\n" in out
 
     @pytest.mark.parametrize("d", ["2", "4"])
     def test_rejects_any_d_but_5(self, capsys, d):

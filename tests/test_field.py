@@ -8,6 +8,7 @@ import pytest
 
 from okcf.field import (
     FieldSpec,
+    InputRuleError,
     KElement,
     SurdElement,
     is_square_in_k,
@@ -62,6 +63,13 @@ def surd_near_ties(spec: FieldSpec) -> list[SurdElement]:
         for unit in (spec.one, spec.omega, -(spec.omega**3), spec.omega.conj() / 3):
             out.append(SurdElement(spec, spec.element(2), unit * p, unit * (-q)))
     return out
+
+
+@pytest.mark.parametrize("d", [9, 18, 25, 45, 98])
+def test_field_spec_rejects_an_odd_square_factor(d):
+    # 3^2, 2*3^2, 5^2, 3^2*5, 2*7^2: no factor 4 to give them away.
+    with pytest.raises(InputRuleError, match=f"^d must be a squarefree integer > 1, got {d}$"):
+        FieldSpec(d)
 
 
 class TestKArithmetic:

@@ -71,6 +71,11 @@ class TestCoveringRadius:
             covering_radius(12)
 
 
+def one_family(u: SurdElement) -> RealPair:
+    """The real u of one surd family as a pair."""
+    return RealPair(u, 0 * u)
+
+
 class TestRealPair:
     def test_linked_fold_and_zero(self, k5):
         # both tracks over delta = 8: product 64 is a square, and
@@ -86,7 +91,7 @@ class TestRealPair:
         xi = make_state(unlinked_seed, +1).value
         xip = make_state(unlinked_seed.sigma(), +1).value
         pair = RealPair(xi, -xip)
-        assert pair.v is not None
+        assert not pair.v.is_zero
         assert not pair.is_zero
         assert pair.sign() == (1 if float(xi) > float(xip) else -1)
 
@@ -100,22 +105,22 @@ class TestRealPair:
 
     def test_floor_exact_rational(self, k5):
         u = SurdElement(k5, k5.element(2), k5.element(Fraction(7, 2)), k5.zero)
-        pair = RealPair(u, None)
+        pair = one_family(u)
         assert pair.floor() == 3 and pair.ceil() == 4
-        whole = RealPair(SurdElement(k5, k5.element(2), k5.element(-3), k5.zero), None)
+        whole = one_family(SurdElement(k5, k5.element(2), k5.element(-3), k5.zero))
         assert whole.floor() == whole.ceil() == -3
 
     def test_floor_irrational(self, k5):
-        root2 = RealPair(SurdElement(k5, k5.element(2), k5.zero, k5.one), None)
+        root2 = one_family(SurdElement(k5, k5.element(2), k5.zero, k5.one))
         assert root2.floor() == 1 and root2.ceil() == 2
-        neg = RealPair(SurdElement(k5, k5.element(2), k5.zero, -k5.one), None)
+        neg = one_family(SurdElement(k5, k5.element(2), k5.zero, -k5.one))
         assert neg.floor() == -2 and neg.ceil() == -1
 
     def test_floor_past_the_float_range(self, k5):
         # The float guess overflows, or is inf - inf: the guess is 0, and
         # exact signs decide the floor from there.
         big = 10**400
-        over = RealPair(SurdElement(k5, k5.element(3), k5.element(big), k5.element(-big)), None)
+        over = one_family(SurdElement(k5, k5.element(3), k5.element(big), k5.element(-big)))
         assert over.floor() == big - isqrt(3 * big * big) - 1
         top = 10**308
         u = SurdElement(k5, k5.element(10), k5.element(top), k5.element(top))
@@ -129,7 +134,7 @@ class TestRealPair:
         # bits can place it, and exact signs floor it.
         p, q = pell_power(40000)
         assert p.bit_length() > MAX_BITS
-        tiny = RealPair(SurdElement(k5, k5.element(3), k5.element(p), k5.element(-q)), None)
+        tiny = one_family(SurdElement(k5, k5.element(3), k5.element(p), k5.element(-q)))
         assert (tiny.floor(), tiny.ceil()) == (0, 1)
         assert ((-tiny).floor(), (-tiny).ceil()) == (-1, 0)
 
@@ -166,7 +171,7 @@ def pair_cases(k5, unlinked_seed) -> list[tuple[RealPair, int, int, int]]:
             irrational.append(RealPair(
                 SurdElement(k5, d1, rand(), rand()), SurdElement(k5, d2, rand(), rand())
             ))
-            irrational.append(RealPair(SurdElement(k5, d1, rand(), rand()), None))
+            irrational.append(one_family(SurdElement(k5, d1, rand(), rand())))
     # sqrt(2) + sqrt(3) - r with r a dyadic within 2^-99 of sqrt(2) + sqrt(3),
     # from below and above, shifted to near-integers: the cross-family
     # squaring decides them.
@@ -184,8 +189,8 @@ def pair_cases(k5, unlinked_seed) -> list[tuple[RealPair, int, int, int]]:
     for k in range(1, 72):
         p, q = p + 2 * q, p + q
         if k >= 66:
-            irrational.append(RealPair(
-                SurdElement(k5, k5.element(2), k5.element(7 + p), k5.element(-q)), None
+            irrational.append(one_family(
+                SurdElement(k5, k5.element(2), k5.element(7 + p), k5.element(-q))
             ))
     cases = []
     for pair in irrational:
@@ -200,8 +205,8 @@ def pair_cases(k5, unlinked_seed) -> list[tuple[RealPair, int, int, int]]:
     cases.append((RealPair(xi, -xip), 0, 0, 0))  # exactly zero
     # delta = beta^2 is a square: 3 + beta - sqrt(beta^2) is exactly 3.
     hidden = SurdElement(k5, beta * beta, 3 + beta, -k5.one)
-    cases.append((RealPair(hidden, None), 1, 3, 3))
-    cases.append((RealPair(-hidden, None), -1, -3, -3))
+    cases.append((one_family(hidden), 1, 3, 3))
+    cases.append((one_family(-hidden), -1, -3, -3))
     zero_y = SurdElement(k5, unlinked_seed.delta, k5.element(Fraction(-7, 2)), k5.zero)
     zero_y2 = SurdElement(k5, unlinked_seed.delta.conj(), k5.element(1), k5.zero)
     cases.append((RealPair(zero_y, zero_y2), -1, -3, -2))
@@ -227,7 +232,7 @@ class TestExactPairDecisions:
         for pair, sign, floor, ceil in cases:
             assert pair.sign() == sign
             assert (pair.floor(), pair.ceil()) == (floor, ceil)
-            if pair.v is None:
+            if pair.v.is_zero:
                 assert sign_of(pair.u) == sign
 
 
@@ -236,7 +241,7 @@ class TestExactPairDecisions:
         # floors of TestRealPair.test_floor_past_the_float_range and two
         # whole expansions still come out exact and verified.
         big, top = 10**400, 10**308
-        over = RealPair(SurdElement(k5, k5.element(3), k5.element(big), k5.element(-big)), None)
+        over = one_family(SurdElement(k5, k5.element(3), k5.element(big), k5.element(-big)))
         nan = RealPair(
             SurdElement(k5, k5.element(10), k5.element(top), k5.element(top)),
             SurdElement(k5, k5.element(10), k5.element(-top), k5.element(3 - top)),

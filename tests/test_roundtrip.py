@@ -33,6 +33,10 @@ def all_branches(r: ExpansionResult) -> list[ExpansionResult]:
     return [replace(r, branch=b, conj_branch=c) for b, c in BRANCHES]
 
 
+def proportional(r: ExpansionResult) -> bool:
+    return golden._proportional_roundtrip(r.seed, r.expansion, r.branch, r.conj_branch)
+
+
 @pytest.fixture(scope="module")
 def pool_results(k5) -> list[ExpansionResult]:
     return [
@@ -51,7 +55,7 @@ def test_pool_matches_the_evaluated_path(pool_results):
         for other in all_branches(r):
             rt = verify_roundtrip(other)
             assert rt.ok is ((other.branch, other.conj_branch) == (r.branch, r.conj_branch))
-            assert golden._proportional_roundtrip(other) is rt.ok
+            assert proportional(other) is rt.ok
             assert (rt.detail == "") is rt.ok
 
 
@@ -89,7 +93,7 @@ def corrupted(k5, r: ExpansionResult) -> dict[str, tuple[CFExpansion, str]]:
 def test_corrupted_expansions_reach_the_failure_texts(k5, example, kind):
     expansion, detail = corrupted(k5, example)[kind]
     for r in all_branches(replace(example, expansion=expansion)):
-        assert not golden._proportional_roundtrip(r)
+        assert not proportional(r)
         rt = verify_roundtrip(r)
         assert rt.detail == detail and not rt.ok
 
@@ -104,7 +108,7 @@ def test_a_seed_sharing_one_cross_product_is_not_proportional(k5, example):
                   QuadraticPolyK(seed.A, seed.B, seed.C - 1)):
         assert classify_seed(other) is None
         for r in all_branches(replace(example, seed=other)):
-            assert not golden._proportional_roundtrip(r)
+            assert not proportional(r)
             rt = verify_roundtrip(r)
             assert rt.detail == "expansion value differs from the seed root"
 
@@ -144,7 +148,7 @@ def test_expand_pair_admits_once_and_decides_by_proportionality(k5, monkeypatch)
             assert expand_pair(seed, branch, conj).verified
             assert calls == [seed]
     # The flag is the proportional test's own answer.
-    monkeypatch.setattr(golden, "_proportional_roundtrip", lambda r: False)
+    monkeypatch.setattr(golden, "_proportional_roundtrip", lambda *parts: False)
     assert not expand_pair(seeds[0], 1, 1).verified
 
 
@@ -207,5 +211,5 @@ def test_random_expansions_match_the_evaluated_path(x):
     r = ExpansionResult(x, (), 0, False, seed, 1, 1)
     results = [(verify_roundtrip(other), other) for other in all_branches(r)]
     for rt, other in results:
-        assert golden._proportional_roundtrip(other) is rt.ok
+        assert proportional(other) is rt.ok
     assert sum(rt.ok for rt, _ in results) == 1

@@ -148,8 +148,7 @@ def mp_surd(u: SurdElement):
 
 
 def mp_pair(pair: RealPair):
-    value = mp_surd(pair.u)
-    return value if pair.v is None else value + mp_surd(pair.v)
+    return mp_surd(pair.u) + mp_surd(pair.v)
 
 
 def oracle_floor_ceil(pair: RealPair) -> tuple[int, int]:
