@@ -70,12 +70,6 @@ class Mat2:
     def det(self) -> KElement:
         return self.e11 * self.e22 - self.e12 * self.e21
 
-    def inverse(self) -> Mat2:
-        d = self.det()
-        if d.is_zero:
-            raise ZeroDivisionError("singular matrix")
-        return Mat2(self.e22 / d, -self.e12 / d, -self.e21 / d, self.e11 / d)
-
     @property
     def is_identity_multiple(self) -> bool:
         return self.e12.is_zero and self.e21.is_zero and self.e11 == self.e22
@@ -86,17 +80,16 @@ class Mat2:
 
 @dataclass(frozen=True)
 class QPairState:
-    """Convergent numerators/denominators (P_n, P_{n-1}, Q_n, Q_{n-1})."""
+    """Convergent numerators/denominators (P_n, P_{n-1}, Q_n, Q_{n-1}).
+
+    P_(n-1)*Q_n - P_n*Q_(n-1) = (-1)^n holds by the recurrence; the tests
+    assert it, nothing checks it at runtime."""
 
     p_cur: KElement
     p_prev: KElement
     q_cur: KElement
     q_prev: KElement
     index: int
-
-    def determinant_ok(self) -> bool:
-        lhs = self.p_prev * self.q_cur - self.p_cur * self.q_prev
-        return lhs == (-1) ** self.index
 
 
 def continuant(spec: FieldSpec, ts: Sequence[KElement]) -> KElement:

@@ -598,8 +598,8 @@ def _surd_form_embed(x: tuple[int, int, int], y: tuple[int, int, int], delta: KE
     `bits` takes x and y from one `_form_embed` loop each at precision
     `bits`, whose first level is at `bits` too; multiplies y by the
     nonnegative enclosure of sqrt(delta); adds over the larger exponent and
-    rounds out to `bits`.  Each step is the one `dyadic_mul`, `dyadic_add`
-    and `dyadic_rounded` would take, so every endpoint is theirs."""
+    rounds out to `bits`.  The tests hold every endpoint to a longhand
+    reference that takes these steps on `Dyadic` triples."""
     (xu, xv, xden), (yu, yv, yden) = x, y
     d, isqrt_d, sqrt_delta = delta.spec.d, roots.isqrt_d, roots.sqrt_delta
     if not yu and not yv:

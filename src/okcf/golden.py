@@ -50,9 +50,6 @@ from .intervals import DEFAULT_BITS, RealInterval
 from .quartic import QuadraticPolyK, QuotientState, step_state
 
 RADIUS_SQ = Fraction(9, 10)
-# Every complete quotient after the first has xi_n^2 > 10/9: the distance
-# test proves it (see `pair_steps`), and the tests assert it on every step.
-LOWER_BOUND_SQ = Fraction(10, 9)
 
 CANDIDATE_ORDER = (("floor", "floor"), ("floor", "ceil"), ("ceil", "floor"), ("ceil", "ceil"))
 
@@ -87,16 +84,6 @@ class RealPair:
 
     u: SurdElement
     v: SurdElement
-
-    @property
-    def is_zero(self) -> bool:
-        return self.sign() == 0
-
-    def __neg__(self) -> RealPair:
-        return RealPair(-self.u, -self.v)
-
-    def shift(self, k: KElement | Fraction | int) -> RealPair:
-        return RealPair(self.u + k, self.v)
 
     def interval(self, bits: int = DEFAULT_BITS) -> RealInterval:
         return self.u.embed(bits) + self.v.embed(bits)
@@ -243,12 +230,10 @@ _BINARY64 = (
     and sys.float_info.max_exp == 1024
     and sys.float_info.min_exp == -1021
 )
-# Strict thresholds 2^-50 either side of 9/10 and 10/9, and the floor range
-# |n| < 2^52; all are exact floats.  The expansion decides only against
-# 9/10; the 10/9 pair serves the tests of the modulus invariant.
+# Strict thresholds 2^-50 either side of 9/10, and the floor range
+# |n| < 2^52; all are exact floats.
 _MARGIN = 2.0**-50
 _RADIUS_SQ_BELOW, _RADIUS_SQ_ABOVE = 0.9 - _MARGIN, 0.9 + _MARGIN
-_LOWER_SQ_BELOW, _LOWER_SQ_ABOVE = 10 / 9 - _MARGIN, 10 / 9 + _MARGIN
 _FLOOR_MIN, _FLOOR_MAX = 1 - 2.0**52, 2.0**52
 
 

@@ -6,13 +6,11 @@ embeddings of `okcf.field`, the error-term and height enclosures of
 [lo_m/2^e, hi_m/2^e]: outward rounding and square roots are floor and
 ceil shifts of a mantissa, and the precision test is `dyadic_bits`.  The
 heights and summaries use the helpers below.  The embedding kernel of
-`okcf.field` writes the same product, sum, rounding and precision test
-out on its integers and gives the same triples; `dyadic_add`,
-`dyadic_rounded` and `refine` remain the longhand that the tests'
-reference embedding is built from.  A `Fraction` is built only for a
-caller that asks for a `RealInterval` (`dyadic_interval`); display
-divides its floats from the triple (`dyadic_floats`, `dyadic_mid_float`).
-Every endpoint keeps its exact value.
+`okcf.field` writes its product, sum, rounding and precision test out
+on its integers.  A `Fraction` is built only for a caller that asks for
+a `RealInterval` (`dyadic_interval`); display divides its floats from
+the triple (`dyadic_floats`, `dyadic_mid_float`).  Every endpoint keeps
+its exact value.
 
 A `RealInterval` is its two endpoints and nothing more.  They are kept
 as exact `Fraction` values; constructors and the rounding helpers keep
@@ -25,9 +23,7 @@ output); signs and floors are decided exactly by squaring in
 reports can raise `PrecisionError`.  Every enclosure that must reach a
 requested width comes from a loop that doubles its bits by `_next_level`
 up to MAX_BITS: the integer loops of the `okcf.field` embeddings and of
-`quartic._tight_abs_m`.  `refine` is the same loop for any `compute` and
-`accept`; no code in the package calls it, only the tests' reference
-embedding.
+`quartic._tight_abs_m`.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, TypeVar
 
 DEFAULT_BITS = 64
 MAX_BITS = 1 << 16
@@ -45,36 +40,25 @@ _ONE = Fraction(1)
 
 # (lo_m, hi_m, e): the interval [lo_m / 2^e, hi_m / 2^e].
 Dyadic = tuple[int, int, int]
-_T = TypeVar("_T")
 
 
 class PrecisionError(ArithmeticError):
     """An enclosure did not reach its requested width within MAX_BITS.
 
-    Raised only by `_next_level`, the doubling rule of `refine` and of the
-    enclosure loops of `okcf.field` and `okcf.quartic`, which serve display
-    and report enclosures (an embedding at a requested precision, a
-    relative enclosure of an error term); the expansion builds no
-    interval, and its sign and floor decisions never refine, because
-    those are exact squarings.  Reaching the cap signals an
-    internal inconsistency rather than a recoverable numeric condition.
+    Raised only by `_next_level`, the doubling rule of the enclosure loops
+    of `okcf.field` and `okcf.quartic`, which serve display and report
+    enclosures (an embedding at a requested precision, a relative
+    enclosure of an error term); the expansion builds no interval, and
+    its sign and floor decisions never refine, because those are exact
+    squarings.  Reaching the cap signals an internal inconsistency
+    rather than a recoverable numeric condition.
     """
 
 
-def refine(compute: Callable[[int], _T], bits: int, accept: Callable[[_T], bool]) -> _T:
-    """The first `compute(bits)` that `accept` takes, doubling `bits` up to
-    MAX_BITS."""
-    while True:
-        iv = compute(bits)
-        if accept(iv):
-            return iv
-        bits = _next_level(bits)
-
-
 def _next_level(bits: int) -> int:
-    """The bits after a level at `bits` that was not accepted; the
-    enclosure loops of `okcf.field` and `okcf.quartic` double by this rule
-    too."""
+    """The bits after a level at `bits` that was not accepted: the rule
+    by which the enclosure loops of `okcf.field` and `okcf.quartic`
+    double."""
     if bits >= MAX_BITS:
         raise PrecisionError(f"no enclosure reached the requested width by {bits} bits")
     return 2 * bits
@@ -145,12 +129,6 @@ def dyadic_bits(m: Dyadic) -> int:
     return min(ratio.bit_length() - 1, MAX_BITS)
 
 
-def dyadic_rounded(m: Dyadic, bits: int) -> Dyadic:
-    """`RealInterval.rounded`: outward to `bits` fractional bits."""
-    lo, hi, e = m
-    return _floor_shift(lo, bits - e), _ceil_shift(hi, bits - e), bits
-
-
 def _aligned(a: Dyadic, b: Dyadic) -> tuple[int, int, int, int, int]:
     """The endpoints of `a` and `b` over their larger exponent."""
     alo, ahi, ae = a
@@ -158,11 +136,6 @@ def _aligned(a: Dyadic, b: Dyadic) -> tuple[int, int, int, int, int]:
     if ae < be:
         return alo << (be - ae), ahi << (be - ae), blo, bhi, be
     return alo, ahi, blo << (ae - be), bhi << (ae - be), ae
-
-
-def dyadic_add(a: Dyadic, b: Dyadic) -> Dyadic:
-    alo, ahi, blo, bhi, e = _aligned(a, b)
-    return alo + blo, ahi + bhi, e
 
 
 def dyadic_mul(a: Dyadic, b: Dyadic) -> Dyadic:
@@ -263,12 +236,6 @@ class RealInterval:
         if self.lo == 0 and self.hi == 0:
             return 0
         return None
-
-    def contains(self, value: Fraction | int | float) -> bool:
-        return self.lo <= value <= self.hi
-
-    def overlaps(self, other: RealInterval) -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
 
     def __neg__(self) -> RealInterval:
         return RealInterval.of(-self.hi, -self.lo)

@@ -403,25 +403,16 @@ def naive_height(state: QuotientState) -> int:
     )
 
 
-def _tight_abs(value: KElement | SurdElement, rel_bits: int) -> RealInterval:
-    """|value| enclosed with width <= 2^(1-rel_bits) * |value|.
+def _tight_abs_m(x: tuple[int, int, int], y: tuple[int, int, int], delta: KElement,
+                 rel_bits: int, roots: _RootTable) -> Dyadic:
+    """|x + y*sqrt(delta)| for the forms x and y that
+    `field._surd_form_embed` takes, with the roots of `roots`: the first
+    enclosure from `rel_bits` on, doubling by `_next_level`, that is 0 or
+    positive with width <= 2^(1-rel_bits) * lo.
 
     The default embedding quality is relative to max(1, |value|), which is
     vacuous for the exponentially small approximation errors S_n; this
-    refines until the enclosure is tight relative to the value itself.
-    """
-    x, y, delta = ((value.x, value.y, value.delta) if isinstance(value, SurdElement)
-                   else (value, value.spec.zero, value.spec.one))
-    return dyadic_interval(_tight_abs_m(_sqrt_d_form(x), _sqrt_d_form(y), delta, rel_bits,
-                                        _RootTable()))
-
-
-def _tight_abs_m(x: tuple[int, int, int], y: tuple[int, int, int], delta: KElement,
-                 rel_bits: int, roots: _RootTable) -> Dyadic:
-    """`_tight_abs` of x + y*sqrt(delta), for the forms x and y that
-    `field._surd_form_embed` takes, with the roots of `roots`: the first
-    enclosure from `rel_bits` on, doubling by `_next_level`, that is 0 or
-    positive with width <= 2^(1-rel_bits) * lo."""
+    refines until the enclosure is tight relative to the value itself."""
     shift, bits = rel_bits - 1, rel_bits
     while True:
         lo, hi, e = dyadic_abs(_surd_form_embed(x, y, delta, bits, roots))

@@ -5,7 +5,18 @@ from fractions import Fraction
 
 import pytest
 
+from okcf.cf import Mat2
 from okcf.field import FieldSpec, KElement
+
+# Every complete quotient of a pair expansion after the first has
+# xi_n^2 > 10/9: the distance test below 9/10 proves it, and the tests
+# assert it on every step.
+LOWER_BOUND_SQ = Fraction(10, 9)
+
+
+def mat2_inverse(m: Mat2) -> Mat2:
+    d = m.det()
+    return Mat2(m.e22 / d, -m.e12 / d, -m.e21 / d, m.e11 / d)
 
 
 @pytest.fixture(scope="session")

@@ -983,6 +983,27 @@ CATALOGUE = (
         "entry.update(cycle=False, verified=True)",
         ("tests/test_cli.py::TestCorpus::test_a_run_past_max_steps_is_no_cycle_and_not_verified",),
     ),
+    Mutant(
+        "qpair_states numbers its states from 1",
+        "okcf/cf.py",
+        '        fields["p_prev"], fields["q_prev"], fields["index"] = p, q, i\n',
+        '        fields["p_prev"], fields["q_prev"], fields["index"] = p, q, i + 1\n',
+        ("tests/test_cf.py::TestConvergents::test_determinant_invariant_randomized",),
+    ),
+    Mutant(
+        "cf_matrix drops the last quotient",
+        "okcf/cf.py",
+        "_matrix_pairs(spec, quotients)",
+        "_matrix_pairs(spec, quotients[:-1])",
+        ("tests/test_cf.py::TestMatrices::test_inverse_reversal_identity_randomized",),
+    ),
+    Mutant(
+        "step_state keeps the branch, the other root of f_(n+1)",
+        "okcf/quartic.py",
+        '    fields["branch"] = -state.branch\n',
+        '    fields["branch"] = state.branch\n',
+        ("tests/test_golden.py::TestExpandPair::test_step_invariants_replay",),
+    ),
 )
 
 

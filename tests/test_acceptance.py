@@ -23,7 +23,6 @@ from okcf.cf import (
 )
 from okcf.field import FieldSpec, SurdElement, reals_equal, sign_of
 from okcf.golden import (
-    LOWER_BOUND_SQ,
     RADIUS_SQ,
     RealPair,
     covering_radius,
@@ -42,7 +41,7 @@ from okcf.quartic import (
     weil_height4,
 )
 from okcf.cli import run_corpus
-from conftest import random_k
+from conftest import LOWER_BOUND_SQ, mat2_inverse, random_k
 
 K5 = FieldSpec(5)
 BETA = K5.omega
@@ -129,7 +128,7 @@ def test_criterion_4_identity_property_suite():
                 random_k(rng, K5, 8, nonzero=True) for _ in range(rng.randint(0, 6))
             ]
             for st in qpair_states(K5, qs):
-                assert st.determinant_ok()
+                assert st.p_prev * st.q_cur - st.p_cur * st.q_prev == (-1) ** st.index
 
         rng = random.Random(42)
         for _ in range(1000):
@@ -146,7 +145,7 @@ def test_criterion_4_identity_property_suite():
         for _ in range(1000):
             f = [random_k(rng, K5, 8) for _ in range(rng.randint(1, 6))]
             word = [K5.zero] + [-a for a in reversed(f)] + [K5.zero]
-            assert cf_matrix(K5, f).inverse() == cf_matrix(K5, word)
+            assert mat2_inverse(cf_matrix(K5, f)) == cf_matrix(K5, word)
 
         rng = random.Random(44)
         for _ in range(1000):
@@ -200,7 +199,7 @@ def test_criterion_6_expansion_step_invariants():
                     assert a.is_integral
                     d1 = (s.value - a) * (s.value - a)
                     d2 = (sp.value - a.conj()) * (sp.value - a.conj())
-                    assert RealPair(d1, d2).shift(-RADIUS_SQ).sign() < 0
+                    assert RealPair(d1, d2)._sign_minus(RADIUS_SQ) < 0
                     if n >= 1:
                         assert sign_of(s.value * s.value - LOWER_BOUND_SQ) > 0
                         assert sign_of(sp.value * sp.value - LOWER_BOUND_SQ) > 0

@@ -1,5 +1,6 @@
 """The embedding loops of `okcf.field` against a copy of the earlier
-`refine`-based embeddings, kept below: every triple must be the same.
+`refine`-based embeddings, kept below with their `refine`, `dyadic_add`
+and `dyadic_rounded`: every triple must be the same.
 
 Covered: random elements of K with denominators, under both embeddings,
 and surds over random discriminants, for D = 5, 2 and 13 at P = 1, 16, 64,
@@ -29,12 +30,10 @@ from okcf.intervals import (
     DEFAULT_BITS,
     MAX_BITS,
     PrecisionError,
-    dyadic_add,
+    _next_level,
     dyadic_bits,
     dyadic_mul,
-    dyadic_rounded,
     dyadic_sqrt,
-    refine,
 )
 from test_enclosure_reference import pell_near_zeros
 
@@ -42,6 +41,31 @@ PRECISIONS = (1, 16, 64, 100, 1024)
 
 
 # -- the earlier embeddings, each level through `refine` --------------------
+
+
+def refine(compute, bits, accept):
+    """The first `compute(bits)` that `accept` takes, doubling `bits` by the
+    package's `_next_level`, which raises `PrecisionError` past MAX_BITS."""
+    while True:
+        m = compute(bits)
+        if accept(m):
+            return m
+        bits = _next_level(bits)
+
+
+def dyadic_add(a, b):
+    (alo, ahi, ae), (blo, bhi, be) = a, b
+    e = max(ae, be)
+    return (alo << e - ae) + (blo << e - be), (ahi << e - ae) + (bhi << e - be), e
+
+
+def dyadic_rounded(m, bits):
+    """Outward to `bits` fractional bits."""
+    lo, hi, e = m
+    k = bits - e
+    if k >= 0:
+        return lo << k, hi << k, bits
+    return lo >> -k, -(-hi >> -k), bits
 
 
 def ref_refine_to_quality(compute, precision_bits):

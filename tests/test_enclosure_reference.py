@@ -2,10 +2,10 @@
 `fraction_intervals`: every endpoint must be the same rational.
 
 Covered: both embeddings of K elements for D = 5, 2 and 13, Pell
-near-zeros whose cancellation makes `refine` double, surd embeddings
-(including a discriminant so small that its lower endpoint is negative
-and is clamped under the root), the relative enclosures of tiny error
-terms S_n along 60-quotient expansions, and Weil heights of states with
+near-zeros whose cancellation makes the embedding loop double, surd
+embeddings (including a discriminant so small that its lower endpoint is
+negative and is clamped under the root), the relative enclosures of tiny
+error terms S_n along 60-quotient expansions, and Weil heights of states with
 real and with complex sigma-conjugates, at 16 to 4096 bits.
 """
 
@@ -18,13 +18,22 @@ from itertools import islice
 import fraction_intervals as ref
 from conftest import random_k
 from okcf.cf import eval_periodic, qpair_states
-from okcf.field import FieldSpec, KElement, SurdElement, _k_embed, _RootTable, is_square_in_k
+from okcf.field import (
+    FieldSpec,
+    KElement,
+    SurdElement,
+    _k_embed,
+    _RootTable,
+    _sqrt_d_form,
+    is_square_in_k,
+)
 from okcf.golden import pair_steps
+from okcf.intervals import RealInterval, dyadic_interval
 from okcf.parsing import parse_expansion, parse_k
 from okcf.quartic import (
     QuadraticPolyK,
     QuotientState,
-    _tight_abs,
+    _tight_abs_m,
     run_trajectory,
     weil_height,
     weil_height4,
@@ -36,6 +45,15 @@ BITS = (16, 24, 64, 100, 256, 1024, 4096)
 
 def same(got, want) -> bool:
     return (got.lo, got.hi) == (want.lo, want.hi)
+
+
+def tight_abs(value: KElement | SurdElement, rel_bits: int) -> RealInterval:
+    """The package's relative enclosure `_tight_abs_m` of |value|, for a K
+    element or a surd, with a fresh root table."""
+    x, y, delta = ((value.x, value.y, value.delta) if isinstance(value, SurdElement)
+                   else (value, value.spec.zero, value.spec.one))
+    return dyadic_interval(_tight_abs_m(_sqrt_d_form(x), _sqrt_d_form(y), delta, rel_bits,
+                                        _RootTable()))
 
 
 def fundamental_unit(spec: FieldSpec) -> KElement:
@@ -76,7 +94,7 @@ def test_k_pell_near_zeros_refine():
                 for conjugate in (False, True):
                     assert same(x.embed(bits, conjugate), ref.embed_k(x, bits, conjugate))
                 doubled += _k_embed(x, bits, _RootTable())[2] > max(bits, 64)
-    # The cancellation forced `refine` past its first precision.
+    # The cancellation forced the embedding loop past its first precision.
     assert doubled > 50
 
 
@@ -148,7 +166,7 @@ def test_tight_abs_of_tiny_error_terms():
     ):
         for n, s in enumerate(error_terms(seed, branch, quotients)):
             for bits in (16, 64) if n % 7 else (16, 64, 200, 1024):
-                got = _tight_abs(s, bits)
+                got = tight_abs(s, bits)
                 assert same(got, ref.tight_abs(s, bits))
                 smallest = min(smallest, got.hi)
     assert smallest < Fraction(1, 1 << 40)
@@ -167,7 +185,7 @@ def test_complex_sigma_modulus_enclosures():
         spoly = state.poly.sigma()
         mod_sq = spoly.C / spoly.A
         for bits in BITS:
-            assert same(_tight_abs(mod_sq, bits), ref.tight_abs(mod_sq, bits))
+            assert same(tight_abs(mod_sq, bits), ref.tight_abs(mod_sq, bits))
 
 
 def test_weil_heights():

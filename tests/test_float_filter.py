@@ -25,6 +25,9 @@ from test_sign_oracle import pool_seeds
 DIGITS = 100
 # The float_roots of a seed: enclosures of sqrt(delta) and sqrt(sigma(delta)).
 Roots = tuple[Enclosure, Enclosure] | None
+# Thresholds either side of 10/9 for the modulus invariant xi_n^2 > 10/9,
+# as the filter takes them either side of 9/10.
+LOWER_SQ_BELOW, LOWER_SQ_ABOVE = 10 / 9 - golden._MARGIN, 10 / 9 + golden._MARGIN
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +115,7 @@ def check_state(mpmath, p: PairState, roots: Roots) -> int:
         assert_encloses(mpmath, z, true, "xi")
         checked += 1
         modulus_below = golden._float_below(
-            golden._mul(z, z), golden._LOWER_SQ_BELOW, golden._LOWER_SQ_ABOVE
+            golden._mul(z, z), LOWER_SQ_BELOW, LOWER_SQ_ABOVE
         )
         if modulus_below is not None:
             assert modulus_below == (true * true < mpmath.mpf(10) / 9)
@@ -236,7 +239,7 @@ def test_helpers_abstain_when_the_enclosure_touches_a_threshold():
               (math.inf, math.inf), (1.5, math.inf)):
         assert floor(z) is None, z
     for lo, hi, t in ((golden._RADIUS_SQ_BELOW, golden._RADIUS_SQ_ABOVE, 0.9),
-                      (golden._LOWER_SQ_BELOW, golden._LOWER_SQ_ABOVE, 10 / 9)):
+                      (LOWER_SQ_BELOW, LOWER_SQ_ABOVE, 10 / 9)):
         assert lo < t < hi
         assert below((t - 0.01, 1e-3), lo, hi) is True
         assert below((t + 0.01, 1e-3), lo, hi) is False

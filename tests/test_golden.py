@@ -8,18 +8,18 @@ from math import isqrt
 import pytest
 
 import okcf.field
-from okcf.cf import CFExpansion, eval_periodic
+from okcf.cf import CFExpansion, associated_poly, e_matrix, eval_periodic
 from okcf.field import FieldSpec, InputRuleError, KElement, SurdElement, reals_equal, sign_of
 from okcf.golden import (
     CANDIDATE_ORDER,
     ExpansionResult,
     GoldenPreconditionError,
-    LOWER_BOUND_SQ,
     MaxStepsError,
     PairState,
     RADIUS_SQ,
     RealPair,
     choose_quotient,
+    classify_seed,
     covering_radius,
     expand_pair,
     float_roots,
@@ -30,6 +30,7 @@ from okcf.golden import (
 from okcf.intervals import MAX_BITS
 from okcf.parsing import parse_expansion
 from okcf.quartic import QuadraticPolyK, make_state, run_trajectory, step_state
+from conftest import LOWER_BOUND_SQ
 
 
 BETA_F = (1 + math.sqrt(5)) / 2
@@ -84,7 +85,6 @@ class TestRealPair:
         xi = make_state(seed, +1).value
         xip = make_state(seed.sigma(), +1).value
         pair = RealPair(xi, -xip)
-        assert pair.is_zero
         assert pair.sign() == 0
 
     def test_unlinked_structure(self, k5, unlinked_seed):
@@ -92,7 +92,7 @@ class TestRealPair:
         xip = make_state(unlinked_seed.sigma(), +1).value
         pair = RealPair(xi, -xip)
         assert not pair.v.is_zero
-        assert not pair.is_zero
+        assert pair.sign() != 0
         assert pair.sign() == (1 if float(xi) > float(xip) else -1)
 
     def test_hand_built_linked_pair_is_zero_by_value(self, k5):
@@ -100,8 +100,8 @@ class TestRealPair:
         u = SurdElement(k5, k5.element(2), k5.zero, k5.one)
         v = SurdElement(k5, k5.element(8), k5.zero, k5.element(Fraction(-1, 2)))
         pair = RealPair(u, v)
-        assert pair.sign() == 0 and pair.is_zero
-        assert not RealPair(u, -v).is_zero
+        assert pair.sign() == 0
+        assert RealPair(u, -v).sign() != 0
 
     def test_floor_exact_rational(self, k5):
         u = SurdElement(k5, k5.element(2), k5.element(Fraction(7, 2)), k5.zero)
@@ -136,7 +136,8 @@ class TestRealPair:
         assert p.bit_length() > MAX_BITS
         tiny = one_family(SurdElement(k5, k5.element(3), k5.element(p), k5.element(-q)))
         assert (tiny.floor(), tiny.ceil()) == (0, 1)
-        assert ((-tiny).floor(), (-tiny).ceil()) == (-1, 0)
+        minus = RealPair(-tiny.u, -tiny.v)
+        assert (minus.floor(), minus.ceil()) == (-1, 0)
 
 
 def pell_power(n: int) -> tuple[int, int]:
@@ -219,7 +220,7 @@ class TestExactPairDecisions:
             assert pair.sign() == sign
             assert pair.floor() == floor
             assert pair.ceil() == ceil
-            assert (-pair).floor() == -ceil
+            assert RealPair(-pair.u, -pair.v).floor() == -ceil
 
     def test_no_embedding_needed(self, k5, unlinked_seed, monkeypatch):
         cases = pair_cases(k5, unlinked_seed)
@@ -289,7 +290,7 @@ class TestLatticeCoords:
         seed = QuadraticPolyK(k5.one, k5.zero, k5.element(-2))
         ps = PairState(make_state(seed, +1), make_state(seed.sigma(), +1), 0)
         _, y = lattice_coords(ps)
-        assert y.is_zero
+        assert y.sign() == 0
         assert y.floor() == 0
 
     def test_requires_d5(self):
@@ -337,7 +338,7 @@ class TestChooseQuotient:
                     a = choose_quotient(p, roots)
                     dist = squared_distance(p, a)
                     assert isinstance(dist, RealPair)
-                    assert dist.shift(-RADIUS_SQ).sign() < 0
+                    assert dist._sign_minus(RADIUS_SQ) < 0
                     assert dist.sign() >= 0
                     iv = dist.interval()
                     assert iv.lo - 1e-12 <= float(dist) <= iv.hi + 1e-12
@@ -380,7 +381,7 @@ class TestExpandPair:
             for n, a in enumerate(quots):
                 d1 = (s.value - a) * (s.value - a)
                 d2 = (sp.value - a.conj()) * (sp.value - a.conj())
-                assert RealPair(d1, d2).shift(-RADIUS_SQ).sign() < 0
+                assert RealPair(d1, d2)._sign_minus(RADIUS_SQ) < 0
                 if n >= 1:
                     assert sign_of(s.value * s.value - LOWER_BOUND_SQ) > 0
                     assert sign_of(sp.value * sp.value - LOWER_BOUND_SQ) > 0
@@ -390,6 +391,33 @@ class TestExpandPair:
         r = expand_pair(unlinked_seed, +1, +1)
         assert r.verified
         assert len(r.expansion.period) >= 1
+
+    def test_seeds_from_random_periodic_expansions_close(self, k5):
+        # The seed of a random periodic expansion x is E(x)'s associated
+        # polynomial, a distribution the corpus sampler never draws.  Every
+        # admitted seed closes on all four branch pairs at the default cap,
+        # and on a slice the flag is the full evaluation's answer.
+        rng = random.Random(25)
+
+        def quotients(low: int, high: int) -> tuple[KElement, ...]:
+            return tuple(k5.element(rng.randint(-3, 3), rng.randint(-3, 3))
+                         for _ in range(rng.randint(low, high)))
+
+        admitted = 0
+        for _ in range(300):
+            e = e_matrix(CFExpansion(k5, quotients(0, 2), quotients(1, 3)))
+            if e.e21.is_zero:
+                continue
+            seed = QuadraticPolyK(*associated_poly(e))
+            if classify_seed(seed) is not None:
+                continue
+            admitted += 1
+            for branch, conj_branch in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                r = expand_pair(seed, branch, conj_branch)
+                assert r.verified
+                if admitted <= 20:
+                    assert verify_roundtrip(r).ok is r.verified
+        assert admitted > 150
 
     def test_emitted_quotients_integral(self, k5, unlinked_seed):
         r = expand_pair(unlinked_seed, +1, -1)
@@ -512,7 +540,7 @@ class TestGrowthBounds:
         # Once |Q_n| first exceeds |Q_{n-1}|, every later |Q_n * S_n| stays
         # below 1/(sqrt(10/9) - 1).
         from okcf.cf import qpair_states
-        from okcf.quartic import _tight_abs
+        from test_enclosure_reference import tight_abs
 
         gamma_minus_1_inv = 1 / (math.sqrt(10 / 9) - 1)  # ~ 18.487
         for seed in (example_seed, unlinked_seed):
@@ -527,7 +555,7 @@ class TestGrowthBounds:
                     if sign_of(qn * qn - prev_q * prev_q) > 0:
                         n0 = n
                 if n0 is not None:
-                    s_abs = _tight_abs(xi * qn - qp.p_cur, 64)
+                    s_abs = tight_abs(xi * qn - qp.p_cur, 64)
                     q_abs = abs(qn.embed(64))
                     assert float((q_abs * s_abs).hi) < gamma_minus_1_inv
                 prev_q = qn

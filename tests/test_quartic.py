@@ -314,7 +314,7 @@ class TestDiagnostics:
         for n, row in enumerate(rows):
             prod = row.f1 * row.f2 * lead
             h4 = weil_height4(states[n + 1], 64)
-            assert prod.overlaps(h4)
+            assert prod.lo <= h4.hi and h4.lo <= prod.hi
 
     def test_f1_f2_bounded_over_100_periods(self, k5, example_seed):
         quots = [k5.element(2), k5.element(4, -2)] * 100
