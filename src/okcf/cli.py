@@ -565,6 +565,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _PARSER.parse_args(_prepare_argv(argv, _PARSER))
+    # Valid input can need integers past Python's int <-> str cap of 4300
+    # digits (3.10.7 on; earlier versions have none), so a command runs
+    # without it and the caller's cap is restored after.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         sys.stdout.write(args.run(args))
         sys.stdout.flush()
@@ -592,6 +598,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # A fault nobody foresaw: name it, but print no traceback.
         print(f"internal consistency failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

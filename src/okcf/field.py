@@ -397,18 +397,10 @@ class SurdElement:
         return SurdElement(self.spec, self.delta, -self.x, -self.y)
 
     def __mul__(self, other: object) -> SurdElement:
-        """The product in K(sqrt(delta)): 5 K products in general, 2 for a
-        K, int or Fraction factor (it scales x and y) and 4 for a square,
-        (x*x + y*y*delta) + 2xy*sqrt(delta)."""
-        x, y = self.x, self.y
-        if isinstance(other, (KElement, int, Fraction)):
-            return SurdElement(self.spec, self.delta, x * other, y * other)
-        if other is self:
-            xy = x * y
-            return SurdElement(self.spec, self.delta, x * x + y * y * self.delta, xy + xy)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        x, y = self.x, self.y
         return SurdElement(
             self.spec, self.delta, x * o.x + y * o.y * self.delta, x * o.y + y * o.x
         )
@@ -422,9 +414,7 @@ class SurdElement:
         n = o.norm_k()
         if n.is_zero:
             raise ZeroDivisionError("division by zero in K(sqrt(delta))")
-        return self * o.conj_sqrt() * SurdElement(
-            self.spec, self.delta, self.spec.one / n, self.spec.zero
-        )
+        return self * o.conj_sqrt() * (self.spec.one / n)
 
     def __rtruediv__(self, other: object) -> SurdElement:
         o = self._coerce(other)

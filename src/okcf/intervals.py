@@ -240,48 +240,40 @@ class RealInterval:
     def __neg__(self) -> RealInterval:
         return RealInterval.of(-self.hi, -self.lo)
 
-    def __add__(self, other: RealInterval | Fraction | int) -> RealInterval:
-        if isinstance(other, RealInterval):
-            return RealInterval.of(self.lo + other.lo, self.hi + other.hi)
+    @staticmethod
+    def _coerce(other: object) -> RealInterval | None:
+        """`other` as an interval: an int or `Fraction` is its point."""
         if isinstance(other, (int, Fraction)):
-            return RealInterval.of(self.lo + other, self.hi + other)
-        return NotImplemented
+            return RealInterval.point(other)
+        return other if isinstance(other, RealInterval) else None
+
+    def __add__(self, other: RealInterval | Fraction | int) -> RealInterval:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return RealInterval.of(self.lo + o.lo, self.hi + o.hi)
 
     def __sub__(self, other: RealInterval | Fraction | int) -> RealInterval:
-        if isinstance(other, RealInterval):
-            return RealInterval.of(self.lo - other.hi, self.hi - other.lo)
-        if isinstance(other, (int, Fraction)):
-            return RealInterval.of(self.lo - other, self.hi - other)
-        return NotImplemented
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return RealInterval.of(self.lo - o.hi, self.hi - o.lo)
 
     def __mul__(self, other: RealInterval | Fraction | int) -> RealInterval:
-        if isinstance(other, RealInterval):
-            products = (
-                self.lo * other.lo,
-                self.lo * other.hi,
-                self.hi * other.lo,
-                self.hi * other.hi,
-            )
-            return RealInterval.of(min(products), max(products))
-        if isinstance(other, (int, Fraction)):
-            if other >= 0:
-                return RealInterval.of(self.lo * other, self.hi * other)
-            return RealInterval.of(self.hi * other, self.lo * other)
-        return NotImplemented
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
+        return RealInterval.of(min(products), max(products))
 
     __rmul__ = __mul__
 
     def __abs__(self) -> RealInterval:
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return -self
-        return RealInterval.of(_ZERO, max(-self.lo, self.hi))
+        return RealInterval.of(max(_ZERO, self.lo, -self.hi), max(-self.lo, self.hi))
 
     def max_with(self, other: RealInterval | Fraction | int) -> RealInterval:
-        if isinstance(other, (int, Fraction)):
-            other = RealInterval.point(other)
-        return RealInterval.of(max(self.lo, other.lo), max(self.hi, other.hi))
+        o = self._coerce(other)
+        return RealInterval.of(max(self.lo, o.lo), max(self.hi, o.hi))
 
     def sqrt(self, bits: int = DEFAULT_BITS) -> RealInterval:
         # A lower endpoint slightly below 0 is rounding noise for a value

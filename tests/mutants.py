@@ -1004,6 +1004,38 @@ CATALOGUE = (
         '    fields["branch"] = state.branch\n',
         ("tests/test_golden.py::TestExpandPair::test_step_invariants_replay",),
     ),
+    # One product rule in K(sqrt(delta)) and one formula per interval
+    # operation, with scalars coerced to the operand type.
+    Mutant(
+        "the surd product subtracts a cross term",
+        "okcf/field.py",
+        "x * o.y + y * o.x",
+        "x * o.y - y * o.x",
+        ("tests/test_quartic_formulas.py::test_surd_scalar_and_square_products",),
+    ),
+    Mutant(
+        "interval subtraction takes the wrong endpoint",
+        "okcf/intervals.py",
+        "self.lo - o.hi",
+        "self.lo - o.lo",
+        ("tests/test_intervals.py::test_operations_are_the_hull_of_their_corners",),
+    ),
+    # A command runs without Python's int <-> str cap, and the caller's
+    # cap is restored after it.
+    Mutant(
+        "main keeps the int <-> str cap",
+        "okcf/cli.py",
+        "sys.set_int_max_str_digits(0)",
+        "sys.set_int_max_str_digits(limit)",
+        ("tests/test_cli.py::TestIntegersPastTheStrCap::test_a_discriminant_past_the_cap",),
+    ),
+    Mutant(
+        "main leaves the int <-> str cap lifted",
+        "okcf/cli.py",
+        "            sys.set_int_max_str_digits(limit)\n",
+        "            pass\n",
+        ("tests/test_cli.py::TestIntegersPastTheStrCap::test_main_restores_the_callers_cap",),
+    ),
 )
 
 

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -16,9 +17,11 @@ from pathlib import Path
 import pytest
 
 from okcf import cli
+from okcf.cf import eval_periodic
 from okcf.cli import decimal_str, main
-from okcf.field import KElement, SurdElement
+from okcf.field import FieldSpec, KElement, SurdElement
 from okcf.golden import NoCandidateError
+from okcf.parsing import parse_expansion
 
 
 def run(capsys, *argv):
@@ -619,6 +622,62 @@ def test_input_rule_is_a_rejection(capsys, argv, reason):
     assert code == 3
     assert out == ""
     assert err == f"rejected: {reason}\n"
+
+
+HAS_INT_STR_CAP = hasattr(sys, "get_int_max_str_digits")
+
+
+@pytest.fixture
+def int_str_cap():
+    """Python's default int <-> str cap of 4300 digits during the test, and
+    the caller's after it; None on a Python without the cap."""
+    if not HAS_INT_STR_CAP:
+        yield None
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def long_period(count: int) -> str:
+    """A purely periodic expansion of `count` random quotients p + q*w with
+    |p|, |q| <= 20."""
+    rng = random.Random(7)
+    quotients = (f"{rng.randint(-20, 20)}{rng.randint(-20, 20):+d}*w" for _ in range(count))
+    return f"[; {', '.join(quotients)}]"
+
+
+class TestIntegersPastTheStrCap:
+    def test_a_discriminant_past_the_cap(self, capsys, int_str_cap):
+        text = long_period(2000)
+        code, out, err = run(capsys, "eval", text, "--output", "json")
+        assert (code, err) == (0, "")
+        if HAS_INT_STR_CAP:
+            assert sys.get_int_max_str_digits() == int_str_cap
+            sys.set_int_max_str_digits(0)
+        disc = eval_periodic(parse_expansion(text, FieldSpec(5))).discriminant
+        assert len(str(abs(disc.p))) > 4300
+        assert json.loads(out)["discriminant"] == str(disc)
+
+    def test_a_quotient_past_the_cap(self, capsys, int_str_cap):
+        big = "1" + "0" * 4300
+        code, out, err = run(capsys, "eval", f"[; {big}]", "--output", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["expansion"]["period"] == [big]
+
+    @pytest.mark.skipif(not HAS_INT_STR_CAP, reason="this Python has no int <-> str cap")
+    @pytest.mark.parametrize("cap", [0, 640, 4300])
+    def test_main_restores_the_callers_cap(self, capsys, monkeypatch, int_str_cap, cap):
+        sys.set_int_max_str_digits(cap)
+        for argv, code in ((["eval", "[1; 2]"], 0), (["eval", "[1; 2"], 2),
+                           (["eval", "[1; 2]", "--field-d", "4"], 3),
+                           (["eval", f"[; 1{'0' * 4300}]"], 0)):
+            assert run(capsys, *argv)[0] == code
+            assert sys.get_int_max_str_digits() == cap
+        monkeypatch.setattr("okcf.cli.eval_periodic", lambda expansion: 1 / 0)
+        assert run(capsys, "eval", "[1; 2]")[0] == 5
+        assert sys.get_int_max_str_digits() == cap
 
 
 @pytest.mark.parametrize(

@@ -36,6 +36,30 @@ from conftest import LOWER_BOUND_SQ
 BETA_F = (1 + math.sqrt(5)) / 2
 
 
+BRANCH_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def seeds_from_random_expansions(k5: FieldSpec) -> list[QuadraticPolyK]:
+    """The admitted seeds among 300 random periodic expansions x, each seed
+    E(x)'s associated polynomial: pre-period 0 to 2 and period 1 to 3
+    quotients p + q*w with |p|, |q| <= 3."""
+    rng = random.Random(25)
+
+    def quotients(low: int, high: int) -> tuple[KElement, ...]:
+        return tuple(k5.element(rng.randint(-3, 3), rng.randint(-3, 3))
+                     for _ in range(rng.randint(low, high)))
+
+    seeds = []
+    for _ in range(300):
+        e = e_matrix(CFExpansion(k5, quotients(0, 2), quotients(1, 3)))
+        if e.e21.is_zero:
+            continue
+        seed = QuadraticPolyK(*associated_poly(e))
+        if classify_seed(seed) is None:
+            seeds.append(seed)
+    return seeds
+
+
 @pytest.fixture
 def example_seed(k5):
     beta = k5.omega
@@ -393,31 +417,29 @@ class TestExpandPair:
         assert len(r.expansion.period) >= 1
 
     def test_seeds_from_random_periodic_expansions_close(self, k5):
-        # The seed of a random periodic expansion x is E(x)'s associated
-        # polynomial, a distribution the corpus sampler never draws.  Every
-        # admitted seed closes on all four branch pairs at the default cap,
-        # and on a slice the flag is the full evaluation's answer.
-        rng = random.Random(25)
-
-        def quotients(low: int, high: int) -> tuple[KElement, ...]:
-            return tuple(k5.element(rng.randint(-3, 3), rng.randint(-3, 3))
-                         for _ in range(rng.randint(low, high)))
-
-        admitted = 0
-        for _ in range(300):
-            e = e_matrix(CFExpansion(k5, quotients(0, 2), quotients(1, 3)))
-            if e.e21.is_zero:
-                continue
-            seed = QuadraticPolyK(*associated_poly(e))
-            if classify_seed(seed) is not None:
-                continue
-            admitted += 1
-            for branch, conj_branch in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        # A distribution the corpus sampler never draws.  Every admitted
+        # seed closes on all four branch pairs at the default cap, and on a
+        # slice the flag is the full evaluation's answer.
+        seeds = seeds_from_random_expansions(k5)
+        for i, seed in enumerate(seeds):
+            for branch, conj_branch in BRANCH_PAIRS:
                 r = expand_pair(seed, branch, conj_branch)
                 assert r.verified
-                if admitted <= 20:
+                if i < 20:
                     assert verify_roundtrip(r).ok is r.verified
-        assert admitted > 150
+        assert len(seeds) > 150
+
+    def test_a_period_in_the_thousands_closes_and_verifies(self, k5):
+        # The seed of [; -10+8*w, 12+7*w, 14-6*w]: on the branch pairs
+        # (+, -) and (-, +) it gives back a period of 3, on (+, +) and
+        # (-, -) periods past 2000.
+        x = parse_expansion("[; -10+8*w, 12+7*w, 14-6*w]", k5)
+        seed = QuadraticPolyK(*associated_poly(e_matrix(x)))
+        assert classify_seed(seed) is None
+        r = expand_pair(seed, 1, 1)
+        assert (len(r.expansion.period), r.cycle_start) == (2194, 75)
+        assert r.verified
+        assert verify_roundtrip(r).ok is r.verified
 
     def test_emitted_quotients_integral(self, k5, unlinked_seed):
         r = expand_pair(unlinked_seed, +1, -1)

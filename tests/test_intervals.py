@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import fields
 from fractions import Fraction
@@ -48,6 +49,35 @@ def test_interval_arithmetic_contains():
     two = RealInterval.point(2)
     s = two.sqrt(40)
     assert (s * s).lo <= 2 <= (s * s).hi
+
+
+def test_operations_are_the_hull_of_their_corners():
+    # +, -, * and max are monotone or bilinear in each operand, so the
+    # tightest enclosure is the hull of their values at the corners; an
+    # int or Fraction operand is its point interval.
+    rng = random.Random(37)
+
+    def rational() -> Fraction:
+        return Fraction(rng.randint(-20, 20), rng.randint(1, 8))
+
+    def hull(op, a: RealInterval, b: RealInterval) -> RealInterval:
+        values = [op(x, y) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+        return RealInterval.of(min(values), max(values))
+
+    for _ in range(300):
+        a = RealInterval.of(*sorted((rational(), rational())))
+        for b in (RealInterval.of(*sorted((rational(), rational()))), rng.randint(-5, 5),
+                  rational()):
+            box = b if isinstance(b, RealInterval) else RealInterval.point(b)
+            assert a + b == hull(operator.add, a, box)
+            assert a - b == hull(operator.sub, a, box)
+            assert a * b == hull(operator.mul, a, box) == b * a
+            assert a.max_with(b) == hull(max, a, box)
+        ends = (abs(a.lo), abs(a.hi))
+        assert abs(a) == RealInterval.of(0 if a.lo <= 0 <= a.hi else min(ends), max(ends))
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(a, 1.5)
 
 
 def test_point_and_sign():

@@ -219,9 +219,3 @@ def test_product_budgets(kmul_calls):
             assert spent(kmul_calls, naive_height, state)[1] <= 3
         for qp in qpair_states(spec, quotients):
             assert spent(kmul_calls, triple_recursion, seed, qp)[1] <= 13
-        s = make_state(seed, 1).value
-        k = random_k(rng, spec, 3, nonzero=True)
-        for scalar in (k, 3, Fraction(2, 3)):
-            assert spent(kmul_calls, s.__mul__, scalar)[1] <= 2
-            assert spent(kmul_calls, s.__rmul__, scalar)[1] <= 2
-        assert spent(kmul_calls, s.__mul__, s)[1] <= 4
