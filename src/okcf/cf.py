@@ -154,8 +154,9 @@ def cf_matrix(spec: FieldSpec, quotients: Sequence[KElement]) -> Mat2:
                 _make(spec, p21, q21, 1), _make(spec, p22, q22, 1))
 
 
-def e_matrix(expansion: CFExpansion) -> Mat2:
-    """M(pre) * M(period) * M(pre)^(-1); determinant (-1)^len(period).
+def _e_pairs(expansion: CFExpansion) -> tuple[int, ...]:
+    """The integer pairs of E = M(pre) * M(period) * M(pre)^(-1), row by
+    row, as `_matrix_pairs` gives them.
 
     One pass of the recurrence gives M(pre) * M(period) on the integer
     pairs of its integral entries; each pre-period quotient is then undone,
@@ -173,6 +174,14 @@ def e_matrix(expansion: CFExpansion) -> Mat2:
         p11, q11, p12, q12 = p12, q12, p11 - x, q11 - y
         x, y = _int_mul(c, l, a.p, a.q, p22, q22)
         p21, q21, p22, q22 = p22, q22, p21 - x, q21 - y
+    return p11, q11, p12, q12, p21, q21, p22, q22
+
+
+def e_matrix(expansion: CFExpansion) -> Mat2:
+    """M(pre) * M(period) * M(pre)^(-1); determinant (-1)^len(period).
+    Its entries are made from the integers of `_e_pairs`."""
+    spec = expansion.spec
+    p11, q11, p12, q12, p21, q21, p22, q22 = _e_pairs(expansion)
     return Mat2(_make(spec, p11, q11, 1), _make(spec, p12, q12, 1),
                 _make(spec, p21, q21, 1), _make(spec, p22, q22, 1))
 

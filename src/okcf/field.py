@@ -64,16 +64,25 @@ class InputRuleError(ValueError):
 
 
 def is_squarefree(n: int) -> bool:
+    """Whether n >= 1 has no square factor > 1, by trial division up to the
+    cube root of n.  Each odd factor f found is divided out once, and a
+    second f is a square factor.  The loop stops at the first f with
+    f^3 > m, the cofactor left: every prime factor of m is then at least f,
+    so m has at most two, and m > 1 has a square factor only when it is a
+    prime squared."""
     if n < 1:
         return False
     if n % 4 == 0:
         return False
+    m = n // 2 if n % 2 == 0 else n
     f = 3
-    while f * f <= n:
-        if n % (f * f) == 0:
-            return False
+    while f * f * f <= m:
+        if m % f == 0:
+            m //= f
+            if m % f == 0:
+                return False
         f += 2
-    return True
+    return m == 1 or isqrt(m) ** 2 != m
 
 
 def rational_sqrt(q: Fraction) -> Fraction | None:

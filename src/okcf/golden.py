@@ -7,6 +7,12 @@ candidates whose squared distance to the pair is below 9/10 (the
 circumradius bound of the fundamental cell of v(O_K)).  Cycle detection
 on exact quotient-state keys yields an ultimately periodic expansion.
 
+The loop runs on integers: xi'_n is sigma of xi_n's polynomial, so only
+the integers of xi_n's coefficients and its branch are stepped, and the
+cycle table is keyed on them.  `KElement`s are made for the quotients
+and keys of the result, and a `PairState` for the exact path of a
+decision; `pair_steps` and `choose_quotient` are the views on states.
+
 Every decision of a step (the two lattice floors and each corner's
 distance test) is exact.  A certified float filter answers it from
 binary64 enclosures when their error bound proves the answer, and exact
@@ -31,23 +37,25 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
-from math import floor as _floor, sqrt
+from math import floor as _floor, prod, sqrt
 from typing import Iterator
 
-from .cf import CFExpansion, e_matrix, eval_periodic
+from .cf import CFExpansion, _e_pairs, eval_periodic
 from .field import (
     FieldSpec,
     InputRuleError,
     KElement,
     SurdElement,
     _int_mul,
+    _make,
+    _root_sign,
     is_square_in_k,
     reals_equal,
     sign_of,
     surd_sum_sign,
 )
 from .intervals import DEFAULT_BITS, RealInterval
-from .quartic import QuadraticPolyK, QuotientState, step_state
+from .quartic import QuadraticPolyK, QuotientState, _poly, _step_pairs
 
 RADIUS_SQ = Fraction(9, 10)
 
@@ -151,15 +159,24 @@ def _surd_float(u: SurdElement) -> float:
     return float(u.x) + float(u.y) * sqrt(float(u.delta))
 
 
+# A state of `_expansion`: the integers (A_p, A_q, B_p, B_q, C_p, C_q) of
+# the main track's polynomial, A = A_p + A_q*w and so on, and its branch s.
+PairTuple = tuple[int, int, int, int, int, int, int]
+
+
 @dataclass(frozen=True)
 class PairState:
+    """The pair (xi_n, xi'_n) at index n; in every state that `pair_steps`
+    yields, xi'_n is sigma of xi_n's polynomial, on its own branch."""
+
     xi: QuotientState
     xi_prime: QuotientState
     index: int
 
     @property
     def key(self) -> tuple:
-        """Exact value-level key of the pair, used for cycle detection."""
+        """Exact value-level key of the pair.  `expand_pair` closes its
+        cycle where this key repeats, by a table on integers that fix it."""
         return (*self.xi.canonical_key, *self.xi_prime.canonical_key)
 
 
@@ -314,24 +331,25 @@ def float_roots(seed: QuadraticPolyK) -> tuple[Enclosure, Enclosure] | None:
         return None
 
 
-def _xi_enclosure(s: QuotientState, root: Enclosure) -> Enclosure | None:
-    """Enclosure of (-B + branch*sqrt(delta))/(2A), from the integers of A
-    and B and an enclosure of sqrt(delta); None when the filter abstains:
+def _xi_enclosure(a_p: int, a_q: int, b_p: int, b_q: int, branch: int,
+                  root: Enclosure) -> Enclosure | None:
+    """Enclosure of (-B + branch*sqrt(delta))/(2A) for A = a_p + a_q*w and
+    B = b_p + b_q*w, from their integers and an enclosure of sqrt(delta);
+    None when the filter abstains:
     _div((v, be + root[1] + u*|v|), (2*av, 2*ae)), v = branch*root[0] - bv,
     with (bv, be) and (av, ae) the `_k_enclosure` of B and A."""
-    poly = s.poly
     try:
-        p, q = float(poly.B.p), float(poly.B.q)
+        p, q = float(b_p), float(b_q)
         qe, w = _U * abs(q), q * _WV
         bv = p + w
         be = _U * abs(p) + (abs(q) * _WE + _WV * qe + qe * _WE + _U * abs(w) + _ETA) + _U * abs(bv)
-        p, q = float(poly.A.p), float(poly.A.q)
+        p, q = float(a_p), float(a_q)
     except OverflowError:
         return None
     qe, w = _U * abs(q), q * _WV
     av = p + w
     ae = _U * abs(p) + (abs(q) * _WE + _WV * qe + qe * _WE + _U * abs(w) + _ETA) + _U * abs(av)
-    v = s.branch * root[0] - bv
+    v = branch * root[0] - bv
     ve = be + root[1] + _U * abs(v)
     dv, de = 2 * av, 2 * ae
     m = abs(dv)
@@ -342,15 +360,21 @@ def _xi_enclosure(s: QuotientState, root: Enclosure) -> Enclosure | None:
 
 
 def _pair_enclosures(
-    p: PairState, roots: tuple[Enclosure, Enclosure] | None
+    a_p: int, a_q: int, b_p: int, b_q: int, s: int, t: int,
+    roots: tuple[Enclosure, Enclosure] | None,
 ) -> PairEnclosures | None:
     """Enclosures of xi, xi', and the lattice coordinates
     y = _mul(_sub(xi, xi'), 1/sqrt(5)) and x = _sub(xi, _mul(y, w)), from
-    the `float_roots` of the seed; None when the filter abstains."""
+    the integers of xi's A and B, its branch s, the branch product
+    t = branch*conj_branch of the run and the `float_roots` of the seed;
+    None when the filter abstains.  xi' is sigma of xi's polynomial on
+    branch t*s (`_expansion` proves it), and over Q(sqrt(5)), the one field
+    `float_roots` serves, sigma(p + q*w) = (p + q) - q*w: the integers that
+    `KElement.conj` makes, so the floats are the same."""
     if roots is None:
         return None
-    xi = _xi_enclosure(p.xi, roots[0])
-    xip = _xi_enclosure(p.xi_prime, roots[1])
+    xi = _xi_enclosure(a_p, a_q, b_p, b_q, s, roots[0])
+    xip = _xi_enclosure(a_p + a_q, -a_q, b_p + b_q, -b_q, t * s, roots[1])
     if xi is None or xip is None:
         return None
     (v, e), (vp, ep) = xi, xip
@@ -442,19 +466,23 @@ def squared_distance(p: PairState, a: KElement) -> RealPair:
     return RealPair(e1 * e1, e2 * e2)
 
 
-def choose_quotient(p: PairState, roots: tuple[Enclosure, Enclosure] | None) -> KElement:
-    """First corner candidate a = x + y*beta with
-    |xi_n - a|^2 + |xi'_n - sigma(a)|^2 < 9/10.
+def _choose(spec: FieldSpec, state: PairTuple, t: int,
+            roots: tuple[Enclosure, Enclosure] | None, index: int) -> tuple[int, int]:
+    """The integers (x, y) of the first corner candidate a = x + y*w with
+    |xi_n - a|^2 + |xi'_n - sigma(a)|^2 < 9/10, for the pair of the main
+    track's `state` at `index` and the branch product t (see `_expansion`).
 
     The float filter answers each floor and each distance test that its
-    enclosure decides; the exact squarings answer the rest.  `roots` is
-    the `float_roots` of the seed.
+    enclosure decides.  The exact squarings answer the rest, on the
+    `PairState` that is built for them only then.
     """
-    spec = p.xi.poly.spec
-    enc = _pair_enclosures(p, roots)
+    a_p, a_q, b_p, b_q, _, _, s = state
+    enc = _pair_enclosures(a_p, a_q, b_p, b_q, s, t, roots)
     xs = _float_floor(None if enc is None else enc[2])
     ys = _float_floor(None if enc is None else enc[3])
+    p = None
     if xs is None or ys is None:
+        p = _pair_state(spec, state, t, index)
         x, y = lattice_coords(p)
         xs = xs or (x.floor(), x.ceil())
         ys = ys or (y.floor(), y.ceil())
@@ -464,12 +492,27 @@ def choose_quotient(p: PairState, roots: tuple[Enclosure, Enclosure] | None) -> 
         z = None if enc is None else _corner_distance(enc[0], enc[1], x, y)
         inside = _float_below(z, _RADIUS_SQ_BELOW, _RADIUS_SQ_ABOVE)
         if inside is None:
+            if p is None:
+                p = _pair_state(spec, state, t, index)
             inside = squared_distance(p, spec.element(x, y))._sign_minus(RADIUS_SQ) < 0
         if inside:
-            return spec.element(x, y)
+            return x, y
     raise NoCandidateError(
-        f"no corner candidate within the circumradius bound at index {p.index}"
+        f"no corner candidate within the circumradius bound at index {index}"
     )
+
+
+def choose_quotient(p: PairState, roots: tuple[Enclosure, Enclosure] | None) -> KElement:
+    """First corner candidate a = x + y*beta with
+    |xi_n - a|^2 + |xi'_n - sigma(a)|^2 < 9/10, chosen by `_choose`, the
+    float filter first and exact squarings where it abstains.  `roots` is
+    the `float_roots` of the seed.  xi'_n is read as sigma of xi_n's
+    polynomial on the branch of `p.xi_prime`, as in every state that
+    `pair_steps` yields.
+    """
+    poly, spec = p.xi.poly, p.xi.poly.spec
+    state = (poly.A.p, poly.A.q, poly.B.p, poly.B.q, poly.C.p, poly.C.q, p.xi.branch)
+    return spec.element(*_choose(spec, state, p.xi.branch * p.xi_prime.branch, roots, p.index))
 
 
 class SeedRejection(Enum):
@@ -537,6 +580,78 @@ def _check_preconditions(seed: QuadraticPolyK) -> None:
         raise GoldenPreconditionError(_REJECTION_MESSAGES[reason])
 
 
+def _expansion(
+    seed: QuadraticPolyK, branch: int, conj_branch: int
+) -> Iterator[tuple[tuple[int, int] | None, PairTuple]]:
+    """The expansion of (seed, branch, conj_branch) on integers: yields
+    (a_{n-1}, state_n), a_{n-1} = x + y*w as (x, y) and None in place of
+    a_{-1}, and state_n = (A_p, A_q, B_p, B_q, C_p, C_q, s), the integers
+    of A_n = A_p + A_q*w, B_n and C_n and the branch s of xi_n.  The
+    quotient a_n is chosen only when the caller asks for state n+1, and
+    the seed is checked when the first state is asked for.
+
+    Only the main track xi_n is stepped.  xi'_n, the conjugate track, is
+    sigma of xi_n's polynomial on branch t*s, t = branch*conj_branch:
+    xi'_0 is sigma of the seed on conj_branch = t*branch, and xi'_n steps
+    by sigma(a_n) where xi_n steps by a_n.  sigma is a ring automorphism
+    of K and the step is polynomial in the quotient, so the polynomials
+    stay conjugate, and each step negates both branches, so their product
+    stays t.  `_pair_state` builds the pair of a state.
+
+    No state after the first needs a modulus check: xi_(n+1) = 1/(xi_n - a_n)
+    and |xi_n - a_n|^2 < 9/10, because the distance test bounds each of its
+    two summands, so xi_(n+1)^2 > 10/9, and the same holds for xi'_(n+1).
+    Neither does a derived leading coefficient: A_(n+1) = f_n(a_n) is 0
+    only for a root a_n of f_n in K, and the admitted delta is not a square.
+    """
+    _check_preconditions(seed)
+    if branch not in (1, -1) or conj_branch not in (1, -1):
+        raise InputRuleError("branch must be +1 or -1")
+    roots = float_roots(seed)
+    spec = seed.spec
+    c, l = spec.omega_sq_const, spec.omega_sq_lin
+    t = branch * conj_branch
+    A, B, C = seed.A, seed.B, seed.C
+    state = A.p, A.q, B.p, B.q, C.p, C.q, branch
+    a = None
+    for n in count():
+        yield a, state
+        a = _choose(spec, state, t, roots, n)
+        a_p, a_q, b_p, b_q, c_p, c_q, s = state
+        state = (*_step_pairs(c, l, a_p, a_q, b_p, b_q, c_p, c_q, *a), a_p, a_q, -s)
+
+
+def _pair_state(spec: FieldSpec, state: PairTuple, t: int, index: int) -> PairState:
+    """The `PairState` of an `_expansion` state whose run has the branch
+    product t: xi' is sigma of xi's polynomial on branch t*s."""
+    a_p, a_q, b_p, b_q, c_p, c_q, s = state
+    a, b, c = _make(spec, a_p, a_q, 1), _make(spec, b_p, b_q, 1), _make(spec, c_p, c_q, 1)
+    return PairState(QuotientState(_poly(a, b, c), s),
+                     QuotientState(_poly(a.conj(), b.conj(), c.conj()), t * s), index)
+
+
+def _pair_key(spec: FieldSpec, key: tuple[int, int, int, int], t: int) -> tuple:
+    """`PairState.key` of the states whose cycle key is `key` in a run
+    with branch product t.
+
+    An `_expansion` state (A, B, C, s) has the cycle key s*(A_p, A_q, B_p,
+    B_q), the integers of `xi.canonical_key` = (s*A, s*B).  xi' is
+    sigma(A, B, C) on branch t*s, so its canonical key is
+    t*s*(sigma(A), sigma(B)) = t*sigma(s*A, s*B), and `PairState.key` is
+    (k1, k2, t*sigma(k1), t*sigma(k2)) for (k1, k2) the elements of the
+    cycle key.  Integral elements have one triple each, so two states of a
+    run have equal cycle keys exactly when they have equal
+    `PairState.key`s: the cycle table keyed on integers closes where the
+    one keyed on `PairState.key` closes, at the same first visit.  sigma
+    maps p + q*w to (p + l*q) - q*w.
+    """
+    a_p, a_q, b_p, b_q = key
+    l = spec.omega_sq_lin
+    return (_make(spec, a_p, a_q, 1), _make(spec, b_p, b_q, 1),
+            _make(spec, t * (a_p + l * a_q), -t * a_q, 1),
+            _make(spec, t * (b_p + l * b_q), -t * b_q, 1))
+
+
 def pair_steps(
     seed: QuadraticPolyK, branch: int, conj_branch: int
 ) -> Iterator[tuple[KElement | None, PairState]]:
@@ -546,24 +661,12 @@ def pair_steps(
     a_n is chosen only when the caller asks for state n+1, so a caller that
     stops at a repeated state pays for no candidate search there.  The seed
     is checked when the first state is asked for, before any state is built.
-
-    No state after the first needs a modulus check: xi_(n+1) = 1/(xi_n - a_n)
-    and |xi_n - a_n|^2 < 9/10, because the distance test bounds each of its
-    two summands, so xi_(n+1)^2 > 10/9, and the same holds for xi'_(n+1).
+    Each state is built from the integers of `expand_pair`'s loop.
     """
-    _check_preconditions(seed)
-    roots = float_roots(seed)
-    # The checks above admitted delta and sigma(delta); make_state would
-    # decide their signs and squareness again.
-    s = QuotientState(seed, branch)
-    sp = QuotientState(seed.sigma(), conj_branch)
-    a = None
-    for n in count():
-        state = PairState(s, sp, n)
-        yield a, state
-        a = choose_quotient(state, roots)
-        s = step_state(s, a)
-        sp = step_state(sp, a.conj())
+    spec = seed.spec
+    for n, (a, state) in enumerate(_expansion(seed, branch, conj_branch)):
+        yield (None if a is None else _make(spec, a[0], a[1], 1),
+               _pair_state(spec, state, branch * conj_branch, n))
 
 
 def expand_pair(
@@ -577,33 +680,41 @@ def expand_pair(
 
     Returns the pre-period and period, the visited state keys and the
     round-trip flag: `pair_steps` admitted the seed, so the proportional
-    test alone decides it.
+    test alone decides it.  The cycle table is keyed on the integers of
+    each state's main track (`_pair_key` proves it equivalent to
+    `PairState.key`), and each state's `PairState.key` is built once, at
+    its first visit.
     """
     if max_steps < 1:
         raise InputRuleError("max_steps must be >= 1")
-    seen: dict[tuple, int] = {}
+    spec = seed.spec
+    seen: dict[tuple[int, int, int, int], int] = {}
+    keys: list[tuple] = []
     quotients: list[KElement] = []
-    for a, state in pair_steps(seed, branch, conj_branch):
-        n = state.index
+    for n, (a, state) in enumerate(_expansion(seed, branch, conj_branch)):
         if a is not None:
-            quotients.append(a)
+            quotients.append(_make(spec, a[0], a[1], 1))
         if n > max_steps:
             break
+        a_p, a_q, b_p, b_q, _, _, s = state
+        key = (a_p, a_q, b_p, b_q) if s > 0 else (-a_p, -a_q, -b_p, -b_q)
         # The index of the state's first visit; n on a first visit.
-        m = seen.setdefault(state.key, n)
+        m = seen.setdefault(key, n)
         if m != n:
-            expansion = CFExpansion(seed.spec, tuple(quotients[:m]), tuple(quotients[m:n]))
+            expansion = CFExpansion(spec, tuple(quotients[:m]), tuple(quotients[m:n]))
             return ExpansionResult(
                 expansion=expansion,
-                keys=tuple(seen),
+                keys=tuple(keys),
                 cycle_start=m,
                 verified=_proportional_roundtrip(seed, expansion, branch, conj_branch),
                 seed=seed,
                 branch=branch,
                 conj_branch=conj_branch,
             )
+        # `_expansion` has checked both branches.
+        keys.append(_pair_key(spec, key, branch * conj_branch))
     raise MaxStepsError(
-        f"no state repetition within {max_steps} steps", quotients, list(seen)
+        f"no state repetition within {max_steps} steps", quotients, keys
     )
 
 
@@ -637,17 +748,18 @@ def verify_roundtrip(r: ExpansionResult) -> RoundTrip:
     return RoundTrip(all(oks), *oks, detail="; ".join(details))
 
 
-def _selected_branch(a: KElement, e21: KElement, trace: KElement) -> int:
+def _selected_branch(d: int, forms: list[tuple[int, int]], sigma: int) -> int:
     """The branch of the seed root that `eval_periodic` selects for a
-    matrix E = lambda*(seed), given A, E21 = lambda*A and tr(E); 0 when the
-    selection cannot be decided this way.
+    matrix E = lambda*(seed), from the forms (u, v) of u + v*sqrt(d) of A,
+    E21 = lambda*A and tr(E); 0 when the selection cannot be decided this
+    way.  sigma = -1 selects on the sigma side, whose forms are (u, -v).
 
     The root of E's associated polynomial with the positive square root of
     its discriminant lambda^2*delta is the seed root on branch sign(lambda),
     and `eval_periodic` keeps it exactly when tr(E) > 0 (its docstring
     proves the rule).
     """
-    return sign_of(e21) * sign_of(a) * sign_of(trace)
+    return prod(_root_sign(u, sigma * v, d) for u, v in forms)
 
 
 def _proportional_roundtrip(
@@ -670,20 +782,23 @@ def _proportional_roundtrip(
     conjugate seed, whose discriminant sigma(delta) admission also made
     positive and not a square.
     """
-    e = e_matrix(expansion)
-    a, e21 = seed.A, e.e21
+    e11_p, e11_q, e12_p, e12_q, e21_p, e21_q, e22_p, e22_q = _e_pairs(expansion)
+    spec, a = seed.spec, seed.A
     # E and the seed are integral: the products run on their integer pairs.
-    c, l = seed.spec.omega_sq_const, seed.spec.omega_sq_lin
-    if (e21.is_zero
-            or _int_mul(c, l, e21.p, e21.q, seed.B.p, seed.B.q)
-            != _int_mul(c, l, e.e22.p - e.e11.p, e.e22.q - e.e11.q, a.p, a.q)
-            or _int_mul(c, l, e21.p, e21.q, -seed.C.p, -seed.C.q)
-            != _int_mul(c, l, e.e12.p, e.e12.q, a.p, a.q)):
+    c, l = spec.omega_sq_const, spec.omega_sq_lin
+    if (not e21_p and not e21_q
+            or _int_mul(c, l, e21_p, e21_q, seed.B.p, seed.B.q)
+            != _int_mul(c, l, e22_p - e11_p, e22_q - e11_q, a.p, a.q)
+            or _int_mul(c, l, e21_p, e21_q, -seed.C.p, -seed.C.q)
+            != _int_mul(c, l, e12_p, e12_q, a.p, a.q)):
         return False
-    trace = e.e11 + e.e22
+    # The forms over sqrt(d) of A, E21 and tr(E); 2*(p + q*w) = (2p + q) + q*sqrt(d)
+    # when w = (1 + sqrt(d))/2, and a positive factor keeps the sign.
+    pairs = ((a.p, a.q), (e21_p, e21_q), (e11_p + e22_p, e11_q + e22_q))
+    forms = [(2 * p + q, q) if spec.omega_is_half else (p, q) for p, q in pairs]
     return (
-        _selected_branch(a, e21, trace) == branch
-        and _selected_branch(a.conj(), e21.conj(), trace.conj()) == conj_branch
+        _selected_branch(spec.d, forms, 1) == branch
+        and _selected_branch(spec.d, forms, -1) == conj_branch
     )
 
 

@@ -172,16 +172,30 @@ def _poly(A: KElement, B: KElement, C: KElement) -> QuadraticPolyK:
     return poly
 
 
+def _step_pairs(c: int, l: int, a_p: int, a_q: int, b_p: int, b_q: int, c_p: int, c_q: int,
+                x_p: int, x_q: int) -> tuple[int, int, int, int]:
+    """The integer pairs of f(a) and 2*A*a + B for f = A*x^2 + B*x + C and
+    a = x_p + x_q*w, all integral, with w^2 = c + l*w.  With t = A*a + B,
+    f(a) = t*a + C and 2*A*a + B = A*a + t: two products, each
+    `field._int_mul` written out."""
+    qq = a_q * x_q
+    aa_p, aa_q = a_p * x_p + c * qq, a_p * x_q + a_q * x_p + l * qq
+    t_p, t_q = aa_p + b_p, aa_q + b_q
+    qq = t_q * x_q
+    f_p, f_q = t_p * x_p + c * qq, t_p * x_q + t_q * x_p + l * qq
+    return f_p + c_p, f_q + c_q, aa_p + t_p, aa_q + t_q
+
+
 def step_state(state: QuotientState, a: KElement) -> QuotientState:
     """State of 1/(xi - a): shift by a, then swap A and C.
 
     With B' = 2*A*a + B and C' = f(a), the identity
     1/(xi - a) = (-B' - branch*sqrt(delta)) / (2*C') gives the new branch
-    as -branch.  With t = A*a + B, f(a) = t*a + C and B' = A*a + t: two
-    products on the integer pairs of p + q*w, each `field._int_mul` written
-    out, and one element per result.  The state is built as `_poly` builds
-    its polynomial: the negated branch of a valid state is +1 or -1.  The
-    tests rebuild every derived state through `QuotientState`.
+    as -branch.  `_step_pairs` computes f(a) and B' on the integer pairs of
+    p + q*w, and one element is made per result.  The state is built as
+    `_poly` builds its polynomial: the negated branch of a valid state is
+    +1 or -1.  The tests rebuild every derived state through
+    `QuotientState`.
     """
     if a.den != 1:
         raise InputRuleError(f"partial quotient {a} is not integral in O_K")
@@ -189,17 +203,11 @@ def step_state(state: QuotientState, a: KElement) -> QuotientState:
     A, B, C, spec = poly.A, poly.B, poly.C, poly.A.spec
     if a.spec is not spec and a.spec != spec:
         raise ValueError("mismatched field specs")
-    c, l = spec.omega_sq_const, spec.omega_sq_lin
-    x_p, x_q = a.p, a.q
-    qq = A.q * x_q
-    aa_p, aa_q = A.p * x_p + c * qq, A.p * x_q + A.q * x_p + l * qq
-    t_p, t_q = aa_p + B.p, aa_q + B.q
-    qq = t_q * x_q
-    f_p, f_q = t_p * x_p + c * qq, t_p * x_q + t_q * x_p + l * qq
-    fa = _make(spec, f_p + C.p, f_q + C.q, 1)
+    f_p, f_q, b_p, b_q = _step_pairs(
+        spec.omega_sq_const, spec.omega_sq_lin, A.p, A.q, B.p, B.q, C.p, C.q, a.p, a.q)
     state_n = _new(QuotientState)
     fields = state_n.__dict__
-    fields["poly"] = _poly(fa, _make(spec, aa_p + t_p, aa_q + t_q, 1), A)
+    fields["poly"] = _poly(_make(spec, f_p, f_q, 1), _make(spec, b_p, b_q, 1), A)
     fields["branch"] = -state.branch
     return state_n
 

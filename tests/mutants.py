@@ -45,6 +45,7 @@ class Mutant(NamedTuple):
 
 
 ROUNDTRIP_TESTS = ("tests/test_roundtrip.py",)
+CONJUGATE_TRACK_TEST = "tests/test_conjugate_track.py"
 EXPAND_PAIR_ROUNDTRIP_TEST = (
     "tests/test_roundtrip.py::test_expand_pair_admits_once_and_decides_by_proportionality"
 )
@@ -99,40 +100,77 @@ CATALOGUE = (
         (TRACE_TEST,),
     ),
     Mutant(
-        "pair_steps expands the other conjugate branch",
+        "the expansion loop runs the other conjugate branch",
         "okcf/golden.py",
-        "    sp = QuotientState(seed.sigma(), conj_branch)",
-        "    sp = QuotientState(seed.sigma(), -conj_branch)",
+        "    t = branch * conj_branch\n    A, B, C = seed.A, seed.B, seed.C\n",
+        "    t = -branch * conj_branch\n    A, B, C = seed.A, seed.B, seed.C\n",
         ("tests/test_golden.py",),
+    ),
+    Mutant(
+        "the conjugate track's branch takes s in place of t*s",
+        "okcf/golden.py",
+        "    xip = _xi_enclosure(a_p + a_q, -a_q, b_p + b_q, -b_q, t * s, roots[1])\n",
+        "    xip = _xi_enclosure(a_p + a_q, -a_q, b_p + b_q, -b_q, s, roots[1])\n",
+        (CONJUGATE_TRACK_TEST, "tests/test_golden.py::TestExpandPair::test_example_both_branches"),
+    ),
+    Mutant(
+        "the expansion loop keeps the branch",
+        "okcf/golden.py",
+        "c_p, c_q, *a), a_p, a_q, -s)\n",
+        "c_p, c_q, *a), a_p, a_q, s)\n",
+        (CONJUGATE_TRACK_TEST,),
+    ),
+    Mutant(
+        "the cycle key drops its sign fold",
+        "okcf/golden.py",
+        "        key = (a_p, a_q, b_p, b_q) if s > 0 else (-a_p, -a_q, -b_p, -b_q)\n",
+        "        key = (a_p, a_q, b_p, b_q)\n",
+        (CONJUGATE_TRACK_TEST,),
+    ),
+    Mutant(
+        "the keys' conjugate half drops t",
+        "okcf/golden.py",
+        "            _make(spec, t * (a_p + l * a_q), -t * a_q, 1),\n"
+        "            _make(spec, t * (b_p + l * b_q), -t * b_q, 1))\n",
+        "            _make(spec, a_p + l * a_q, -a_q, 1),\n"
+        "            _make(spec, b_p + l * b_q, -b_q, 1))\n",
+        (CONJUGATE_TRACK_TEST,),
     ),
     Mutant(
         "round trip drops the cross product of B",
         "okcf/golden.py",
-        "\n            or _int_mul(c, l, e21.p, e21.q, seed.B.p, seed.B.q)\n"
-        "            != _int_mul(c, l, e.e22.p - e.e11.p, e.e22.q - e.e11.q, a.p, a.q)",
+        "\n            or _int_mul(c, l, e21_p, e21_q, seed.B.p, seed.B.q)\n"
+        "            != _int_mul(c, l, e22_p - e11_p, e22_q - e11_q, a.p, a.q)",
         "",
         ROUNDTRIP_TESTS,
     ),
     Mutant(
         "round trip drops the cross product of C",
         "okcf/golden.py",
-        "\n            or _int_mul(c, l, e21.p, e21.q, -seed.C.p, -seed.C.q)\n"
-        "            != _int_mul(c, l, e.e12.p, e.e12.q, a.p, a.q)",
+        "\n            or _int_mul(c, l, e21_p, e21_q, -seed.C.p, -seed.C.q)\n"
+        "            != _int_mul(c, l, e12_p, e12_q, a.p, a.q)",
         "",
         ROUNDTRIP_TESTS,
     ),
     Mutant(
         "round trip flips sign(lambda)",
         "okcf/golden.py",
-        "    return sign_of(e21) * sign_of(a) * sign_of(trace)",
-        "    return -sign_of(e21) * sign_of(a) * sign_of(trace)",
+        "    return prod(_root_sign(u, sigma * v, d) for u, v in forms)",
+        "    return -prod(_root_sign(u, sigma * v, d) for u, v in forms)",
         ROUNDTRIP_TESTS,
     ),
     Mutant(
         "round trip drops the sigma side's root selection",
         "okcf/golden.py",
-        "\n        and _selected_branch(a.conj(), e21.conj(), trace.conj()) == conj_branch",
+        "\n        and _selected_branch(spec.d, forms, -1) == conj_branch",
         "",
+        ROUNDTRIP_TESTS,
+    ),
+    Mutant(
+        "the round trip's sigma side keeps v unnegated",
+        "okcf/golden.py",
+        "_selected_branch(spec.d, forms, -1) == conj_branch",
+        "_selected_branch(spec.d, forms, 1) == conj_branch",
         ROUNDTRIP_TESTS,
     ),
     Mutant(
@@ -147,7 +185,7 @@ CATALOGUE = (
         "okcf/golden.py",
         "verified=_proportional_roundtrip(seed, expansion, branch, conj_branch),",
         "verified=bool(verify_roundtrip(ExpansionResult(\n"
-        "                expansion, tuple(seen), m, False, seed, branch, conj_branch\n"
+        "                expansion, tuple(keys), m, False, seed, branch, conj_branch\n"
         "            ))),",
         (EXPAND_PAIR_ROUNDTRIP_TEST,),
     ),
@@ -924,8 +962,8 @@ CATALOGUE = (
     Mutant(
         "choose_quotient returns the first candidate's floor corner whatever the test says",
         "okcf/golden.py",
-        "        if inside:\n            return spec.element(x, y)\n",
-        "        return spec.element(xs[0], ys[0])\n",
+        "        if inside:\n            return x, y\n",
+        "        return xs[0], ys[0]\n",
         ("tests/test_golden.py::TestChooseQuotient",),
     ),
     Mutant(
@@ -953,9 +991,24 @@ CATALOGUE = (
         ("tests/test_cli.py::TestCorpus::test_rejects_any_d_but_5",),
     ),
     Mutant(
+        "the expansion loop admits any branch",
+        "okcf/golden.py",
+        "    if branch not in (1, -1) or conj_branch not in (1, -1):\n",
+        "    if False:\n",
+        ("tests/test_golden.py::TestExpandPair::test_branches_must_be_signs",),
+    ),
+    Mutant(
+        "is_squarefree takes a prime squared for squarefree",
+        "okcf/field.py",
+        "    return m == 1 or isqrt(m) ** 2 != m\n",
+        "    return True\n",
+        ("tests/test_field.py::test_is_squarefree_on_large_numbers",
+         "tests/test_field.py::test_field_spec_rejects_an_odd_square_factor"),
+    ),
+    Mutant(
         "is_squarefree skips odd square factors",
         "okcf/field.py",
-        "        if n % (f * f) == 0:\n            return False\n",
+        "            if m % f == 0:\n                return False\n",
         "",
         ("tests/test_field.py::test_field_spec_rejects_an_odd_square_factor",
          "tests/test_cli.py::TestRadius::test_not_squarefree"),

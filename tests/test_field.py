@@ -12,6 +12,7 @@ from okcf.field import (
     KElement,
     SurdElement,
     is_square_in_k,
+    is_squarefree,
     rational_sqrt,
     reals_equal,
     sign_of,
@@ -70,6 +71,37 @@ def test_field_spec_rejects_an_odd_square_factor(d):
     # 3^2, 2*3^2, 5^2, 3^2*5, 2*7^2: no factor 4 to give them away.
     with pytest.raises(InputRuleError, match=f"^d must be a squarefree integer > 1, got {d}$"):
         FieldSpec(d)
+
+
+def trial_division_squarefree(n: int) -> bool:
+    """The rule `is_squarefree` replaced: no 4 and no odd f^2, f^2 <= n."""
+    if n < 1 or n % 4 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % (f * f) == 0:
+            return False
+        f += 2
+    return True
+
+
+def test_is_squarefree_agrees_with_trial_division_to_sqrt_n():
+    cases = list(range(-5, 30_000))
+    # Products of a square of a prime near the cube-root bound with other
+    # factors, and of two primes both above the cube root.
+    primes = (101, 997, 1009, 9973, 10007)
+    cases += [p * p * k for p in primes for k in (1, 2, 3, 7, 11, 101)]
+    cases += [p * q for p in primes for q in primes]
+    cases += [p * q * r for p in primes for q in primes[:2] for r in (2, 3, 5)]
+    for n in cases:
+        assert is_squarefree(n) == trial_division_squarefree(n), n
+
+
+def test_is_squarefree_on_large_numbers():
+    # A 21-digit prime, which trial division to sqrt(n) cannot finish, and
+    # the square of a prime near 10^10.
+    assert is_squarefree(100000000000000000039)
+    assert not is_squarefree(10000000019 * 10000000019)
 
 
 class TestKArithmetic:

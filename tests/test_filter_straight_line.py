@@ -9,7 +9,8 @@ every state that chose a quotient in perfbench's corpus pool (300 items,
 1563 states) and in the corpora pinned at bounds 12 and 40, and on
 crafted states whose coefficients or corners overflow a float, whose
 divisor enclosure reaches about half its value, or whose divisor
-overflows to inf.
+overflows to inf.  `_pair_enclosures` reads xi' from sigma of xi's
+integers; the reference reads it from the pair's own conjugate state.
 """
 
 from __future__ import annotations
@@ -23,7 +24,14 @@ from okcf import golden
 from okcf.field import FieldSpec
 from okcf.golden import _U, _W, _add, _div, _int, _mul, _sub, expand_pair
 from okcf.quartic import QuadraticPolyK, QuotientState
-from test_float_filter import both_branches, corpus_seeds, crafted_seeds
+from test_float_filter import (
+    both_branches,
+    corpus_seeds,
+    crafted_seeds,
+    harvesting,
+    pair_args,
+    xi_args,
+)
 
 # perfbench's corpus pool: workloads.POOL_SEED, 150 seeds drawn by
 # inputs.random_seed from the box |p|, |q| <= 3, both conjugate branches.
@@ -83,8 +91,8 @@ def corners(enc) -> list[tuple[int, int]]:
 def assert_state_agrees(p, roots) -> None:
     if roots is not None:
         for s, root in ((p.xi, roots[0]), (p.xi_prime, roots[1])):
-            assert bits(golden._xi_enclosure(s, root)) == bits(ref_xi(s, root)), s.poly
-    enc = golden._pair_enclosures(p, roots)
+            assert bits(golden._xi_enclosure(*xi_args(s), root)) == bits(ref_xi(s, root)), s.poly
+    enc = golden._pair_enclosures(*pair_args(p), roots)
     assert bits(enc) == bits(ref_pair(p, roots)), p.xi.poly
     if enc is not None:
         for x, y in corners(enc):
@@ -116,14 +124,10 @@ def corpus_states(k5):
         "bound 40": corpus_seeds(30, 40, 11),
     }
     states: dict[str, list] = {name: [] for name in corpora}
-    choose = golden.choose_quotient
+    choose = golden._choose
     with pytest.MonkeyPatch.context() as mp:
         for name, seeds in corpora.items():
-            def recording(p, roots, into=states[name]):
-                into.append((p, roots))
-                return choose(p, roots)
-
-            mp.setattr(golden, "choose_quotient", recording)
+            mp.setattr(golden, "_choose", harvesting(states[name], choose))
             for seed in seeds:
                 for conj in (1, -1):
                     expand_pair(seed, 1, conj)
@@ -148,13 +152,13 @@ def test_crafted_states_agree_bit_for_bit(k5):
     huge = QuotientState(seeds["huge_lead"], 1)
     root = golden.float_roots(seeds["huge_lead"])[0]
     assert math.isinf(2 * ref_k(huge.poly.A)[0])
-    assert golden._xi_enclosure(huge, root) is None and ref_xi(huge, root) is None
+    assert golden._xi_enclosure(*xi_args(huge), root) is None and ref_xi(huge, root) is None
     # Coefficients that no float holds, in B or in A.
     root = (2.0, 1e-16)
     for a, b in (((1, 0), (1 << 1100, 1)), ((1, 0), (0, -(1 << 1030))),
                  ((1 << 1100, 0), (1, 0)), ((3, -(1 << 1030)), (1, 0))):
         s = QuotientState(QuadraticPolyK(k5.element(*a), k5.element(*b), k5.one), 1)
-        assert golden._xi_enclosure(s, root) is None and ref_xi(s, root) is None
+        assert golden._xi_enclosure(*xi_args(s), root) is None and ref_xi(s, root) is None
     # Corners that no float holds: x, y, or only x + y.
     xi, xip = (0.5, 1e-16), (-0.25, 1e-16)
     for x, y in ((1 << 1100, 0), (0, -(1 << 1100)), (1 << 1023, 1 << 1023), (3, -2)):
@@ -176,7 +180,7 @@ def test_a_divisor_enclosure_near_half_its_value(k5):
     for j in range(1, 20000, 7):
         lead = k5.element(fib[k + 1] + j, -fib[k])
         s = QuotientState(QuadraticPolyK(lead, k5.element(5, 1), k5.one), -1)
-        got = golden._xi_enclosure(s, root)
+        got = golden._xi_enclosure(*xi_args(s), root)
         assert bits(got) == bits(ref_xi(s, root)), j
         av, ae = ref_k(lead)
         outcomes.add((got is None, ae < av))

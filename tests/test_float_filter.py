@@ -30,6 +30,31 @@ Roots = tuple[Enclosure, Enclosure] | None
 LOWER_SQ_BELOW, LOWER_SQ_ABOVE = 10 / 9 - golden._MARGIN, 10 / 9 + golden._MARGIN
 
 
+def harvesting(into: list, choose):
+    """A stand-in for `golden._choose`, the chooser behind `expand_pair`,
+    that appends the `PairState` and float roots of every state that
+    chooses a quotient to `into`, then chooses by `choose`."""
+
+    def recording(spec, state, t, roots, index):
+        into.append((golden._pair_state(spec, state, t, index), roots))
+        return choose(spec, state, t, roots, index)
+
+    return recording
+
+
+def xi_args(s: QuotientState) -> tuple[int, int, int, int, int]:
+    """The arguments of `golden._xi_enclosure` before the root: the
+    integers of A and B and the branch."""
+    a, b = s.poly.A, s.poly.B
+    return a.p, a.q, b.p, b.q, s.branch
+
+
+def pair_args(p: PairState) -> tuple[int, ...]:
+    """The arguments of `golden._pair_enclosures` before the roots: those
+    of `xi_args(p.xi)` and the branch product."""
+    return (*xi_args(p.xi), p.xi.branch * p.xi_prime.branch)
+
+
 @pytest.fixture(scope="module")
 def pool_run(k5):
     """Expand the sign-oracle pool on both conjugate branches with the
@@ -38,13 +63,8 @@ def pool_run(k5):
     states: list[tuple[PairState, Roots]] = []
     # kind -> [decisions, undecided]
     counts = {"floor": [0, 0], "candidate": [0, 0]}
-    choose, float_floor, float_below = (
-        golden.choose_quotient, golden._float_floor, golden._float_below
-    )
-
-    def recording(p, roots):
-        states.append((p, roots))
-        return choose(p, roots)
+    float_floor, float_below = golden._float_floor, golden._float_below
+    recording = harvesting(states, golden._choose)
 
     def counted_floor(z):
         answer = float_floor(z)
@@ -59,7 +79,7 @@ def pool_run(k5):
         return answer
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(golden, "choose_quotient", recording)
+        mp.setattr(golden, "_choose", recording)
         mp.setattr(golden, "_float_floor", counted_floor)
         mp.setattr(golden, "_float_below", counted_below)
         results = {
@@ -109,7 +129,7 @@ def check_state(mpmath, p: PairState, roots: Roots) -> int:
         checked += 1
     xi, xip = mp_xi(mpmath, p.xi), mp_xi(mpmath, p.xi_prime)
     for s, true, root in ((p.xi, xi, roots[0]), (p.xi_prime, xip, roots[1])):
-        z = golden._xi_enclosure(s, root)
+        z = golden._xi_enclosure(*xi_args(s), root)
         if z is None:
             continue
         assert_encloses(mpmath, z, true, "xi")
@@ -119,7 +139,7 @@ def check_state(mpmath, p: PairState, roots: Roots) -> int:
         )
         if modulus_below is not None:
             assert modulus_below == (true * true < mpmath.mpf(10) / 9)
-    enc = golden._pair_enclosures(p, roots)
+    enc = golden._pair_enclosures(*pair_args(p), roots)
     if enc is None:
         return checked
     y = (xi - xip) / mpmath.sqrt(5)
@@ -203,7 +223,7 @@ def test_enclosures_hold_on_crafted_states(mp, k5):
     lead = seeds["tiny_lead"].A
     assert 0 < golden._k_enclosure(lead)[0] < golden._k_enclosure(lead)[1]
     for p, roots in both_branches(seeds["tiny_lead"]):
-        assert golden._pair_enclosures(p, roots) is None
+        assert golden._pair_enclosures(*pair_args(p), roots) is None
     delta = seeds["tiny_delta"].delta
     assert 0 < golden._k_enclosure(delta)[0] < golden._k_enclosure(delta)[1]
     assert float_roots(seeds["tiny_delta"]) is None
@@ -215,7 +235,7 @@ def test_enclosures_hold_on_crafted_states(mp, k5):
     assert 0 < huge.delta.p < 2**1023 and huge.delta.q == 0
     for p, roots in both_branches(huge):
         assert check_state(mp, p, roots) == 2
-        assert golden._pair_enclosures(p, roots) is None
+        assert golden._pair_enclosures(*pair_args(p), roots) is None
         assert golden.choose_quotient(p, roots) == -1
 
 

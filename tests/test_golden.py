@@ -24,6 +24,7 @@ from okcf.golden import (
     expand_pair,
     float_roots,
     lattice_coords,
+    pair_steps,
     squared_distance,
     verify_roundtrip,
 )
@@ -473,6 +474,14 @@ class TestExpandPair:
     def test_max_steps_below_one_is_rejected(self, example_seed):
         with pytest.raises(InputRuleError, match="max_steps must be >= 1"):
             expand_pair(example_seed, +1, +1, max_steps=0)
+
+    def test_branches_must_be_signs(self, example_seed):
+        # Checked before any state is built, by expand_pair and pair_steps.
+        for branch, conj_branch in ((0, 1), (1, 2), (None, 1), (1, None)):
+            with pytest.raises(InputRuleError, match="branch must be"):
+                expand_pair(example_seed, branch, conj_branch)
+            with pytest.raises(InputRuleError, match="branch must be"):
+                next(pair_steps(example_seed, branch, conj_branch))
 
     def test_no_embedding_on_expansion_path(self, example_seed, unlinked_seed, monkeypatch):
         expected = {

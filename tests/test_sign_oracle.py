@@ -177,14 +177,16 @@ def pool_seeds(k5: FieldSpec) -> list[QuadraticPolyK]:
 
 
 def test_floor_ceil_on_every_corpus_step(k5, monkeypatch):
+    # Every state that chooses a quotient, through the chooser behind
+    # expand_pair.
     steps = []
-    choose = golden.choose_quotient
+    choose = golden._choose
 
-    def recording(p, roots):
-        steps.append(lattice_coords(p))
-        return choose(p, roots)
+    def recording(spec, state, t, roots, index):
+        steps.append(lattice_coords(golden._pair_state(spec, state, t, index)))
+        return choose(spec, state, t, roots, index)
 
-    monkeypatch.setattr(golden, "choose_quotient", recording)
+    monkeypatch.setattr(golden, "_choose", recording)
     for seed in pool_seeds(k5):
         for conj in (1, -1):
             expand_pair(seed, 1, conj)
