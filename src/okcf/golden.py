@@ -173,12 +173,6 @@ class PairState:
     xi_prime: QuotientState
     index: int
 
-    @property
-    def key(self) -> tuple:
-        """Exact value-level key of the pair.  `expand_pair` closes its
-        cycle where this key repeats, by a table on integers that fix it."""
-        return (*self.xi.canonical_key, *self.xi_prime.canonical_key)
-
 
 @dataclass(frozen=True)
 class RoundTrip:
@@ -506,11 +500,13 @@ def choose_quotient(p: PairState, roots: tuple[Enclosure, Enclosure] | None) -> 
     """First corner candidate a = x + y*beta with
     |xi_n - a|^2 + |xi'_n - sigma(a)|^2 < 9/10, chosen by `_choose`, the
     float filter first and exact squarings where it abstains.  `roots` is
-    the `float_roots` of the seed.  xi'_n is read as sigma of xi_n's
-    polynomial on the branch of `p.xi_prime`, as in every state that
-    `pair_steps` yields.
+    the `float_roots` of the seed.  `p` must be a conjugate pair, as every
+    state that `pair_steps` yields is: xi'_n's polynomial is sigma of
+    xi_n's, on either branch.
     """
     poly, spec = p.xi.poly, p.xi.poly.spec
+    if p.xi_prime.poly != poly.sigma():
+        raise InputRuleError("xi' must be a root of sigma of xi's polynomial")
     state = (poly.A.p, poly.A.q, poly.B.p, poly.B.q, poly.C.p, poly.C.q, p.xi.branch)
     return spec.element(*_choose(spec, state, p.xi.branch * p.xi_prime.branch, roots, p.index))
 
@@ -631,19 +627,19 @@ def _pair_state(spec: FieldSpec, state: PairTuple, t: int, index: int) -> PairSt
 
 
 def _pair_key(spec: FieldSpec, key: tuple[int, int, int, int], t: int) -> tuple:
-    """`PairState.key` of the states whose cycle key is `key` in a run
-    with branch product t.
+    """The key of the states whose cycle key is `key` in a run with branch
+    product t.  The key of a pair state p is the exact value-level pair
+    (*p.xi.canonical_key, *p.xi_prime.canonical_key).
 
     An `_expansion` state (A, B, C, s) has the cycle key s*(A_p, A_q, B_p,
     B_q), the integers of `xi.canonical_key` = (s*A, s*B).  xi' is
     sigma(A, B, C) on branch t*s, so its canonical key is
-    t*s*(sigma(A), sigma(B)) = t*sigma(s*A, s*B), and `PairState.key` is
+    t*s*(sigma(A), sigma(B)) = t*sigma(s*A, s*B), and the key is
     (k1, k2, t*sigma(k1), t*sigma(k2)) for (k1, k2) the elements of the
     cycle key.  Integral elements have one triple each, so two states of a
-    run have equal cycle keys exactly when they have equal
-    `PairState.key`s: the cycle table keyed on integers closes where the
-    one keyed on `PairState.key` closes, at the same first visit.  sigma
-    maps p + q*w to (p + l*q) - q*w.
+    run have equal cycle keys exactly when they have equal keys: the cycle
+    table keyed on integers closes where one keyed on the pairs would, at
+    the same first visit.  sigma maps p + q*w to (p + l*q) - q*w.
     """
     a_p, a_q, b_p, b_q = key
     l = spec.omega_sq_lin
@@ -679,17 +675,16 @@ def expand_pair(
     MaxStepsError past `max_steps` steps.
 
     Returns the pre-period and period, the visited state keys and the
-    round-trip flag: `pair_steps` admitted the seed, so the proportional
-    test alone decides it.  The cycle table is keyed on the integers of
-    each state's main track (`_pair_key` proves it equivalent to
-    `PairState.key`), and each state's `PairState.key` is built once, at
-    its first visit.
+    round-trip flag: `_expansion` admitted the seed, so the proportional
+    test alone decides it.  The cycle table `seen`, keyed on the integers
+    of each state's main track, is the one record of the visited states;
+    `_pair_key` builds each state's key from it once, when the run ends.
     """
     if max_steps < 1:
         raise InputRuleError("max_steps must be >= 1")
     spec = seed.spec
+    # Cycle key -> index of its first visit, in the order of the visits.
     seen: dict[tuple[int, int, int, int], int] = {}
-    keys: list[tuple] = []
     quotients: list[KElement] = []
     for n, (a, state) in enumerate(_expansion(seed, branch, conj_branch)):
         if a is not None:
@@ -701,20 +696,21 @@ def expand_pair(
         # The index of the state's first visit; n on a first visit.
         m = seen.setdefault(key, n)
         if m != n:
-            expansion = CFExpansion(spec, tuple(quotients[:m]), tuple(quotients[m:n]))
-            return ExpansionResult(
-                expansion=expansion,
-                keys=tuple(keys),
-                cycle_start=m,
-                verified=_proportional_roundtrip(seed, expansion, branch, conj_branch),
-                seed=seed,
-                branch=branch,
-                conj_branch=conj_branch,
-            )
-        # `_expansion` has checked both branches.
-        keys.append(_pair_key(spec, key, branch * conj_branch))
-    raise MaxStepsError(
-        f"no state repetition within {max_steps} steps", quotients, keys
+            break
+    # `_expansion` has checked both branches.  `seen` holds states 0 to
+    # n - 1 after a repeat at n, and 0 to max_steps at the cap.
+    keys = [_pair_key(spec, k, branch * conj_branch) for k in seen]
+    if n > max_steps:
+        raise MaxStepsError(f"no state repetition within {max_steps} steps", quotients, keys)
+    expansion = CFExpansion(spec, tuple(quotients[:m]), tuple(quotients[m:n]))
+    return ExpansionResult(
+        expansion=expansion,
+        keys=tuple(keys),
+        cycle_start=m,
+        verified=_proportional_roundtrip(seed, expansion, branch, conj_branch),
+        seed=seed,
+        branch=branch,
+        conj_branch=conj_branch,
     )
 
 

@@ -137,6 +137,20 @@ CATALOGUE = (
         (CONJUGATE_TRACK_TEST,),
     ),
     Mutant(
+        "the result's keys skip the table's first state",
+        "okcf/golden.py",
+        "        keys=tuple(keys),\n",
+        "        keys=tuple(keys[1:]),\n",
+        (CONJUGATE_TRACK_TEST,),
+    ),
+    Mutant(
+        "the capped run's keys drop the table's last state",
+        "okcf/golden.py",
+        "steps\", quotients, keys)\n",
+        "steps\", quotients, keys[:-1])\n",
+        (CONJUGATE_TRACK_TEST,),
+    ),
+    Mutant(
         "round trip drops the cross product of B",
         "okcf/golden.py",
         "\n            or _int_mul(c, l, e21_p, e21_q, seed.B.p, seed.B.q)\n"
@@ -965,6 +979,14 @@ CATALOGUE = (
         "        if inside:\n            return x, y\n",
         "        return xs[0], ys[0]\n",
         ("tests/test_golden.py::TestChooseQuotient",),
+    ),
+    Mutant(
+        "choose_quotient accepts a non-conjugate pair",
+        "okcf/golden.py",
+        "    if p.xi_prime.poly != poly.sigma():\n"
+        "        raise InputRuleError(\"xi' must be a root of sigma of xi's polynomial\")\n",
+        "",
+        ("tests/test_golden.py::TestChooseQuotient::test_a_pair_that_is_not_conjugate_is_rejected",),
     ),
     Mutant(
         "float_roots serves any D",

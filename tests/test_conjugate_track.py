@@ -6,8 +6,9 @@ cycle table on them; `pair_steps` builds each xi'_n as sigma of xi_n.
 The reference here steps both tracks by `step_state` itself, xi_n by a_n
 from `QuotientState(seed, branch)` and xi'_n by sigma(a_n) from
 `QuotientState(seed.sigma(), conj_branch)`, and closes its cycle on
-`PairState.key`, as the pair expansion is defined.  Every state that
-`pair_steps` yields must be the reference's, and `expand_pair` must give
+the pair key (*xi.canonical_key, *xi_prime.canonical_key), as the pair
+expansion is defined.  Every state that `pair_steps` yields must be the
+reference's, and `expand_pair` must give
 the reference's expansion, keys, cycle start and round-trip flag, or at
 the caps 1, 2 and 4 its `MaxStepsError` text, quotients and keys.  The
 flag is checked against the proportional test written out on the

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 from math import isqrt
 
 import pytest
@@ -368,6 +369,27 @@ class TestChooseQuotient:
                     iv = dist.interval()
                     assert iv.lo - 1e-12 <= float(dist) <= iv.hi + 1e-12
                     s, sp = step_state(s, a), step_state(sp, a.conj())
+
+    def test_a_pair_that_is_not_conjugate_is_rejected(self, k5, example_seed):
+        # `other` is admitted but is not sigma(seed).  Read as sigma(seed),
+        # the pair would take the quotient 2, whose corner fails the
+        # distance bound for this pair.
+        other = QuadraticPolyK(k5.element(3), k5.element(1, 2), k5.element(-7, 1))
+        assert classify_seed(other) is None
+        p = PairState(make_state(example_seed, +1), make_state(other, +1), 0)
+        assert squared_distance(p, k5.element(2))._sign_minus(RADIUS_SQ) > 0
+        with pytest.raises(InputRuleError, match="sigma"):
+            choose_quotient(p, float_roots(example_seed))
+
+    def test_every_conjugate_pair_keeps_its_quotient(self, example_seed, unlinked_seed):
+        # Each state that pair_steps yields, on every branch pair, gets the
+        # quotient that the loop chose for it.
+        for seed in (example_seed, unlinked_seed):
+            roots = float_roots(seed)
+            for branch, conj in BRANCH_PAIRS:
+                states = list(islice(pair_steps(seed, branch, conj), 8))
+                for (_, p), (a, _) in zip(states, states[1:]):
+                    assert choose_quotient(p, roots) == a
 
 
 class TestExpandPair:
