@@ -264,8 +264,8 @@ _CSV_HEADER = ("n", "A_n", "B_n", "C_n", "P_n", "Q_n", "s_n_lo", "s_n_hi", "f1_l
                "f2_lo", "f2_hi", "weil_lo", "weil_hi", "naive")
 
 
-def _first_row_past_floats(rows: list[TrajectoryRow], quotients: list[KElement],
-                           precision: int, summarized: bool) -> int:
+def _first_row_past_floats(rows: list[TrajectoryRow], precision: int,
+                           summarized: bool) -> int:
     """The least n such that row n, or with `summarized` the summary of
     rows 0..n, holds a value past the float range; len(rows) if none.  The
     summary takes maxima, so this is monotone in n, and a bisection finds
@@ -276,7 +276,7 @@ def _first_row_past_floats(rows: list[TrajectoryRow], quotients: list[KElement],
                 for m in (r.s_m, r.f1_m, r.f2_m, r.weil_m):
                     dyadic_floats(m)
             if summarized:
-                summarize(rows[: n + 1], quotients, precision)
+                summarize(rows[: n + 1], precision)
         except OverflowError:
             return True
         return False
@@ -299,12 +299,12 @@ def cmd_analyze(args: argparse.Namespace) -> str:
                 for r in rows
             )
             return out.getvalue()
-        summary = summarize(rows, quotients, args.precision)
+        summary = summarize(rows, args.precision)
         if args.output == "json":
             return _analyze_json(seed, rows, summary) + "\n"
         return _analyze_text(seed, branch, rows, summary)
     except OverflowError:
-        n = _first_row_past_floats(rows, quotients, args.precision, args.output != "csv")
+        n = _first_row_past_floats(rows, args.precision, args.output != "csv")
         if n == len(rows):
             raise
         raise InputRuleError(

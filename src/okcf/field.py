@@ -740,10 +740,8 @@ def is_square_in_k(x: KElement) -> KElement | None:
                 continue
         if _root_sign(s, t, d) < 0:
             s, t = -s, -t
-        # y = (S + T*sqrt(d))/(2m), with sqrt(d) = 2w - 1 when w is a half.
-        if spec.omega_is_half:
-            return _reduced(spec, s - t, 2 * t, 2 * m)
-        return _reduced(spec, s, t, 2 * m)
+        # y = (S + T*sqrt(d))/(2m).
+        return _from_form(spec, (s, t, 2 * m))
     return None
 
 

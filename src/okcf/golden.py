@@ -496,19 +496,21 @@ def _choose(spec: FieldSpec, state: PairTuple, t: int,
     )
 
 
-def choose_quotient(p: PairState, roots: tuple[Enclosure, Enclosure] | None) -> KElement:
+def choose_quotient(p: PairState) -> KElement:
     """First corner candidate a = x + y*beta with
     |xi_n - a|^2 + |xi'_n - sigma(a)|^2 < 9/10, chosen by `_choose`, the
-    float filter first and exact squarings where it abstains.  `roots` is
-    the `float_roots` of the seed.  `p` must be a conjugate pair, as every
-    state that `pair_steps` yields is: xi'_n's polynomial is sigma of
-    xi_n's, on either branch.
+    float filter first and exact squarings where it abstains.  The filter
+    takes the `float_roots` of xi_n's polynomial: its discriminant is the
+    seed's at every step.  `p` must be a conjugate pair, as every state
+    that `pair_steps` yields is: xi'_n's polynomial is sigma of xi_n's, on
+    either branch.
     """
     poly, spec = p.xi.poly, p.xi.poly.spec
     if p.xi_prime.poly != poly.sigma():
         raise InputRuleError("xi' must be a root of sigma of xi's polynomial")
     state = (poly.A.p, poly.A.q, poly.B.p, poly.B.q, poly.C.p, poly.C.q, p.xi.branch)
-    return spec.element(*_choose(spec, state, p.xi.branch * p.xi_prime.branch, roots, p.index))
+    t = p.xi.branch * p.xi_prime.branch
+    return spec.element(*_choose(spec, state, t, float_roots(poly), p.index))
 
 
 class SeedRejection(Enum):

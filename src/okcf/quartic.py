@@ -84,9 +84,6 @@ class QuadraticPolyK:
     def sigma(self) -> QuadraticPolyK:
         return QuadraticPolyK(self.A.conj(), self.B.conj(), self.C.conj())
 
-    def evaluate(self, t: KElement) -> KElement:
-        return (self.A * t + self.B) * t + self.C
-
     def __str__(self) -> str:
         return f"({self.A})*x^2 + ({self.B})*x + ({self.C})"
 
@@ -544,19 +541,20 @@ def diagnostics(
     return rows
 
 
-def summarize(rows: Sequence[TrajectoryRow], quotients: Sequence[KElement],
+def summarize(rows: Sequence[TrajectoryRow],
               precision_bits: int = DEFAULT_BITS) -> TrajectorySummary:
-    """Summary of the `diagnostics` rows of (seed, branch, quotients).
+    """Summary of `diagnostics` rows 0..N, a prefix of what it returns.
 
-    The maxima of |A_n| and |sigma(A_n)| run over xi_0 .. xi_N+1, where N
-    is the last row; A_N+1 = f_N(a_N) is the one value the rows lack.  The
+    The maxima of |A_n| and |sigma(A_n)| run over xi_0 .. xi_N+1.  The
+    rows fix A_N+1 = A*P_N^2 + B*P_N*Q_N + C*Q_N^2, (A, B, C) the seed,
+    row 0's triple: the convergent identity A_(n+1) = f(P_n, Q_n).  The
     sigma-side sup is the smaller of the two root choices' sups: the bound
     only claims existence of a suitable root of the conjugate polynomial.
     It is selected on the triples, and only the selected sup becomes a
     float: the other root's sup can pass the float range.
     """
-    last = QuadraticPolyK(*rows[-1].triple).evaluate(quotients[len(rows) - 1])
-    leads = [r.triple[0] for r in rows] + [last]
+    (a, b, c), p, q = rows[0].triple, rows[-1].p, rows[-1].q
+    leads = [r.triple[0] for r in rows] + [(a * p + b * q) * p + c * q * q]
     roots = _RootTable()
     max_a, max_sa = (
         max(dyadic_floats(dyadic_abs(_k_embed(x, precision_bits, roots, conj)))[1] for x in leads)

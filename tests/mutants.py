@@ -2,19 +2,21 @@
 
     python tests/mutants.py
 
-Each entry is (name, file under src/, exact old text, new text, tests).
-The script first checks every anchor: an old text that occurs zero times
-or more than once in its file is an error in the catalogue, and the
-script exits 2 before running anything.  It then copies src/, tests/ and
-pyproject.toml to a temporary directory, runs the union of the entries'
-tests there once unmutated (they must pass, or the script exits 2), and
-for each entry applies its one edit to a fresh copy and runs its tests,
-on min(2, cpu count) entries at a time.  A mutant counts as killed only
-if those tests fail (pytest exit code 1) or time out.  The script prints
-one line per mutant in catalogue order, then killed/total and the wall
-time, and exits 1 if any mutant survives.  It needs only the standard
-library and pytest (plus what the named tests import); pytest does not
-collect it.
+Each entry is (name, file under src/, exact old text, new text, tests,
+applies), where `applies` is False on a Python whose code path the fault
+cannot reach.  The script first checks every anchor: an old text that
+occurs zero times or more than once in its file is an error in the
+catalogue, and the script exits 2 before running anything.  It then
+copies src/, tests/ and pyproject.toml to a temporary directory, runs the
+union of the applicable entries' tests there once unmutated (they must
+pass, or the script exits 2), and for each applicable entry applies its
+one edit to a fresh copy and runs its tests, on min(2, cpu count) entries
+at a time.  A mutant counts as killed only if those tests fail (pytest
+exit code 1) or time out.  The script prints one line per mutant in
+catalogue order, an entry that does not apply as "not applicable", then
+killed/total over the applicable entries and the wall time, and exits 1
+if any of them survives.  It needs only the standard library and pytest
+(plus what the named tests import); pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -42,6 +44,12 @@ class Mutant(NamedTuple):
     old: str
     new: str
     tests: tuple[str, ...]
+    applies: bool = True
+
+
+# cli.main lifts and restores Python's int <-> str cap only where the
+# interpreter has one (3.10.7 and later).
+HAS_INT_STR_CAP = hasattr(sys, "get_int_max_str_digits")
 
 
 ROUNDTRIP_TESTS = ("tests/test_roundtrip.py",)
@@ -257,6 +265,13 @@ CATALOGUE = (
         "okcf/quartic.py",
         "        for conj in (False, True)\n",
         "        for conj in (False, False)\n",
+        (ROW_VIEWS_TEST,),
+    ),
+    Mutant(
+        "summarize takes the last row's triple as the seed's form",
+        "okcf/quartic.py",
+        "rows[0].triple, rows[-1].p, rows[-1].q",
+        "rows[-1].triple, rows[-1].p, rows[-1].q",
         (ROW_VIEWS_TEST,),
     ),
     Mutant(
@@ -614,7 +629,7 @@ CATALOGUE = (
         "analyze --output csv builds the summary",
         "okcf/cli.py",
         "    try:\n        if args.output == \"csv\":\n",
-        "    summarize(rows, quotients, args.precision)\n    try:\n        if args.output == \"csv\":\n",
+        "    summarize(rows, args.precision)\n    try:\n        if args.output == \"csv\":\n",
         ("tests/test_cli.py::TestAnalyze::test_csv_builds_no_summary",),
     ),
     # parse_k reads each term with one pattern; the frozen scanner in
@@ -989,6 +1004,21 @@ CATALOGUE = (
         ("tests/test_golden.py::TestChooseQuotient::test_a_pair_that_is_not_conjugate_is_rejected",),
     ),
     Mutant(
+        "choose_quotient takes its roots from the conjugate track's polynomial",
+        "okcf/golden.py",
+        "float_roots(poly), p.index)",
+        "float_roots(p.xi_prime.poly), p.index)",
+        ("tests/test_golden.py::TestChooseQuotient",),
+    ),
+    Mutant(
+        "a distance test the filter leaves open after two filtered floors has no exact pair",
+        "okcf/golden.py",
+        "            if p is None:\n                p = _pair_state(spec, state, t, index)\n",
+        "",
+        ("tests/test_float_filter.py::"
+         "test_exact_distance_tests_after_filtered_floors_give_the_same_expansions",),
+    ),
+    Mutant(
         "float_roots serves any D",
         "okcf/golden.py",
         "    if not _BINARY64 or seed.spec.d != 5:\n",
@@ -1103,6 +1133,7 @@ CATALOGUE = (
         "sys.set_int_max_str_digits(0)",
         "sys.set_int_max_str_digits(limit)",
         ("tests/test_cli.py::TestIntegersPastTheStrCap::test_a_discriminant_past_the_cap",),
+        HAS_INT_STR_CAP,
     ),
     Mutant(
         "main leaves the int <-> str cap lifted",
@@ -1110,6 +1141,7 @@ CATALOGUE = (
         "            sys.set_int_max_str_digits(limit)\n",
         "            pass\n",
         ("tests/test_cli.py::TestIntegersPastTheStrCap::test_main_restores_the_callers_cap",),
+        HAS_INT_STR_CAP,
     ),
 )
 
@@ -1160,22 +1192,27 @@ def main() -> int:
     if errors:
         print("catalogue error:\n  " + "\n  ".join(errors))
         return 2
+    applicable = tuple(m for m in CATALOGUE if m.applies)
     with tempfile.TemporaryDirectory() as parent:
         tmp = Path(parent)
-        union = tuple(dict.fromkeys(t for m in CATALOGUE for t in m.tests))
+        union = tuple(dict.fromkeys(t for m in applicable for t in m.tests))
         code = run_tests(fresh_copy(tmp), union)
         if code != 0:
             print(f"the unmutated tests do not pass (pytest exit {code}); nothing to measure")
             return 2
         killed = 0
         with ThreadPoolExecutor(max_workers=WORKERS) as pool:
-            verdicts = pool.map(partial(run_mutant, tmp), CATALOGUE)
-            for m, (verdict, seconds) in zip(CATALOGUE, verdicts):
+            verdicts = pool.map(partial(run_mutant, tmp), applicable)
+            for m in CATALOGUE:
+                if not m.applies:
+                    print(f"{'not applicable':<22} {'':>7}  {m.name}", flush=True)
+                    continue
+                verdict, seconds = next(verdicts)
                 killed += verdict.startswith("killed")
                 print(f"{verdict:<22} {seconds:6.1f}s  {m.name}", flush=True)
-    print(f"killed {killed}/{len(CATALOGUE)} in {time.perf_counter() - start:.0f}s "
-          f"on {WORKERS} worker(s)")
-    return 0 if killed == len(CATALOGUE) else 1
+    print(f"killed {killed}/{len(applicable)} in {time.perf_counter() - start:.0f}s "
+          f"on {WORKERS} worker(s), {len(CATALOGUE) - len(applicable)} not applicable")
+    return 0 if killed == len(applicable) else 1
 
 
 if __name__ == "__main__":

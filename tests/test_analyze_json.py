@@ -81,5 +81,5 @@ def test_cli_output_is_json_dumps_with_indent_2(precision):
 def test_writer_at_one_bit_is_json_dumps_with_indent_2():
     for poly, quotients in CASES:
         rows = diagnostics(poly, 1, quotients, 1)
-        out = _analyze_json(poly, rows, summarize(rows, quotients, 1)) + "\n"
+        out = _analyze_json(poly, rows, summarize(rows, 1)) + "\n"
         assert out == dumped_again(out), (poly, quotients)

@@ -285,6 +285,25 @@ class TestSurds:
         # An equal spec, though another object, is the same field.
         assert SurdElement(FieldSpec(5), k5.element(3), k5.one, k5.one).y == k5.one
 
+    def test_a_surd_in_k_hashes_like_the_values_it_equals(self, k5):
+        # A surd with y = 0 equals its x, and across families too, so it
+        # must hash like x and, for an integer x, like the int.
+        for delta in (k5.element(2), k5.element(3)):
+            three = SurdElement(k5, delta, k5.element(3), k5.zero)
+            assert three == k5.element(3) == 3
+            assert hash(three) == hash(k5.element(3)) == hash(3)
+            half = SurdElement(k5, delta, k5.element(Fraction(1, 2)), k5.zero)
+            assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+        assert len({SurdElement(k5, k5.element(d), k5.omega, k5.zero) for d in (2, 3)}) == 1
+        root = SurdElement(k5, k5.element(2), k5.zero, k5.one)
+        assert len({root, root * 1, three}) == 2
+
+    def test_a_scalar_over_a_surd_is_its_reciprocal_times_the_scalar(self, k5):
+        s = SurdElement(k5, k5.element(2), k5.element(1, 1), k5.element(-2, 1))
+        assert 2 / s == s.recip() * 2
+        assert k5.omega / s == s.recip() * k5.omega
+        assert Fraction(1, 3) / s == s.recip() * Fraction(1, 3)
+
     def test_field_axioms_randomized(self, k5, rng):
         delta = k5.element(2)
         for _ in range(300):
@@ -418,6 +437,12 @@ class TestRealsEqual:
     def test_k_values(self, k5):
         a = SurdElement(k5, k5.element(2), k5.omega, k5.zero)
         assert reals_equal(a, k5.omega)
+
+    def test_two_elements_of_k_compare_as_elements(self, k5, rng):
+        for _ in range(100):
+            a = random_k(rng, k5, integral=False)
+            for b in (a, random_k(rng, k5, integral=False), a + Fraction(1, 1 << 100)):
+                assert reals_equal(a, b) == (a == b)
 
     def test_linked_families_randomized(self, k5, rng):
         # sqrt(k^2 * delta) = |k| * sqrt(delta): the same value written over

@@ -236,7 +236,7 @@ def test_enclosures_hold_on_crafted_states(mp, k5):
     for p, roots in both_branches(huge):
         assert check_state(mp, p, roots) == 2
         assert golden._pair_enclosures(*pair_args(p), roots) is None
-        assert golden.choose_quotient(p, roots) == -1
+        assert golden.choose_quotient(p) == -1
 
 
 def test_float_roots_abstain_off_q_sqrt5():
@@ -272,22 +272,35 @@ def test_helpers_abstain_when_the_enclosure_touches_a_threshold():
 # -- Against the exact path --------------------------------------------------
 
 
-def test_forced_exact_path_gives_the_same_expansions(pool_run, monkeypatch):
-    results, _, counts = pool_run
-    monkeypatch.setattr(golden, "_float_floor", lambda z: None)
-    monkeypatch.setattr(golden, "_float_below", lambda z, below, above: None)
+def assert_runs_match(results: dict) -> None:
+    """Each `pool_run` result is what `expand_pair` gives now."""
     for (seed, conj), r in results.items():
         exact = expand_pair(seed, 1, conj)
         assert exact.expansion == r.expansion
         assert exact.keys == r.keys
         assert exact.cycle_start == r.cycle_start
         assert exact.verified == r.verified
+
+
+def test_forced_exact_path_gives_the_same_expansions(pool_run, monkeypatch):
+    results, _, counts = pool_run
+    monkeypatch.setattr(golden, "_float_floor", lambda z: None)
+    monkeypatch.setattr(golden, "_float_below", lambda z, below, above: None)
+    assert_runs_match(results)
     # The fast path: at most 2% of the floors and of the candidate tests
     # reach the exact path.
     for kind in ("floor", "candidate"):
         decisions, undecided = counts[kind]
         assert decisions > 1000
         assert undecided <= 0.02 * decisions, (kind, counts[kind])
+
+
+def test_exact_distance_tests_after_filtered_floors_give_the_same_expansions(pool_run,
+                                                                            monkeypatch):
+    # The filter decides both floors and abstains on every corner, so each
+    # distance test builds the exact pair itself, where no floor did.
+    monkeypatch.setattr(golden, "_float_below", lambda z, below, above: None)
+    assert_runs_match(pool_run[0])
 
 
 def test_decided_steps_build_no_exact_pair(k5, monkeypatch):

@@ -23,7 +23,6 @@ from okcf.golden import (
     classify_seed,
     covering_radius,
     expand_pair,
-    float_roots,
     lattice_coords,
     pair_steps,
     squared_distance,
@@ -328,26 +327,23 @@ class TestLatticeCoords:
 
 class TestChooseQuotient:
     def test_example_first_quotient(self, k5, example_seed):
-        roots = float_roots(example_seed)
         ps = PairState(make_state(example_seed, +1), make_state(example_seed.sigma(), +1), 0)
-        a = choose_quotient(ps, roots)
+        a = choose_quotient(ps)
         dist = squared_distance(ps, a)
         assert a == 2
         assert float(dist) < 0.9
 
     def test_example_second_quotient(self, k5, example_seed):
-        roots = float_roots(example_seed)
         s = make_state(example_seed, +1)
         sp = make_state(example_seed.sigma(), +1)
-        a0 = choose_quotient(PairState(s, sp, 0), roots)
+        a0 = choose_quotient(PairState(s, sp, 0))
         s, sp = step_state(s, a0), step_state(sp, a0.conj())
-        a1 = choose_quotient(PairState(s, sp, 1), roots)
+        a1 = choose_quotient(PairState(s, sp, 1))
         assert a1 == k5.element(4, -2)
 
     def test_alternative_branch_takes_beta_squared(self, k5, example_seed):
-        roots = float_roots(example_seed)
         ps = PairState(make_state(example_seed, +1), make_state(example_seed.sigma(), -1), 0)
-        a = choose_quotient(ps, roots)
+        a = choose_quotient(ps)
         assert a == k5.element(1, 1)  # beta^2 = 1 + beta
 
     def test_dist_is_exact_squared_distance(self, example_seed, unlinked_seed):
@@ -356,12 +352,11 @@ class TestChooseQuotient:
         # 1e-16 here) that a 64-bit enclosure is far narrower than, hence
         # the tolerance.
         for seed in (example_seed, unlinked_seed):
-            roots = float_roots(seed)
             for conj_branch in (1, -1):
                 s, sp = make_state(seed, +1), make_state(seed.sigma(), conj_branch)
                 for n in range(6):
                     p = PairState(s, sp, n)
-                    a = choose_quotient(p, roots)
+                    a = choose_quotient(p)
                     dist = squared_distance(p, a)
                     assert isinstance(dist, RealPair)
                     assert dist._sign_minus(RADIUS_SQ) < 0
@@ -379,17 +374,16 @@ class TestChooseQuotient:
         p = PairState(make_state(example_seed, +1), make_state(other, +1), 0)
         assert squared_distance(p, k5.element(2))._sign_minus(RADIUS_SQ) > 0
         with pytest.raises(InputRuleError, match="sigma"):
-            choose_quotient(p, float_roots(example_seed))
+            choose_quotient(p)
 
     def test_every_conjugate_pair_keeps_its_quotient(self, example_seed, unlinked_seed):
         # Each state that pair_steps yields, on every branch pair, gets the
         # quotient that the loop chose for it.
         for seed in (example_seed, unlinked_seed):
-            roots = float_roots(seed)
             for branch, conj in BRANCH_PAIRS:
                 states = list(islice(pair_steps(seed, branch, conj), 8))
                 for (_, p), (a, _) in zip(states, states[1:]):
-                    assert choose_quotient(p, roots) == a
+                    assert choose_quotient(p) == a
 
 
 class TestExpandPair:

@@ -456,7 +456,7 @@ class TestRowViews:
                 assert isinstance(view, RealInterval) and view == dyadic_interval(m)
             assert r.weil == weil_height(states[n], bits)
 
-        summary = summarize(rows, quots, bits)
+        summary = summarize(rows, bits)
         leads = [s.poly.A for s in states]
         assert summary.max_abs_a == max(float(abs(x.embed(bits)).hi) for x in leads)
         assert summary.max_abs_sigma_a == max(
